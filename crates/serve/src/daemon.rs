@@ -16,14 +16,22 @@
 //! keeps serving while N+1 loads), flips the pointer under the write
 //! lock, then drains: bounded polling until the old generation's
 //! strong count falls to 1, i.e. every in-flight reader has finished.
+//!
+//! Connection I/O is coalesced: a worker reads frames through a
+//! `BufReader` and appends each answer to one output buffer, which goes
+//! out with a single write once the read buffer holds no further whole
+//! frame, so a pipelined window that arrives whole costs one read and
+//! one write. The generation is pinned per request, never across a
+//! read, so a swap between windows drains at once.
 
 use crate::protocol::{self, ProtoError, Request, Response};
 use bytes::Bytes;
 use routergeo_db::rgdb::RgdbError;
 use routergeo_db::rgdb2::AnyReader;
 use routergeo_db::FileImage;
+use routergeo_obs::{Counter, Histogram, Stopwatch};
 use std::fmt;
-use std::io::{Read, Write as _};
+use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
@@ -31,6 +39,12 @@ use std::sync::mpsc::{sync_channel, Receiver, TrySendError};
 use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
+
+/// Bytes a connection buffers in each direction: the capacity of its
+/// read buffer, and the output size past which buffered answers are
+/// written even while whole frames still wait to be read. It bounds a
+/// worker's memory and keeps a long burst's answers flowing.
+const IO_BUF: usize = 64 * 1024;
 
 /// Tuning knobs for [`ServeDaemon::spawn_with`].
 #[derive(Debug, Clone)]
@@ -127,16 +141,65 @@ pub struct SwapReport {
     pub drain_polls: u32,
 }
 
-#[derive(Default)]
-struct AtomicStats {
-    requests: AtomicU64,
-    served: AtomicU64,
-    shed: AtomicU64,
-    malformed: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    errors: AtomicU64,
-    swaps: AtomicU64,
+/// One accounted event: the daemon's own total, which
+/// [`ServeDaemon::stats`] reads, and the process-wide `serve.*` counter
+/// that traces render.
+struct Tally {
+    own: AtomicU64,
+    global: Counter,
+}
+
+impl Tally {
+    fn new(name: &str) -> Tally {
+        Tally {
+            own: AtomicU64::new(0),
+            global: routergeo_obs::counter(name),
+        }
+    }
+
+    fn incr(&self) {
+        self.own.fetch_add(1, Ordering::Relaxed);
+        self.global.incr();
+    }
+
+    fn get(&self) -> u64 {
+        self.own.load(Ordering::Relaxed)
+    }
+}
+
+/// The daemon's metric handles, resolved from the registry once at
+/// spawn so a request never takes the registry lock.
+struct Accounting {
+    requests: Tally,
+    served: Tally,
+    shed: Tally,
+    malformed: Tally,
+    lookups: Counter,
+    hits: Tally,
+    misses: Tally,
+    errors: Tally,
+    swaps: Tally,
+    latency_us: Histogram,
+}
+
+impl Accounting {
+    /// Registers in field order (struct fields evaluate as written), so
+    /// a trace renders the `serve.*` metrics in this order whichever
+    /// request or swap comes first.
+    fn register() -> Accounting {
+        Accounting {
+            requests: Tally::new("serve.requests"),
+            served: Tally::new("serve.served"),
+            shed: Tally::new("serve.shed"),
+            malformed: Tally::new("serve.malformed"),
+            lookups: routergeo_obs::counter("serve.lookups"),
+            hits: Tally::new("serve.hits"),
+            misses: Tally::new("serve.misses"),
+            errors: Tally::new("serve.lookup_errors"),
+            swaps: Tally::new("serve.swaps"),
+            latency_us: routergeo_obs::histogram("serve.latency_us"),
+        }
+    }
 }
 
 /// Snapshot of the daemon's request accounting. The conservation law
@@ -166,13 +229,25 @@ pub struct ServeStats {
 struct Shared {
     current: RwLock<Arc<Generation>>,
     next_gen: AtomicU32,
-    stats: AtomicStats,
+    acct: Accounting,
     stop: AtomicBool,
     active: AtomicUsize,
     config: ServeConfig,
 }
 
 impl Shared {
+    /// State for a daemon whose generation 1 is `reader`.
+    fn new(reader: AnyReader, config: ServeConfig) -> Shared {
+        Shared {
+            current: RwLock::new(Arc::new(Generation { id: 1, reader })),
+            next_gen: AtomicU32::new(2),
+            acct: Accounting::register(),
+            stop: AtomicBool::new(false),
+            active: AtomicUsize::new(0),
+            config,
+        }
+    }
+
     /// Pin the live generation: clone the `Arc` under a read lock held
     /// only for the clone itself.
     fn generation(&self) -> Arc<Generation> {
@@ -180,21 +255,6 @@ impl Shared {
             Ok(guard) => Arc::clone(&guard),
             Err(poisoned) => Arc::clone(&poisoned.into_inner()),
         }
-    }
-
-    fn count_request(&self) {
-        self.stats.requests.fetch_add(1, Ordering::Relaxed);
-        routergeo_obs::counter("serve.requests").incr();
-    }
-
-    fn count_served(&self) {
-        self.stats.served.fetch_add(1, Ordering::Relaxed);
-        routergeo_obs::counter("serve.served").incr();
-    }
-
-    fn count_malformed(&self) {
-        self.stats.malformed.fetch_add(1, Ordering::Relaxed);
-        routergeo_obs::counter("serve.malformed").incr();
     }
 }
 
@@ -224,17 +284,9 @@ impl ServeDaemon {
     /// plus `config.workers` connection workers.
     pub fn spawn_with(image: Bytes, config: ServeConfig) -> Result<ServeDaemon, ServeError> {
         let reader = AnyReader::open(image)?;
-        let generation = Arc::new(Generation { id: 1, reader });
         let listener = TcpListener::bind(("127.0.0.1", 0))?;
         let addr = listener.local_addr()?;
-        let shared = Arc::new(Shared {
-            current: RwLock::new(generation),
-            next_gen: AtomicU32::new(2),
-            stats: AtomicStats::default(),
-            stop: AtomicBool::new(false),
-            active: AtomicUsize::new(0),
-            config: config.clone(),
-        });
+        let shared = Arc::new(Shared::new(reader, config.clone()));
         let (tx, rx) = sync_channel::<TcpStream>(config.queue_depth.max(1));
         let rx = Arc::new(Mutex::new(rx));
         let workers = (0..config.workers.max(1))
@@ -280,16 +332,16 @@ impl ServeDaemon {
 
     /// Snapshot the request accounting.
     pub fn stats(&self) -> ServeStats {
-        let s = &self.shared.stats;
+        let a = &self.shared.acct;
         ServeStats {
-            requests: s.requests.load(Ordering::Relaxed),
-            served: s.served.load(Ordering::Relaxed),
-            shed: s.shed.load(Ordering::Relaxed),
-            malformed: s.malformed.load(Ordering::Relaxed),
-            hits: s.hits.load(Ordering::Relaxed),
-            misses: s.misses.load(Ordering::Relaxed),
-            errors: s.errors.load(Ordering::Relaxed),
-            swaps: s.swaps.load(Ordering::Relaxed),
+            requests: a.requests.get(),
+            served: a.served.get(),
+            shed: a.shed.get(),
+            malformed: a.malformed.get(),
+            hits: a.hits.get(),
+            misses: a.misses.get(),
+            errors: a.errors.get(),
+            swaps: a.swaps.get(),
         }
     }
 
@@ -310,8 +362,7 @@ impl ServeDaemon {
         };
         let old = std::mem::replace(&mut *guard, fresh);
         drop(guard);
-        self.shared.stats.swaps.fetch_add(1, Ordering::Relaxed);
-        routergeo_obs::counter("serve.swaps").incr();
+        self.shared.acct.swaps.incr();
         let mut polls = 0u32;
         while Arc::strong_count(&old) > 1 && polls < self.shared.config.drain_polls_max {
             std::thread::sleep(self.shared.config.drain_poll);
@@ -391,9 +442,8 @@ fn worker_loop(rx: &Arc<Mutex<Receiver<TcpStream>>>, shared: &Arc<Shared>) {
 /// whole rejection is deadline-bounded so a stalling client cannot
 /// wedge the accept loop.
 fn shed(mut stream: TcpStream, shared: &Shared) {
-    shared.count_request();
-    shared.stats.shed.fetch_add(1, Ordering::Relaxed);
-    routergeo_obs::counter("serve.shed").incr();
+    shared.acct.requests.incr();
+    shared.acct.shed.incr();
     let deadline = shared.config.write_timeout.min(Duration::from_secs(1));
     let _ = stream.set_write_timeout(Some(deadline));
     let _ = stream.set_read_timeout(Some(deadline));
@@ -427,54 +477,129 @@ fn framing_reason(err: &ProtoError) -> &'static str {
     }
 }
 
-fn handle_connection(mut stream: TcpStream, shared: &Shared) -> std::io::Result<()> {
+fn handle_connection(stream: TcpStream, shared: &Shared) -> std::io::Result<()> {
     stream.set_read_timeout(Some(shared.config.read_timeout))?;
     stream.set_write_timeout(Some(shared.config.write_timeout))?;
-    // Responses are single small writes; without this, Nagle + delayed
-    // ACK turns every round trip into ~40ms on loopback.
+    // Every write ends with the answer the peer waits for before it
+    // sends more; without this, Nagle holds a write back until the
+    // previous one is ACKed and delayed ACK turns every round trip into
+    // ~40ms on loopback.
     stream.set_nodelay(true)?;
-    loop {
-        if shared.stop.load(Ordering::SeqCst) {
+    let mut reader = BufReader::with_capacity(IO_BUF, &stream);
+    if serve_frames(&mut reader, &mut &stream, shared)? == Close::Framing {
+        // The MALFORMED answer is out. Drain before closing: closing
+        // with unread bytes makes the kernel answer with RST, which can
+        // destroy it in flight.
+        let _ = stream.shutdown(std::net::Shutdown::Write);
+        drain_bounded(&mut reader);
+    }
+    Ok(())
+}
+
+/// How a connection's frame loop ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Close {
+    /// The peer closed at a frame boundary.
+    Eof,
+    /// The daemon is stopping.
+    Stop,
+    /// A framing error was answered with `MALFORMED`; framing can no
+    /// longer be trusted, so the caller closes the connection.
+    Framing,
+}
+
+/// Answers buffered for the connection's next write, with the stopwatch
+/// of each answer `serve.latency_us` times.
+#[derive(Default)]
+struct Pending {
+    bytes: Vec<u8>,
+    started: Vec<Stopwatch>,
+}
+
+impl Pending {
+    fn push(&mut self, resp: &Response, started: Option<Stopwatch>) {
+        protocol::put_frame(&mut self.bytes, &protocol::encode_response(resp));
+        self.started.extend(started);
+    }
+
+    /// Send every buffered answer with one write, then record each
+    /// timed answer's latency: the write carrying it has returned.
+    fn flush(&mut self, out: &mut impl Write, latency_us: &Histogram) -> std::io::Result<()> {
+        if self.bytes.is_empty() {
             return Ok(());
         }
-        let body = match protocol::read_frame(&mut stream) {
-            Ok(Some(body)) => body,
-            Ok(None) => return Ok(()), // clean close at a frame boundary
-            Err(ProtoError::Io(err)) => return Err(err), // peer vanished mid-frame
+        out.write_all(&self.bytes)?;
+        out.flush()?;
+        self.bytes.clear();
+        for started in self.started.drain(..) {
+            latency_us.record(started.elapsed_us());
+        }
+        Ok(())
+    }
+}
+
+/// The frame loop of one connection: answer the frames `reader` yields,
+/// in order, into `out`, until clean EOF, a framing error, or stop.
+///
+/// Frames come only from [`protocol::read_frame`]. Answers are appended,
+/// length-prefixed, to one buffer that goes out with a single write
+/// when `reader` holds no further whole frame (so before any read that
+/// could block: the peer may be waiting for these answers before it
+/// sends more), when the buffer passes [`IO_BUF`], and before every
+/// return. Each request pins the generation inside [`respond`], so no
+/// pin outlives its request or is held across a read.
+fn serve_frames<R: Read, W: Write>(
+    reader: &mut BufReader<R>,
+    out: &mut W,
+    shared: &Shared,
+) -> std::io::Result<Close> {
+    let latency_us = &shared.acct.latency_us;
+    let mut pending = Pending::default();
+    let close = loop {
+        if shared.stop.load(Ordering::SeqCst) {
+            break Close::Stop;
+        }
+        if !protocol::holds_frame(reader.buffer()) || pending.bytes.len() >= IO_BUF {
+            pending.flush(out, latency_us)?;
+        }
+        match protocol::read_frame(reader) {
+            Ok(Some(body)) => {
+                let started = routergeo_obs::stopwatch();
+                pending.push(&respond(&body, shared), Some(started));
+            }
+            Ok(None) => break Close::Eof,
+            // The peer vanished mid-frame. Only a read that reached the
+            // transport can fail, and those start after a flush.
+            Err(ProtoError::Io(err)) => return Err(err),
             Err(err) => {
-                // Framing can no longer be trusted: account, answer, close.
-                shared.count_request();
-                shared.count_malformed();
+                shared.acct.requests.incr();
+                shared.acct.malformed.incr();
                 let resp = Response::Malformed {
                     reason: framing_reason(&err).to_string(),
                 };
-                let _ = protocol::write_frame(&mut stream, &protocol::encode_response(&resp));
-                let _ = stream.shutdown(std::net::Shutdown::Write);
-                drain_bounded(&mut stream);
-                return Ok(());
+                pending.push(&resp, None);
+                break Close::Framing;
             }
-        };
-        let timer = routergeo_obs::stopwatch();
-        let resp = respond(&body, shared);
-        protocol::write_frame(&mut stream, &protocol::encode_response(&resp))?;
-        stream.flush()?;
-        routergeo_obs::histogram("serve.latency_us").record(timer.elapsed_us());
-    }
+        }
+    };
+    pending.flush(out, latency_us)?;
+    Ok(close)
 }
 
 /// Answer one intact frame. Body-level nonsense gets a `MALFORMED`
 /// response but keeps the connection: framing is still synchronized.
 fn respond(body: &[u8], shared: &Shared) -> Response {
-    shared.count_request();
+    let acct = &shared.acct;
+    acct.requests.incr();
     match protocol::parse_request(body) {
         Err(err) => {
-            shared.count_malformed();
+            acct.malformed.incr();
             Response::Malformed {
                 reason: framing_reason(&err).to_string(),
             }
         }
         Ok(Request::Generation) => {
-            shared.count_served();
+            acct.served.incr();
             let generation = shared.generation();
             Response::GenerationInfo {
                 generation: generation.id,
@@ -486,27 +611,24 @@ fn respond(body: &[u8], shared: &Shared) -> Response {
             // Pin the generation for the whole request: a swap between
             // the lookup and the response cannot mix generations.
             let generation = shared.generation();
-            shared.count_served();
-            routergeo_obs::counter("serve.lookups").incr();
+            acct.served.incr();
+            acct.lookups.incr();
             match generation.reader.try_lookup(ip) {
                 Ok(Some(record)) => {
-                    shared.stats.hits.fetch_add(1, Ordering::Relaxed);
-                    routergeo_obs::counter("serve.hits").incr();
+                    acct.hits.incr();
                     Response::Hit {
                         generation: generation.id,
                         record,
                     }
                 }
                 Ok(None) => {
-                    shared.stats.misses.fetch_add(1, Ordering::Relaxed);
-                    routergeo_obs::counter("serve.misses").incr();
+                    acct.misses.incr();
                     Response::Miss {
                         generation: generation.id,
                     }
                 }
                 Err(err) => {
-                    shared.stats.errors.fetch_add(1, Ordering::Relaxed);
-                    routergeo_obs::counter("serve.lookup_errors").incr();
+                    acct.errors.incr();
                     Response::ServerError {
                         generation: generation.id,
                         reason: err.to_string(),
@@ -514,5 +636,196 @@ fn respond(body: &[u8], shared: &Shared) -> Response {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::corpus::Corpus;
+    use crate::mix::{MixWeights, TrafficMix};
+    use std::cell::RefCell;
+    use std::io::Cursor;
+
+    fn shared() -> Shared {
+        let image = Corpus::new(64).image_v21(1);
+        let reader = AnyReader::open(image).expect("corpus image validates");
+        Shared::new(reader, ServeConfig::default())
+    }
+
+    /// Bodies of the first `n` requests of a seeded traffic mix: hits,
+    /// cold lookups, malformed bodies and generation probes.
+    fn mix_bodies(seed: u64, n: u64) -> Vec<Bytes> {
+        let mix = TrafficMix::new(seed, Corpus::new(64), MixWeights::default(), 0);
+        (0..n).map(|i| mix.request(i).body).collect()
+    }
+
+    fn frames(bodies: &[Bytes]) -> Vec<u8> {
+        let mut wire = Vec::new();
+        for body in bodies {
+            protocol::put_frame(&mut wire, body);
+        }
+        wire
+    }
+
+    /// End offsets of the whole frames `bytes` starts with.
+    fn frame_ends(bytes: &[u8]) -> Vec<usize> {
+        let mut cursor = Cursor::new(bytes);
+        let mut ends = Vec::new();
+        while let Ok(Some(_)) = protocol::read_frame(&mut cursor) {
+            ends.push(usize::try_from(cursor.position()).expect("in-memory offset"));
+        }
+        ends
+    }
+
+    /// What the daemon's side of an in-memory connection saw.
+    #[derive(Default)]
+    struct Log {
+        output: Vec<u8>,
+        /// Size of each `write` call.
+        writes: Vec<usize>,
+        /// Whole answer frames written so far.
+        answers: usize,
+        /// Transport reads, and those that started while an answer to a
+        /// request already delivered had not been written.
+        reads: usize,
+        early_reads: usize,
+    }
+
+    /// The peer's request bytes, delivered in reads that never cross a
+    /// cut.
+    struct Feed<'a> {
+        input: &'a [u8],
+        cuts: Vec<usize>,
+        request_ends: Vec<usize>,
+        pos: usize,
+        log: &'a RefCell<Log>,
+    }
+
+    impl Read for Feed<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let mut log = self.log.borrow_mut();
+            log.reads += 1;
+            let delivered = self.request_ends.partition_point(|&end| end <= self.pos);
+            if log.answers < delivered {
+                log.early_reads += 1;
+            }
+            let next_cut = self.cuts.partition_point(|&cut| cut <= self.pos);
+            let stop = self.cuts.get(next_cut).copied().unwrap_or(self.input.len());
+            let n = (stop - self.pos).min(buf.len());
+            buf[..n].copy_from_slice(&self.input[self.pos..self.pos + n]);
+            self.pos += n;
+            Ok(n)
+        }
+    }
+
+    struct Sink<'a>(&'a RefCell<Log>);
+
+    impl Write for Sink<'_> {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            let ends = frame_ends(buf);
+            assert_eq!(
+                ends.last(),
+                Some(&buf.len()),
+                "a write carries whole answers"
+            );
+            let mut log = self.0.borrow_mut();
+            log.writes.push(buf.len());
+            log.answers += ends.len();
+            log.output.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Run the frame loop over `input`, delivered in reads ending at
+    /// `cuts` (and at the read buffer's capacity).
+    fn run(shared: &Shared, input: &[u8], cuts: Vec<usize>) -> (Close, Log) {
+        let log = RefCell::new(Log::default());
+        let feed = Feed {
+            input,
+            cuts,
+            request_ends: frame_ends(input),
+            pos: 0,
+            log: &log,
+        };
+        let mut reader = BufReader::with_capacity(IO_BUF, feed);
+        let close = serve_frames(&mut reader, &mut Sink(&log), shared).expect("in-memory I/O");
+        drop(reader);
+        (close, log.into_inner())
+    }
+
+    #[test]
+    fn a_pipelined_window_is_answered_with_one_write() {
+        let input = frames(&mix_bodies(7, 32));
+        let (close, log) = run(&shared(), &input, Vec::new());
+        assert_eq!(close, Close::Eof);
+        assert_eq!(log.answers, 32);
+        assert_eq!(log.writes.len(), 1, "32 frames read at once, one write");
+        assert_eq!(log.reads, 2, "one read for the window, one for EOF");
+    }
+
+    #[test]
+    fn a_depth_one_exchange_gets_one_write_per_request() {
+        // A depth-1 peer sends each request after the previous answer,
+        // so every read holds exactly one frame.
+        let input = frames(&mix_bodies(11, 50));
+        let (close, log) = run(&shared(), &input, frame_ends(&input));
+        assert_eq!(close, Close::Eof);
+        assert_eq!((log.answers, log.writes.len()), (50, 50));
+        assert_eq!(log.early_reads, 0);
+    }
+
+    #[test]
+    fn every_fragmentation_gives_the_same_bytes_and_no_read_waits_on_an_answer() {
+        let shared = shared();
+        let bodies = mix_bodies(0x5EED, 200);
+        let input = frames(&bodies);
+        let mut expect = Vec::new();
+        for body in &bodies {
+            let resp = respond(body, &shared);
+            protocol::put_frame(&mut expect, &protocol::encode_response(&resp));
+        }
+        for chunk in 1..=input.len() {
+            let cuts = (chunk..input.len()).step_by(chunk).collect();
+            let (close, log) = run(&shared, &input, cuts);
+            assert_eq!(close, Close::Eof, "{chunk}-byte reads");
+            assert_eq!(log.answers, 200, "{chunk}-byte reads");
+            assert_eq!(
+                log.early_reads, 0,
+                "{chunk}-byte reads: a read began with an answer owed"
+            );
+            assert!(
+                log.output == expect,
+                "{chunk}-byte reads changed the output"
+            );
+        }
+    }
+
+    #[test]
+    fn a_burst_past_the_output_cap_is_written_in_capped_pieces() {
+        let input = frames(&mix_bodies(3, 4096));
+        assert!(input.len() <= IO_BUF, "the burst fits one read");
+        let (close, log) = run(&shared(), &input, Vec::new());
+        assert_eq!(close, Close::Eof);
+        assert_eq!(log.answers, 4096);
+        assert_eq!(log.early_reads, 0);
+        let (last, capped) = log.writes.split_last().expect("answers were written");
+        assert!(
+            !capped.is_empty(),
+            "{} answer bytes, one write",
+            log.output.len()
+        );
+        let max_frame = 4 + usize::try_from(protocol::MAX_FRAME).expect("small");
+        for &size in capped {
+            assert!(
+                (IO_BUF..IO_BUF + max_frame).contains(&size),
+                "{size}-byte write"
+            );
+        }
+        assert!(*last < IO_BUF + max_frame);
     }
 }

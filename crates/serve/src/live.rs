@@ -26,14 +26,18 @@ use crate::protocol::{self, ProtoError, Request, Response, MAX_FRAME};
 use routergeo_db::rgdb2::AnyReader;
 use routergeo_faultnet::{ChaosProxy, Fault, FaultPlan, TestClock};
 use routergeo_pool::splitmix64;
-use std::io::Write as _;
+use std::io::{BufReader, Write as _};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::Barrier;
 use std::time::Duration;
 
-/// A blocking protocol client over one TCP connection.
+/// A blocking protocol client over one TCP connection. Requests go out
+/// with one write per call and responses are read through a buffer, so
+/// the client's own syscalls do not dominate what a pipeline measures.
 pub struct ServeClient {
-    stream: TcpStream,
+    conn: BufReader<TcpStream>,
+    /// Request frames of the next write, reused across calls.
+    out: Vec<u8>,
 }
 
 impl ServeClient {
@@ -43,35 +47,40 @@ impl ServeClient {
         stream.set_read_timeout(Some(Duration::from_secs(5)))?;
         stream.set_write_timeout(Some(Duration::from_secs(5)))?;
         stream.set_nodelay(true)?;
-        Ok(ServeClient { stream })
+        Ok(ServeClient {
+            conn: BufReader::new(stream),
+            out: Vec::new(),
+        })
     }
 
     /// One request/response round trip.
     pub fn request(&mut self, req: &Request) -> Result<Response, ProtoError> {
-        protocol::write_frame(&mut self.stream, &protocol::encode_request(req))?;
-        self.stream.flush()?;
-        match protocol::read_frame(&mut self.stream)? {
+        self.send(std::slice::from_ref(req))?;
+        self.recv()
+    }
+
+    /// Pipelined batch: write every request with one `write_all`, then
+    /// read every response. Depth is the caller's responsibility;
+    /// request frames are ~10 bytes so even deep batches stay far inside
+    /// socket buffers.
+    pub fn pipeline(&mut self, reqs: &[Request]) -> Result<Vec<Response>, ProtoError> {
+        self.send(reqs)?;
+        reqs.iter().map(|_| self.recv()).collect()
+    }
+
+    fn send(&mut self, reqs: &[Request]) -> std::io::Result<()> {
+        self.out.clear();
+        for req in reqs {
+            protocol::put_frame(&mut self.out, &protocol::encode_request(req));
+        }
+        self.conn.get_mut().write_all(&self.out)
+    }
+
+    fn recv(&mut self) -> Result<Response, ProtoError> {
+        match protocol::read_frame(&mut self.conn)? {
             Some(body) => protocol::parse_response(&body),
             None => Err(ProtoError::Malformed("server closed before answering")),
         }
-    }
-
-    /// Pipelined batch: write every request, then read every response.
-    /// Depth is the caller's responsibility; request frames are ~10
-    /// bytes so even deep batches stay far inside socket buffers.
-    pub fn pipeline(&mut self, reqs: &[Request]) -> Result<Vec<Response>, ProtoError> {
-        for req in reqs {
-            protocol::write_frame(&mut self.stream, &protocol::encode_request(req))?;
-        }
-        self.stream.flush()?;
-        let mut out = Vec::with_capacity(reqs.len());
-        for _ in reqs {
-            match protocol::read_frame(&mut self.stream)? {
-                Some(body) => out.push(protocol::parse_response(&body)?),
-                None => return Err(ProtoError::Malformed("server closed mid-pipeline")),
-            }
-        }
-        Ok(out)
     }
 }
 

@@ -392,11 +392,29 @@ pub fn parse_response(mut body: &[u8]) -> Result<Response, ProtoError> {
 /// and body in one segment, so Nagle's algorithm never holds the body
 /// hostage to a delayed ACK on the prefix.
 pub fn write_frame(w: &mut impl Write, body: &[u8]) -> io::Result<()> {
-    let len = u32::try_from(body.len()).expect("frame bodies are capped well under u32::MAX");
     let mut frame = Vec::with_capacity(4 + body.len());
-    frame.extend_from_slice(&len.to_le_bytes());
-    frame.extend_from_slice(body);
+    put_frame(&mut frame, body);
     w.write_all(&frame)
+}
+
+/// Append one length-prefixed frame to `out`, for callers that send
+/// several frames with one write.
+pub fn put_frame(out: &mut Vec<u8>, body: &[u8]) {
+    let len = u32::try_from(body.len()).expect("frame bodies are capped well under u32::MAX");
+    out.extend_from_slice(&len.to_le_bytes());
+    out.extend_from_slice(body);
+}
+
+/// Whether `buf` starts with a whole frame: a length prefix and at least
+/// the body bytes it announces. When it does, [`read_frame`] over a
+/// reader that has `buf` buffered returns without reading the transport.
+pub fn holds_frame(buf: &[u8]) -> bool {
+    match buf {
+        [a, b, c, d, body @ ..] => {
+            usize::try_from(u32::from_le_bytes([*a, *b, *c, *d])).is_ok_and(|len| body.len() >= len)
+        }
+        _ => false,
+    }
 }
 
 /// Read one length-prefixed frame body.
@@ -555,5 +573,25 @@ mod tests {
         // EOF mid-frame is attributed, not a clean close.
         let mut torn = std::io::Cursor::new(vec![8, 0, 0, 0, 1, 2]);
         assert!(read_frame(&mut torn).is_err());
+    }
+
+    #[test]
+    fn holds_frame_needs_the_prefix_and_the_whole_body() {
+        let mut wire = Vec::new();
+        put_frame(&mut wire, b"abc");
+        for cut in 0..wire.len() {
+            assert!(
+                !holds_frame(&wire[..cut]),
+                "{cut} bytes are a partial frame"
+            );
+        }
+        assert!(holds_frame(&wire));
+        put_frame(&mut wire, b"de");
+        assert!(
+            holds_frame(&wire),
+            "a trailing frame does not hide the first"
+        );
+        // A zero length is decided from the prefix alone.
+        assert!(holds_frame(&[0, 0, 0, 0]));
     }
 }

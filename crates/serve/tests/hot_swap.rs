@@ -190,3 +190,47 @@ fn heap_generation_hot_swaps_to_a_file_backed_v21_image() {
     std::fs::remove_file(&path).ok();
     drop(daemon);
 }
+
+#[test]
+fn a_swap_between_pipelined_windows_finds_no_pinned_reader() {
+    // Each request pins the generation only while it is answered, never
+    // across the read that waits for the next window: a swap between
+    // windows must drain without a single poll, and the first reply
+    // after it must carry the new generation.
+    let corpus = Corpus::new(64);
+    let daemon = ServeDaemon::spawn(corpus.image_v21(1)).expect("daemon spawns");
+    let mut client = ServeClient::connect(daemon.addr()).expect("client connects");
+    let window: Vec<Request> = (0..32)
+        .map(|k| Request::Lookup(corpus.hit_addr(k)))
+        .collect();
+    let check_window = |client: &mut ServeClient, expect_gen: u32| {
+        let replies = client.pipeline(&window).expect("the window is answered");
+        assert_eq!(replies.len(), window.len());
+        for (k, resp) in replies.iter().enumerate() {
+            match resp {
+                Response::Hit { generation, record } => {
+                    assert_eq!(*generation, expect_gen, "reply {k} of the window");
+                    assert_eq!(
+                        record.city.as_deref(),
+                        Some(Corpus::city_tag(expect_gen, k).as_str())
+                    );
+                }
+                other => panic!("hit address must hit, got {other:?}"),
+            }
+        }
+    };
+    check_window(&mut client, 1);
+    for generation in 2..=5 {
+        let report = daemon
+            .hot_swap(corpus.image_v21(generation))
+            .expect("swap succeeds");
+        assert_eq!(report.new_generation, generation);
+        assert!(report.drained, "{report:?}");
+        assert_eq!(
+            report.drain_polls, 0,
+            "a generation pin outlived its window: {report:?}"
+        );
+        check_window(&mut client, generation);
+    }
+    assert_eq!(daemon.stats().swaps, 4);
+}
