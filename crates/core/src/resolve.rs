@@ -10,9 +10,11 @@
 //!
 //! Construction is sharded through `routergeo_pool`: each shard resolves
 //! its slice into a *local* interner and local column chunks, and the
-//! merge absorbs the locals in shard order, remapping symbol ids into
-//! the global table. Shard boundaries depend only on the input length,
-//! so the view — ids included — is byte-identical at any thread count.
+//! pool's ordered fold absorbs each local as soon as every earlier
+//! shard has been absorbed, remapping symbol ids into the global table
+//! and appending the chunks to preallocated columns. Shard boundaries
+//! depend only on the input length, so the view — ids included — is
+//! byte-identical at any thread count.
 
 use routergeo_db::{CompactRecord, GeoDatabase, LocationInterner};
 use routergeo_pool::Pool;
@@ -20,7 +22,7 @@ use std::net::Ipv4Addr;
 
 /// Addresses per shard for the parallel resolvers and evaluators in
 /// this crate. Lookups draw no randomness, so the shard seed is
-/// irrelevant; the size is fixed (never thread-derived) to keep merge
+/// irrelevant; the size is fixed (never thread-derived) to keep fold
 /// order stable. Sized so the batched readers amortize their
 /// per-chunk work (sort, dense memo tables) over many addresses —
 /// each distinct record decodes once per shard, so bigger shards mean
@@ -46,7 +48,7 @@ impl ResolvedView {
     }
 
     /// [`ResolvedView::build`] on an explicit pool: shards resolve into
-    /// local interners and column chunks, merged in shard order with
+    /// local interners and column chunks, folded in shard order with
     /// symbol-id remapping, so the view is identical at every thread
     /// count.
     pub fn build_with<D: GeoDatabase + Sync>(
@@ -66,13 +68,14 @@ impl ResolvedView {
         let c_refs = routergeo_obs::counter("resolve.interner_refs");
 
         let mut interner = LocationInterner::new();
-        let mut columns: Vec<Vec<Option<CompactRecord>>> = vec![Vec::with_capacity(ips.len()); n];
+        let mut columns: Vec<Vec<Option<CompactRecord>>> =
+            (0..n).map(|_| Vec::with_capacity(ips.len())).collect();
         let mut hits = 0u64;
         let mut refs = 0u64;
         if pool.threads() <= 1 {
             // Serial fast path: resolve chunk-major straight into the
             // global interner. First-seen order is exactly the order the
-            // sharded merge below replays, so ids — and therefore the
+            // sharded fold below replays, so ids — and therefore the
             // whole view — are bit-identical to the threaded build, with
             // none of the local-table absorb/remap machinery. Going
             // through `for_each_shard` keeps the pool's shard counters
@@ -86,32 +89,34 @@ impl ResolvedView {
             });
             refs = interner.ref_count();
         } else {
-            let shards = pool.map_shards(0, ips, LOOKUP_SHARD_SIZE, |_, chunk| {
-                let mut local = LocationInterner::new();
-                let mut cols: Vec<Vec<Option<CompactRecord>>> =
-                    vec![Vec::with_capacity(chunk.len()); n];
-                for (col, db) in cols.iter_mut().zip(dbs) {
+            // Each shard resolves into a local interner; the fold
+            // absorbs it and appends the remapped answers while the
+            // other workers are still resolving later shards.
+            pool.fold_shards(
+                0,
+                ips,
+                LOOKUP_SHARD_SIZE,
+                |_, chunk| {
+                    let mut local = LocationInterner::new();
                     // Batched resolve: backends exploit the whole-chunk
                     // view (sorted range/trie sweeps, per-record
                     // memoizing) while guaranteeing the same answers and
                     // interner ids as the per-address loop.
-                    col.extend(db.lookup_batch(chunk, &mut local));
-                }
-                (local, cols)
-            });
-
-            for (local, cols) in shards {
-                refs += local.ref_count();
-                let remap = interner.absorb(&local);
-                for (column, chunk) in columns.iter_mut().zip(cols) {
-                    for rec in chunk {
-                        if rec.is_some() {
-                            hits += 1;
-                        }
-                        column.push(rec.map(|r| r.remapped(&remap)));
+                    let parts: Vec<_> = dbs
+                        .iter()
+                        .map(|db| db.lookup_batch(chunk, &mut local))
+                        .collect();
+                    (local, parts)
+                },
+                |_, (local, parts)| {
+                    refs += local.ref_count();
+                    let remap = interner.absorb(&local);
+                    for (column, part) in columns.iter_mut().zip(parts) {
+                        hits += part.iter().filter(|r| r.is_some()).count() as u64;
+                        column.extend(part.into_iter().map(|rec| rec.map(|r| r.remapped(&remap))));
                     }
-                }
-            }
+                },
+            );
         }
 
         let lookups = (ips.len() as u64) * (n as u64);
@@ -193,17 +198,30 @@ mod tests {
         b.build().unwrap()
     }
 
-    fn sample_ips(count: u32) -> Vec<Ipv4Addr> {
+    /// `count` addresses spread evenly over 10.0.0.0–10.119.255.255,
+    /// the blocks the striped databases cover.
+    fn sample_ips(count: usize) -> Vec<Ipv4Addr> {
+        let count = u32::try_from(count).unwrap();
+        let step = (120u32 << 16) / count;
         (0..count)
-            .map(|i| Ipv4Addr::from(0x0A00_0000u32 + (i << 10)))
+            .map(|i| Ipv4Addr::from(0x0A00_0000u32 + i * step))
             .collect()
+    }
+
+    /// Three shards, the last one partial, so the threaded build folds
+    /// more than one shard and meets a short chunk.
+    fn multi_shard_ips() -> Vec<Ipv4Addr> {
+        let ips = sample_ips(2 * LOOKUP_SHARD_SIZE + LOOKUP_SHARD_SIZE / 2);
+        let shards = routergeo_pool::plan_shards(0, ips.len(), LOOKUP_SHARD_SIZE);
+        assert_eq!(shards.len(), 3);
+        assert!(shards[2].len() < LOOKUP_SHARD_SIZE);
+        ips
     }
 
     #[test]
     fn parallel_view_is_identical_to_serial() {
         let dbs = [striped_db("a", 120, 1), striped_db("b", 120, 3)];
-        // > 2 shards of 4096 so the merge path actually runs.
-        let ips = sample_ips(10_000);
+        let ips = multi_shard_ips();
         let serial = ResolvedView::build_with(&dbs, &ips, &Pool::new(1));
         for threads in [2, 8] {
             let parallel = ResolvedView::build_with(&dbs, &ips, &Pool::new(threads));
@@ -212,9 +230,25 @@ mod tests {
                 "view differs between 1 and {threads} threads"
             );
         }
-        assert_eq!(serial.len(), 10_000);
+        assert_eq!(serial.len(), ips.len());
         assert_eq!(serial.db_count(), 2);
         assert!(serial.interner().len() > 10, "symbols were interned");
+    }
+
+    #[test]
+    fn every_column_is_preallocated_to_the_address_count() {
+        let dbs = [
+            striped_db("a", 120, 1),
+            striped_db("b", 120, 3),
+            striped_db("c", 120, 5),
+        ];
+        let ips = multi_shard_ips();
+        for threads in [1, 2] {
+            let view = ResolvedView::build_with(&dbs, &ips, &Pool::new(threads));
+            for (d, column) in view.columns.iter().enumerate() {
+                assert_eq!(column.capacity(), ips.len(), "threads={threads} column {d}");
+            }
+        }
     }
 
     #[test]
@@ -282,7 +316,7 @@ mod tests {
             let _ = std::fs::remove_file(path);
         }
 
-        let ips = sample_ips(10_000);
+        let ips = multi_shard_ips();
         let serial = ResolvedView::build_with(&heap, &ips, &Pool::new(1));
         for threads in [2, 8] {
             let parallel = ResolvedView::build_with(&heap, &ips, &Pool::new(threads));

@@ -167,8 +167,9 @@ pub fn build_vendor(signals: &SignalWorld<'_>, profile: &VendorProfile) -> InMem
 
 /// [`build_vendor`] on an explicit pool. Shards of the block plan are
 /// rendered concurrently and their `(prefix, record)` rows fed to the
-/// builder in shard order — the same insertion sequence as the serial
-/// loop, so the image is byte-identical at every thread count.
+/// builder in shard order, each shard as soon as every earlier one is
+/// in — the same insertion sequence as the serial loop, so the image
+/// is byte-identical at every thread count.
 pub fn build_vendor_with(
     signals: &SignalWorld<'_>,
     profile: &VendorProfile,
@@ -182,19 +183,25 @@ pub fn build_vendor_with(
         blocks = blocks.len()
     );
     routergeo_obs::counter("db.synth.blocks").add(blocks.len() as u64);
-    let shards = pool.map_shards(0, blocks, VENDOR_SHARD_SIZE, |_, chunk| {
-        chunk
-            .iter()
-            .filter_map(|info| block_record(signals, profile, info).map(|r| (info.block, r)))
-            .collect::<Vec<_>>()
-    });
-
     let mut builder = InMemoryDbBuilder::new(profile.id.name());
     let mut rows = 0usize;
-    for (prefix, record) in shards.into_iter().flatten() {
-        builder.push_prefix(prefix, record);
-        rows += 1;
-    }
+    pool.fold_shards(
+        0,
+        blocks,
+        VENDOR_SHARD_SIZE,
+        |_, chunk| {
+            chunk
+                .iter()
+                .filter_map(|info| block_record(signals, profile, info).map(|r| (info.block, r)))
+                .collect::<Vec<_>>()
+        },
+        |_, shard_rows| {
+            rows += shard_rows.len();
+            for (prefix, record) in shard_rows {
+                builder.push_prefix(prefix, record);
+            }
+        },
+    );
     span.attr("rows", rows);
     builder.build().expect("plan blocks are disjoint")
 }

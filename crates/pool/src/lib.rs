@@ -6,11 +6,13 @@
 //! explicit shard size — never on the thread count. Each shard carries
 //! its own RNG seed, derived as [`splitmix64`]`(master_seed,
 //! shard_index)`, so any randomized per-shard work draws from a stream
-//! that is a pure function of the shard index. Workers pull shard
-//! indexes off a shared atomic counter and results are merged back in
-//! shard order. Together these three properties make the merged output
-//! **byte-identical across thread counts** — `ROUTERGEO_THREADS=1`,
-//! `=2`, and `=8` produce the same bytes for the same seed.
+//! that is a pure function of the shard index. Workers take shard
+//! indexes in plan order and each result is folded into the caller's
+//! accumulator in shard order, as soon as every earlier shard has been
+//! folded ([`Pool::fold_shards`]). Together these three properties make
+//! the folded output **byte-identical across thread counts** —
+//! `ROUTERGEO_THREADS=1`, `=2`, and `=8` produce the same bytes for the
+//! same seed.
 //!
 //! A worker panic is captured, attributed to its shard, and re-raised
 //! on the calling thread as a `String` payload of the form
@@ -18,8 +20,7 @@
 
 use std::any::Any;
 use std::panic::{catch_unwind, panic_any, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::thread;
 
 /// Environment variable overriding the worker count picked by
@@ -45,7 +46,7 @@ pub fn splitmix64(seed: u64, index: u64) -> u64 {
 /// One contiguous slice of the input, with its private RNG seed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Shard {
-    /// Position of this shard in the plan (and in the merged output).
+    /// Position of this shard in the plan (and in the fold order).
     pub index: usize,
     /// Seed for this shard's RNG stream: `splitmix64(master, index)`.
     pub seed: u64,
@@ -95,7 +96,7 @@ pub fn plan_shards(master_seed: u64, items: usize, shard_size: usize) -> Vec<Sha
 }
 
 /// A fixed-width scoped worker pool. Holds no threads between calls —
-/// each [`run_shards`](Pool::run_shards) spins up scoped workers and
+/// each [`fold_shards`](Pool::fold_shards) spins up scoped workers and
 /// joins them before returning, so borrows of caller state are fine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Pool {
@@ -140,14 +141,47 @@ impl Pool {
         self.threads
     }
 
+    /// Run `map` once per shard of a `plan_shards(master_seed,
+    /// items.len(), shard_size)` plan and hand each result to `fold`
+    /// **in shard order**, as soon as every earlier shard has been
+    /// folded.
+    ///
+    /// The fold runs on whichever worker completed that prefix, one
+    /// shard at a time, while the other workers keep mapping, so a
+    /// caller that accumulates into one structure never holds more
+    /// than the few results the fold has not yet reached. `fold` sees
+    /// the same sequence at every thread count. With one thread (or at
+    /// most one shard) everything runs inline on the caller.
+    ///
+    /// If `map` or `fold` panics, the first panic (by completion order)
+    /// is re-raised here with its shard index prepended; workers stop
+    /// pulling new shards and nothing more is folded once a panic is
+    /// observed.
+    pub fn fold_shards<T, R, M, F>(
+        &self,
+        master_seed: u64,
+        items: &[T],
+        shard_size: usize,
+        map: M,
+        fold: F,
+    ) where
+        T: Sync,
+        R: Send,
+        M: Fn(&Shard, &[T]) -> R + Sync,
+        F: FnMut(&Shard, R) + Send,
+    {
+        let shards = plan_shards(master_seed, items.len(), shard_size);
+        self.fold_plan(
+            shards,
+            |shard| map(shard, &items[shard.start..shard.end]),
+            fold,
+        );
+    }
+
     /// Run `f` once per shard of a `plan_shards(master_seed, items,
     /// shard_size)` plan and return the results **in shard order**,
-    /// regardless of which worker finished which shard when.
-    ///
-    /// With one thread (or at most one shard) everything runs inline on
-    /// the caller. If any `f` panics, the first panic (by completion
-    /// order) is re-raised here with its shard index prepended; workers
-    /// stop pulling new shards once a panic is observed.
+    /// regardless of which worker finished which shard when — a
+    /// [`fold_shards`](Pool::fold_shards) that collects.
     pub fn run_shards<R, F>(
         &self,
         master_seed: u64,
@@ -160,131 +194,31 @@ impl Pool {
         F: Fn(&Shard) -> R + Sync,
     {
         let shards = plan_shards(master_seed, items, shard_size);
-        // Observability: both counters are registered here on the
-        // calling thread (deterministic registration order); the
-        // per-shard span carries queue-wait (entry → pickup) and run
-        // time, parented under whatever span the caller has open.
-        routergeo_obs::counter("pool.shards_planned").add(shards.len() as u64);
-        let shards_run = routergeo_obs::counter("pool.shards_run");
-        let parent = routergeo_obs::current_span();
-        let clock = routergeo_obs::stopwatch();
-        let observe = routergeo_obs::enabled();
-        let run_one = |shard: &Shard| -> R {
-            shards_run.incr();
-            let _span = if observe {
-                let queue_us = clock.elapsed_us();
-                let mut s = routergeo_obs::span_under(parent, "pool.shard", Vec::new());
-                s.attr("shard", shard.index);
-                s.attr("items", shard.len());
-                s.attr("queue_us", queue_us);
-                s
-            } else {
-                routergeo_obs::SpanGuard::disabled()
-            };
-            f(shard)
-        };
-
-        let workers = self.threads.min(shards.len());
-        if workers <= 1 {
-            let mut out = Vec::with_capacity(shards.len());
-            for shard in &shards {
-                match catch_unwind(AssertUnwindSafe(|| run_one(shard))) {
-                    Ok(r) => out.push(r),
-                    Err(payload) => reraise(shard.index, &*payload),
-                }
-            }
-            return out;
-        }
-
-        let next = AtomicUsize::new(0);
-        let stop = AtomicBool::new(false);
-        let failure: Mutex<Option<(usize, String)>> = Mutex::new(None);
-        let slots: Vec<Mutex<Option<R>>> = shards.iter().map(|_| Mutex::new(None)).collect();
-
-        thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| {
-                    while !stop.load(Ordering::Relaxed) {
-                        let ix = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(shard) = shards.get(ix) else { break };
-                        match catch_unwind(AssertUnwindSafe(|| run_one(shard))) {
-                            Ok(r) => {
-                                if let Ok(mut slot) = slots[ix].lock() {
-                                    *slot = Some(r);
-                                }
-                            }
-                            Err(payload) => {
-                                stop.store(true, Ordering::Relaxed);
-                                if let Ok(mut fail) = failure.lock() {
-                                    if fail.is_none() {
-                                        *fail = Some((ix, payload_message(&*payload)));
-                                    }
-                                }
-                            }
-                        }
-                    }
-                });
-            }
-        });
-
-        if let Some((ix, msg)) = failure.into_inner().unwrap_or_else(|e| e.into_inner()) {
-            panic_any(format!(
-                "routergeo-pool worker panicked in shard {ix}: {msg}"
-            ));
-        }
-        shards
-            .iter()
-            .zip(slots)
-            .map(|(shard, slot)| {
-                match slot.into_inner().unwrap_or_else(|e| e.into_inner()) {
-                    Some(r) => r,
-                    // Unreachable unless a worker died without reporting;
-                    // fail loudly rather than return a partial merge.
-                    None => panic_any(format!(
-                        "routergeo-pool: shard {} produced no result",
-                        shard.index
-                    )),
-                }
-            })
-            .collect()
+        let mut out = Vec::with_capacity(shards.len());
+        self.fold_plan(shards, f, |_, r| out.push(r));
+        out
     }
 
-    /// Run `f` inline over every shard of the plan, in order, with the
-    /// same observability accounting as [`run_shards`](Pool::run_shards)
-    /// — identical `pool.shards_*` counter totals and `pool.shard`
-    /// spans, so metric snapshots stay byte-identical across thread
-    /// counts even when a caller takes a serial fast path.
+    /// Run `f` inline over every shard of the plan, in order, as the
+    /// fold of a [`fold_shards`](Pool::fold_shards) with nothing to map
+    /// — the same worker loop, so `pool.shards_*` counter totals,
+    /// spans and panic attribution match every other call and metric
+    /// snapshots stay byte-identical across thread counts even when a
+    /// caller takes a serial fast path.
     ///
-    /// Unlike `run_shards` the closure is `FnMut` and may borrow caller
-    /// state mutably: this is the escape hatch for single-threaded
-    /// folds that accumulate every shard into one structure (no
-    /// per-shard locals, no merge). The pool's thread count is
-    /// deliberately ignored — the caller has already decided to run
-    /// serially.
-    pub fn for_each_shard<T, F>(&self, master_seed: u64, items: &[T], shard_size: usize, mut f: F)
+    /// The closure may borrow caller state mutably and need not be
+    /// `Send`: this is the escape hatch for single-threaded folds that
+    /// accumulate every shard into one structure (no per-shard locals,
+    /// no merge). The pool's thread count is deliberately ignored — the
+    /// caller has already decided to run serially.
+    pub fn for_each_shard<T, F>(&self, master_seed: u64, items: &[T], shard_size: usize, f: F)
     where
         F: FnMut(&Shard, &[T]),
     {
         let shards = plan_shards(master_seed, items.len(), shard_size);
-        routergeo_obs::counter("pool.shards_planned").add(shards.len() as u64);
-        let shards_run = routergeo_obs::counter("pool.shards_run");
-        let parent = routergeo_obs::current_span();
-        let clock = routergeo_obs::stopwatch();
-        let observe = routergeo_obs::enabled();
-        for shard in &shards {
-            shards_run.incr();
-            let _span = if observe {
-                let queue_us = clock.elapsed_us();
-                let mut s = routergeo_obs::span_under(parent, "pool.shard", Vec::new());
-                s.attr("shard", shard.index);
-                s.attr("items", shard.len());
-                s.attr("queue_us", queue_us);
-                s
-            } else {
-                routergeo_obs::SpanGuard::disabled()
-            };
-            f(shard, &items[shard.start..shard.end]);
-        }
+        let job = Job::new(shards, |shard: &Shard| &items[shard.start..shard.end], f);
+        job.work();
+        job.finish();
     }
 
     /// [`run_shards`](Pool::run_shards) over a slice: each call of `f`
@@ -305,19 +239,191 @@ impl Pool {
             f(shard, &items[shard.start..shard.end])
         })
     }
+
+    /// Map and fold `shards` on up to `threads` workers: the one place
+    /// that spawns them.
+    fn fold_plan<R, M, F>(&self, shards: Vec<Shard>, map: M, fold: F)
+    where
+        R: Send,
+        M: Fn(&Shard) -> R + Sync,
+        F: FnMut(&Shard, R) + Send,
+    {
+        let workers = self.threads.min(shards.len());
+        let job = Job::new(shards, map, fold);
+        if workers <= 1 {
+            job.work();
+        } else {
+            thread::scope(|scope| {
+                for _ in 0..workers {
+                    scope.spawn(|| job.work());
+                }
+            });
+        }
+        job.finish();
+    }
+}
+
+/// One map/fold over a shard plan, shared by its workers.
+struct Job<R, M, F> {
+    shards: Vec<Shard>,
+    map: M,
+    state: Mutex<FoldState<R, F>>,
+    /// Caller's span at plan time: the parent of every shard span.
+    parent: u64,
+    /// Started at plan time; `queue_us` of a `pool.shard` span is when
+    /// a worker picked the shard up.
+    clock: routergeo_obs::Stopwatch,
+    observe: bool,
+    shards_run: routergeo_obs::Counter,
+}
+
+/// What the workers of a [`Job`] coordinate through.
+struct FoldState<R, F> {
+    /// Next shard to hand to a worker.
+    next_map: usize,
+    /// Next shard to fold.
+    next_fold: usize,
+    /// Mapped results waiting for every earlier shard to be folded,
+    /// with a stopwatch started when each was mapped.
+    ready: Vec<Option<(R, routergeo_obs::Stopwatch)>>,
+    /// The fold closure: `None` while a worker is folding, and for
+    /// good once a fold has panicked.
+    fold: Option<F>,
+    /// The first panic, by shard: the stop flag.
+    failure: Option<(usize, String)>,
+}
+
+impl<R, M, F> Job<R, M, F>
+where
+    M: Fn(&Shard) -> R,
+    F: FnMut(&Shard, R),
+{
+    fn new(shards: Vec<Shard>, map: M, fold: F) -> Self {
+        // Observability: both counters are registered here on the
+        // calling thread (deterministic registration order), and shard
+        // spans are parented under whatever span the caller has open.
+        routergeo_obs::counter("pool.shards_planned").add(shards.len() as u64);
+        let shards_run = routergeo_obs::counter("pool.shards_run");
+        let state = FoldState {
+            next_map: 0,
+            next_fold: 0,
+            ready: shards.iter().map(|_| None).collect(),
+            fold: Some(fold),
+            failure: None,
+        };
+        Job {
+            shards,
+            map,
+            state: Mutex::new(state),
+            parent: routergeo_obs::current_span(),
+            clock: routergeo_obs::stopwatch(),
+            observe: routergeo_obs::enabled(),
+            shards_run,
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, FoldState<R, F>> {
+        // Map and fold run with the lock released and every update
+        // under it is a single store, so a poisoned state is still
+        // consistent.
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The worker loop: take the next shard, map it, park the result,
+    /// then fold the completed prefix unless another worker already is.
+    fn work(&self) {
+        let mut st = self.lock();
+        loop {
+            if st.failure.is_some() {
+                return;
+            }
+            let Some(shard) = self.shards.get(st.next_map) else {
+                return;
+            };
+            st.next_map += 1;
+            drop(st);
+            let mapped = catch_unwind(AssertUnwindSafe(|| self.map_one(shard)));
+            st = self.lock();
+            match mapped {
+                Ok(r) => st.ready[shard.index] = Some((r, routergeo_obs::stopwatch())),
+                Err(payload) => {
+                    st.fail(shard.index, &*payload);
+                    return;
+                }
+            }
+            let Some(mut fold) = st.fold.take() else {
+                continue;
+            };
+            while st.failure.is_none() {
+                let ix = st.next_fold;
+                let Some((r, mapped_at)) = st.ready.get_mut(ix).and_then(Option::take) else {
+                    break;
+                };
+                drop(st);
+                let folded = catch_unwind(AssertUnwindSafe(|| {
+                    self.fold_one(&mut fold, &self.shards[ix], r, mapped_at);
+                }));
+                st = self.lock();
+                if let Err(payload) = folded {
+                    st.fail(ix, &*payload);
+                    return;
+                }
+                st.next_fold += 1;
+            }
+            st.fold = Some(fold);
+        }
+    }
+
+    fn map_one(&self, shard: &Shard) -> R {
+        self.shards_run.incr();
+        let _span = self.observe.then(|| {
+            let attrs = vec![
+                ("shard", shard.index.to_string()),
+                ("items", shard.len().to_string()),
+                ("queue_us", self.clock.elapsed_us().to_string()),
+            ];
+            routergeo_obs::span_under(self.parent, "pool.shard", attrs)
+        });
+        (self.map)(shard)
+    }
+
+    fn fold_one(&self, fold: &mut F, shard: &Shard, r: R, mapped_at: routergeo_obs::Stopwatch) {
+        let _span = self.observe.then(|| {
+            let attrs = vec![
+                ("shard", shard.index.to_string()),
+                ("lag_us", mapped_at.elapsed_us().to_string()),
+            ];
+            routergeo_obs::span_under(self.parent, "pool.fold", attrs)
+        });
+        fold(shard, r);
+    }
+
+    /// Re-raise the first worker panic on the caller.
+    fn finish(self) {
+        let st = self
+            .state
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner);
+        if let Some((ix, msg)) = st.failure {
+            panic_any(format!(
+                "routergeo-pool worker panicked in shard {ix}: {msg}"
+            ));
+        }
+    }
+}
+
+impl<R, F> FoldState<R, F> {
+    fn fail(&mut self, shard: usize, payload: &(dyn Any + Send)) {
+        if self.failure.is_none() {
+            self.failure = Some((shard, payload_message(payload)));
+        }
+    }
 }
 
 impl Default for Pool {
     fn default() -> Self {
         Pool::from_env()
     }
-}
-
-fn reraise(shard: usize, payload: &(dyn Any + Send)) -> ! {
-    panic_any(format!(
-        "routergeo-pool worker panicked in shard {shard}: {}",
-        payload_message(payload)
-    ))
 }
 
 fn payload_message(payload: &(dyn Any + Send)) -> String {
@@ -333,6 +439,8 @@ fn payload_message(payload: &(dyn Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::{mpsc, RwLock, RwLockReadGuard};
 
     // Reference SplitMix64 outputs for seed 0 (Steele et al. 2014, as
     // pinned by the JDK SplittableRandom and the xoshiro seeding code).
@@ -386,17 +494,29 @@ mod tests {
         assert_eq!(plan_shards(1, 5, 0).len(), 5); // zero size clamps to 1
     }
 
+    /// Every pool call bumps the process-wide `pool.*` counters, and
+    /// `cargo test` runs tests on parallel threads: tests that run the
+    /// pool hold this shared, the counter test holds it exclusively.
+    static COUNTERS: RwLock<()> = RwLock::new(());
+
+    fn shared() -> RwLockReadGuard<'static, ()> {
+        COUNTERS.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
     #[test]
     fn empty_input_yields_empty_output() {
+        let _counters = shared();
         let pool = Pool::new(4);
         let out: Vec<u64> = pool.run_shards(1, 0, 8, |s| s.seed);
         assert!(out.is_empty());
         let none: Vec<usize> = pool.map_shards(1, &[] as &[u8], 8, |_, chunk| chunk.len());
         assert!(none.is_empty());
+        pool.fold_shards(1, &[] as &[u8], 8, |_, _| (), |_, ()| panic!("no shard"));
     }
 
     #[test]
     fn more_shards_than_items_and_more_threads_than_shards() {
+        let _counters = shared();
         let pool = Pool::new(32);
         let items = [10u64, 20, 30];
         let out = pool.map_shards(9, &items, 1, |shard, chunk| {
@@ -408,6 +528,7 @@ mod tests {
 
     #[test]
     fn merge_order_is_input_order_at_every_thread_count() {
+        let _counters = shared();
         let items: Vec<usize> = (0..1000).collect();
         let serial = Pool::serial().map_shards(42, &items, 7, |s, chunk| (s.index, chunk.to_vec()));
         for threads in [2, 3, 8] {
@@ -420,7 +541,71 @@ mod tests {
     }
 
     #[test]
+    fn fold_sees_every_shard_once_in_shard_order() {
+        let _counters = shared();
+        let items: Vec<usize> = (0..1000).collect();
+        for threads in [1, 2, 3, 8] {
+            let mut order = Vec::new();
+            let mut flat = Vec::new();
+            Pool::new(threads).fold_shards(
+                42,
+                &items,
+                7,
+                |s, chunk| (s.index, chunk.to_vec()),
+                |s, (index, chunk)| {
+                    assert_eq!(s.index, index, "threads={threads}: result of another shard");
+                    order.push(s.index);
+                    flat.extend(chunk);
+                },
+            );
+            assert_eq!(order, (0..143).collect::<Vec<_>>(), "threads={threads}");
+            assert_eq!(flat, items, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn fold_keeps_shard_order_when_shards_finish_out_of_order() {
+        // Shard 0 returns only after every other shard's map has
+        // returned, so the later results are parked until it lands.
+        let _counters = shared();
+        let shards = 12;
+        for threads in [2, 3, 8] {
+            let (done_tx, done_rx) = mpsc::channel::<usize>();
+            let done_rx = Mutex::new(done_rx);
+            let finished = AtomicUsize::new(0);
+            let mut seen = Vec::new();
+            Pool::new(threads).fold_shards(
+                0,
+                &vec![(); shards],
+                1,
+                |s, _| {
+                    if s.index == 0 {
+                        let rx = done_rx.lock().expect("only shard 0 receives");
+                        for _ in 1..shards {
+                            rx.recv().expect("every other shard reports");
+                        }
+                    }
+                    let position = finished.fetch_add(1, Ordering::SeqCst);
+                    if s.index != 0 {
+                        done_tx.send(s.index).expect("shard 0 is listening");
+                    }
+                    position
+                },
+                |s, position| seen.push((s.index, position)),
+            );
+            let order: Vec<usize> = seen.iter().map(|&(ix, _)| ix).collect();
+            assert_eq!(order, (0..shards).collect::<Vec<_>>(), "threads={threads}");
+            assert_eq!(
+                seen[0].1,
+                shards - 1,
+                "threads={threads}: shard 0 finished last"
+            );
+        }
+    }
+
+    #[test]
     fn shard_seeds_are_stable_across_thread_counts() {
+        let _counters = shared();
         let seeds_at = |threads: usize| -> Vec<u64> {
             Pool::new(threads).run_shards(0xFEED, 64, 4, |s| s.seed)
         };
@@ -432,9 +617,10 @@ mod tests {
 
     #[test]
     fn worker_panic_is_reraised_with_shard_attribution() {
-        for threads in [1, 4] {
+        let _counters = shared();
+        for threads in [1, 2, 4] {
             let pool = Pool::new(threads);
-            let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            let in_map = std::panic::catch_unwind(AssertUnwindSafe(|| {
                 pool.run_shards(0, 10, 2, |shard| {
                     if shard.index == 3 {
                         panic!("boom in the middle");
@@ -442,12 +628,74 @@ mod tests {
                     shard.index
                 })
             }))
-            .expect_err("the pool must propagate the worker panic");
-            let msg = caught
-                .downcast_ref::<String>()
-                .expect("pool panics carry a String payload");
-            assert!(msg.contains("shard 3"), "threads={threads}: {msg}");
-            assert!(msg.contains("boom in the middle"), "{msg}");
+            .expect_err("the pool must propagate the map panic");
+            let mut folded = Vec::new();
+            let in_fold = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                pool.fold_shards(
+                    0,
+                    &[0u8; 10],
+                    2,
+                    |shard, _| shard.index,
+                    |_, ix| {
+                        assert_ne!(ix, 2, "boom in the fold");
+                        folded.push(ix);
+                    },
+                );
+            }))
+            .expect_err("the pool must propagate the fold panic");
+            assert_eq!(
+                folded,
+                vec![0, 1],
+                "threads={threads}: nothing folds after a panic"
+            );
+            for (caught, shard, what) in [
+                (in_map, 3, "boom in the middle"),
+                (in_fold, 2, "boom in the fold"),
+            ] {
+                let msg = caught
+                    .downcast_ref::<String>()
+                    .expect("pool panics carry a String payload");
+                let prefix = format!("routergeo-pool worker panicked in shard {shard}: ");
+                assert!(msg.starts_with(&prefix), "threads={threads}: {msg}");
+                assert!(msg.contains(what), "threads={threads}: {msg}");
+            }
+        }
+    }
+
+    #[test]
+    fn every_call_plans_once_and_runs_every_shard() {
+        let _counters = COUNTERS.write().unwrap_or_else(PoisonError::into_inner);
+        let totals = || {
+            let obs = routergeo_obs::global();
+            (
+                obs.counter_total("pool.shards_planned"),
+                obs.counter_total("pool.shards_run"),
+            )
+        };
+        let items = [0u8; 100];
+        for threads in [1, 2, 3, 8] {
+            let pool = Pool::new(threads);
+            let calls: [(&str, &dyn Fn()); 4] = [
+                ("fold_shards", &|| {
+                    pool.fold_shards(0, &items, 7, |_, _| (), |_, ()| ())
+                }),
+                ("run_shards", &|| {
+                    drop(pool.run_shards(0, items.len(), 7, |_| ()))
+                }),
+                ("map_shards", &|| {
+                    drop(pool.map_shards(0, &items, 7, |_, _| ()))
+                }),
+                ("for_each_shard", &|| {
+                    pool.for_each_shard(0, &items, 7, |_, _| ())
+                }),
+            ];
+            for (name, call) in calls {
+                let (planned0, run0) = totals();
+                call();
+                let (planned, run) = totals();
+                assert_eq!(planned - planned0, 15, "{name} threads={threads}: one plan");
+                assert_eq!(run - run0, 15, "{name} threads={threads}: every shard ran");
+            }
         }
     }
 

@@ -140,7 +140,9 @@ impl fmt::Display for Comparison {
     }
 }
 
-/// Compare `fresh` against `base`. Stages are matched by name in
+/// Compare `fresh` against `base`. Both must have run at the same
+/// scale and worker count: a width-2 run against a width-1 baseline
+/// measures the pool, not a regression. Stages are matched by name in
 /// baseline order; a stage missing from the fresh run is an error (a
 /// renamed stage must re-bless the baseline). Extra fresh stages are
 /// ignored so blessing is forward-compatible.
@@ -149,6 +151,12 @@ pub fn compare(base: &Report, fresh: &Report, threshold: f64) -> Result<Vec<Comp
         return Err(format!(
             "scale mismatch: baseline ran at `{}`, fresh at `{}` — re-bless or fix the run",
             base.scale, fresh.scale
+        ));
+    }
+    if base.threads != fresh.threads {
+        return Err(format!(
+            "threads mismatch: baseline ran at {} thread(s), fresh at {} — re-bless or fix the run",
+            base.threads, fresh.threads
         ));
     }
     let mut pairs = Vec::new();
@@ -312,6 +320,14 @@ mod tests {
         let mut fresh = sample();
         fresh.scale = "small".into();
         assert!(compare(&sample(), &fresh, THRESHOLD).is_err());
+    }
+
+    #[test]
+    fn threads_mismatch_is_an_error() {
+        let mut fresh = sample();
+        fresh.threads = 1.0;
+        let err = compare(&sample(), &fresh, THRESHOLD).expect_err("different widths");
+        assert!(err.contains("threads mismatch"), "{err}");
     }
 
     #[test]

@@ -16,8 +16,9 @@ commands:\n  \
                         each carries a `// SAFETY:` comment\n  \
   fix-audit             print the violation/waiver burn-down dashboard by rule and crate\n  \
   deps                  check manifests against the workspace dependency policy\n  \
-  bench-check [--bless] run repro --timings at tiny scale and gate per-stage wall clock\n  \
-                        against BENCH_pipeline.json (--bless refreshes the baseline)\n  \
+  bench-check [--bless] run repro --timings at tiny scale, at the baseline's thread\n  \
+                        count, and gate per-stage wall clock against\n  \
+                        BENCH_pipeline.json (--bless refreshes the baseline)\n  \
   obs-check FILE        verify the structural invariants of a `repro --obs` JSONL trace\n  \
                         (span accounting, counter identities, histogram totals)\n  \
   fuzz [--budget-ms N] [--json]\n  \
@@ -33,8 +34,9 @@ commands:\n  \
                         real tenth-scale vendor v2.1 images served from disk\n  \
   resolve-check [--budget-ms N] [--bless]\n  \
                         run the paper-scale resolve smoke (four synthetic vendor RGDB\n  \
-                        v2.1 images, 1.5 M batched lookups through ResolvedView) and\n  \
-                        write the report to target/ci-artifacts/resolve_ci.json;\n  \
+                        v2.1 images, 1.5 M batched lookups through ResolvedView) at\n  \
+                        the baseline's thread count and write the report to\n  \
+                        target/ci-artifacts/resolve_ci.json;\n  \
                         non-zero exit when the resolve stage exceeds the budget\n  \
                         (default 20000 ms), when a stage regresses beyond 2x against\n  \
                         BENCH_resolve.json, or when lookup_ns_per_addr regresses\n  \
@@ -306,6 +308,19 @@ fn crate_of(rel: &str) -> String {
         .to_string()
 }
 
+/// Worker-count variable the timed binaries read (`routergeo_pool::THREADS_ENV`).
+const THREADS_ENV: &str = "ROUTERGEO_THREADS";
+
+/// The worker count `baseline` was recorded at, for [`THREADS_ENV`]: a
+/// fresh run is timed at the baseline's width, because
+/// `bench::compare` rejects a width mismatch. `None` before the first
+/// bless, when the run takes the environment's width.
+fn baseline_threads(baseline: &std::path::Path) -> Option<String> {
+    let text = std::fs::read_to_string(baseline).ok()?;
+    let threads = bench::parse_report(&text).ok()?.threads;
+    (threads >= 1.0).then(|| threads.to_string())
+}
+
 /// The experiments timed for the baseline: the lab build stages come for
 /// free; these names also pull the four analysis stages into the report.
 const BENCH_EXPERIMENTS: [&str; 4] = ["table1", "coverage", "consistency", "fig2"];
@@ -321,6 +336,7 @@ fn run_bench_check(root: &PathBuf, bless: bool) -> ExitCode {
     eprintln!("xtask bench-check: timing repro at tiny scale (release)…");
     let status = std::process::Command::new("cargo")
         .current_dir(root)
+        .envs(baseline_threads(&baseline_path).map(|t| (THREADS_ENV, t)))
         .args([
             "run",
             "--release",
@@ -603,9 +619,11 @@ fn run_resolve_check(root: &PathBuf, budget_ms: u64, bless: bool) -> ExitCode {
         }
     };
 
+    let baseline_path = root.join("BENCH_resolve.json");
     eprintln!("xtask resolve-check: paper-scale resolve smoke (budget {budget_ms} ms, release)…");
     let status = std::process::Command::new("cargo")
         .current_dir(root)
+        .envs(baseline_threads(&baseline_path).map(|t| (THREADS_ENV, t)))
         .env("ROUTERGEO_SCALE", "paper")
         .env("ROUTERGEO_SEED", CI_SEED)
         .args([
@@ -639,7 +657,6 @@ fn run_resolve_check(root: &PathBuf, budget_ms: u64, bless: bool) -> ExitCode {
         }
     }
 
-    let baseline_path = root.join("BENCH_resolve.json");
     if bless {
         return match std::fs::copy(&artifact, &baseline_path) {
             Ok(_) => {

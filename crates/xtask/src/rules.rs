@@ -635,7 +635,7 @@ fn check_rg010(ctx: &Context, out: &mut Vec<Finding>) {
 /// `fmt::Write::write_str` would swamp the rule with false positives,
 /// and the guard-acquisition forms of `read`/`write` are already what
 /// RG011 is protecting.
-const RG011_BLOCKING: [&str; 17] = [
+const RG011_BLOCKING: [&str; 18] = [
     "try_lookup",
     "connect",
     "connect_timeout",
@@ -652,6 +652,7 @@ const RG011_BLOCKING: [&str; 17] = [
     "sleep",
     "wait",
     "run_shards",
+    "fold_shards",
     "map_reduce",
 ];
 
