@@ -53,7 +53,7 @@ fn scratch_path(tag: &str, ix: usize) -> PathBuf {
 /// generation is differentially checked against its in-memory twin on
 /// the probe set (coverage and country must agree exactly).
 fn sweep(lab: &Lab, tag: &str, cap: usize) {
-    let images = lab.vendor_images_v21();
+    let images = lab.vendor_images();
     assert_eq!(images.len(), lab.dbs.len(), "one v2.1 image per vendor");
     let paths: Vec<PathBuf> = images
         .iter()

@@ -10,11 +10,10 @@
 //! Failures are attributed: every error is an [`RgdbError::Io`] naming
 //! the path, the operation (`"open"`, `"metadata"`, `"read"`), and the
 //! OS error category — or, once the bytes are loaded, whatever
-//! structural error [`AnyReader::open`] raises for them. Nothing in
-//! this module panics on untrusted input.
+//! structural error [`crate::Rgdb2Reader::open`] raises for them.
+//! Nothing in this module panics on untrusted input.
 
-use crate::rgdb::RgdbError;
-use crate::rgdb2::AnyReader;
+use crate::rgdb2::RgdbError;
 use bytes::Bytes;
 use std::fs::File;
 use std::path::{Path, PathBuf};
@@ -78,12 +77,6 @@ impl FileImage {
     pub fn into_bytes(self) -> Bytes {
         self.bytes
     }
-
-    /// Validate and open the loaded image, dispatching on its format
-    /// version like [`AnyReader::open`].
-    pub fn open(&self) -> Result<AnyReader, RgdbError> {
-        AnyReader::open(self.bytes.clone())
-    }
 }
 
 /// Fill `buf` from the start of `file`, tolerating short reads and
@@ -128,8 +121,7 @@ fn read_chunk(file: &File, chunk: &mut [u8], offset: u64) -> std::io::Result<usi
 mod tests {
     use super::*;
     use crate::record::{Granularity, LocationRecord};
-    use crate::rgdb::{fnv1a, Section, HEADER_LEN};
-    use crate::rgdb2::write_v21;
+    use crate::rgdb2::{fnv1a, write_v21, Rgdb2Reader, Section, HEADER_LEN};
     use crate::GeoDatabase;
     use routergeo_net::Prefix;
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -168,8 +160,7 @@ mod tests {
         assert_eq!(file.len(), image.len());
         assert_eq!(file.path(), path.as_path());
         assert!(!file.is_empty());
-        let reader = file.open().unwrap();
-        assert_eq!(reader.version(), 3);
+        let reader = Rgdb2Reader::open(file.into_bytes()).unwrap();
         assert_eq!(reader.name(), "file-db");
         assert!(reader.lookup("10.1.2.3".parse().unwrap()).is_some());
         assert!(reader.lookup("11.1.2.3".parse().unwrap()).is_none());
@@ -198,7 +189,10 @@ mod tests {
         // The bytes load fine — truncation is a *structural* fault the
         // reader attributes, not an I/O fault.
         let file = FileImage::load(&path).unwrap();
-        assert!(matches!(file.open(), Err(RgdbError::Truncated)));
+        assert!(matches!(
+            Rgdb2Reader::open(file.into_bytes()),
+            Err(RgdbError::Truncated)
+        ));
         std::fs::remove_file(&path).ok();
     }
 
@@ -213,7 +207,7 @@ mod tests {
         bytes[mid] ^= 0xFF;
         std::fs::write(&path, &bytes).unwrap();
         assert!(matches!(
-            FileImage::load(&path).unwrap().open(),
+            Rgdb2Reader::open(FileImage::load(&path).unwrap().into_bytes()),
             Err(RgdbError::ChecksumMismatch)
         ));
 
@@ -223,7 +217,7 @@ mod tests {
         let sum = fnv1a(&bytes[HEADER_LEN..]).to_le_bytes();
         bytes[20..28].copy_from_slice(&sum);
         std::fs::write(&path, &bytes).unwrap();
-        let err = FileImage::load(&path).unwrap().open().err().unwrap();
+        let err = Rgdb2Reader::open(FileImage::load(&path).unwrap().into_bytes()).unwrap_err();
         let ctx = err.context().expect("attributed structural error");
         assert_eq!(ctx.section, Section::RootTable);
         std::fs::remove_file(&path).ok();
@@ -235,7 +229,10 @@ mod tests {
         std::fs::write(&path, b"").unwrap();
         let file = FileImage::load(&path).unwrap();
         assert!(file.is_empty());
-        assert!(matches!(file.open(), Err(RgdbError::Truncated)));
+        assert!(matches!(
+            Rgdb2Reader::open(file.into_bytes()),
+            Err(RgdbError::Truncated)
+        ));
         std::fs::remove_file(&path).ok();
     }
 }

@@ -10,17 +10,12 @@
 //! * [`inmem`] — an in-memory range database (the working representation).
 //! * [`csvdb`] — an IP2Location-style CSV format (range rows), reader and
 //!   writer.
-//! * [`rgdb`] — **RGDB**, a MaxMind-style binary format: a serialized
-//!   binary search trie over address bits plus a deduplicated data
-//!   section, with a checksummed header; reader works directly over
-//!   [`bytes::Bytes`].
-//! * [`rgdb2`] — **RGDB v2 / v2.1**, the flat zero-copy revisions:
-//!   fixed-width trie nodes and records plus a deduplicated string
-//!   table, fully validated at open so lookups are lock-free pointer
-//!   arithmetic that borrows straight from the image bytes. v2.1 adds a
-//!   stride-16 root table and level-order node placement for cache
-//!   locality. [`AnyReader`] dispatches on the header version so v1,
-//!   v2, and v2.1 images open through one call.
+//! * [`rgdb2`] — **RGDB**, the MaxMind-style binary format (layout
+//!   revision v2.1): a checksummed header, a stride-16 root table,
+//!   level-order trie nodes, fixed-width records, and a deduplicated
+//!   string table. [`Rgdb2Reader`] validates an image fully at open, so
+//!   lookups are lock-free pointer arithmetic that borrows straight
+//!   from the image bytes.
 //! * [`image`] — [`FileImage`], the file-backed image loader: one
 //!   allocation, positioned reads, attributed I/O errors.
 //! * [`diff`] — snapshot drift measurement: classify how answers change
@@ -41,7 +36,6 @@ pub mod diff;
 pub mod image;
 pub mod inmem;
 pub mod record;
-pub mod rgdb;
 pub mod rgdb2;
 pub mod synth;
 
@@ -49,7 +43,7 @@ pub use compact::{CompactRecord, IdRemap, LocationInterner};
 pub use image::FileImage;
 pub use inmem::InMemoryDb;
 pub use record::{Granularity, LocationRecord};
-pub use rgdb2::{AnyReader, Rgdb2Reader};
+pub use rgdb2::Rgdb2Reader;
 pub use synth::{build_vendor, SignalWorld, VendorId, VendorProfile};
 
 use std::net::Ipv4Addr;

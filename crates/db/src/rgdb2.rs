@@ -1,25 +1,25 @@
-//! RGDB v2 — the flat, zero-copy revision of the RGDB format.
+//! RGDB — the MaxMind-style binary geolocation database format.
 //!
-//! v1 keeps records as variable-length byte strings, so every lookup
-//! funnels through a decode cache behind a mutex. v2 moves all the
-//! variable-length data into an interned string table and makes every
-//! other section fixed-width, so a fully validated image answers
-//! lookups by pure pointer arithmetic over `&[u8]`: **no parse after
-//! open, no decode cache, no locks**. Lookups borrow region/city bytes
-//! straight from the image into a [`CompactRecord`].
+//! An image is a flat, zero-copy layout: fixed-width trie nodes and
+//! records plus a deduplicated string table, fully validated once at
+//! [`Rgdb2Reader::open`], so a lookup is pure pointer arithmetic over
+//! `&[u8]`: **no parse after open, no decode cache, no locks**. Lookups
+//! borrow region/city bytes straight from the image into a
+//! [`CompactRecord`].
 //!
 //! Layout (all integers little-endian):
 //!
 //! ```text
 //! header (28 bytes):
 //!   0   magic        b"RGDB"
-//!   4   version      u16      (2)
+//!   4   version      u16      (3: the layout revision called v2.1)
 //!   6   name_len     u16      database display name length
 //!   8   node_count   u32      number of trie nodes
 //!   12  record_count u32      number of deduplicated records
 //!   16  strings_len  u32      byte length of the string table
-//!   20  checksum     u64      FNV-1a64 over name + nodes + records + strings
+//!   20  checksum     u64      FNV-1a64 over name + root + nodes + records + strings
 //! name:    name_len bytes of UTF-8
+//! root:    65 536 × 8 bytes: record u32, node u32 (stride-16 root table)
 //! nodes:   node_count × 12 bytes: left u32, right u32, record u32
 //!          (0xFFFF_FFFF = none; `record` is an *index* into the record
 //!          array, not a byte offset)
@@ -34,11 +34,7 @@
 //! strings: deduplicated `len u8 + bytes` entries, strings_len total
 //! ```
 //!
-//! ## v2.1 — the cache-locality revision
-//!
-//! v2.1 (header version 3, [`write_v21`]) keeps the node/record/string
-//! encodings bit-for-bit and adds two layout guarantees aimed at memory
-//! latency on the lookup path:
+//! Two layout guarantees aim at memory latency on the lookup path:
 //!
 //! - **Stride-16 root table.** A fixed 65 536 × 8-byte section between
 //!   the name and the nodes, indexed by an address's top sixteen bits.
@@ -46,75 +42,220 @@
 //!   trie walk through depth 16, and the depth-16 subtrie root when the
 //!   walk reaches one (`0xFFFF_FFFF` = none on either side). The common
 //!   case replaces up to 16 dependent node hops with one indexed load.
-//! - **Level-order node placement.** The remaining trie nodes are laid
-//!   out breadth-first: node 0 is the root and, scanning nodes in index
+//! - **Level-order node placement.** The trie nodes are laid out
+//!   breadth-first: node 0 is the root and, scanning nodes in index
 //!   order, the non-`NONE` child links are exactly 1, 2, 3, … so each
 //!   trie level is one contiguous index range. The batched lookup walks
 //!   a sorted frontier level by level, touching the node array in
 //!   near-sequential order instead of chasing one pointer per address.
 //!
-//! Both additions are **pure acceleration**: the full trie is retained,
-//! so every v2 walk (including [`Rgdb2Reader::match_len`]) still works,
-//! and answers are identical between the two layouts.
+//! Both are **pure acceleration**: the full trie is retained, so a
+//! plain walk from the root (which [`Rgdb2Reader::match_len`] takes)
+//! answers identically.
 //!
 //! The encoding is **canonical**: unknown flag bits, non-zeroed absent
 //! fields, out-of-range offsets, bad UTF-8, or out-of-range coordinates
 //! are all rejected at [`Rgdb2Reader::open`], which walks every node
-//! and record once. On v2.1 images the same sweep checks the level-order
-//! placement invariant and re-derives the entire root table from the
-//! nodes, rejecting any entry that disagrees — a root table can never
-//! change an answer, only speed it up. After that single validation
-//! sweep the reader is immutable shared state: `&Rgdb2Reader` is freely
-//! usable from any number of threads with zero coordination.
-//!
-//! [`AnyReader`] dispatches on the header version so callers open v1,
-//! v2, and v2.1 images through one entry point and hot-swap between
-//! them.
+//! and record once. The same sweep checks the level-order placement
+//! invariant and re-derives the entire root table from the nodes,
+//! rejecting any entry that disagrees — a root table can never change
+//! an answer, only speed it up. Any header version other than 3 is
+//! rejected with [`RgdbError::BadVersion`]. After that single
+//! validation sweep the reader is immutable shared state:
+//! `&Rgdb2Reader` is freely usable from any number of threads with zero
+//! coordination.
 
 use crate::compact::{CompactRecord, LocationInterner};
 use crate::record::{Granularity, LocationRecord};
-use crate::rgdb::{
-    flatten_trie, fnv1a, ix, micro_deg, put_str255, RgdbError, RgdbReader, Section, HEADER_LEN,
-    MAGIC, NONE,
-};
 use crate::GeoDatabase;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use routergeo_geo::{Coordinate, CountryCode};
 use routergeo_net::{Prefix, PrefixTrie};
 use std::collections::HashMap;
+use std::fmt;
 use std::net::Ipv4Addr;
 
-const VERSION2: u16 = 2;
-/// On-disk header version of the v2.1 layout revision.
-const VERSION21: u16 = 3;
+const MAGIC: &[u8; 4] = b"RGDB";
+/// On-disk header version of the layout (the revision called v2.1).
+const VERSION: u16 = 3;
+const NONE: u32 = u32::MAX;
+pub(crate) const HEADER_LEN: usize = 28;
 /// Fixed byte width of one record in the record array.
 const RECORD_WIDTH: usize = 20;
-/// Byte width of one trie node (shared with v1).
+/// Byte width of one trie node.
 const NODE_WIDTH: usize = 12;
 /// Byte width of one stride-16 root-table entry: `record u32 | node u32`.
 const ROOT_ENTRY_WIDTH: usize = 8;
-/// Total byte length of the v2.1 root table: one entry per /16.
-pub(crate) const ROOT_TABLE_BYTES: usize = (1 << 16) * ROOT_ENTRY_WIDTH;
+/// Total byte length of the root table: one entry per /16.
+const ROOT_TABLE_BYTES: usize = (1 << 16) * ROOT_ENTRY_WIDTH;
+
+/// Image region a structural error is attributed to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Section {
+    /// The 28-byte fixed header.
+    Header,
+    /// The display-name bytes following the header.
+    Name,
+    /// The trie node array.
+    Nodes,
+    /// The fixed-width record array.
+    Records,
+    /// The interned string table.
+    Strings,
+    /// The stride-16 root table.
+    RootTable,
+}
+
+impl Section {
+    /// Lower-case label used in rendered errors.
+    pub fn label(self) -> &'static str {
+        match self {
+            Section::Header => "header",
+            Section::Name => "name",
+            Section::Nodes => "nodes",
+            Section::Records => "records",
+            Section::Strings => "strings",
+            Section::RootTable => "root-table",
+        }
+    }
+}
+
+/// Where a structural error was detected and what the reader expected
+/// to find there. `offset` is an absolute byte offset from the start of
+/// the image, so a hexdump of the rejected file lines up directly.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CorruptContext {
+    /// Which image section the offending bytes live in.
+    pub section: Section,
+    /// Absolute byte offset from the start of the image.
+    pub offset: usize,
+    /// What the reader expected at that offset.
+    pub expected: &'static str,
+}
+
+impl fmt::Display for CorruptContext {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{} section, byte {}: expected {}",
+            self.section.label(),
+            self.offset,
+            self.expected
+        )
+    }
+}
+
+/// Errors reading an RGDB image.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum RgdbError {
+    /// Buffer shorter than the advertised layout.
+    Truncated,
+    /// Magic bytes missing.
+    BadMagic,
+    /// Unsupported format version.
+    BadVersion(u16),
+    /// Checksum mismatch — corrupt image.
+    ChecksumMismatch,
+    /// Structural corruption (out-of-range offsets, bad UTF-8, …),
+    /// attributed to a section and absolute offset.
+    Corrupt(CorruptContext),
+    /// I/O failure loading an image from disk, attributed to the file
+    /// path and the operation that failed. Carries the OS error
+    /// category rather than the full `std::io::Error` so the error type
+    /// stays `Clone + Eq` for the differential and replay harnesses.
+    Io {
+        /// Path of the image file.
+        path: String,
+        /// Operation that failed (`"open"`, `"metadata"`, `"read"`).
+        op: &'static str,
+        /// OS error category.
+        kind: std::io::ErrorKind,
+    },
+}
+
+impl RgdbError {
+    /// Build a [`RgdbError::Corrupt`] with full attribution.
+    pub(crate) fn corrupt(section: Section, offset: usize, expected: &'static str) -> RgdbError {
+        RgdbError::Corrupt(CorruptContext {
+            section,
+            offset,
+            expected,
+        })
+    }
+
+    /// Structural-corruption context, if this error carries one.
+    pub fn context(&self) -> Option<&CorruptContext> {
+        match self {
+            RgdbError::Corrupt(ctx) => Some(ctx),
+            _ => None,
+        }
+    }
+}
+
+impl fmt::Display for RgdbError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            RgdbError::Truncated => f.write_str("RGDB image truncated"),
+            RgdbError::BadMagic => f.write_str("not an RGDB image (bad magic)"),
+            RgdbError::BadVersion(v) => write!(f, "unsupported RGDB version {v}"),
+            RgdbError::ChecksumMismatch => f.write_str("RGDB checksum mismatch"),
+            RgdbError::Corrupt(ctx) => write!(f, "corrupt RGDB image: {ctx}"),
+            RgdbError::Io { path, op, kind } => {
+                write!(f, "RGDB image I/O failure: {op} `{path}`: {kind}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for RgdbError {}
+
+pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h = 0xCBF2_9CE4_8422_2325u64;
+    for b in bytes {
+        h ^= u64::from(*b);
+        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    h
+}
+
+/// A stored `u32` link or offset as a slice index. `u32` always fits in
+/// `usize` on the 32/64-bit targets this crate supports; the check makes
+/// the conversion explicit rather than silently lossy.
+#[inline]
+fn ix(i: u32) -> usize {
+    usize::try_from(i).expect("u32 image offset fits in usize")
+}
+
+/// Quantize a coordinate component to integer micro-degrees.
+#[allow(clippy::cast_possible_truncation)] // bounded below; see waiver
+fn micro_deg(deg: f64) -> i32 {
+    let scaled = (deg * 1e6).round();
+    // Coordinate invariants bound |deg| by 180, so the scaled value stays
+    // far inside i32 range and the cast below cannot truncate.
+    scaled as i32 // xtask-allow: RG003 f64->i32 bounded by Coordinate's +/-180 degree invariant; no checked float conversion exists in std
+}
 
 // ---- writer -----------------------------------------------------------------
 
-/// Intern `s` into the string table (len-prefixed, 255-byte cap shared
-/// with v1), returning its byte offset. Deduplicates on the truncated
-/// bytes so equal post-cap strings share one entry.
+/// Intern `s` into the string table as a length-prefixed entry,
+/// truncated at the format's 255-byte cap, returning its byte offset.
+/// Deduplicates on the truncated bytes so equal post-cap strings share
+/// one entry.
 fn intern_string(strings: &mut BytesMut, seen: &mut HashMap<Vec<u8>, u32>, s: &str) -> u32 {
     let take = s.len().min(255);
-    let key = s.as_bytes().get(..take).unwrap_or(s.as_bytes()).to_vec();
-    if let Some(&off) = seen.get(&key) {
+    let bytes = s.as_bytes().get(..take).unwrap_or(s.as_bytes());
+    if let Some(&off) = seen.get(bytes) {
         return off;
     }
-    let off = u32::try_from(strings.len()).expect("RGDB v2 string table exceeds u32 offset space");
-    put_str255(strings, s.as_bytes());
-    seen.insert(key, off);
+    let off = u32::try_from(strings.len()).expect("RGDB string table exceeds u32 offset space");
+    strings.put_u8(u8::try_from(take).expect("length capped at 255"));
+    strings.put_slice(bytes);
+    seen.insert(bytes.to_vec(), off);
     off
 }
 
 /// Encode one record into its fixed 20-byte form, interning strings.
-fn encode_record2(
+fn encode_record(
     rec: &LocationRecord,
     strings: &mut BytesMut,
     seen: &mut HashMap<Vec<u8>, u32>,
@@ -160,54 +301,63 @@ fn encode_record2(
     let bytes: [u8; RECORD_WIDTH] = out
         .as_ref()
         .try_into()
-        .expect("v2 record encoding is exactly RECORD_WIDTH bytes");
+        .expect("record encoding is exactly RECORD_WIDTH bytes");
     bytes
 }
 
-/// Deduplicated record/string tables plus the record-index trie — the
-/// shared front half of the v2 and v2.1 writers.
-struct WriterTables {
-    strings: BytesMut,
-    records: BytesMut,
-    record_count: u32,
-    trie: PrefixTrie<u32>,
+/// Flatten a prefix trie into the serialized node-arena layout:
+/// `[left, right, record]` triples with [`NONE`] for absent links,
+/// root at index 0. The arena in [`PrefixTrie`] is not directly
+/// accessible, so rebuild: walk prefixes and re-insert into a local
+/// arena with identical semantics.
+fn flatten_trie(trie: &PrefixTrie<u32>) -> Vec<[u32; 3]> {
+    let mut nodes: Vec<[u32; 3]> = vec![[NONE, NONE, NONE]];
+    trie.walk(|prefix, payload| {
+        let mut node = 0usize;
+        let addr = prefix.network_u32();
+        for depth in 0..prefix.len() {
+            let bit = usize::from((addr >> (31 - u32::from(depth))) & 1 == 1);
+            let next = node_link(&nodes, node, bit);
+            let next = if next == NONE {
+                let idx =
+                    u32::try_from(nodes.len()).expect("RGDB node section exceeds u32 link space");
+                nodes.push([NONE, NONE, NONE]);
+                set_node_link(&mut nodes, node, bit, idx);
+                idx
+            } else {
+                next
+            };
+            node = ix(next);
+        }
+        set_node_link(&mut nodes, node, 2, *payload);
+    });
+    nodes
 }
 
-fn build_tables<'a, I>(entries: I) -> WriterTables
-where
-    I: IntoIterator<Item = (Prefix, &'a LocationRecord)>,
-{
-    let mut strings = BytesMut::new();
-    let mut seen_strings: HashMap<Vec<u8>, u32> = HashMap::new();
-    let mut records = BytesMut::new();
-    let mut seen_records: HashMap<[u8; RECORD_WIDTH], u32> = HashMap::new();
-    let mut trie: PrefixTrie<u32> = PrefixTrie::new();
-    let mut record_count = 0u32;
-    for (prefix, rec) in entries {
-        let encoded = encode_record2(rec, &mut strings, &mut seen_strings);
-        let index = *seen_records.entry(encoded).or_insert_with(|| {
-            let idx = record_count;
-            record_count = record_count
-                .checked_add(1)
-                .expect("RGDB v2 record count exceeds u32");
-            records.put_slice(&encoded);
-            idx
-        });
-        trie.insert(prefix, index);
-    }
-    WriterTables {
-        strings,
-        records,
-        record_count,
-        trie,
-    }
+/// Read one writer-arena link. Every `node`/`slot` pair here comes from
+/// an index the arena itself handed out, so a miss is a builder bug.
+#[inline]
+fn node_link(nodes: &[[u32; 3]], node: usize, slot: usize) -> u32 {
+    *nodes
+        .get(node)
+        .and_then(|n| n.get(slot))
+        .expect("arena link in bounds by construction")
+}
+
+/// Write one writer-arena link; same invariant as [`node_link`].
+#[inline]
+fn set_node_link(nodes: &mut [[u32; 3]], node: usize, slot: usize, value: u32) {
+    *nodes
+        .get_mut(node)
+        .and_then(|n| n.get_mut(slot))
+        .expect("arena link in bounds by construction") = value;
 }
 
 /// Renumber the flattened trie into level order (BFS from the root):
 /// node 0 stays the root, its children come next, then the
 /// grandchildren, and so on. Scanning nodes in index order, the
 /// non-`NONE` child links are then exactly 1, 2, 3, … — the placement
-/// invariant the v2.1 validator pins, and what lets the frontier batch
+/// invariant the validator pins, and what lets the frontier batch
 /// walk read each trie level as one forward index range.
 fn bfs_nodes(trie: &PrefixTrie<u32>) -> Vec<[u32; 3]> {
     let arena = flatten_trie(trie);
@@ -303,81 +453,36 @@ where
     Ok(table)
 }
 
-/// Assemble the final image: header, name, optional root table, nodes,
-/// records, strings, with the checksum covering everything after the
-/// header.
-fn assemble(
-    version: u16,
-    name: &str,
-    root: Option<&[u8]>,
-    nodes: &[[u32; 3]],
-    records: &[u8],
-    strings: &[u8],
-    record_count: u32,
-) -> Bytes {
-    let name_bytes = name.as_bytes();
-    let root_len = root.map_or(0, <[u8]>::len);
-    let mut payload = BytesMut::with_capacity(
-        name_bytes.len() + root_len + nodes.len() * NODE_WIDTH + records.len() + strings.len(),
-    );
-    payload.put_slice(name_bytes);
-    if let Some(root) = root {
-        payload.put_slice(root);
-    }
-    for n in nodes {
-        payload.put_u32_le(n[0]);
-        payload.put_u32_le(n[1]);
-        payload.put_u32_le(n[2]);
-    }
-    payload.put_slice(records);
-    payload.put_slice(strings);
-    let checksum = fnv1a(&payload);
-
-    let mut out = BytesMut::with_capacity(HEADER_LEN + payload.len());
-    out.put_slice(MAGIC);
-    out.put_u16_le(version);
-    out.put_u16_le(u16::try_from(name_bytes.len()).expect("database name exceeds u16 length"));
-    out.put_u32_le(u32::try_from(nodes.len()).expect("node count exceeds u32"));
-    out.put_u32_le(record_count);
-    out.put_u32_le(u32::try_from(strings.len()).expect("string table length exceeds u32"));
-    out.put_u64_le(checksum);
-    out.put_slice(&payload);
-    out.freeze()
-}
-
-/// Serialize `(prefix, record)` entries into an RGDB **v2** image.
-///
-/// Records are deduplicated by their fixed-width encoding and strings
-/// by content, so the same `(prefix, record)` input produces the same
-/// answers as [`rgdb::write`] — the v1↔v2 differential suite holds the
-/// two writers to exact `lookup_compact` agreement.
-pub fn write<'a, I>(name: &str, entries: I) -> Bytes
-where
-    I: IntoIterator<Item = (Prefix, &'a LocationRecord)>,
-{
-    let t = build_tables(entries);
-    let nodes = flatten_trie(&t.trie);
-    assemble(
-        VERSION2,
-        name,
-        None,
-        &nodes,
-        &t.records,
-        &t.strings,
-        t.record_count,
-    )
-}
-
-/// Serialize `(prefix, record)` entries into an RGDB **v2.1** image:
-/// identical record/string encodings, plus the stride-16 root table and
-/// level-order node placement described in the module docs. Answers are
-/// identical to [`write`]; only the memory-access pattern changes.
+/// Serialize `(prefix, record)` entries into an RGDB image: records
+/// deduplicated by their fixed-width encoding and strings by content,
+/// plus the stride-16 root table and level-order node placement
+/// described in the module docs.
 pub fn write_v21<'a, I>(name: &str, entries: I) -> Bytes
 where
     I: IntoIterator<Item = (Prefix, &'a LocationRecord)>,
 {
-    let t = build_tables(entries);
-    let nodes = bfs_nodes(&t.trie);
+    let mut strings = BytesMut::new();
+    let mut seen_strings: HashMap<Vec<u8>, u32> = HashMap::new();
+    let mut records = BytesMut::new();
+    let mut seen_records: HashMap<[u8; RECORD_WIDTH], u32> = HashMap::new();
+    let mut trie: PrefixTrie<u32> = PrefixTrie::new();
+    let mut record_count = 0u32;
+    for (prefix, rec) in entries {
+        let encoded = encode_record(rec, &mut strings, &mut seen_strings);
+        let index = *seen_records.entry(encoded).or_insert_with(|| {
+            let idx = record_count;
+            record_count = record_count
+                .checked_add(1)
+                .expect("RGDB record count exceeds u32");
+            records.put_slice(&encoded);
+            idx
+        });
+        trie.insert(prefix, index);
+    }
+    // The dedup maps are done: free them before the node, root-table
+    // and payload passes allocate, so they do not add to the peak.
+    drop((seen_strings, seen_records));
+    let nodes = bfs_nodes(&trie);
     let root = build_root_table(&mut |idx: u32| {
         let n = nodes
             .get(ix(idx))
@@ -385,15 +490,33 @@ where
         Ok((n[0], n[1], n[2]))
     })
     .expect("writer-side root-table derivation cannot fail");
-    assemble(
-        VERSION21,
-        name,
-        Some(&root),
-        &nodes,
-        &t.records,
-        &t.strings,
-        t.record_count,
-    )
+
+    // The checksum covers everything after the header.
+    let name_bytes = name.as_bytes();
+    let mut payload = BytesMut::with_capacity(
+        name_bytes.len() + root.len() + nodes.len() * NODE_WIDTH + records.len() + strings.len(),
+    );
+    payload.put_slice(name_bytes);
+    payload.put_slice(&root);
+    for n in &nodes {
+        payload.put_u32_le(n[0]);
+        payload.put_u32_le(n[1]);
+        payload.put_u32_le(n[2]);
+    }
+    payload.put_slice(&records);
+    payload.put_slice(&strings);
+    let checksum = fnv1a(&payload);
+
+    let mut out = BytesMut::with_capacity(HEADER_LEN + payload.len());
+    out.put_slice(MAGIC);
+    out.put_u16_le(VERSION);
+    out.put_u16_le(u16::try_from(name_bytes.len()).expect("database name exceeds u16 length"));
+    out.put_u32_le(u32::try_from(nodes.len()).expect("node count exceeds u32"));
+    out.put_u32_le(record_count);
+    out.put_u32_le(u32::try_from(strings.len()).expect("string table length exceeds u32"));
+    out.put_u64_le(checksum);
+    out.put_slice(&payload);
+    out.freeze()
 }
 
 // ---- reader -----------------------------------------------------------------
@@ -409,7 +532,7 @@ struct RawRecord {
     coord: Option<Coordinate>,
 }
 
-/// Zero-copy, lock-free reader over a validated RGDB v2 image.
+/// Zero-copy, lock-free reader over a validated RGDB image.
 ///
 /// [`Rgdb2Reader::open`] walks every node and record once; after that,
 /// lookups are pure pointer arithmetic over the image bytes — no decode
@@ -419,9 +542,7 @@ struct RawRecord {
 pub struct Rgdb2Reader {
     image: Bytes,
     name: String,
-    /// Whether the image carries a stride-16 root table (v2.1).
-    has_root: bool,
-    /// Absolute start of the root table (equals `nodes_start` on v2).
+    /// Absolute start of the root table.
     root_start: usize,
     nodes_start: usize,
     node_count: u32,
@@ -435,7 +556,6 @@ impl std::fmt::Debug for Rgdb2Reader {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Rgdb2Reader")
             .field("name", &self.name)
-            .field("root_table", &self.has_root)
             .field("node_count", &self.node_count)
             .field("record_count", &self.record_count)
             .field("strings_len", &self.strings_len)
@@ -445,10 +565,10 @@ impl std::fmt::Debug for Rgdb2Reader {
 }
 
 impl Rgdb2Reader {
-    /// Validate and open a v2 or v2.1 image. All structural validation
-    /// happens here — node links, record indices, flag canonicality,
-    /// string offsets/UTF-8, coordinate ranges, and (v2.1) level-order
-    /// placement plus root-table canonicality — so lookups never parse.
+    /// Validate and open an image. All structural validation happens
+    /// here — node links, record indices, flag canonicality, string
+    /// offsets/UTF-8, coordinate ranges, level-order placement, and
+    /// root-table canonicality — so lookups never parse.
     pub fn open(image: Bytes) -> Result<Rgdb2Reader, RgdbError> {
         let mut h = image.get(..HEADER_LEN).ok_or(RgdbError::Truncated)?;
         let mut magic = [0u8; 4];
@@ -457,10 +577,9 @@ impl Rgdb2Reader {
             return Err(RgdbError::BadMagic);
         }
         let version = h.get_u16_le();
-        if version != VERSION2 && version != VERSION21 {
+        if version != VERSION {
             return Err(RgdbError::BadVersion(version));
         }
-        let has_root = version == VERSION21;
         let name_len = usize::from(h.get_u16_le());
         let node_count = h.get_u32_le();
         let record_count = h.get_u32_le();
@@ -468,7 +587,7 @@ impl Rgdb2Reader {
         let checksum = h.get_u64_le();
 
         let root_start = HEADER_LEN + name_len;
-        let nodes_start = root_start + if has_root { ROOT_TABLE_BYTES } else { 0 };
+        let nodes_start = root_start + ROOT_TABLE_BYTES;
         let records_start = nodes_start + ix(node_count) * NODE_WIDTH;
         let strings_start = records_start + ix(record_count) * RECORD_WIDTH;
         let expected_total = strings_start + strings_len;
@@ -496,7 +615,6 @@ impl Rgdb2Reader {
         let reader = Rgdb2Reader {
             image,
             name,
-            has_root,
             root_start,
             nodes_start,
             node_count,
@@ -511,11 +629,11 @@ impl Rgdb2Reader {
 
     /// The open-time validation sweep: every node link and every record
     /// field is checked once so the lookup path never can fail
-    /// structurally on a reader that opened. v2.1 images additionally
-    /// prove the level-order placement invariant and the root table's
-    /// canonicality here, so the fast paths below can trust both.
+    /// structurally on a reader that opened. The level-order placement
+    /// invariant and the root table's canonicality are proven here too,
+    /// so the fast paths below can trust both.
     fn validate(&self) -> Result<(), RgdbError> {
-        // Running child counter for the v2.1 level-order invariant:
+        // Running child counter for the level-order invariant:
         // scanning nodes in index order, the non-NONE child links must
         // be exactly 1, 2, 3, … (the BFS numbering). One O(n) pass also
         // proves every node is reachable exactly once from the root —
@@ -533,16 +651,14 @@ impl Rgdb2Reader {
                             "node link within node_count",
                         ));
                     }
-                    if self.has_root {
-                        if link != next_child {
-                            return Err(RgdbError::corrupt(
-                                Section::Nodes,
-                                at,
-                                "level-order child placement",
-                            ));
-                        }
-                        next_child = next_child.wrapping_add(1);
+                    if link != next_child {
+                        return Err(RgdbError::corrupt(
+                            Section::Nodes,
+                            at,
+                            "level-order child placement",
+                        ));
                     }
+                    next_child = next_child.wrapping_add(1);
                 }
             }
             if record != NONE && record >= self.record_count {
@@ -553,7 +669,7 @@ impl Rgdb2Reader {
                 ));
             }
         }
-        if self.has_root && next_child != self.node_count {
+        if next_child != self.node_count {
             return Err(RgdbError::corrupt(
                 Section::Nodes,
                 self.nodes_start,
@@ -568,27 +684,25 @@ impl Rgdb2Reader {
                 self.str_at(off)?;
             }
         }
-        if self.has_root {
-            // Re-derive the whole table from the (now validated) node
-            // array and require byte equality: the root table is pure
-            // acceleration and must never be able to change an answer.
-            let expected = build_root_table(&mut |idx| self.node(idx))?;
-            let stored = self
-                .image
-                .get(self.root_start..self.root_start + ROOT_TABLE_BYTES)
-                .ok_or(RgdbError::Truncated)?;
-            if stored != expected.as_slice() {
-                let byte = stored
-                    .iter()
-                    .zip(&expected)
-                    .position(|(a, b)| a != b)
-                    .unwrap_or(0);
-                return Err(RgdbError::corrupt(
-                    Section::RootTable,
-                    self.root_start + (byte / ROOT_ENTRY_WIDTH) * ROOT_ENTRY_WIDTH,
-                    "canonical stride-16 root entry",
-                ));
-            }
+        // Re-derive the whole table from the (now validated) node array
+        // and require byte equality: the root table is pure acceleration
+        // and must never be able to change an answer.
+        let expected = build_root_table(&mut |idx| self.node(idx))?;
+        let stored = self
+            .image
+            .get(self.root_start..self.root_start + ROOT_TABLE_BYTES)
+            .ok_or(RgdbError::Truncated)?;
+        if stored != expected.as_slice() {
+            let byte = stored
+                .iter()
+                .zip(&expected)
+                .position(|(a, b)| a != b)
+                .unwrap_or(0);
+            return Err(RgdbError::corrupt(
+                Section::RootTable,
+                self.root_start + (byte / ROOT_ENTRY_WIDTH) * ROOT_ENTRY_WIDTH,
+                "canonical stride-16 root entry",
+            ));
         }
         Ok(())
     }
@@ -601,25 +715,6 @@ impl Rgdb2Reader {
     /// Number of deduplicated records in the record array.
     pub fn record_count(&self) -> u32 {
         self.record_count
-    }
-
-    /// Total image size in bytes.
-    pub fn image_len(&self) -> usize {
-        self.image.len()
-    }
-
-    /// On-disk header version of the opened image (2 or 3).
-    pub fn version(&self) -> u16 {
-        if self.has_root {
-            VERSION21
-        } else {
-            VERSION2
-        }
-    }
-
-    /// Whether this image carries the v2.1 stride-16 root table.
-    pub fn has_root_table(&self) -> bool {
-        self.has_root
     }
 
     #[inline]
@@ -787,18 +882,12 @@ impl Rgdb2Reader {
         Ok((b.get_u32_le(), b.get_u32_le()))
     }
 
-    /// Resolve `addr` to its longest-prefix record index. On a v2.1
-    /// image the stride-16 root table replaces the first sixteen
-    /// dependent node hops with one indexed load; the remaining walk
-    /// (if any) starts at the depth-16 subtrie root. v2 images take the
-    /// classic bitwise walk from the root.
+    /// Resolve `addr` to its longest-prefix record index. The stride-16
+    /// root table replaces the first sixteen dependent node hops with
+    /// one indexed load; the remaining walk (if any) starts at the
+    /// depth-16 subtrie root.
     #[inline]
     fn locate(&self, addr: u32) -> Result<Option<u32>, RgdbError> {
-        if !self.has_root {
-            return Ok(self
-                .deepest_match(Ipv4Addr::from(addr))?
-                .map(|(idx, _)| idx));
-        }
         let (mut best, mut node) = self.root_entry(addr >> 16)?;
         if node != NONE {
             for depth in 16..=32u32 {
@@ -821,10 +910,9 @@ impl Rgdb2Reader {
     }
 
     /// Walk the trie MSB-first and return the deepest record index on
-    /// the path together with its depth — the longest-prefix match.
-    /// Works on both layouts (v2.1 keeps the full trie); the root-table
-    /// fast path in [`Rgdb2Reader::locate`] is preferred when the match
-    /// depth is not needed.
+    /// the path together with its depth — the longest-prefix match. The
+    /// root-table fast path in [`Rgdb2Reader::locate`] is preferred when
+    /// the match depth is not needed.
     fn deepest_match(&self, ip: Ipv4Addr) -> Result<Option<(u32, u8)>, RgdbError> {
         let addr = u32::from(ip);
         let mut node = 0u32;
@@ -847,9 +935,10 @@ impl Rgdb2Reader {
         Ok(best)
     }
 
-    /// Prefix length of the longest match for `ip`. `None` when no
-    /// prefix on the walk carries a record — same contract as
-    /// [`RgdbReader::match_len`].
+    /// Prefix length of the longest match for `ip`, without decoding the
+    /// record. `None` when no prefix on the walk carries a record. This
+    /// is the trie-walk depth the serving cost model keys on: a /28
+    /// match costs a deeper walk than a /12 match.
     pub fn match_len(&self, ip: Ipv4Addr) -> Result<Option<u8>, RgdbError> {
         Ok(self.deepest_match(ip)?.map(|(_, len)| len))
     }
@@ -949,18 +1038,17 @@ impl Rgdb2Reader {
         }
     }
 
-    /// Batched compact lookup — the v2.1 hot path. Addresses are sorted
-    /// and duplicates collapsed; every unique address's walk is seeded
-    /// in one pass (from the root table on v2.1, from the trie root on
-    /// v2), and the live walks then advance **level by level across the
-    /// whole batch** (a breadth-first frontier, retired in place as
-    /// walks bottom out). Because v2.1 places nodes in level order,
-    /// each sweep over the sorted frontier reads a monotonically
-    /// increasing node range — near-sequential memory traffic instead
-    /// of one dependent pointer chase per address. Answers are interned
-    /// in the *original* order with one compact conversion per distinct
-    /// record, so output and interner ids are identical to the
-    /// per-address loop.
+    /// Batched compact lookup — the hot path. Addresses are sorted and
+    /// duplicates collapsed; every unique address's walk is seeded from
+    /// the root table in one pass, and the live walks then advance
+    /// **level by level across the whole batch** (a breadth-first
+    /// frontier, retired in place as walks bottom out). Because nodes
+    /// are placed in level order, each sweep over the sorted frontier
+    /// reads a monotonically increasing node range — near-sequential
+    /// memory traffic instead of one dependent pointer chase per
+    /// address. Answers are interned in the *original* order with one
+    /// compact conversion per distinct record, so output and interner
+    /// ids are identical to the per-address loop.
     fn batch_compact(
         &self,
         ips: &[Ipv4Addr],
@@ -997,39 +1085,28 @@ impl Rgdb2Reader {
         // `best[slot]` only when the walk retires.
         let mut best: Vec<u32> = vec![NONE; uniq.len()];
         let mut frontier: Vec<(u32, u32, u32, u32)> = Vec::with_capacity(uniq.len());
-        let mut depth: u32 = if self.has_root { 16 } else { 0 };
-        if self.has_root {
-            // The root table as one slice, like `nodes` above: sorted
-            // unique addresses read its entries in ascending order.
-            let root: &[u8] = self
-                .image
-                .get(self.root_start..self.root_start + ROOT_TABLE_BYTES)
-                .unwrap_or(&[]);
-            for (slot, addr) in uniq.iter().enumerate() {
-                let slot32 = u32::try_from(slot).expect("unique u32 addresses fit a u32 slot");
-                let at = ix(addr >> 16) * ROOT_ENTRY_WIDTH;
-                if let Some(mut e) = root.get(at..at + ROOT_ENTRY_WIDTH) {
-                    let record = e.get_u32_le();
-                    let node = e.get_u32_le();
-                    if node != NONE {
-                        frontier.push((node, slot32, addr << 16, record));
-                    } else if record != NONE {
-                        if let Some(b) = best.get_mut(slot) {
-                            *b = record;
-                        }
+        // The root table as one slice, like `nodes` above: sorted unique
+        // addresses read its entries in ascending order.
+        let root: &[u8] = self
+            .image
+            .get(self.root_start..self.root_start + ROOT_TABLE_BYTES)
+            .unwrap_or(&[]);
+        for (slot, addr) in uniq.iter().enumerate() {
+            let slot32 = u32::try_from(slot).expect("unique u32 addresses fit a u32 slot");
+            let at = ix(addr >> 16) * ROOT_ENTRY_WIDTH;
+            if let Some(mut e) = root.get(at..at + ROOT_ENTRY_WIDTH) {
+                let record = e.get_u32_le();
+                let node = e.get_u32_le();
+                if node != NONE {
+                    frontier.push((node, slot32, addr << 16, record));
+                } else if record != NONE {
+                    if let Some(b) = best.get_mut(slot) {
+                        *b = record;
                     }
                 }
             }
-        } else {
-            frontier.extend(uniq.iter().enumerate().map(|(slot, addr)| {
-                (
-                    0u32,
-                    u32::try_from(slot).expect("unique u32 addresses fit a u32 slot"),
-                    *addr,
-                    NONE,
-                )
-            }));
         }
+        let mut depth: u32 = 16;
         // Advance the whole frontier one trie level at a time, keeping
         // survivors compacted at the front in sorted order.
         while !frontier.is_empty() && depth <= 32 {
@@ -1176,130 +1253,9 @@ impl GeoDatabase for Rgdb2Reader {
     }
 }
 
-// ---- version dispatch -------------------------------------------------------
-
-/// A reader over either RGDB format, dispatched on the header version
-/// at open. This is the type serving and tooling paths hold so v1 and
-/// v2 images are interchangeable — hot-swapping a daemon from a v1 to a
-/// v2 image is one [`AnyReader::open`] away.
-pub enum AnyReader {
-    /// A v1 image behind the decode-once cache reader.
-    V1(RgdbReader),
-    /// A v2 image behind the zero-copy flat reader.
-    V2(Rgdb2Reader),
-    /// A v2.1 image (stride-16 root table + level-order nodes) behind
-    /// the same zero-copy reader in root-table mode.
-    V21(Rgdb2Reader),
-}
-
-impl AnyReader {
-    /// Open an image of any version: magic is checked first, then the
-    /// version field picks the reader, which performs its own full
-    /// validation.
-    pub fn open(image: Bytes) -> Result<AnyReader, RgdbError> {
-        let header = image.get(..6).ok_or(RgdbError::Truncated)?;
-        if header.get(..4) != Some(MAGIC.as_slice()) {
-            return Err(RgdbError::BadMagic);
-        }
-        let mut v = header.get(4..6).ok_or(RgdbError::Truncated)?;
-        match v.get_u16_le() {
-            1 => RgdbReader::open(image).map(AnyReader::V1),
-            2 => Rgdb2Reader::open(image).map(AnyReader::V2),
-            3 => Rgdb2Reader::open(image).map(AnyReader::V21),
-            other => Err(RgdbError::BadVersion(other)),
-        }
-    }
-
-    /// Format version of the opened image (1, 2, or 3 for v2.1).
-    pub fn version(&self) -> u16 {
-        match self {
-            AnyReader::V1(_) => 1,
-            AnyReader::V2(_) => VERSION2,
-            AnyReader::V21(_) => VERSION21,
-        }
-    }
-
-    /// Database display name.
-    pub fn name(&self) -> &str {
-        match self {
-            AnyReader::V1(r) => GeoDatabase::name(r),
-            AnyReader::V2(r) | AnyReader::V21(r) => r.name(),
-        }
-    }
-
-    /// Number of deduplicated records.
-    pub fn record_count(&self) -> u32 {
-        match self {
-            AnyReader::V1(r) => r.record_count(),
-            AnyReader::V2(r) | AnyReader::V21(r) => r.record_count(),
-        }
-    }
-
-    /// Total image size in bytes.
-    pub fn image_len(&self) -> usize {
-        match self {
-            AnyReader::V1(r) => r.image_len(),
-            AnyReader::V2(r) | AnyReader::V21(r) => r.image_len(),
-        }
-    }
-
-    /// Prefix length of the longest match for `ip`.
-    pub fn match_len(&self, ip: Ipv4Addr) -> Result<Option<u8>, RgdbError> {
-        match self {
-            AnyReader::V1(r) => r.match_len(ip),
-            AnyReader::V2(r) | AnyReader::V21(r) => r.match_len(ip),
-        }
-    }
-
-    /// Longest-prefix-match lookup returning a parse error on
-    /// corruption.
-    pub fn try_lookup(&self, ip: Ipv4Addr) -> Result<Option<LocationRecord>, RgdbError> {
-        match self {
-            AnyReader::V1(r) => r.try_lookup(ip),
-            AnyReader::V2(r) | AnyReader::V21(r) => r.try_lookup(ip),
-        }
-    }
-}
-
-impl GeoDatabase for AnyReader {
-    fn name(&self) -> &str {
-        AnyReader::name(self)
-    }
-
-    fn lookup(&self, ip: Ipv4Addr) -> Option<LocationRecord> {
-        match self {
-            AnyReader::V1(r) => r.lookup(ip),
-            AnyReader::V2(r) | AnyReader::V21(r) => r.lookup(ip),
-        }
-    }
-
-    fn lookup_compact(
-        &self,
-        ip: Ipv4Addr,
-        interner: &mut LocationInterner,
-    ) -> Option<CompactRecord> {
-        match self {
-            AnyReader::V1(r) => r.lookup_compact(ip, interner),
-            AnyReader::V2(r) | AnyReader::V21(r) => r.lookup_compact(ip, interner),
-        }
-    }
-
-    fn lookup_batch(
-        &self,
-        ips: &[Ipv4Addr],
-        interner: &mut LocationInterner,
-    ) -> Vec<Option<CompactRecord>> {
-        match self {
-            AnyReader::V1(r) => r.lookup_batch(ips, interner),
-            AnyReader::V2(r) | AnyReader::V21(r) => r.lookup_batch(ips, interner),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rgdb;
 
     fn sample_records() -> Vec<(Prefix, LocationRecord)> {
         let city = LocationRecord {
@@ -1334,12 +1290,6 @@ mod tests {
 
     fn build() -> Rgdb2Reader {
         let recs = sample_records();
-        let image = write("Test-DB", recs.iter().map(|(p, r)| (*p, r)));
-        Rgdb2Reader::open(image).unwrap()
-    }
-
-    fn build21() -> Rgdb2Reader {
-        let recs = sample_records();
         let image = write_v21("Test-DB", recs.iter().map(|(p, r)| (*p, r)));
         Rgdb2Reader::open(image).unwrap()
     }
@@ -1365,31 +1315,28 @@ mod tests {
         ]
     }
 
-    const STRIDE_PROBES: [&str; 14] = [
-        "8.0.0.1",
-        "11.255.255.255",
-        "12.32.0.5",
-        "12.63.255.254",
-        "12.34.0.1",
-        "12.34.127.255",
-        "12.34.128.1",
-        "12.34.129.7",
-        "12.34.129.15",
-        "12.34.129.16",
-        "200.1.2.240",
-        "200.1.2.241",
-        "1.2.3.4",
-        "255.255.255.255",
+    /// Probes into [`stride_records`] with the length of the prefix
+    /// that holds each one (`None`: no prefix does).
+    const STRIDE_PROBES: [(&str, Option<u8>); 14] = [
+        ("8.0.0.1", Some(6)),
+        ("11.255.255.255", Some(6)),
+        ("12.32.0.5", Some(11)),
+        ("12.63.255.254", Some(11)),
+        ("12.34.0.1", Some(16)),
+        ("12.34.127.255", Some(16)),
+        ("12.34.128.1", Some(17)),
+        ("12.34.129.7", Some(28)),
+        ("12.34.129.15", Some(28)),
+        ("12.34.129.16", Some(17)),
+        ("200.1.2.240", Some(32)),
+        ("200.1.2.241", None),
+        ("1.2.3.4", None),
+        ("255.255.255.255", None),
     ];
 
     #[test]
     fn roundtrip_lookups() {
-        for db in [build(), build21()] {
-            roundtrip_lookups_on(&db);
-        }
-    }
-
-    fn roundtrip_lookups_on(db: &Rgdb2Reader) {
+        let db = build();
         assert_eq!(db.name(), "Test-DB");
         let r = db.lookup("6.0.0.200".parse().unwrap()).unwrap();
         assert_eq!(r.city.as_deref(), Some("Springfield"));
@@ -1402,98 +1349,38 @@ mod tests {
         let r = db.lookup("31.0.99.1".parse().unwrap()).unwrap();
         assert_eq!(r.country.unwrap().as_str(), "DE");
         assert!(db.lookup("99.0.0.1".parse().unwrap()).is_none());
-        // v2 represents Some("") distinct from None.
+        // Some("") is distinct from None.
         let r = db.lookup("77.1.0.9".parse().unwrap()).unwrap();
         assert_eq!(r.region.as_deref(), Some(""));
         assert_eq!(r.city.as_deref(), Some(""));
-    }
-
-    #[test]
-    fn answers_and_match_len_agree_with_v1() {
-        let recs = sample_records();
-        let v1 = RgdbReader::open(rgdb::write("pair", recs.iter().map(|(p, r)| (*p, r)))).unwrap();
-        let v2 = build();
-        let mut i1 = LocationInterner::new();
-        let mut i2 = LocationInterner::new();
-        for ip in [
-            "6.0.0.0",
-            "6.0.0.255",
-            "31.0.0.0",
-            "31.0.1.255",
-            "31.0.99.1",
-            "77.1.0.1",
-            "99.0.0.1",
-            "0.0.0.0",
-            "255.255.255.255",
+        // Match depth: the /24 city record, the /24 centroid nested in
+        // the /16 country record, the /16 alone, and no match at all.
+        for (ip, depth) in [
+            ("6.0.0.200", Some(24)),
+            ("31.0.1.7", Some(24)),
+            ("31.0.99.1", Some(16)),
+            ("99.0.0.1", None),
         ] {
-            let ip: Ipv4Addr = ip.parse().unwrap();
-            assert_eq!(v1.try_lookup(ip).unwrap(), v2.try_lookup(ip).unwrap());
-            assert_eq!(v1.match_len(ip).unwrap(), v2.match_len(ip).unwrap());
-            assert_eq!(
-                v1.lookup_compact(ip, &mut i1),
-                v2.lookup_compact(ip, &mut i2)
-            );
+            assert_eq!(db.match_len(ip.parse().unwrap()).unwrap(), depth, "{ip}");
         }
-        assert_eq!(i1, i2);
     }
 
     #[test]
-    fn batched_lookups_match_sequential() {
-        let db = build();
-        let ips: Vec<Ipv4Addr> = [
-            "31.0.1.7",
-            "6.0.0.200",
-            "99.0.0.1",
-            "6.0.0.200",
-            "77.1.0.3",
-            "31.0.99.1",
-            "6.0.0.1",
-        ]
-        .iter()
-        .map(|s| s.parse().unwrap())
-        .collect();
-        let mut seq_interner = LocationInterner::new();
-        let seq: Vec<_> = ips
-            .iter()
-            .map(|ip| db.lookup_compact(*ip, &mut seq_interner))
-            .collect();
-        let mut batch_interner = LocationInterner::new();
-        let batch = db.lookup_batch(&ips, &mut batch_interner);
-        assert_eq!(seq, batch);
-        assert_eq!(seq_interner, batch_interner);
-        assert!(db.lookup_batch(&[], &mut batch_interner).is_empty());
-    }
-
-    #[test]
-    fn v21_agrees_with_v2_on_every_probe() {
-        for recs in [sample_records(), stride_records()] {
-            let v2 = Rgdb2Reader::open(write("pair", recs.iter().map(|(p, r)| (*p, r)))).unwrap();
-            let v21 =
-                Rgdb2Reader::open(write_v21("pair", recs.iter().map(|(p, r)| (*p, r)))).unwrap();
-            assert!(v21.has_root_table() && !v2.has_root_table());
-            assert_eq!(v21.version(), 3);
-            assert_eq!(v21.image_len(), v2.image_len() + ROOT_TABLE_BYTES);
-            let mut i2 = LocationInterner::new();
-            let mut i21 = LocationInterner::new();
-            for ip in STRIDE_PROBES.iter().chain(&["6.0.0.200", "31.0.1.7"]) {
-                let ip: Ipv4Addr = ip.parse().unwrap();
-                assert_eq!(
-                    v2.try_lookup(ip).unwrap(),
-                    v21.try_lookup(ip).unwrap(),
-                    "{ip}"
-                );
-                assert_eq!(
-                    v2.match_len(ip).unwrap(),
-                    v21.match_len(ip).unwrap(),
-                    "{ip}"
-                );
-                assert_eq!(
-                    v2.lookup_compact(ip, &mut i2),
-                    v21.lookup_compact(ip, &mut i21),
-                    "{ip}"
-                );
-            }
-            assert_eq!(i2, i21, "interner id assignment must not depend on layout");
+    fn root_table_answers_like_the_full_trie_walk() {
+        // The root table is a pure accelerator: the record `locate`
+        // reaches through it must be the one a walk from the trie root
+        // finds, at the depth of the prefix that holds the probe.
+        let recs = stride_records();
+        let db = Rgdb2Reader::open(write_v21("walk", recs.iter().map(|(p, r)| (*p, r)))).unwrap();
+        for (ip, depth) in STRIDE_PROBES {
+            let ip: Ipv4Addr = ip.parse().unwrap();
+            let walked = db.deepest_match(ip).unwrap();
+            assert_eq!(walked.map(|(_, len)| len), depth, "{ip}");
+            assert_eq!(
+                db.locate(u32::from(ip)).unwrap(),
+                walked.map(|(idx, _)| idx),
+                "{ip}"
+            );
         }
     }
 
@@ -1501,11 +1388,24 @@ mod tests {
     fn v21_batched_lookups_match_sequential() {
         for recs in [sample_records(), stride_records()] {
             let db = Rgdb2Reader::open(write_v21("b", recs.iter().map(|(p, r)| (*p, r)))).unwrap();
-            // Duplicates included, unsorted order.
+            // Duplicates included, unsorted order. The second chain hits
+            // every `sample_records` prefix: a /24 inside a /16, the /16
+            // alone, and the record whose region and city are both
+            // `Some("")` at one string offset, so the second string
+            // interns from the per-offset cache.
             let ips: Vec<Ipv4Addr> = STRIDE_PROBES
                 .iter()
                 .chain(STRIDE_PROBES.iter().rev())
-                .chain(&["6.0.0.200", "12.34.129.7", "12.34.129.7"])
+                .map(|(ip, _)| *ip)
+                .chain(["6.0.0.200", "12.34.129.7", "12.34.129.7"])
+                .chain([
+                    "31.0.1.7",
+                    "6.0.0.200",
+                    "99.0.0.1",
+                    "77.1.0.3",
+                    "31.0.99.1",
+                    "6.0.0.1",
+                ])
                 .map(|s| s.parse().unwrap())
                 .collect();
             let mut seq_interner = LocationInterner::new();
@@ -1522,7 +1422,7 @@ mod tests {
     }
 
     #[test]
-    fn v21_empty_database_and_default_route() {
+    fn empty_database_default_route_and_host_route() {
         let image = write_v21("empty", std::iter::empty());
         let db = Rgdb2Reader::open(image).unwrap();
         assert!(db.lookup("1.2.3.4".parse().unwrap()).is_none());
@@ -1534,6 +1434,13 @@ mod tests {
         let db = Rgdb2Reader::open(image).unwrap();
         assert!(db.lookup("255.255.255.255".parse().unwrap()).is_some());
         assert!(db.lookup("0.0.0.0".parse().unwrap()).is_some());
+
+        let rec = LocationRecord::country_level("JP".parse().unwrap(), Granularity::SubBlock);
+        let entries = [("1.2.3.4/32".parse::<Prefix>().unwrap(), rec)];
+        let image = write_v21("host", entries.iter().map(|(p, r)| (*p, r)));
+        let db = Rgdb2Reader::open(image).unwrap();
+        assert!(db.lookup("1.2.3.4".parse().unwrap()).is_some());
+        assert!(db.lookup("1.2.3.5".parse().unwrap()).is_none());
     }
 
     #[test]
@@ -1560,16 +1467,6 @@ mod tests {
         // length check.
         assert!(matches!(
             Rgdb2Reader::open(image.slice(..db.root_start + 100)),
-            Err(RgdbError::Truncated)
-        ));
-
-        // Relabeling a v2 image as v2.1 claims 512 KiB that is not
-        // there.
-        let v2 = write("x", recs.iter().map(|(p, r)| (*p, r)));
-        let mut bytes = v2.to_vec();
-        bytes[4] = 3;
-        assert!(matches!(
-            Rgdb2Reader::open(Bytes::from(bytes)),
             Err(RgdbError::Truncated)
         ));
     }
@@ -1607,7 +1504,7 @@ mod tests {
                 (p, rec.clone())
             })
             .collect();
-        let image = write("dedup", entries.iter().map(|(p, r)| (*p, r)));
+        let image = write_v21("dedup", entries.iter().map(|(p, r)| (*p, r)));
         let db = Rgdb2Reader::open(image).unwrap();
         assert_eq!(db.record_count(), 1);
         // One record, one interned string ("Illinois" shared by region
@@ -1618,7 +1515,7 @@ mod tests {
     #[test]
     fn detects_truncation_and_header_corruption() {
         let recs = sample_records();
-        let image = write("t", recs.iter().map(|(p, r)| (*p, r)));
+        let image = write_v21("t", recs.iter().map(|(p, r)| (*p, r)));
         for cut in [0, 3, HEADER_LEN - 1, image.len() - 1] {
             assert!(
                 Rgdb2Reader::open(image.slice(..cut)).is_err(),
@@ -1633,11 +1530,21 @@ mod tests {
             Err(RgdbError::ChecksumMismatch)
         ));
         let mut bytes = image.to_vec();
-        bytes[4] = 0x07;
+        bytes[0] = b'X';
         assert!(matches!(
             Rgdb2Reader::open(Bytes::from(bytes)),
-            Err(RgdbError::BadVersion(7))
+            Err(RgdbError::BadMagic)
         ));
+        // Header version 3 is the only one that opens: the retired v1
+        // and v2 layouts (versions 1 and 2) and unknown ones are refused.
+        for version in [1u8, 2, 7] {
+            let mut bytes = image.to_vec();
+            bytes[4] = version;
+            assert_eq!(
+                Rgdb2Reader::open(Bytes::from(bytes)).unwrap_err(),
+                RgdbError::BadVersion(u16::from(version))
+            );
+        }
     }
 
     /// Corrupt one payload byte and re-fix the checksum so the
@@ -1653,8 +1560,17 @@ mod tests {
     #[test]
     fn open_rejects_noncanonical_records_with_context() {
         let recs = sample_records();
-        let image = write("x", recs.iter().map(|(p, r)| (*p, r)));
+        let image = write_v21("x", recs.iter().map(|(p, r)| (*p, r)));
         let db = Rgdb2Reader::open(image.clone()).unwrap();
+        // 0xFF is never valid UTF-8: the name section is blamed at its
+        // absolute offset, and the rendered error says so.
+        let err = corrupt_at(&image, HEADER_LEN, 0xFF).unwrap_err();
+        let ctx = *err.context().expect("structural error carries context");
+        assert_eq!(ctx.section, Section::Name);
+        assert_eq!(ctx.offset, HEADER_LEN);
+        let shown = err.to_string();
+        assert!(shown.contains("name section"), "got: {shown}");
+        assert!(shown.contains("byte 28"), "got: {shown}");
         let rec0 = db.records_start;
         // Unknown flag bit.
         let err = corrupt_at(&image, rec0, 0xFF).unwrap_err();
@@ -1670,50 +1586,5 @@ mod tests {
         let node0 = db.nodes_start;
         let err = corrupt_at(&image, node0 + 8, 0x77).unwrap_err();
         assert_eq!(err.context().unwrap().section, Section::Nodes);
-    }
-
-    #[test]
-    fn empty_database_and_default_route() {
-        let image = write("empty", std::iter::empty());
-        let db = Rgdb2Reader::open(image).unwrap();
-        assert!(db.lookup("1.2.3.4".parse().unwrap()).is_none());
-        assert_eq!(db.record_count(), 0);
-
-        let rec = LocationRecord::country_level("US".parse().unwrap(), Granularity::Aggregate);
-        let entries = [(Prefix::default_route(), rec)];
-        let image = write("all", entries.iter().map(|(p, r)| (*p, r)));
-        let db = Rgdb2Reader::open(image).unwrap();
-        assert!(db.lookup("255.255.255.255".parse().unwrap()).is_some());
-        assert!(db.lookup("0.0.0.0".parse().unwrap()).is_some());
-    }
-
-    #[test]
-    fn any_reader_dispatches_on_version() {
-        let recs = sample_records();
-        let v1_image = rgdb::write("Any-DB", recs.iter().map(|(p, r)| (*p, r)));
-        let v2_image = write("Any-DB", recs.iter().map(|(p, r)| (*p, r)));
-        let v21_image = write_v21("Any-DB", recs.iter().map(|(p, r)| (*p, r)));
-        let v1 = AnyReader::open(v1_image).unwrap();
-        let v2 = AnyReader::open(v2_image).unwrap();
-        let v21 = AnyReader::open(v21_image).unwrap();
-        assert_eq!(v1.version(), 1);
-        assert_eq!(v2.version(), 2);
-        assert_eq!(v21.version(), 3);
-        assert_eq!(v1.name(), "Any-DB");
-        assert_eq!(v2.name(), "Any-DB");
-        assert_eq!(v21.name(), "Any-DB");
-        let ip: Ipv4Addr = "6.0.0.200".parse().unwrap();
-        assert_eq!(v1.try_lookup(ip).unwrap(), v2.try_lookup(ip).unwrap());
-        assert_eq!(v1.match_len(ip).unwrap(), v2.match_len(ip).unwrap());
-        assert_eq!(v2.try_lookup(ip).unwrap(), v21.try_lookup(ip).unwrap());
-        assert_eq!(v2.match_len(ip).unwrap(), v21.match_len(ip).unwrap());
-        assert!(matches!(
-            AnyReader::open(Bytes::from(b"XGDB\x01\x00rest".to_vec())),
-            Err(RgdbError::BadMagic)
-        ));
-        assert!(matches!(
-            AnyReader::open(Bytes::from(b"RGDB\x09\x00rest".to_vec())),
-            Err(RgdbError::BadVersion(9))
-        ));
     }
 }

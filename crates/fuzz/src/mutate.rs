@@ -9,23 +9,19 @@
 //! class deliberately skips the re-fix: length/checksum rejection is a
 //! path worth fuzzing too.
 //!
-//! Layout facts used here mirror `crates/db/src/rgdb.rs` and
-//! `rgdb2.rs`: all formats share the 28-byte header (`magic u32 |
-//! version u16 | name_len u16 | node_count u32 | record_count u32 |
-//! len u32 | checksum u64`), then name. What follows differs: v1 lays
-//! out `node_count × 12` bytes of nodes then its variable-length data
-//! section (the header `len` field); v2 the same nodes then
-//! `record_count × 20` fixed-width records and a string table whose
-//! length the `len` field holds; v2.1 (header version 3) inserts a
+//! Layout facts used here mirror `crates/db/src/rgdb2.rs`: the 28-byte
+//! header (`magic u32 | version u16 | name_len u16 | node_count u32 |
+//! record_count u32 | strings_len u32 | checksum u64`), the name, a
 //! 512 KiB stride-16 root table (65 536 × 8-byte `record u32 | node
-//! u32` entries) between the name and the nodes. [`geometry`]
-//! dispatches on the version field so every mutator targets the real
-//! payload region of any format, and the three root-table classes
-//! target the v2.1 section specifically.
+//! u32` entries), `node_count × 12` bytes of nodes, `record_count × 20`
+//! fixed-width records, and the string table. [`geometry`] reads the
+//! section bounds the header claims, so every mutator targets the
+//! real payload region and the three root-table classes target the
+//! root table specifically.
 
 use crate::rng::FuzzRng;
 
-/// Fixed header length (see the format doc in `rgdb.rs`).
+/// Fixed header length (see the format doc in `rgdb2.rs`).
 const HEADER_LEN: usize = 28;
 
 /// The typed mutation classes. Each is a distinct grammar production,
@@ -34,31 +30,31 @@ const HEADER_LEN: usize = 28;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MutationClass {
     /// Overwrite one header field (version, name_len, node_count,
-    /// record_count, data_len) with an adversarial value.
+    /// record_count, strings_len) with an adversarial value.
     HeaderFieldFlip,
     /// Copy one payload range over another (length-preserving splice),
     /// tearing section boundaries without changing the total size.
     SectionSplice,
-    /// Overwrite trie node links/data offsets with out-of-range values,
-    /// self-loops, or offsets pointing at the end of the data section.
+    /// Overwrite trie node links/record indices with out-of-range
+    /// values, self-loops, or the byte length of the records and
+    /// strings.
     NodeLinkCorrupt,
-    /// Flip individual bits in the record data section.
+    /// Flip individual bits in the record and string sections.
     RecordBitFlip,
-    /// Saturate data-section bytes to 0xFF so length-prefixed string
-    /// fields claim more bytes than the section holds.
+    /// Saturate record and string bytes to 0xFF so string offsets and
+    /// length prefixes claim more bytes than the table holds.
     StringLenOversize,
     /// Cut the image at an arbitrary point (checksum left stale on
     /// purpose: rejection-by-length/checksum is also a fuzzed path).
     Truncate,
-    /// Copy one v2.1 root-table range over another (length-preserving
+    /// Copy one root-table range over another (length-preserving
     /// splice confined to the root table), breaking entries away from
-    /// what the trie derives. No-op below version 3.
+    /// what the trie derives.
     RootTableSplice,
-    /// Overwrite v2.1 root entries (`record u32 | node u32`) with
+    /// Overwrite root entries (`record u32 | node u32`) with
     /// out-of-range indices, NONE-vs-valid flips, and random words.
-    /// No-op below version 3.
     RootEntryOutOfRange,
-    /// Cut the image *inside* the v2.1 root table (checksum left stale
+    /// Cut the image *inside* the root table (checksum left stale
     /// like [`MutationClass::Truncate`]) so the 512 KiB stride section
     /// itself is what falls short.
     StrideTruncate,
@@ -149,14 +145,13 @@ pub fn refix_checksum(bytes: &mut [u8]) {
     }
 }
 
-/// Size of the v2.1 stride-16 root table (65 536 × 8-byte entries).
+/// Size of the stride-16 root table (65 536 × 8-byte entries).
 const ROOT_TABLE_BYTES: usize = (1 << 16) * 8;
 
 /// Section geometry as *claimed by the header* (which mutation may have
 /// already falsified — all uses stay bounds-checked).
 struct Geometry {
     root_start: usize,
-    root_len: usize,
     nodes_start: usize,
     nodes_len: usize,
     data_start: usize,
@@ -164,33 +159,23 @@ struct Geometry {
 }
 
 fn geometry(bytes: &[u8]) -> Geometry {
-    let version = u16_at(bytes, 4);
     let name_len = usize::from(u16_at(bytes, 6));
     let node_count = usize::try_from(u32_at(bytes, 8)).unwrap_or(0);
-    let data_len = if version >= 2 {
-        // v2/v2.1: fixed-width records then the string table; the
-        // header's length field at 16 covers only the strings.
-        let records = usize::try_from(u32_at(bytes, 12))
-            .unwrap_or(0)
-            .saturating_mul(20);
-        let strings = usize::try_from(u32_at(bytes, 16)).unwrap_or(0);
-        records.saturating_add(strings)
-    } else {
-        usize::try_from(u32_at(bytes, 16)).unwrap_or(0)
-    };
-    // v2.1 (version 3) inserts the stride-16 root table between the
-    // name and the nodes.
+    // Fixed-width records then the string table; the header's length
+    // field at 16 covers only the strings.
+    let records = usize::try_from(u32_at(bytes, 12))
+        .unwrap_or(0)
+        .saturating_mul(20);
+    let strings = usize::try_from(u32_at(bytes, 16)).unwrap_or(0);
     let root_start = HEADER_LEN + name_len;
-    let root_len = if version == 3 { ROOT_TABLE_BYTES } else { 0 };
-    let nodes_start = root_start + root_len;
+    let nodes_start = root_start + ROOT_TABLE_BYTES;
     let nodes_len = node_count.saturating_mul(12);
     Geometry {
         root_start,
-        root_len,
         nodes_start,
         nodes_len,
         data_start: nodes_start + nodes_len,
-        data_len,
+        data_len: records.saturating_add(strings),
     }
 }
 
@@ -265,7 +250,7 @@ pub fn apply(class: MutationClass, image: &[u8], rng: &mut FuzzRng) -> Vec<u8> {
                         1 => u32::try_from(node_count).unwrap_or(0), // first out-of-range node
                         2 => u32::try_from(node).unwrap_or(0),       // self-loop
                         3 => 0,                                      // loop back to the root
-                        4 => u32::try_from(g.data_len).unwrap_or(0), // offset at data end
+                        4 => u32::try_from(g.data_len).unwrap_or(0), // records + strings length
                         _ => u32::try_from(rng.next_u64() & 0xFFFF_FFFF).unwrap_or(1) | 1,
                     };
                     put_u32(&mut out, at, value);
@@ -311,7 +296,7 @@ pub fn apply(class: MutationClass, image: &[u8], rng: &mut FuzzRng) -> Vec<u8> {
         }
         MutationClass::RootTableSplice => {
             let g = geometry(&out);
-            let end = out.len().min(g.root_start + g.root_len);
+            let end = out.len().min(g.root_start + ROOT_TABLE_BYTES);
             let span_total = end.saturating_sub(g.root_start);
             if span_total >= 16 {
                 // Entry-aligned splice so whole (record, node) pairs
@@ -337,7 +322,7 @@ pub fn apply(class: MutationClass, image: &[u8], rng: &mut FuzzRng) -> Vec<u8> {
         }
         MutationClass::RootEntryOutOfRange => {
             let g = geometry(&out);
-            let end = out.len().min(g.root_start + g.root_len);
+            let end = out.len().min(g.root_start + ROOT_TABLE_BYTES);
             let entries = (end.saturating_sub(g.root_start) / 8) as u64;
             if entries > 0 {
                 let node_count = (g.nodes_len / 12) as u64;
@@ -361,17 +346,11 @@ pub fn apply(class: MutationClass, image: &[u8], rng: &mut FuzzRng) -> Vec<u8> {
         }
         MutationClass::StrideTruncate => {
             let g = geometry(&out);
-            if g.root_len > 0 {
-                // Cut inside the root table itself: the 512 KiB stride
-                // section is what falls short of the claimed layout.
-                let cut = g.root_start
-                    + usize::try_from(rng.below(g.root_len.saturating_add(1) as u64)).unwrap_or(0);
-                out.truncate(cut.min(out.len()));
-            } else {
-                // v1/v2 carry no root table; cut at the equivalent
-                // section boundary so the class stays total.
-                out.truncate(g.root_start.min(out.len()));
-            }
+            // Cut inside the root table itself: the 512 KiB stride
+            // section is what falls short of the claimed layout.
+            let cut =
+                g.root_start + usize::try_from(rng.below(ROOT_TABLE_BYTES as u64 + 1)).unwrap_or(0);
+            out.truncate(cut.min(out.len()));
             // No checksum re-fix: stale-checksum rejection is the point.
         }
     }
@@ -402,8 +381,8 @@ mod tests {
         for t in 0..50u64 {
             let mut rng = FuzzRng::new(t);
             let mutated = apply(MutationClass::NodeLinkCorrupt, &image, &mut rng);
-            match routergeo_db::rgdb::RgdbReader::open(bytes::Bytes::from(mutated)) {
-                Err(routergeo_db::rgdb::RgdbError::ChecksumMismatch) => {
+            match routergeo_db::Rgdb2Reader::open(bytes::Bytes::from(mutated)) {
+                Err(routergeo_db::rgdb2::RgdbError::ChecksumMismatch) => {
                     panic!("mutation died at the checksum gate")
                 }
                 Err(_) => deep += 1,
@@ -414,18 +393,17 @@ mod tests {
     }
 
     #[test]
-    fn v2_geometry_reaches_the_record_and_string_sections() {
-        // The same refix property must hold for the flat format: a
-        // record bit-flip on a v2 image gets past the checksum gate and
-        // is judged by the canonical-encoding validation instead.
-        let image = build_entry(5, Scale::Small).image_v2();
+    fn geometry_reaches_the_record_and_string_sections() {
+        // A record bit-flip gets past the checksum gate and is judged
+        // by the canonical-encoding validation instead.
+        let image = build_entry(5, Scale::Small).image();
         let mut rejected_structurally = 0;
         for t in 0..50u64 {
             let mut rng = FuzzRng::new(t);
             let mutated = apply(MutationClass::RecordBitFlip, &image, &mut rng);
-            match routergeo_db::rgdb2::Rgdb2Reader::open(bytes::Bytes::from(mutated)) {
-                Err(routergeo_db::rgdb::RgdbError::ChecksumMismatch) => {
-                    panic!("v2 mutation died at the checksum gate")
+            match routergeo_db::Rgdb2Reader::open(bytes::Bytes::from(mutated)) {
+                Err(routergeo_db::rgdb2::RgdbError::ChecksumMismatch) => {
+                    panic!("record mutation died at the checksum gate")
                 }
                 Err(_) => rejected_structurally += 1,
                 Ok(_) => {}

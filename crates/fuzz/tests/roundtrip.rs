@@ -1,60 +1,40 @@
 //! RGDB writer↔reader round-trip property battery (satellite of the
 //! fuzz harness): at every corpus scale and several seeds, a record
-//! set serialized by `rgdb::write` or `rgdb2::write` must come back
-//! verbatim through its reader — same record at every prefix boundary,
-//! `None` between prefixes — the compact path must agree with the
-//! allocating one, and the two formats must agree with each other on
-//! both answers and match depth.
+//! set serialized by `rgdb2::write_v21` must come back verbatim through
+//! the reader — same record at every prefix boundary, `None` between
+//! prefixes — the compact path must agree with the allocating one, and
+//! the match depth must be the length of the prefix that holds the
+//! address.
 
+use routergeo_db::inmem::InMemoryDbBuilder;
 use routergeo_db::record::{Granularity, LocationRecord};
-use routergeo_db::rgdb::{self, RgdbReader};
 use routergeo_db::rgdb2::{self, Rgdb2Reader};
-use routergeo_db::{CompactRecord, LocationInterner};
-use routergeo_fuzz::corpus::ImageFormat;
+use routergeo_db::{CompactRecord, GeoDatabase, LocationInterner};
 use routergeo_fuzz::rng::FuzzRng;
 use routergeo_fuzz::{build_entry, Scale};
 use std::net::Ipv4Addr;
 
 const SEEDS: [u64; 4] = [1, 2, 47, 0xDEAD_BEEF];
 
-/// Open a corpus entry's image in `format` as a trait object so the
-/// same assertions run against both readers.
-fn open_as(
-    entry: &routergeo_fuzz::CorpusEntry,
-    format: ImageFormat,
-) -> Box<dyn routergeo_db::GeoDatabase> {
-    match format {
-        ImageFormat::V1 => Box::new(RgdbReader::open(entry.image()).expect("v1 image opens")),
-        ImageFormat::V2 => Box::new(Rgdb2Reader::open(entry.image_v2()).expect("v2 image opens")),
-        ImageFormat::V21 => {
-            Box::new(Rgdb2Reader::open(entry.image_v21()).expect("v2.1 image opens"))
-        }
-    }
-}
-
 #[test]
-fn every_scale_round_trips_every_record_in_both_formats() {
-    use routergeo_db::GeoDatabase;
-    for format in ImageFormat::ALL {
-        for scale in Scale::ALL {
-            for seed in SEEDS {
-                let entry = build_entry(seed, scale);
-                let reader = open_as(&entry, format);
-                let mut rng = FuzzRng::new(seed ^ 0x5EED_CAFE);
-                for (prefix, record) in &entry.entries {
-                    let span = u64::from(u32::from(prefix.last()) - u32::from(prefix.first()));
-                    let inner = u32::from(prefix.first())
-                        + u32::try_from(rng.below(span + 1)).expect("span fits u32");
-                    for ip in [prefix.first(), prefix.last(), Ipv4Addr::from(inner)] {
-                        let got = reader.lookup(ip);
-                        assert_eq!(
-                            got.as_ref(),
-                            Some(record),
-                            "format={} seed={seed} scale={} ip={ip} prefix={prefix}",
-                            format.label(),
-                            scale.label()
-                        );
-                    }
+fn every_scale_round_trips_every_record() {
+    for scale in Scale::ALL {
+        for seed in SEEDS {
+            let entry = build_entry(seed, scale);
+            let reader = Rgdb2Reader::open(entry.image()).expect("corpus image opens");
+            let mut rng = FuzzRng::new(seed ^ 0x5EED_CAFE);
+            for (prefix, record) in &entry.entries {
+                let span = u64::from(u32::from(prefix.last()) - u32::from(prefix.first()));
+                let inner = u32::from(prefix.first())
+                    + u32::try_from(rng.below(span + 1)).expect("span fits u32");
+                for ip in [prefix.first(), prefix.last(), Ipv4Addr::from(inner)] {
+                    let got = reader.lookup(ip);
+                    assert_eq!(
+                        got.as_ref(),
+                        Some(record),
+                        "seed={seed} scale={} ip={ip} prefix={prefix}",
+                        scale.label()
+                    );
                 }
             }
         }
@@ -62,16 +42,15 @@ fn every_scale_round_trips_every_record_in_both_formats() {
 }
 
 #[test]
-fn formats_agree_on_answers_and_match_depth() {
-    // v1 ↔ v2 equivalence: the same record set serialized both ways
-    // must agree on every compact answer, every miss, and the matched
-    // prefix depth — at prefix edges and over a random sweep.
-    use routergeo_db::GeoDatabase;
+fn answers_and_match_depth_come_from_the_containing_prefix() {
+    // The corpus prefixes are disjoint, so at most one holds a probe:
+    // its record is the answer and its length the match depth, and a
+    // probe no prefix holds misses with no depth — at prefix edges, one
+    // address beyond each edge, and over a random sweep.
     for scale in Scale::ALL {
         for seed in SEEDS {
             let entry = build_entry(seed, scale);
-            let v1 = RgdbReader::open(entry.image()).expect("v1 image opens");
-            let v2 = Rgdb2Reader::open(entry.image_v2()).expect("v2 image opens");
+            let reader = Rgdb2Reader::open(entry.image()).expect("corpus image opens");
             let mut interner = LocationInterner::new();
             let mut rng = FuzzRng::new(seed.rotate_left(9) ^ 0xF0F0);
             let mut probes: Vec<Ipv4Addr> = Vec::new();
@@ -88,12 +67,18 @@ fn formats_agree_on_answers_and_match_depth() {
                 ));
             }
             for ip in probes {
-                let a = v1.lookup_compact(ip, &mut interner);
-                let b = v2.lookup_compact(ip, &mut interner);
-                assert_eq!(a, b, "seed={seed} scale={} ip={ip}", scale.label());
+                let holder = entry.entries.iter().find(|(prefix, _)| prefix.contains(ip));
+                let want =
+                    holder.map(|(_, record)| CompactRecord::from_record(record, &mut interner));
                 assert_eq!(
-                    v1.match_len(ip).expect("valid v1 image"),
-                    v2.match_len(ip).expect("valid v2 image"),
+                    reader.lookup_compact(ip, &mut interner),
+                    want,
+                    "seed={seed} scale={} ip={ip}",
+                    scale.label()
+                );
+                assert_eq!(
+                    reader.match_len(ip).expect("valid image"),
+                    holder.map(|(prefix, _)| prefix.len()),
                     "seed={seed} scale={} ip={ip}",
                     scale.label()
                 );
@@ -104,26 +89,18 @@ fn formats_agree_on_answers_and_match_depth() {
 
 #[test]
 fn compact_lookups_match_allocating_lookups() {
-    use routergeo_db::GeoDatabase;
     let entry = build_entry(7, Scale::Small);
-    for format in ImageFormat::ALL {
-        let reader = open_as(&entry, format);
-        let mut interner = LocationInterner::new();
-        let mut rng = FuzzRng::new(0xC0FFEE);
-        for _ in 0..512 {
-            let ip = Ipv4Addr::from(u32::try_from(rng.next_u64() & 0xFFFF_FFFF).expect("masked"));
-            let compact = reader.lookup_compact(ip, &mut interner);
-            let full = reader.lookup(ip);
-            match (compact, full) {
-                (None, None) => {}
-                (Some(c), Some(f)) => {
-                    assert_eq!(c.to_record(&interner), f, "{} {ip}", format.label());
-                }
-                (c, f) => panic!(
-                    "compact/full disagree at {ip} ({}): {c:?} vs {f:?}",
-                    format.label()
-                ),
-            }
+    let reader = Rgdb2Reader::open(entry.image()).expect("corpus image opens");
+    let mut interner = LocationInterner::new();
+    let mut rng = FuzzRng::new(0xC0FFEE);
+    for _ in 0..512 {
+        let ip = Ipv4Addr::from(u32::try_from(rng.next_u64() & 0xFFFF_FFFF).expect("masked"));
+        let compact = reader.lookup_compact(ip, &mut interner);
+        let full = reader.lookup(ip);
+        match (compact, full) {
+            (None, None) => {}
+            (Some(c), Some(f)) => assert_eq!(c.to_record(&interner), f, "{ip}"),
+            (c, f) => panic!("compact/full disagree at {ip}: {c:?} vs {f:?}"),
         }
     }
 }
@@ -133,7 +110,7 @@ fn addresses_outside_every_prefix_miss() {
     // 192.0.2.0/24 (TEST-NET-1) can never collide with the corpus,
     // which carves from 10.0.0.0 upward through a=10..129.
     let entry = build_entry(3, Scale::Tenth);
-    let reader = RgdbReader::open(entry.image()).expect("corpus image opens");
+    let reader = Rgdb2Reader::open(entry.image()).expect("corpus image opens");
     for last in [0u8, 1, 128, 255] {
         let ip = Ipv4Addr::new(192, 0, 2, last);
         assert_eq!(reader.try_lookup(ip).expect("no error"), None, "{ip}");
@@ -141,9 +118,9 @@ fn addresses_outside_every_prefix_miss() {
 }
 
 #[test]
-fn empty_strings_survive_both_binary_formats() {
-    // `Some("")` is a present, empty name — not an absent one. Both
-    // binary layouts carry it as a set flag with length 0 (and since
+fn empty_strings_survive_the_binary_format() {
+    // `Some("")` is a present, empty name — not an absent one. The
+    // binary layout carries it as a set flag with length 0 (and since
     // the quoted-empty CSV fix, the text format round-trips it too, so
     // the differential corpus now generates it freely).
     let prefix: routergeo_net::Prefix = "10.0.0.0/24".parse().expect("prefix literal");
@@ -154,20 +131,14 @@ fn empty_strings_survive_both_binary_formats() {
         coord: None,
         granularity: Granularity::SubBlock,
     };
-    let v1 = rgdb::write("empties", [(prefix, &record)].into_iter());
-    let v2 = rgdb2::write("empties", [(prefix, &record)].into_iter());
-    let readers: [Box<dyn routergeo_db::GeoDatabase>; 2] = [
-        Box::new(RgdbReader::open(v1).expect("v1 image opens")),
-        Box::new(Rgdb2Reader::open(v2).expect("v2 image opens")),
-    ];
-    for reader in readers {
-        let got = reader
-            .lookup(Ipv4Addr::new(10, 0, 0, 7))
-            .expect("prefix covers the address");
-        assert_eq!(got.region.as_deref(), Some(""));
-        assert_eq!(got.city.as_deref(), Some(""));
-        assert_eq!(got, record);
-    }
+    let image = rgdb2::write_v21("empties", [(prefix, &record)]);
+    let reader = Rgdb2Reader::open(image).expect("image opens");
+    let got = reader
+        .lookup(Ipv4Addr::new(10, 0, 0, 7))
+        .expect("prefix covers the address");
+    assert_eq!(got.region.as_deref(), Some(""));
+    assert_eq!(got.city.as_deref(), Some(""));
+    assert_eq!(got, record);
 }
 
 #[test]
@@ -192,34 +163,31 @@ fn oversized_strings_are_truncated_at_the_cap_not_corrupted() {
         coord: None,
         granularity: Granularity::Block24,
     };
-    let v1 = rgdb::write("caps", [(prefix, &a), (neighbor, &b)].into_iter());
-    let v2 = rgdb2::write("caps", [(prefix, &a), (neighbor, &b)].into_iter());
-    let readers: [Box<dyn routergeo_db::GeoDatabase>; 2] = [
-        Box::new(RgdbReader::open(v1).expect("v1 image opens")),
-        Box::new(Rgdb2Reader::open(v2).expect("v2 image opens")),
-    ];
-    for reader in readers {
-        let got_a = reader.lookup(Ipv4Addr::new(10, 0, 0, 1)).expect("covered");
-        assert_eq!(got_a.city.as_deref(), Some(&long[..255]));
-        let got_b = reader.lookup(Ipv4Addr::new(10, 0, 1, 1)).expect("covered");
-        assert_eq!(got_b, b);
-    }
+    let image = rgdb2::write_v21("caps", [(prefix, &a), (neighbor, &b)]);
+    let reader = Rgdb2Reader::open(image).expect("image opens");
+    let got_a = reader.lookup(Ipv4Addr::new(10, 0, 0, 1)).expect("covered");
+    assert_eq!(got_a.city.as_deref(), Some(&long[..255]));
+    let got_b = reader.lookup(Ipv4Addr::new(10, 0, 1, 1)).expect("covered");
+    assert_eq!(got_b, b);
 }
 
 #[test]
 fn interner_ids_are_stable_across_backends_for_equal_strings() {
-    // A v1 and a v2 reader over the same record set, one shared
-    // interner: the ids a `CompactRecord` carries must depend only on
-    // the strings, which is the property the differential pillar's
-    // four-way compare rests on.
-    use routergeo_db::GeoDatabase;
+    // An RGDB reader and an `InMemoryDb` over the same record set, one
+    // shared interner: the ids a `CompactRecord` carries must depend
+    // only on the strings, which is the property the differential
+    // pillar's four-way compare rests on.
     let entry = build_entry(5, Scale::Tiny);
-    let r1 = RgdbReader::open(entry.image()).expect("opens");
-    let r2 = Rgdb2Reader::open(entry.image_v2()).expect("opens");
+    let rgdb = Rgdb2Reader::open(entry.image()).expect("opens");
+    let mut builder = InMemoryDbBuilder::new("mem");
+    for (prefix, record) in &entry.entries {
+        builder.push_prefix(*prefix, record.clone());
+    }
+    let mem = builder.build().expect("disjoint corpus prefixes");
     let mut interner = LocationInterner::new();
     for (prefix, record) in &entry.entries {
-        let a = r1.lookup_compact(prefix.first(), &mut interner);
-        let b = r2.lookup_compact(prefix.first(), &mut interner);
+        let a = rgdb.lookup_compact(prefix.first(), &mut interner);
+        let b = mem.lookup_compact(prefix.first(), &mut interner);
         assert_eq!(a, b, "{prefix}");
         let expected = CompactRecord::from_record(record, &mut interner);
         assert_eq!(a, Some(expected), "{prefix}");

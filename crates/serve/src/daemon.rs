@@ -26,9 +26,8 @@
 
 use crate::protocol::{self, ProtoError, Request, Response};
 use bytes::Bytes;
-use routergeo_db::rgdb::RgdbError;
-use routergeo_db::rgdb2::AnyReader;
-use routergeo_db::FileImage;
+use routergeo_db::rgdb2::RgdbError;
+use routergeo_db::{FileImage, Rgdb2Reader};
 use routergeo_obs::{Counter, Histogram, Stopwatch};
 use std::fmt;
 use std::io::{BufReader, Read, Write};
@@ -80,7 +79,7 @@ impl Default for ServeConfig {
 /// monotonically increasing id responses carry.
 pub struct Generation {
     id: u32,
-    reader: AnyReader,
+    reader: Rgdb2Reader,
 }
 
 impl Generation {
@@ -89,8 +88,8 @@ impl Generation {
         self.id
     }
 
-    /// The underlying validated reader (either format version).
-    pub fn reader(&self) -> &AnyReader {
+    /// The underlying validated reader.
+    pub fn reader(&self) -> &Rgdb2Reader {
         &self.reader
     }
 }
@@ -237,7 +236,7 @@ struct Shared {
 
 impl Shared {
     /// State for a daemon whose generation 1 is `reader`.
-    fn new(reader: AnyReader, config: ServeConfig) -> Shared {
+    fn new(reader: Rgdb2Reader, config: ServeConfig) -> Shared {
         Shared {
             current: RwLock::new(Arc::new(Generation { id: 1, reader })),
             next_gen: AtomicU32::new(2),
@@ -283,7 +282,7 @@ impl ServeDaemon {
     /// Validate `image`, bind `127.0.0.1:0`, and start the accept loop
     /// plus `config.workers` connection workers.
     pub fn spawn_with(image: Bytes, config: ServeConfig) -> Result<ServeDaemon, ServeError> {
-        let reader = AnyReader::open(image)?;
+        let reader = Rgdb2Reader::open(image)?;
         let listener = TcpListener::bind(("127.0.0.1", 0))?;
         let addr = listener.local_addr()?;
         let shared = Arc::new(Shared::new(reader, config.clone()));
@@ -353,7 +352,7 @@ impl ServeDaemon {
     /// bounded polling until no in-flight request still pins the old
     /// generation.
     pub fn hot_swap(&self, image: Bytes) -> Result<SwapReport, ServeError> {
-        let reader = AnyReader::open(image)?;
+        let reader = Rgdb2Reader::open(image)?;
         let id = self.shared.next_gen.fetch_add(1, Ordering::SeqCst);
         let fresh = Arc::new(Generation { id, reader });
         let mut guard = match self.shared.current.write() {
@@ -649,7 +648,7 @@ mod tests {
 
     fn shared() -> Shared {
         let image = Corpus::new(64).image_v21(1);
-        let reader = AnyReader::open(image).expect("corpus image validates");
+        let reader = Rgdb2Reader::open(image).expect("corpus image validates");
         Shared::new(reader, ServeConfig::default())
     }
 

@@ -48,7 +48,7 @@ pub use protocol::{ProtoError, Request, Response, MAX_FRAME};
 pub use report::{gate_violations, ServeReport};
 pub use sim::{SimConfig, SimOutcome};
 
-use routergeo_db::rgdb2::AnyReader;
+use routergeo_db::Rgdb2Reader;
 use routergeo_pool::Pool;
 
 /// The full loadgen plan — a pure function of `(budget_ms, seed)`, like
@@ -127,7 +127,7 @@ pub fn run_loadgen(config: &LoadgenConfig, pool: &Pool) -> Result<LoadgenOutcome
         MixWeights::default(),
         config.interarrival_ns,
     );
-    let reader = AnyReader::open(corpus.image(1))?;
+    let reader = Rgdb2Reader::open(corpus.image_v21(1))?;
     let sim = sim::run_sim(
         &mix,
         &SimConfig {

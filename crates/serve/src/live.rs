@@ -23,7 +23,7 @@
 use crate::corpus::Corpus;
 use crate::daemon::{ServeConfig, ServeDaemon, ServeError};
 use crate::protocol::{self, ProtoError, Request, Response, MAX_FRAME};
-use routergeo_db::rgdb2::AnyReader;
+use routergeo_db::Rgdb2Reader;
 use routergeo_faultnet::{ChaosProxy, Fault, FaultPlan, TestClock};
 use routergeo_pool::splitmix64;
 use std::io::{BufReader, Write as _};
@@ -176,7 +176,7 @@ pub fn run_swap_phase(
     lookups: u64,
 ) -> Result<SwapOutcome, ServeError> {
     let daemon = ServeDaemon::spawn_with(
-        corpus.image(1),
+        corpus.image_v21(1),
         ServeConfig {
             workers: usize::try_from(clients).expect("client count is small") + 2,
             queue_depth: 64,
@@ -215,7 +215,7 @@ pub fn run_swap_phase(
             })
             .collect();
         barrier.wait();
-        swap_report = Some(daemon.hot_swap(corpus.image(2)));
+        swap_report = Some(daemon.hot_swap(corpus.image_v21(2)));
         for handle in handles {
             if let Ok(tally) = handle.join() {
                 tallies.push(tally);
@@ -297,7 +297,7 @@ fn expect_malformed_then_close(stream: &mut TcpStream) -> Result<(), String> {
 
 /// Run the abuse phase against a fresh daemon.
 pub fn run_abuse_phase(corpus: &Corpus) -> Result<AbuseOutcome, ServeError> {
-    let daemon = ServeDaemon::spawn(corpus.image(1))?;
+    let daemon = ServeDaemon::spawn(corpus.image_v21(1))?;
     let addr = daemon.addr();
     let mut out = AbuseOutcome {
         pokes: 0,
@@ -467,7 +467,7 @@ pub fn run_wall_phase(
     batches: u64,
     depth: u64,
 ) -> Result<WallStats, ServeError> {
-    let image = corpus.image(1);
+    let image = corpus.image_v21(1);
     let daemon = ServeDaemon::spawn(image.clone())?;
     let mut client = ServeClient::connect(daemon.addr()).map_err(ServeError::Io)?;
     let addr_for = |j: u64| {
@@ -476,7 +476,8 @@ pub fn run_wall_phase(
             .expect("rank bounded");
         corpus.hit_addr(k)
     };
-    // Warm the daemon's decode cache so latency measures steady state.
+    // Warm the connection and the daemon's caches so latency measures
+    // steady state.
     for j in 0..64 {
         client
             .request(&Request::Lookup(addr_for(j)))
@@ -508,7 +509,7 @@ pub fn run_wall_phase(
     let served_us = timer.elapsed_us().max(1);
     let served_per_sec = (batches * depth).saturating_mul(1_000_000) / served_us;
 
-    let reader = AnyReader::open(image)?;
+    let reader = Rgdb2Reader::open(image)?;
     let timer = routergeo_obs::stopwatch();
     let mut checksum = 0u64;
     for j in 0..batches * depth {

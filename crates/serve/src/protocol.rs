@@ -27,11 +27,11 @@
 //! * `0x05 GEN` — generation `u32` LE, record count `u32` LE, and the
 //!   database name.
 //!
-//! The record encoding mirrors the RGDB data-section layout (flags,
-//! granularity id, optional country/region/city/coordinate fields) but
-//! is versioned independently — the daemon re-encodes the decoded
-//! record rather than leaking image bytes, so a future RGDB v2 does not
-//! change the wire format.
+//! The record encoding (flags, granularity id, optional
+//! country/region/city/coordinate fields) is the protocol's own,
+//! versioned independently of RGDB — the daemon re-encodes the decoded
+//! record rather than leaking image bytes, so a change to the image
+//! layout never changes the wire format.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use routergeo_db::{Granularity, LocationRecord};

@@ -2,10 +2,13 @@
 //! while concurrent clients hammer it, with no torn reads and the old
 //! generation fully drained before `hot_swap` returns.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Barrier;
 
+use bytes::Bytes;
+use routergeo_db::rgdb2::RgdbError;
 use routergeo_serve::corpus::Corpus;
-use routergeo_serve::daemon::{ServeConfig, ServeDaemon};
+use routergeo_serve::daemon::{ServeConfig, ServeDaemon, ServeError};
 use routergeo_serve::live::{self, ServeClient};
 use routergeo_serve::protocol::{Request, Response};
 
@@ -38,10 +41,12 @@ fn responses_are_internally_consistent_during_the_flip() {
     // A sharper torn-read probe than the phase runner: one client pins a
     // hot address and checks that every response is wholly from ONE
     // generation — the generation id and the generation-tagged city must
-    // always agree, before, during, and after the flip.
+    // always agree, before, during, and after the flip. It probes until
+    // `hot_swap` has returned and then 100 times more, so the flip lands
+    // inside the probe however long the new image takes to validate.
     let corpus = Corpus::new(64);
     let daemon = ServeDaemon::spawn_with(
-        corpus.image(1),
+        corpus.image_v21(1),
         ServeConfig {
             workers: 4,
             queue_depth: 32,
@@ -53,13 +58,18 @@ fn responses_are_internally_consistent_during_the_flip() {
     let target = corpus.hit_addr(3);
 
     let barrier = Barrier::new(2);
+    let swapped = AtomicBool::new(false);
     std::thread::scope(|scope| {
         // xtask-allow: RG007 one protocol client racing the swap; an I/O thread, not data-parallel fan-out
         let prober = scope.spawn(|| {
             let mut client = ServeClient::connect(addr).expect("client connects");
             let mut seen = [0u64; 2];
+            let mut after_swap = 0;
             barrier.wait();
-            for _ in 0..400 {
+            while after_swap < 100 {
+                if swapped.load(Ordering::SeqCst) {
+                    after_swap += 1;
+                }
                 match client.request(&Request::Lookup(target)) {
                     Ok(Response::Hit { generation, record }) => {
                         assert!(
@@ -79,13 +89,15 @@ fn responses_are_internally_consistent_during_the_flip() {
             seen
         });
         barrier.wait();
-        let report = daemon.hot_swap(corpus.image(2)).expect("swap succeeds");
+        let report = daemon.hot_swap(corpus.image_v21(2));
+        swapped.store(true, Ordering::SeqCst);
+        let report = report.expect("swap succeeds");
         assert_eq!(report.old_generation, 1);
         assert_eq!(report.new_generation, 2);
         assert!(report.drained, "drain must complete: {report:?}");
         let seen = prober.join().expect("prober thread");
         assert!(
-            seen[1] > 0,
+            seen[1] >= 100,
             "prober must observe generation 2 after the flip: {seen:?}"
         );
     });
@@ -98,57 +110,57 @@ fn responses_are_internally_consistent_during_the_flip() {
 }
 
 #[test]
-fn v2_images_hot_swap_over_v1_generations_and_back() {
-    // The generation slot is format-agnostic: a daemon booted on a v1
-    // image must accept a v2 image mid-flight (and vice versa), with
-    // identical hit/miss behavior and generation-tagged payloads.
+fn retired_format_images_are_rejected_at_swap_and_never_served() {
+    // Only header version 3 opens. A generation-2 image relabelled as
+    // the retired v1 or v2 layout must be refused before the flip with
+    // an attributed error: no swap is counted, and generation 1 keeps
+    // answering every hit address.
     let corpus = Corpus::new(64);
-    let daemon = ServeDaemon::spawn_with(corpus.image(1), ServeConfig::default())
-        .expect("daemon spawns on a v1 image");
+    let daemon = ServeDaemon::spawn_with(corpus.image_v21(1), ServeConfig::default())
+        .expect("daemon spawns");
     let mut client = ServeClient::connect(daemon.addr()).expect("client connects");
 
-    let probe = |client: &mut ServeClient, expect_gen: u32| {
+    let probe = |client: &mut ServeClient| {
         for k in [0usize, 3, 17, 63] {
             match client.request(&Request::Lookup(corpus.hit_addr(k))) {
                 Ok(Response::Hit { generation, record }) => {
-                    assert_eq!(generation, expect_gen);
+                    assert_eq!(generation, 1);
                     let city = record.city.as_deref().unwrap_or("");
                     assert!(
-                        Corpus::city_matches(expect_gen, city),
-                        "generation {expect_gen} served city {city:?}"
+                        Corpus::city_matches(1, city),
+                        "generation 1 served city {city:?}"
                     );
                 }
-                other => panic!("hit address must hit on generation {expect_gen}, got {other:?}"),
+                other => panic!("hit address must hit on generation 1, got {other:?}"),
             }
         }
     };
-    probe(&mut client, 1);
+    probe(&mut client);
 
-    // v1 -> v2: the daemon opens the flat image and serves from it.
-    let report = daemon.hot_swap(corpus.image_v2(2)).expect("v2 swap");
-    assert_eq!(report.old_generation, 1);
-    assert_eq!(report.new_generation, 2);
-    assert!(report.drained);
-    probe(&mut client, 2);
-
-    // v2 -> v1: swapping back off the flat format works the same way.
-    let report = daemon.hot_swap(corpus.image(3)).expect("v1 swap");
-    assert_eq!(report.new_generation, 3);
-    probe(&mut client, 3);
+    for version in [1u8, 2] {
+        let mut image = corpus.image_v21(2).to_vec();
+        image[4] = version;
+        match daemon.hot_swap(Bytes::from(image)) {
+            Err(ServeError::Db(RgdbError::BadVersion(v))) => assert_eq!(v, u16::from(version)),
+            other => panic!("a version {version} image must be rejected, got {other:?}"),
+        }
+        assert_eq!(daemon.stats().swaps, 0, "a rejected image is not a swap");
+        assert_eq!(daemon.generation(), 1);
+        probe(&mut client);
+    }
 
     let stats = daemon.stats();
-    assert_eq!(stats.swaps, 2);
     assert_eq!(stats.errors, 0);
     drop(daemon);
 }
 
 #[test]
 fn heap_generation_hot_swaps_to_a_file_backed_v21_image() {
-    // Generations are source-agnostic too: a daemon booted from a heap
+    // Generations are source-agnostic: a daemon booted from a heap
     // image must accept a v2.1 image loaded from disk via FileImage,
     // and a bad path must leave the live generation untouched.
     let corpus = Corpus::new(64);
-    let daemon = ServeDaemon::spawn(corpus.image(1)).expect("daemon spawns on a heap v1 image");
+    let daemon = ServeDaemon::spawn(corpus.image_v21(1)).expect("daemon spawns on a heap image");
     let mut client = ServeClient::connect(daemon.addr()).expect("client connects");
 
     let probe = |client: &mut ServeClient, expect_gen: u32| {

@@ -43,13 +43,12 @@ const LIB_CRATES: [&str; 16] = [
 /// [`rules_for`].
 const RG008_EXEMPT_FILES: [&str; 1] = ["crates/bench/src/timing.rs"];
 
-/// Files whose values flow through the `net::trie` / `db::rgdb` lookup
+/// Files whose values flow through the `net::trie` / `db::rgdb2` lookup
 /// paths; RG003 (checked numeric conversions) applies only here.
-const RG003_FILES: [&str; 5] = [
+const RG003_FILES: [&str; 4] = [
     "crates/net/src/trie.rs",
     "crates/net/src/rangemap.rs",
     "crates/net/src/prefix.rs",
-    "crates/db/src/rgdb.rs",
     "crates/db/src/rgdb2.rs",
 ];
 
@@ -67,10 +66,9 @@ const RG009_FILES: [&str; 3] = [
 
 /// The reader/trie lookup paths that parse or index untrusted database
 /// bytes; RG010 (no unchecked indexing) applies only here — including
-/// the v2 flat reader, which is pointer-arithmetic-heavy by design and
+/// the RGDB reader, which is pointer-arithmetic-heavy by design and
 /// therefore must stay on checked `get`/`ok_or` access.
-const RG010_FILES: [&str; 4] = [
-    "crates/db/src/rgdb.rs",
+const RG010_FILES: [&str; 3] = [
     "crates/db/src/rgdb2.rs",
     "crates/net/src/trie.rs",
     "crates/net/src/prefix.rs",
@@ -483,12 +481,10 @@ mod tests {
         let trie = rules_for("crates/net/src/trie.rs").expect("in scope");
         assert!(trie.rg003);
 
-        let db = rules_for("crates/db/src/rgdb.rs").expect("in scope");
-        assert!(db.rg003 && db.rg005);
-        let db2 = rules_for("crates/db/src/rgdb2.rs").expect("in scope");
+        let db = rules_for("crates/db/src/rgdb2.rs").expect("in scope");
         assert!(
-            db2.rg003 && db2.rg005,
-            "the v2 reader converts untrusted numerics and is a db API"
+            db.rg003 && db.rg005,
+            "the RGDB reader converts untrusted numerics and is a db API"
         );
 
         let core = rules_for("crates/core/src/accuracy.rs").expect("in scope");
@@ -543,12 +539,10 @@ mod tests {
 
     #[test]
     fn scope_rule_classification_by_path() {
-        let rgdb = rules_for("crates/db/src/rgdb.rs").expect("in scope");
-        assert!(rgdb.rg010 && rgdb.rg011 && rgdb.rg012);
-        let rgdb2 = rules_for("crates/db/src/rgdb2.rs").expect("in scope");
+        let rgdb = rules_for("crates/db/src/rgdb2.rs").expect("in scope");
         assert!(
-            rgdb2.rg010 && rgdb2.rg011 && rgdb2.rg012,
-            "the pointer-arithmetic v2 reader must stay on checked access"
+            rgdb.rg010 && rgdb.rg011 && rgdb.rg012,
+            "the pointer-arithmetic RGDB reader must stay on checked access"
         );
         let trie = rules_for("crates/net/src/trie.rs").expect("in scope");
         assert!(trie.rg010);

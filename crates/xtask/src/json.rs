@@ -106,7 +106,7 @@ mod tests {
     fn lint_json_is_exact_and_escaped() {
         let out = Outcome {
             violations: vec![Diagnostic {
-                file: "crates/db/src/rgdb.rs".into(),
+                file: "crates/db/src/rgdb2.rs".into(),
                 line: 7,
                 col: 13,
                 rule: "RG010".into(),
@@ -123,7 +123,7 @@ mod tests {
         };
         assert_eq!(
             lint_json(&out),
-            "{\"files_scanned\":2,\"violations\":[{\"file\":\"crates/db/src/rgdb.rs\",\
+            "{\"files_scanned\":2,\"violations\":[{\"file\":\"crates/db/src/rgdb2.rs\",\
              \"line\":7,\"col\":13,\"rule\":\"RG010\",\"message\":\"unchecked index \
              `image[at]` — use \\\"get\\\"\"}],\"waivers\":[{\"file\":\
              \"crates/cymru/src/server.rs\",\"line\":217,\"rules\":[\"RG011\"],\

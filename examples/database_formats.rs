@@ -7,8 +7,9 @@
 //! cargo run --release --example database_formats
 //! ```
 
+use routergeo::db::rgdb2::{self, Rgdb2Reader};
 use routergeo::db::synth::{build_vendor, SignalWorld, VendorId, VendorProfile};
-use routergeo::db::{csvdb, rgdb, GeoDatabase};
+use routergeo::db::{csvdb, GeoDatabase};
 use routergeo::net::Prefix;
 use routergeo::world::{World, WorldConfig};
 
@@ -18,7 +19,8 @@ fn main() {
     let db = build_vendor(&signals, &VendorProfile::preset(VendorId::NetAcuity));
     println!("in-memory database: {} range entries", db.len());
 
-    // RGDB: MaxMind-style binary trie with a deduplicated data section.
+    // RGDB: MaxMind-style binary trie with deduplicated records and
+    // strings.
     let entries: Vec<(Prefix, routergeo::db::LocationRecord)> = db
         .iter()
         .flat_map(|(start, end, rec)| {
@@ -27,8 +29,8 @@ fn main() {
                 .map(move |p| (p, rec.clone()))
         })
         .collect();
-    let image = rgdb::write(db.name(), entries.iter().map(|(p, r)| (*p, r)));
-    let reader = rgdb::RgdbReader::open(image.clone()).expect("valid image");
+    let image = rgdb2::write_v21(db.name(), entries.iter().map(|(p, r)| (*p, r)));
+    let reader = Rgdb2Reader::open(image.clone()).expect("valid image");
     println!(
         "RGDB image: {} bytes, {} deduplicated records for {} prefixes",
         image.len(),
@@ -58,7 +60,7 @@ fn main() {
     let mut corrupt = image.to_vec();
     let n = corrupt.len();
     corrupt[n / 2] ^= 0xFF;
-    match rgdb::RgdbReader::open(corrupt.into()) {
+    match Rgdb2Reader::open(corrupt.into()) {
         Err(e) => println!("corrupted image rejected: {e}"),
         Ok(_) => unreachable!("corruption must not pass validation"),
     }
