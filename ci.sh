@@ -70,17 +70,27 @@ step_budget() {
 
 step fmt cargo fmt --all --check
 
-# Lint gate: machine-readable output (archived as a CI artifact) with a
-# wall-clock budget on the scan itself. The engine is a single-pass
-# token walk per file; a blowout means a rule regressed to something
-# quadratic. The xtask binary is built in a separate step so compile
-# time never eats the scan budget.
+# Clippy gate: the workspace lint policy (`[workspace.lints]` in
+# Cargo.toml, clippy.toml, and the file-scoped attributes on the lookup
+# paths) over the library and binary code of every non-vendor package.
+# Warnings are errors, so a stale `#[expect]` fails too. The budget
+# covers a cold check of the whole workspace.
+step_budget clippy 60 cargo clippy -q -p 'routergeo*' -p xtask -- -D warnings
+
+# Bench targets: no other step compiles `crates/bench/benches`, and
+# `forbid(unsafe_code)` from `[workspace.lints]` only bites on a target
+# that is compiled. A plain rustc check is enough: forbid is a hard
+# error there.
+step bench-targets cargo check -q -p routergeo-bench --benches
+
+# Lint gate: the custom rules clippy cannot express, with
+# machine-readable output (archived as a CI artifact) and a wall-clock
+# budget on the scan itself. The engine is a single-pass token walk per
+# file; a blowout means a rule regressed to something quadratic. The
+# xtask binary is built in a separate step so compile time never eats
+# the scan budget.
 step lint-build cargo build -q -p xtask
 step_budget lint 30 sh -c "cargo xtask lint --json > $ART_DIR/lint_ci.json"
-
-# Unsafe audit: every `unsafe` site in the tree (tests and benches
-# included) must carry a `// SAFETY:` comment.
-step unsafe-audit cargo xtask unsafe-audit
 
 step deps cargo xtask deps
 

@@ -8,6 +8,11 @@
 //! * probe QA on/off (§3.2);
 //! * the vendors' reliance on registry data (DESIGN.md §4, signal model).
 
+#![expect(
+    missing_docs,
+    reason = "`criterion_group!` expands to an undocumented `pub fn`"
+)]
+
 use criterion::{criterion_group, criterion_main, Criterion};
 use routergeo_bench::Lab;
 use routergeo_core::accuracy::evaluate_entries;

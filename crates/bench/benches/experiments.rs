@@ -6,6 +6,11 @@
 //! doubles as a miniature repro run, and asserts the headline qualitative
 //! shape so a regression in the synthesis shows up as a bench failure.
 
+#![expect(
+    missing_docs,
+    reason = "`criterion_group!` expands to an undocumented `pub fn`"
+)]
+
 use criterion::{criterion_group, criterion_main, Criterion};
 use routergeo_bench::{experiments as exp, Lab};
 use std::sync::OnceLock;

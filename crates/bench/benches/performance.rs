@@ -6,6 +6,11 @@
 //! Dijkstra) are caught and so format trade-offs (RGDB vs in-memory
 //! ranges) are measurable.
 
+#![expect(
+    missing_docs,
+    reason = "`criterion_group!` expands to an undocumented `pub fn`"
+)]
+
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use routergeo_db::rgdb2::{self, Rgdb2Reader};
 use routergeo_db::synth::{build_vendor, SignalWorld, VendorId, VendorProfile};

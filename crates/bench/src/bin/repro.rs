@@ -23,6 +23,11 @@
 //!   ROUTERGEO_OBS     = trace file when --obs is not given
 //! ```
 
+#![expect(
+    clippy::disallowed_macros,
+    reason = "a binary entry point reports CLI diagnostics on stderr"
+)]
+
 use routergeo_bench::lab::time_stage;
 use routergeo_bench::{experiments as exp, Lab, LabConfig, PipelineTimings};
 use routergeo_core::report::TextTable;
@@ -139,6 +144,10 @@ fn main() {
         config.scale,
         config.pool().threads()
     );
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a binary entry point times its own startup for the CLI banner"
+    )]
     let t0 = std::time::Instant::now();
     let (mut lab, mut stages) = Lab::build_timed(config);
     eprintln!(

@@ -27,6 +27,11 @@
 //! prefixes, records, and probe addresses are identical across runs and
 //! machines; only the wall-clock numbers differ.
 
+#![expect(
+    clippy::disallowed_macros,
+    reason = "a binary entry point reports CLI diagnostics on stderr"
+)]
+
 use routergeo_bench::timing::StageClock;
 use routergeo_bench::StageTiming;
 use routergeo_core::ResolvedView;
@@ -68,17 +73,17 @@ fn vendor_record(seed: u64, v: usize, i: u64) -> LocationRecord {
     };
     let lat_micro = i64::try_from(splitmix64(h, 1) % 180_000_000).unwrap_or(0) - 90_000_000;
     let lon_micro = i64::try_from(splitmix64(h, 2) % 360_000_000).unwrap_or(0) - 180_000_000;
-    #[allow(clippy::cast_precision_loss)] // |micro| <= 360e6: exact in f64
+    #[allow(clippy::cast_precision_loss, reason = "|micro| <= 360e6: exact in f64")]
     let coord = Coordinate::new(lat_micro as f64 / 1e6, lon_micro as f64 / 1e6)
         .expect("grid stays inside coordinate bounds");
     LocationRecord {
         country: Some(country),
-        region: if h % 5 != 0 {
+        region: if !h.is_multiple_of(5) {
             Some(format!("Region-{}", splitmix64(h, 3) % 512))
         } else {
             None
         },
-        city: if h % 3 != 0 {
+        city: if !h.is_multiple_of(3) {
             Some(format!("City-{}", splitmix64(h, 4) % 4096))
         } else {
             None
@@ -95,7 +100,7 @@ fn vendor_record(seed: u64, v: usize, i: u64) -> LocationRecord {
 fn vendor_rows(seed: u64, v: usize, prefixes: u64) -> Vec<(Prefix, LocationRecord)> {
     let mut rows = Vec::with_capacity(usize::try_from(prefixes).unwrap_or(0));
     for i in 0..prefixes.min(1 << 16) {
-        if (i + v as u64) % 7 == 0 {
+        if (i + v as u64).is_multiple_of(7) {
             continue; // this vendor does not cover the block
         }
         let base = 0x0A00_0000u32 | (u32::try_from(i).unwrap_or(0) << 8);
@@ -201,7 +206,10 @@ fn main() {
         .map_or(0.0, |s| s.wall_ms);
     let within = budget_ms.is_none_or(|b| resolve_ms <= b as f64);
     let lookups = view.len() * view.db_count();
-    #[allow(clippy::cast_precision_loss)] // lookup counts sit far below 2^52
+    #[allow(
+        clippy::cast_precision_loss,
+        reason = "lookup counts sit far below 2^52"
+    )]
     let lookup_ns_per_addr = if lookups == 0 {
         0.0
     } else {

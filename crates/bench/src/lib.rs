@@ -8,9 +8,6 @@
 //! Criterion benches in `benches/` time the analysis stages and assert
 //! the headline shapes.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod experiments;
 pub mod lab;
 pub mod timing;

@@ -35,9 +35,6 @@
 //! * [`report`] — fixed-width text tables and CSV rendering for the
 //!   benchmark harness.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod accuracy;
 pub mod arin_case;
 pub mod consistency;

@@ -501,7 +501,7 @@ impl BulkClient {
                 }
                 continue;
             }
-            match parse_line(&line) {
+            match parse_line(line) {
                 Row::Answer(ans) => {
                     // Validate the echoed IP against the request; an
                     // unrequested echo is quarantined out of the merge

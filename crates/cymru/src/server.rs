@@ -97,7 +97,10 @@ impl WhoisServer {
                 let svc = Arc::clone(&service);
                 let counter = Arc::clone(&active);
                 let config = config.clone();
-                // xtask-allow: RG007 long-lived I/O workers, not data-parallel fan-out
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "long-lived I/O workers, not data-parallel fan-out"
+                )]
                 std::thread::spawn(move || worker_loop(&rx, &svc, &counter, &config))
             })
             .collect();
@@ -105,7 +108,10 @@ impl WhoisServer {
         let stop2 = Arc::clone(&stop);
         let active2 = Arc::clone(&active);
         let write_timeout = config.write_timeout;
-        // xtask-allow: RG007 accept loop must outlive this call; pool shards are scoped
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "accept loop must outlive this call; pool shards are scoped"
+        )]
         let accept_thread = std::thread::spawn(move || {
             // `tx` lives in this closure: when the accept loop exits the
             // sender drops, workers see `recv` fail and drain out.

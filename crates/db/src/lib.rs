@@ -27,8 +27,7 @@
 //!   corpora, DNS hostname hints, and default-centroid fallbacks. See
 //!   DESIGN.md §4 for the mechanism-to-finding mapping.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![deny(clippy::cast_possible_truncation)]
 
 pub mod compact;
 pub mod csvdb;

@@ -65,6 +65,10 @@
 //! `&Rgdb2Reader` is freely usable from any number of threads with zero
 //! coordination.
 
+// A lookup path: width changes go through `From`/`TryFrom`, and corrupt
+// input surfaces as an error rather than an out-of-bounds panic.
+#![deny(clippy::as_conversions, clippy::indexing_slicing)]
+
 use crate::compact::{CompactRecord, LocationInterner};
 use crate::record::{Granularity, LocationRecord};
 use crate::GeoDatabase;
@@ -227,12 +231,17 @@ fn ix(i: u32) -> usize {
 }
 
 /// Quantize a coordinate component to integer micro-degrees.
-#[allow(clippy::cast_possible_truncation)] // bounded below; see waiver
+#[expect(
+    clippy::cast_possible_truncation,
+    clippy::as_conversions,
+    reason = "f64->i32 bounded by Coordinate's +/-180 degree invariant; no checked float \
+              conversion exists in std"
+)]
 fn micro_deg(deg: f64) -> i32 {
     let scaled = (deg * 1e6).round();
     // Coordinate invariants bound |deg| by 180, so the scaled value stays
     // far inside i32 range and the cast below cannot truncate.
-    scaled as i32 // xtask-allow: RG003 f64->i32 bounded by Coordinate's +/-180 degree invariant; no checked float conversion exists in std
+    scaled as i32
 }
 
 // ---- writer -----------------------------------------------------------------
@@ -1057,10 +1066,14 @@ impl Rgdb2Reader {
         // Sort keys packed as `addr << 32 | pos`: one u64 compare-and-
         // swap instead of a 16-byte tuple, and `pos` rides along for the
         // scatter. Shard sizes keep `pos` far below 2^32.
+        #[expect(
+            clippy::as_conversions,
+            reason = "usize→u64 is widening on every supported target"
+        )]
         let mut order: Vec<u64> = ips
             .iter()
             .enumerate()
-            .map(|(pos, ip)| (u64::from(u32::from(*ip)) << 32) | pos as u64) // xtask-allow: RG003 usize→u64 is widening on every supported target
+            .map(|(pos, ip)| (u64::from(u32::from(*ip)) << 32) | pos as u64)
             .collect();
         order.sort_unstable();
         // Unique ascending addresses; duplicates collapse to one walk.

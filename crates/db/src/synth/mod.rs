@@ -1,7 +1,8 @@
-// Deterministic hash-mixing over block/city IDs truncates integers by
-// design; these casts never feed the rgdb/trie lookup paths that RG003
-// and clippy::cast_possible_truncation protect.
-#![allow(clippy::cast_possible_truncation)]
+#![allow(
+    clippy::cast_possible_truncation,
+    reason = "deterministic hash-mixing over block/city IDs truncates integers by design; \
+              these casts never feed the RGDB or trie lookup paths"
+)]
 
 //! Synthetic vendor databases.
 //!

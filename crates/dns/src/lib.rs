@@ -26,9 +26,6 @@
 //!   the 1,398-domain rule base the paper draws its seven confirmed
 //!   domains from.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod churn;
 pub mod dict;
 pub mod hostname;

@@ -30,9 +30,12 @@ pub struct SystemClock {
 
 impl SystemClock {
     /// A clock whose epoch is "now".
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the one real wall-clock read behind the injectable Clock trait"
+    )]
     pub fn new() -> SystemClock {
         SystemClock {
-            // xtask-allow: RG008 the one real wall-clock read behind the injectable Clock trait
             epoch: Instant::now(),
         }
     }

@@ -216,7 +216,10 @@ impl ChaosProxy {
         });
         let stop2 = Arc::clone(&stop);
         let shared2 = Arc::clone(&shared);
-        // xtask-allow: RG007 accept loop must outlive this call; pool shards are scoped
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "accept loop must outlive this call; pool shards are scoped"
+        )]
         let accept_thread = std::thread::spawn(move || {
             let mut idx = 0usize;
             for conn in listener.incoming() {
@@ -228,7 +231,10 @@ impl ChaosProxy {
                 let conn_idx = idx;
                 idx += 1;
                 shared.active.fetch_add(1, Ordering::SeqCst);
-                // xtask-allow: RG007 per-connection chaos thread, detached by design
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "per-connection chaos thread, detached by design"
+                )]
                 std::thread::spawn(move || {
                     let record = handle(stream, conn_idx, &shared);
                     if let Ok(mut stats) = shared.stats.lock() {
@@ -264,13 +270,30 @@ impl ChaosProxy {
         self.addr
     }
 
-    /// Snapshot of the per-connection observations so far.
+    /// Snapshot of the per-connection observations so far. A relay
+    /// thread records its connection only after the client already has
+    /// its answer, so the snapshot first waits, with the bound
+    /// [`ChaosProxy::shutdown`] uses, for in-flight connections to
+    /// finish.
     pub fn stats(&self) -> ProxyStats {
+        self.wait_idle();
         self.shared
             .stats
             .lock()
             .map(|g| g.clone())
             .unwrap_or_default()
+    }
+
+    /// Poll until no relay thread is in flight, at most 200 polls of
+    /// 5 ms. Returns the number still active.
+    fn wait_idle(&self) -> usize {
+        for _ in 0..200 {
+            if self.shared.active.load(Ordering::SeqCst) == 0 {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        self.shared.active.load(Ordering::SeqCst)
     }
 
     /// Stop accepting, join the accept thread, and drain workers
@@ -285,13 +308,7 @@ impl ChaosProxy {
         if let Some(t) = self.accept_thread.take() {
             let _ = t.join();
         }
-        for _ in 0..200 {
-            if self.shared.active.load(Ordering::SeqCst) == 0 {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        self.shared.active.load(Ordering::SeqCst)
+        self.wait_idle()
     }
 }
 

@@ -19,8 +19,7 @@
 //! class, trial)` so any failure collapses to a one-line spec that
 //! [`replay`] re-executes (see `crates/fuzz/corpus/`).
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![deny(clippy::cast_possible_truncation)]
 
 pub mod corpus;
 pub mod diff;

@@ -128,7 +128,11 @@ fn scripted_peer(response: Vec<u8>) -> Result<SocketAddr, String> {
     let addr = listener
         .local_addr()
         .map_err(|e| format!("scripted peer addr: {e}"))?;
-    // xtask-allow: RG007 one-shot scripted peer for a single fuzz scenario; it ends with the connection, there is no fan-out to make deterministic
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "one-shot scripted peer for a single fuzz scenario; it ends with the \
+                  connection, there is no fan-out to make deterministic"
+    )]
     std::thread::spawn(move || {
         if let Ok((mut s, _)) = listener.accept() {
             let _ = s.set_read_timeout(Some(Duration::from_secs(5)));
@@ -168,7 +172,7 @@ fn scripted_response(scenario: &'static str, rng: &mut FuzzRng) -> Vec<u8> {
         "client-oversized-line" => {
             out.extend_from_slice(BANNER);
             let len = LINE_CAP * usize::try_from(rng.range(2, 8)).unwrap_or(2);
-            out.extend(std::iter::repeat(b'x').take(len));
+            out.extend(std::iter::repeat_n(b'x', len));
             out.push(b'\n');
         }
         "client-mid-token-fin" => {
@@ -368,7 +372,7 @@ fn server_payload(scenario: &'static str, rng: &mut FuzzRng) -> Vec<u8> {
         }
         "server-endless-line" => {
             let mut out = b"begin\n".to_vec();
-            out.extend(std::iter::repeat(b'z').take(LINE_CAP * 4));
+            out.extend(std::iter::repeat_n(b'z', LINE_CAP * 4));
             out
         }
         "server-binary" => {

@@ -11,9 +11,6 @@
 //! database never agrees to the metre with a geolocation vendor: each
 //! source digitizes "the" city point differently.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use routergeo_geo::distance::destination;

@@ -89,9 +89,12 @@ impl FromStr for CountryCode {
 
 /// Convenience: build a `CountryCode` from a two-letter string literal,
 /// panicking on invalid input. Intended for tests and embedded tables.
+#[expect(
+    clippy::panic,
+    reason = "documented panicking constructor for static literals; fallible path is FromStr"
+)]
 pub fn cc(code: &str) -> CountryCode {
     CountryCode::from_str_exact(code)
-        // xtask-allow: RG002 documented panicking constructor for static literals; fallible path is FromStr
         .unwrap_or_else(|| panic!("invalid country code literal {code:?}"))
 }
 

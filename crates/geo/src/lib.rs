@@ -21,9 +21,6 @@
 //!
 //! Everything here is plain data + math: no I/O, no randomness.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod cdf;
 pub mod coord;
 pub mod country;

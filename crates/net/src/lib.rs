@@ -16,8 +16,7 @@
 //! All structures are plain in-memory containers; serialization formats
 //! live in `routergeo-db`.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![deny(clippy::cast_possible_truncation)]
 
 pub mod prefix;
 pub mod rangemap;

@@ -1,5 +1,9 @@
 //! Validated CIDR prefixes.
 
+// A lookup path: width changes go through `From`/`TryFrom`, and corrupt
+// input surfaces as an error rather than an out-of-bounds panic.
+#![deny(clippy::as_conversions, clippy::indexing_slicing)]
+
 use std::fmt;
 use std::net::Ipv4Addr;
 use std::str::FromStr;
@@ -102,7 +106,7 @@ impl Prefix {
 
     /// Prefix length.
     #[inline]
-    #[allow(clippy::len_without_is_empty)] // a prefix is never "empty"
+    #[allow(clippy::len_without_is_empty, reason = "a prefix is never \"empty\"")]
     pub fn len(&self) -> u8 {
         self.len
     }

@@ -6,6 +6,9 @@
 //! with `O(log n)` point lookup. A [`RangeMapBuilder`] validates input rows
 //! (sortedness is not required on input; overlaps are an error).
 
+// A lookup path: width changes go through `From`/`TryFrom`.
+#![deny(clippy::as_conversions)]
+
 use std::fmt;
 use std::net::Ipv4Addr;
 

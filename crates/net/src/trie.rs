@@ -6,6 +6,10 @@
 //! index links — no `Box` chasing, cache-friendly walks, and trivially
 //! serializable by `routergeo-db`'s RGDB writer.
 
+// A lookup path: width changes go through `From`/`TryFrom`, and corrupt
+// input surfaces as an error rather than an out-of-bounds panic.
+#![deny(clippy::as_conversions, clippy::indexing_slicing)]
+
 use crate::prefix::Prefix;
 use std::net::Ipv4Addr;
 

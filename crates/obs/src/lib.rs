@@ -30,6 +30,8 @@
 //! FILE` / `ROUTERGEO_OBS`); counters always accumulate — they are a
 //! handful of atomics and their totals feed report cross-checks.
 
+#![deny(clippy::cast_possible_truncation)]
+
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -221,6 +223,10 @@ impl Default for Obs {
 
 impl Obs {
     /// A fresh, disabled instance with an empty registry.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the observability layer owns wall-clock reads"
+    )]
     pub fn new() -> Self {
         Obs {
             enabled: AtomicBool::new(false),
@@ -253,6 +259,10 @@ impl Obs {
     /// Open a span under an explicit parent id — for work handed to
     /// another thread (e.g. pool shards), where the thread-local parent
     /// stack of the spawning thread is out of reach.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the observability layer owns wall-clock reads"
+    )]
     pub fn span_under(
         &'static self,
         parent: u64,
@@ -444,6 +454,10 @@ pub struct SpanGuard {
 
 impl SpanGuard {
     /// A no-op guard (recording disabled).
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the observability layer owns wall-clock reads"
+    )]
     pub fn disabled() -> Self {
         SpanGuard {
             obs: None,
@@ -498,13 +512,17 @@ fn us_u64(us: u128) -> u64 {
 
 /// Monotonic stopwatch for queue-wait style measurements that feed span
 /// attributes. Lives here so instrumented crates never need their own
-/// `Instant::now()` (lint rule RG008 keeps ad-hoc timing out of them).
+/// `Instant::now()` (`clippy.toml` disallows ad-hoc timing in them).
 #[derive(Debug, Clone, Copy)]
 pub struct Stopwatch {
     start: Instant,
 }
 
 /// Start a stopwatch.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the observability layer owns wall-clock reads"
+)]
 pub fn stopwatch() -> Stopwatch {
     Stopwatch {
         start: Instant::now(),

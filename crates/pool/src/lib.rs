@@ -1,5 +1,6 @@
 //! Deterministic sharded worker pool — the one sanctioned concurrency
-//! entry point in the workspace (enforced by xtask rule RG007).
+//! entry point in the workspace (`clippy.toml` disallows `thread::spawn`
+//! and `thread::scope` everywhere else).
 //!
 //! The model is a seed-stable map-reduce: the input is split into
 //! ordered shards whose boundaries depend only on the item count and an
@@ -253,6 +254,10 @@ impl Pool {
         if workers <= 1 {
             job.work();
         } else {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the pool owns the workspace's worker threads"
+            )]
             thread::scope(|scope| {
                 for _ in 0..workers {
                     scope.spawn(|| job.work());
@@ -405,6 +410,10 @@ where
             .into_inner()
             .unwrap_or_else(PoisonError::into_inner);
         if let Some((ix, msg)) = st.failure {
+            #[expect(
+                clippy::panic,
+                reason = "a worker panic resumes on the caller, attributed to its shard"
+            )]
             panic_any(format!(
                 "routergeo-pool worker panicked in shard {ix}: {msg}"
             ));

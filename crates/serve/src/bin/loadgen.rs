@@ -10,6 +10,12 @@
 //! stderr. The exit code is nonzero if any deterministic invariant or
 //! ratio gate failed.
 
+#![deny(clippy::cast_possible_truncation)]
+#![expect(
+    clippy::disallowed_macros,
+    reason = "a binary entry point reports CLI diagnostics on stderr"
+)]
+
 use routergeo_pool::Pool;
 use routergeo_serve::{gate_violations, run_loadgen, LoadgenConfig};
 use std::process::ExitCode;

@@ -101,12 +101,15 @@ impl Corpus {
                 (k * 104_729 + usize::try_from(generation).expect("small id") * 13) % 300_000,
             )
             .expect("bounded");
-        #[allow(clippy::cast_precision_loss)] // |milli| <= 300_000: exact in f64
+        #[allow(
+            clippy::cast_precision_loss,
+            reason = "|milli| <= 300_000: exact in f64"
+        )]
         let coord = Coordinate::new(lat_milli as f64 / 1e3, lon_milli as f64 / 1e3)
             .expect("grid stays inside coordinate bounds");
         LocationRecord {
             country: Some(country),
-            region: if k % 3 == 0 {
+            region: if k.is_multiple_of(3) {
                 Some(format!("Region-{}", k % 5))
             } else {
                 None

@@ -292,12 +292,18 @@ impl ServeDaemon {
             .map(|_| {
                 let rx = Arc::clone(&rx);
                 let shared = Arc::clone(&shared);
-                // xtask-allow: RG007 long-lived I/O workers, not data-parallel fan-out
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "long-lived I/O workers, not data-parallel fan-out"
+                )]
                 std::thread::spawn(move || worker_loop(&rx, &shared))
             })
             .collect();
         let shared2 = Arc::clone(&shared);
-        // xtask-allow: RG007 accept loop must outlive this call; pool shards are scoped
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "accept loop must outlive this call; pool shards are scoped"
+        )]
         let accept = std::thread::spawn(move || {
             for conn in listener.incoming() {
                 if shared2.stop.load(Ordering::SeqCst) {

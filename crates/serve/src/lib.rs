@@ -32,6 +32,8 @@
 //! The `loadgen` binary ties it together for `cargo xtask serve-check`
 //! and the `serve-loadgen` CI gate.
 
+#![deny(clippy::cast_possible_truncation)]
+
 pub mod corpus;
 pub mod daemon;
 pub mod live;

@@ -189,7 +189,11 @@ pub fn run_swap_phase(
     let addr = daemon.addr();
     let mut tallies: Vec<ClientTally> = Vec::new();
     let mut swap_report = None;
-    // xtask-allow: RG007 concurrent protocol clients driving load during the swap; I/O threads, not data-parallel fan-out
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "concurrent protocol clients driving load during the swap; I/O threads, \
+                  not data-parallel fan-out"
+    )]
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..clients)
             .map(|c| {
@@ -374,7 +378,7 @@ pub fn run_abuse_phase(corpus: &Corpus) -> Result<AbuseOutcome, ServeError> {
         },
         Fault::EarlyFin,
     ]);
-    let mut proxy = ChaosProxy::spawn(addr, plan, clock).map_err(ServeError::Io)?;
+    let proxy = ChaosProxy::spawn(addr, plan, clock).map_err(ServeError::Io)?;
     let hit = Request::Lookup(corpus.hit_addr(0));
     let one_shot = |label: &str| -> Result<Option<Response>, String> {
         let mut stream = raw_connect(proxy.addr()).map_err(|e| e.to_string())?;
@@ -418,10 +422,6 @@ pub fn run_abuse_phase(corpus: &Corpus) -> Result<AbuseOutcome, ServeError> {
             .violations
             .push(format!("early-fin produced a response: {other:?}")),
     }
-    // Drain the proxy before reading stats: a connection's record is
-    // written after its client-visible effect, so the last scenario may
-    // still be in flight here.
-    proxy.shutdown();
     let stats = proxy.stats();
     if stats.fault_labels() != vec!["corrupt", "truncate", "delay", "early-fin"] {
         out.violations

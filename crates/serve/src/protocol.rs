@@ -142,7 +142,10 @@ impl From<io::Error> for ProtoError {
 }
 
 /// Quantize a coordinate component to integer micro-degrees.
-#[allow(clippy::cast_possible_truncation)] // bounded below; see waiver
+#[allow(
+    clippy::cast_possible_truncation,
+    reason = "f64->i32 bounded by Coordinate's +/-180 degree invariant"
+)]
 fn micro_deg(deg: f64) -> i32 {
     let scaled = (deg * 1e6).round();
     // Coordinate invariants bound |deg| by 180, so the scaled value stays

@@ -232,8 +232,12 @@ pub fn run_sim(
     out.latency_p50_ns = percentile(&latencies, 50);
     out.latency_p99_ns = percentile(&latencies, 99);
     out.latency_max_ns = latencies.last().copied().unwrap_or(0);
-    if out.makespan_ns > 0 {
-        out.virtual_rate_per_sec = out.served.saturating_mul(1_000_000_000) / out.makespan_ns;
+    if let Some(rate) = out
+        .served
+        .saturating_mul(1_000_000_000)
+        .checked_div(out.makespan_ns)
+    {
+        out.virtual_rate_per_sec = rate;
     }
     out
 }

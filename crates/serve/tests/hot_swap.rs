@@ -60,7 +60,6 @@ fn responses_are_internally_consistent_during_the_flip() {
     let barrier = Barrier::new(2);
     let swapped = AtomicBool::new(false);
     std::thread::scope(|scope| {
-        // xtask-allow: RG007 one protocol client racing the swap; an I/O thread, not data-parallel fan-out
         let prober = scope.spawn(|| {
             let mut client = ServeClient::connect(addr).expect("client connects");
             let mut seen = [0u64; 2];
@@ -151,6 +150,9 @@ fn retired_format_images_are_rejected_at_swap_and_never_served() {
 
     let stats = daemon.stats();
     assert_eq!(stats.errors, 0);
+    // Disconnect first: a connected client holds a daemon worker in
+    // `read` until its deadline, and shutdown waits for that worker.
+    drop(client);
     drop(daemon);
 }
 
@@ -200,6 +202,7 @@ fn heap_generation_hot_swaps_to_a_file_backed_v21_image() {
     assert_eq!(stats.swaps, 1);
     assert_eq!(stats.errors, 0);
     std::fs::remove_file(&path).ok();
+    drop(client);
     drop(daemon);
 }
 

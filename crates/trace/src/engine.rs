@@ -55,7 +55,10 @@ impl<'w> TraceEngine<'w> {
     /// Trace from the source of `tree` to `dst_ip` whose /24 is deployed at
     /// `dst_pop`. Returns `None` when the destination PoP is unreachable in
     /// the topology graph.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "one call per traceroute; the arguments are the trace's independent inputs"
+    )]
     pub fn trace(
         &self,
         tree: &PathTree,
@@ -152,7 +155,10 @@ impl<'w> TraceEngine<'w> {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "per-hop state threaded through the walk without an ad-hoc struct"
+    )]
     fn emit_hop(
         &self,
         pop_id: PopId,

@@ -29,9 +29,6 @@
 //!   for spooling campaigns to disk (CAIDA ships Ark data as binary warts
 //!   for the same reason).
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod ark;
 pub mod atlas;
 pub mod engine;

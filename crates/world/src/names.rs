@@ -72,6 +72,11 @@ pub fn airport_code(name: &str) -> String {
 
 /// Derive an airport code unique within `taken`, mutating the candidate
 /// with numbered/lettered fallbacks until free, then registering it.
+#[expect(
+    clippy::unreachable,
+    reason = "exhausting 703 same-prefix fallback codes would need more cities than any \
+              generated world holds"
+)]
 pub fn unique_airport_code(name: &str, taken: &mut std::collections::HashSet<String>) -> String {
     let base = airport_code(name);
     if taken.insert(base.clone()) {
@@ -92,7 +97,6 @@ pub fn unique_airport_code(name: &str, taken: &mut std::collections::HashSet<Str
             }
         }
     }
-    // xtask-allow: RG002 exhausting 703 same-prefix fallback codes would need more cities than any generated world holds
     unreachable!("26^2 fallback codes exhausted")
 }
 

@@ -492,7 +492,7 @@ fn build_topology(world: &mut World, p: &ScaleParams, rng: &mut StdRng) {
     // Interface-count distribution ≈ the paper's 3.4 interfaces/router.
     let iface_counts: [(u32, f64); 4] = [(2, 0.25), (3, 0.35), (4, 0.25), (5, 0.15)];
 
-    #[allow(clippy::type_complexity)] // one-shot generation scratch tuple
+    #[allow(clippy::type_complexity, reason = "one-shot generation scratch tuple")]
     let ops: Vec<(
         AsId,
         OperatorKind,

@@ -10,14 +10,12 @@ use std::fs;
 use std::io;
 use std::path::Path;
 
-use crate::facts;
 use crate::lexer;
 use crate::rules::{self, Finding, RuleSet};
-use crate::scope;
 
-/// Library crates subject to the panic-safety rules (RG001): everything
-/// under `crates/` that external code links against. `xtask` dogfoods
-/// the same rules; `bench` is a harness binary and exempt from RG001.
+/// Library crates subject to RG001 and RG012: everything under
+/// `crates/` that external code links against. `xtask` dogfoods the
+/// same rules; `bench` is a harness binary and exempt.
 const LIB_CRATES: [&str; 16] = [
     "geo",
     "net",
@@ -37,24 +35,6 @@ const LIB_CRATES: [&str; 16] = [
     "serve",
 ];
 
-/// Files exempt from RG008 (ad-hoc instrumentation): the bench crate's
-/// sanctioned timing module. `crates/obs` itself and binary entry
-/// points (`/bin/`, `main.rs`) are exempted structurally in
-/// [`rules_for`].
-const RG008_EXEMPT_FILES: [&str; 1] = ["crates/bench/src/timing.rs"];
-
-/// Files whose values flow through the `net::trie` / `db::rgdb2` lookup
-/// paths; RG003 (checked numeric conversions) applies only here.
-const RG003_FILES: [&str; 4] = [
-    "crates/net/src/trie.rs",
-    "crates/net/src/rangemap.rs",
-    "crates/net/src/prefix.rs",
-    "crates/db/src/rgdb2.rs",
-];
-
-/// Crates whose public functions must carry doc comments (RG005).
-const RG005_CRATES: [&str; 2] = ["core", "db"];
-
 /// The core analysis modules that must consume the resolve-once
 /// `ResolvedView` rather than re-querying databases; RG009 (no
 /// allocating `GeoDatabase::lookup`) applies only here.
@@ -64,16 +44,6 @@ const RG009_FILES: [&str; 3] = [
     "crates/core/src/accuracy.rs",
 ];
 
-/// The reader/trie lookup paths that parse or index untrusted database
-/// bytes; RG010 (no unchecked indexing) applies only here — including
-/// the RGDB reader, which is pointer-arithmetic-heavy by design and
-/// therefore must stay on checked `get`/`ok_or` access.
-const RG010_FILES: [&str; 3] = [
-    "crates/db/src/rgdb2.rs",
-    "crates/net/src/trie.rs",
-    "crates/net/src/prefix.rs",
-];
-
 /// Directory names never descended into during the workspace walk.
 /// `vendor/` holds offline API stubs for third-party crates — external
 /// code by policy, like any vendored dependency. `results/` holds
@@ -81,12 +51,6 @@ const RG010_FILES: [&str; 3] = [
 const SKIP_DIRS: [&str; 8] = [
     "target", "vendor", ".git", "tests", "benches", "examples", "fixtures", "results",
 ];
-
-/// Directory names skipped by the `unsafe-audit` walk. Narrower than
-/// [`SKIP_DIRS`]: test and bench sources still contain real `unsafe`
-/// blocks that need `// SAFETY:` comments, so only non-source trees and
-/// deliberately-bad lint fixtures are excluded.
-const AUDIT_SKIP_DIRS: [&str; 5] = ["target", "vendor", ".git", "fixtures", "results"];
 
 /// A diagnostic bound to a file, ready for display as
 /// `file:line:col RULE-ID message`.
@@ -166,46 +130,24 @@ pub fn rules_for(rel: &str) -> Option<RuleSet> {
             return None; // crate-level build scripts, fixtures, …
         }
         rules.rg001 = LIB_CRATES.contains(&krate);
-        rules.rg002 = true;
-        rules.rg003 = RG003_FILES.contains(&rel);
         rules.rg004 = true;
-        rules.rg005 = RG005_CRATES.contains(&krate);
         rules.rg006 = true;
-        // `pool` is the one place allowed to own threads: everything
-        // else goes through its deterministic sharded map-reduce.
-        rules.rg007 = krate != "pool";
-        // `obs` owns wall-clock reads; binaries keep `eprintln!` for
-        // CLI diagnostics.
-        rules.rg008 = krate != "obs" && !RG008_EXEMPT_FILES.contains(&rel) && !is_binary_entry(rel);
         rules.rg009 = RG009_FILES.contains(&rel);
-        rules.rg010 = RG010_FILES.contains(&rel);
         // Holding a lock across a blocking call is a hazard everywhere.
         rules.rg011 = true;
         // Swallowed Results are a library-crate concern; the bench
         // harness may discard at will.
         rules.rg012 = LIB_CRATES.contains(&krate);
-        // Placeholder macros (`todo!` / `unimplemented!`) are likewise a
-        // library-crate concern — a harness may scaffold.
-        rules.rg013 = LIB_CRATES.contains(&krate);
     } else if rel.starts_with("src/") {
-        // Umbrella library + CLI binaries: panics are still forbidden in
-        // non-test code, but startup `expect`s with reasons are allowed.
-        rules.rg002 = true;
+        // Umbrella library + CLI binaries: RG001 and RG012 are
+        // library-crate rules.
         rules.rg004 = true;
         rules.rg006 = true;
-        rules.rg007 = true;
-        rules.rg008 = !is_binary_entry(rel);
         rules.rg011 = true;
     } else {
         return None;
     }
     Some(rules)
-}
-
-/// Whether `rel` is a binary entry point: anything under a `/bin/`
-/// directory or a crate's `main.rs`.
-fn is_binary_entry(rel: &str) -> bool {
-    rel.split('/').any(|c| c == "bin") || rel.ends_with("/main.rs") || rel == "main.rs"
 }
 
 /// Lint a single source text as if it lived at `rel`. Pure — fixture
@@ -276,7 +218,7 @@ pub fn lint_source(rel: &str, src: &str, rules: &RuleSet) -> Outcome {
             });
         }
     }
-    violations.sort_by(|a, b| (a.line, a.col).cmp(&(b.line, b.col)));
+    violations.sort_by_key(|v| (v.line, v.col));
     Outcome {
         violations,
         waivers: records,
@@ -335,117 +277,6 @@ fn walk(root: &Path, dir: &Path, out: &mut Outcome) -> io::Result<()> {
     Ok(())
 }
 
-/// One `unsafe` site found by the audit, bound to its file.
-#[derive(Debug, Clone)]
-pub struct UnsafeSiteReport {
-    /// Workspace-relative path with forward slashes.
-    pub file: String,
-    /// 1-based line of the `unsafe` keyword.
-    pub line: u32,
-    /// 1-based column.
-    pub col: u32,
-    /// `"unsafe block"`, `"unsafe fn"`, `"unsafe impl"`, `"unsafe trait"`.
-    pub kind: &'static str,
-    /// Item name for fn/impl/trait sites.
-    pub name: Option<String>,
-    /// Whether a `// SAFETY:` comment sits on or directly above the site.
-    pub has_safety_comment: bool,
-    /// Whether the site is inside test-gated code.
-    pub test: bool,
-}
-
-impl fmt::Display for UnsafeSiteReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}:{}:{} {}", self.file, self.line, self.col, self.kind)?;
-        if let Some(name) = &self.name {
-            write!(f, " `{name}`")?;
-        }
-        if self.test {
-            write!(f, " [test]")?;
-        }
-        if self.has_safety_comment {
-            write!(f, " — SAFETY documented")
-        } else {
-            write!(f, " — MISSING `// SAFETY:` comment")
-        }
-    }
-}
-
-/// Result of the workspace unsafe audit.
-#[derive(Debug, Default)]
-pub struct UnsafeAudit {
-    /// Every `unsafe` site, in file/line order.
-    pub sites: Vec<UnsafeSiteReport>,
-    /// Number of `.rs` files scanned.
-    pub files_scanned: usize,
-}
-
-impl UnsafeAudit {
-    /// Sites that fail the audit: no `// SAFETY:` comment.
-    pub fn violations(&self) -> Vec<&UnsafeSiteReport> {
-        self.sites
-            .iter()
-            .filter(|s| !s.has_safety_comment)
-            .collect()
-    }
-}
-
-/// Audit one source text as if it lived at `rel` — fixture tests drive
-/// this directly.
-pub fn audit_source(rel: &str, src: &str) -> Vec<UnsafeSiteReport> {
-    let lexed = lexer::lex(src);
-    let tree = scope::build(&lexed);
-    facts::unsafe_sites(&lexed, &tree)
-        .into_iter()
-        .map(|s| UnsafeSiteReport {
-            file: rel.to_string(),
-            line: s.line,
-            col: s.col,
-            kind: s.kind,
-            name: s.name,
-            has_safety_comment: s.has_safety_comment,
-            test: s.test,
-        })
-        .collect()
-}
-
-/// Inventory every `unsafe` site under the workspace root — including
-/// test and bench sources, which the lint walk skips.
-pub fn unsafe_audit_workspace(root: &Path) -> io::Result<UnsafeAudit> {
-    let mut audit = UnsafeAudit::default();
-    audit_walk(root, root, &mut audit)?;
-    audit
-        .sites
-        .sort_by(|a, b| (&a.file, a.line, a.col).cmp(&(&b.file, b.line, b.col)));
-    Ok(audit)
-}
-
-fn audit_walk(root: &Path, dir: &Path, audit: &mut UnsafeAudit) -> io::Result<()> {
-    let mut entries: Vec<_> = fs::read_dir(dir)?.collect::<Result<_, _>>()?;
-    entries.sort_by_key(|e| e.file_name());
-    for entry in entries {
-        let path = entry.path();
-        let name = entry.file_name();
-        let name = name.to_string_lossy();
-        if path.is_dir() {
-            if AUDIT_SKIP_DIRS.contains(&name.as_ref()) || name.starts_with('.') {
-                continue;
-            }
-            audit_walk(root, &path, audit)?;
-        } else if name.ends_with(".rs") {
-            let rel = path
-                .strip_prefix(root)
-                .unwrap_or(&path)
-                .to_string_lossy()
-                .replace('\\', "/");
-            let src = fs::read_to_string(&path)?;
-            audit.sites.extend(audit_source(&rel, &src));
-            audit.files_scanned += 1;
-        }
-    }
-    Ok(())
-}
-
 /// Locate the workspace root: the nearest ancestor of `start` whose
 /// `Cargo.toml` declares `[workspace]`.
 pub fn find_root(start: &Path) -> Option<std::path::PathBuf> {
@@ -469,26 +300,15 @@ mod tests {
     #[test]
     fn classification_by_path() {
         let geo = rules_for("crates/geo/src/coord.rs").expect("in scope");
-        assert!(geo.rg001 && geo.rg002 && geo.rg004 && geo.rg006 && geo.rg007);
-        assert!(!geo.rg003 && !geo.rg005);
+        assert!(geo.rg001 && geo.rg004 && geo.rg006 && !geo.rg009);
 
         let faultnet = rules_for("crates/faultnet/src/proxy.rs").expect("in scope");
-        assert!(faultnet.rg001 && faultnet.rg006 && faultnet.rg007);
+        assert!(faultnet.rg001 && faultnet.rg006);
 
         let pool = rules_for("crates/pool/src/lib.rs").expect("in scope");
-        assert!(pool.rg001 && !pool.rg007, "pool owns the threads");
-
-        let trie = rules_for("crates/net/src/trie.rs").expect("in scope");
-        assert!(trie.rg003);
-
-        let db = rules_for("crates/db/src/rgdb2.rs").expect("in scope");
-        assert!(
-            db.rg003 && db.rg005,
-            "the RGDB reader converts untrusted numerics and is a db API"
-        );
+        assert!(pool.rg001 && pool.rg012);
 
         let core = rules_for("crates/core/src/accuracy.rs").expect("in scope");
-        assert!(core.rg005 && !core.rg003);
         assert!(core.rg009, "analysis modules must use the ResolvedView");
         let consistency = rules_for("crates/core/src/consistency.rs").expect("in scope");
         assert!(consistency.rg009);
@@ -499,36 +319,21 @@ mod tests {
 
         let serve = rules_for("crates/serve/src/daemon.rs").expect("in scope");
         assert!(
-            serve.rg001 && serve.rg006 && serve.rg007,
-            "the daemon is a lib crate: panic-safety and thread rules apply"
+            serve.rg001 && serve.rg006,
+            "the daemon is a lib crate: empty-expect and socket rules apply"
         );
-        let loadgen = rules_for("crates/serve/src/bin/loadgen.rs").expect("in scope");
-        assert!(!loadgen.rg008, "binary entry points own their wall clock");
 
         let bench = rules_for("crates/bench/src/lab.rs").expect("in scope");
-        assert!(!bench.rg001 && bench.rg002 && bench.rg008);
-
-        let timing = rules_for("crates/bench/src/timing.rs").expect("in scope");
-        assert!(!timing.rg008, "timing.rs owns the bench wall clock");
+        assert!(!bench.rg001 && bench.rg004 && bench.rg006);
 
         let obs = rules_for("crates/obs/src/lib.rs").expect("in scope");
-        assert!(obs.rg001 && !obs.rg008, "obs owns Instant reads");
-
-        let repro = rules_for("crates/bench/src/bin/repro.rs").expect("in scope");
-        assert!(!repro.rg008, "binaries keep eprintln for CLI output");
+        assert!(obs.rg001 && obs.rg012);
 
         let xtask_main = rules_for("crates/xtask/src/main.rs").expect("in scope");
-        assert!(!xtask_main.rg008 && xtask_main.rg001);
-
-        let fuzz = rules_for("crates/fuzz/src/mutate.rs").expect("in scope");
-        assert!(
-            fuzz.rg001 && fuzz.rg012 && fuzz.rg013,
-            "the fuzz harness is a library crate and dogfoods the gates"
-        );
+        assert!(xtask_main.rg001);
 
         let root_bin = rules_for("src/bin/routergeo.rs").expect("in scope");
-        assert!(!root_bin.rg001 && root_bin.rg002 && root_bin.rg006 && root_bin.rg007);
-        assert!(!root_bin.rg008);
+        assert!(!root_bin.rg001 && root_bin.rg004 && root_bin.rg006);
 
         assert!(rules_for("vendor/rand/src/lib.rs").is_none());
         assert!(rules_for("crates/geo/tests/prop_geo.rs").is_none());
@@ -540,24 +345,23 @@ mod tests {
     #[test]
     fn scope_rule_classification_by_path() {
         let rgdb = rules_for("crates/db/src/rgdb2.rs").expect("in scope");
-        assert!(
-            rgdb.rg010 && rgdb.rg011 && rgdb.rg012,
-            "the pointer-arithmetic RGDB reader must stay on checked access"
-        );
-        let trie = rules_for("crates/net/src/trie.rs").expect("in scope");
-        assert!(trie.rg010);
-        let prefix = rules_for("crates/net/src/prefix.rs").expect("in scope");
-        assert!(prefix.rg010);
+        assert!(rgdb.rg011 && rgdb.rg012);
 
         let geo = rules_for("crates/geo/src/coord.rs").expect("in scope");
-        assert!(!geo.rg010 && geo.rg011 && geo.rg012 && geo.rg013);
+        assert!(geo.rg011 && geo.rg012);
+
+        let fuzz = rules_for("crates/fuzz/src/mutate.rs").expect("in scope");
+        assert!(
+            fuzz.rg001 && fuzz.rg012,
+            "the fuzz harness is a library crate and dogfoods the gates"
+        );
         let bench = rules_for("crates/bench/src/lab.rs").expect("in scope");
         assert!(
-            bench.rg011 && !bench.rg012 && !bench.rg013,
-            "bench harness may discard and scaffold"
+            bench.rg011 && !bench.rg012,
+            "bench harness may discard Results"
         );
         let bin = rules_for("src/bin/routergeo.rs").expect("in scope");
-        assert!(bin.rg011 && !bin.rg010 && !bin.rg012 && !bin.rg013);
+        assert!(bin.rg011 && !bin.rg012);
 
         assert!(rules_for("results/leftover.rs").is_none());
     }
@@ -565,7 +369,7 @@ mod tests {
     #[test]
     fn stale_waiver_reports_nearest_current_match() {
         let src = "fn f() {\n    let a = 1; // xtask-allow: RG001 drifted\n    \
-                   let x = y.unwrap();\n}\n";
+                   let x = y.expect(\"\");\n}\n";
         let out = lint_source("lib.rs", src, &RuleSet::all());
         let stale = out
             .violations
@@ -598,20 +402,8 @@ mod tests {
     }
 
     #[test]
-    fn audit_source_flags_missing_safety_comments() {
-        let src = "fn f(v: &[u8]) {\n    // SAFETY: in bounds, len checked above.\n    \
-                   let a = unsafe { v.get_unchecked(0) };\n    \
-                   let b = unsafe { v.get_unchecked(1) };\n}\n";
-        let sites = audit_source("lib.rs", src);
-        assert_eq!(sites.len(), 2);
-        assert!(sites[0].has_safety_comment);
-        assert!(!sites[1].has_safety_comment);
-        assert!(sites[1].to_string().contains("MISSING"));
-    }
-
-    #[test]
     fn waiver_suppresses_and_stale_waiver_fails() {
-        let src = "fn f() {\n    let x = y.unwrap(); // xtask-allow: RG001 y seeded above\n\
+        let src = "fn f() {\n    let x = y.expect(\"\"); // xtask-allow: RG001 y seeded above\n\
                        let z = 1; // xtask-allow: RG001 nothing here\n}\n";
         let out = lint_source("lib.rs", src, &RuleSet::all());
         assert_eq!(out.waivers.len(), 1);
@@ -622,7 +414,7 @@ mod tests {
 
     #[test]
     fn waiver_for_wrong_rule_does_not_suppress() {
-        let src = "fn f() { let x = y.unwrap(); } // xtask-allow: RG002 wrong rule\n";
+        let src = "fn f() { let x = y.expect(\"\"); } // xtask-allow: RG004 wrong rule\n";
         let out = lint_source("lib.rs", src, &RuleSet::all());
         let rules: Vec<_> = out.violations.iter().map(|v| v.rule.as_str()).collect();
         assert!(rules.contains(&"RG001"), "{rules:?}");

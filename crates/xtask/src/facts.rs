@@ -1,11 +1,9 @@
 //! Intra-function fact extraction over the scope tree.
 //!
 //! Where [`crate::scope`] answers "what region am I in", this pass
-//! answers "what is live here": which lock guards a statement holds,
-//! which in-file functions return `Result`, where index/slice
-//! expressions sit, and where `unsafe` code lives. The RG010–RG012
-//! rules and the `unsafe-audit` subcommand consume these facts instead
-//! of re-deriving them token by token.
+//! answers "what is live here": which lock guards a statement holds and
+//! which in-file functions return `Result`. The RG011 and RG012 rules
+//! consume these facts instead of re-deriving them token by token.
 //!
 //! All of it is deliberately intra-file: the engine has no crate graph,
 //! so a fact is only recorded when the evidence is in the same source
@@ -18,7 +16,7 @@
 //! CONTRIBUTING.md.
 
 use crate::lexer::{Lexed, Tok, TokKind};
-use crate::scope::{ends_expression, ScopeKind, ScopeTree};
+use crate::scope::ScopeTree;
 
 /// A live lock-guard binding: `let g = m.lock()…;`, `if let Ok(g) =
 /// m.lock()`, `let Ok(g) = m.lock() else { … };`.
@@ -41,52 +39,6 @@ pub struct GuardBinding {
     pub end: usize,
 }
 
-/// What shape an indexing site takes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IndexKind {
-    /// `x[i]` with a non-range index expression.
-    Index,
-    /// `x[a..b]` / `x[..n]` — range slicing.
-    Slice,
-    /// A `*_unchecked(…)` call (`get_unchecked`, `slice_unchecked`, …).
-    UncheckedCall,
-}
-
-/// One index/slice expression in expression position.
-#[derive(Debug, Clone)]
-pub struct IndexSite {
-    /// Token index of the `[` (or the `*_unchecked` identifier).
-    pub tok: usize,
-    /// 1-based line.
-    pub line: u32,
-    /// 1-based column.
-    pub col: u32,
-    /// Index, slice, or unchecked call.
-    pub kind: IndexKind,
-    /// The index expression is a single integer literal (`x[0]`) whose
-    /// bounds the compiler can see — exempt from RG010.
-    pub literal: bool,
-    /// Short source rendering for diagnostics (`image[at..at + 12]`).
-    pub snippet: String,
-}
-
-/// One `unsafe` occurrence, for `cargo xtask unsafe-audit`.
-#[derive(Debug, Clone)]
-pub struct UnsafeSite {
-    /// 1-based line of the `unsafe` keyword.
-    pub line: u32,
-    /// 1-based column.
-    pub col: u32,
-    /// `"unsafe block"`, `"unsafe fn"`, `"unsafe impl"`, `"unsafe trait"`.
-    pub kind: &'static str,
-    /// Item name when the site is a fn/impl/trait.
-    pub name: Option<String>,
-    /// Whether a `// SAFETY:` comment sits on or directly above the site.
-    pub has_safety_comment: bool,
-    /// Whether the site is inside test-gated code.
-    pub test: bool,
-}
-
 /// The extracted facts for one file.
 #[derive(Debug, Default)]
 pub struct Facts {
@@ -95,17 +47,10 @@ pub struct Facts {
     /// Names of functions declared in this file whose return type
     /// mentions `Result`.
     pub fallible_fns: Vec<String>,
-    /// Index/slice expressions in expression position.
-    pub index_sites: Vec<IndexSite>,
 }
 
 /// Methods whose no-argument call form acquires a lock guard.
 const GUARD_METHODS: [&str; 3] = ["lock", "read", "write"];
-
-/// How many lines above an `unsafe` site a `SAFETY:` comment may end:
-/// directly above (1) or trailing on the same line (0). Anything
-/// further away belongs to some other site.
-const SAFETY_COMMENT_REACH: u32 = 1;
 
 /// Extract all facts for a lexed file.
 pub fn build(lexed: &Lexed, tree: &ScopeTree) -> Facts {
@@ -113,7 +58,6 @@ pub fn build(lexed: &Lexed, tree: &ScopeTree) -> Facts {
     let mut facts = Facts {
         guards: Vec::new(),
         fallible_fns: fallible_fns(toks),
-        index_sites: index_sites(toks),
     };
     collect_guards(toks, tree, &mut facts.guards);
     facts
@@ -148,87 +92,6 @@ fn fallible_fns(toks: &[Tok]) -> Vec<String> {
         }
     }
     out
-}
-
-/// All index/slice expressions in expression position, plus
-/// `*_unchecked(` calls.
-fn index_sites(toks: &[Tok]) -> Vec<IndexSite> {
-    let mut out = Vec::new();
-    for i in 0..toks.len() {
-        let t = &toks[i];
-        if t.kind == TokKind::Ident
-            && (t.text.ends_with("_unchecked") || t.text.ends_with("_unchecked_mut"))
-            && tok_text(toks, i + 1) == Some("(")
-        {
-            out.push(IndexSite {
-                tok: i,
-                line: t.line,
-                col: t.col,
-                kind: IndexKind::UncheckedCall,
-                literal: false,
-                snippet: format!("{}(…)", t.text),
-            });
-            continue;
-        }
-        if !(t.kind == TokKind::Punct && t.text == "[") {
-            continue;
-        }
-        // Postfix position only: `expr[…]`. Attribute brackets (`#[`),
-        // array types (`: [u8; 4]`), array literals (`= [0; 4]`), and
-        // slice patterns (`let [a, b] =`) all have a non-expression
-        // token before the `[`.
-        if i == 0 || !ends_expression(&toks[i - 1]) {
-            continue;
-        }
-        let Some(close) = matching_square(toks, i) else {
-            continue;
-        };
-        let inner = &toks[i + 1..close];
-        let literal = inner.len() == 1 && inner[0].kind == TokKind::Int;
-        let kind = if inner
-            .iter()
-            .any(|t| t.kind == TokKind::Punct && (t.text == ".." || t.text == "..="))
-        {
-            IndexKind::Slice
-        } else {
-            IndexKind::Index
-        };
-        out.push(IndexSite {
-            tok: i,
-            line: t.line,
-            col: t.col,
-            kind,
-            literal,
-            snippet: render_snippet(toks, i, close),
-        });
-    }
-    out
-}
-
-/// `base[inner]` rendered from tokens, truncated to keep diagnostics
-/// single-line.
-fn render_snippet(toks: &[Tok], open: usize, close: usize) -> String {
-    let mut s = String::new();
-    if open > 0 {
-        s.push_str(&toks[open - 1].text);
-    }
-    s.push('[');
-    for (n, t) in toks[open + 1..close].iter().enumerate() {
-        if n > 0 && glue_needs_space(t) {
-            s.push(' ');
-        }
-        s.push_str(&t.text);
-        if s.len() > 40 {
-            s.push('…');
-            break;
-        }
-    }
-    s.push(']');
-    s
-}
-
-fn glue_needs_space(t: &Tok) -> bool {
-    t.kind != TokKind::Punct || matches!(t.text.as_str(), "+" | "-" | "*" | "/")
 }
 
 /// Collect guard bindings with liveness ranges.
@@ -353,62 +216,8 @@ fn binding_name(toks: &[Tok], mut j: usize) -> Option<(&str, usize)> {
     Some((&head.text, j + 1))
 }
 
-/// Inventory every `unsafe` site (blocks and `unsafe`-qualified items)
-/// with its `SAFETY:` comment status.
-pub fn unsafe_sites(lexed: &Lexed, tree: &ScopeTree) -> Vec<UnsafeSite> {
-    let mut out = Vec::new();
-    for s in &tree.scopes {
-        if !s.is_unsafe {
-            continue;
-        }
-        let kind = match s.kind {
-            ScopeKind::Unsafe => "unsafe block",
-            ScopeKind::Fn => "unsafe fn",
-            ScopeKind::Impl => "unsafe impl",
-            ScopeKind::Trait => "unsafe trait",
-            _ => continue,
-        };
-        let has_safety_comment = lexed.comments.iter().any(|c| {
-            c.text.contains("SAFETY:")
-                && c.end_line >= s.line.saturating_sub(SAFETY_COMMENT_REACH)
-                && c.line <= s.line
-        });
-        out.push(UnsafeSite {
-            line: s.line,
-            col: s.col,
-            kind,
-            name: s.name.clone(),
-            has_safety_comment,
-            test: s.test,
-        });
-    }
-    out.sort_by_key(|s| (s.line, s.col));
-    out
-}
-
 fn tok_text(toks: &[Tok], i: usize) -> Option<&str> {
     toks.get(i).map(|t| t.text.as_str())
-}
-
-/// Index of the `]` matching the `[` at `open`.
-fn matching_square(toks: &[Tok], open: usize) -> Option<usize> {
-    let mut depth = 0i32;
-    for (j, t) in toks.iter().enumerate().skip(open) {
-        if t.kind != TokKind::Punct {
-            continue;
-        }
-        match t.text.as_str() {
-            "[" => depth += 1,
-            "]" => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(j);
-                }
-            }
-            _ => {}
-        }
-    }
-    None
 }
 
 #[cfg(test)]
@@ -497,65 +306,5 @@ mod tests {
                    pub fn d() -> Result<Vec<u8>, Error> { Ok(vec![]) }\n";
         let fs = facts(src);
         assert_eq!(fs.fallible_fns, vec!["a".to_string(), "d".to_string()]);
-    }
-
-    #[test]
-    fn index_sites_classify_literal_index_and_slice() {
-        let src = "fn f(v: &[u8], i: usize) { let a = v[0]; let b = v[i]; let c = &v[1..3]; }";
-        let fs = facts(src);
-        assert_eq!(fs.index_sites.len(), 3);
-        assert!(fs.index_sites[0].literal);
-        assert_eq!(fs.index_sites[0].kind, IndexKind::Index);
-        assert!(!fs.index_sites[1].literal);
-        assert_eq!(fs.index_sites[2].kind, IndexKind::Slice);
-        assert_eq!(fs.index_sites[1].snippet, "v[i]");
-    }
-
-    #[test]
-    fn types_literals_and_attrs_are_not_index_sites() {
-        let src = "#[derive(Debug)]\nstruct S { a: [u8; 4] }\nfn f() { let x: [u8; 2] = [0; 2]; let [p, q] = x; let v = vec![1, 2]; }";
-        let fs = facts(src);
-        assert!(
-            fs.index_sites.is_empty(),
-            "got: {:?}",
-            fs.index_sites
-                .iter()
-                .map(|s| &s.snippet)
-                .collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
-    fn unchecked_calls_are_index_sites() {
-        let fs = facts("fn f(v: &[u8]) { let x = unsafe { v.get_unchecked(3) }; }");
-        assert_eq!(fs.index_sites.len(), 1);
-        assert_eq!(fs.index_sites[0].kind, IndexKind::UncheckedCall);
-    }
-
-    #[test]
-    fn unsafe_sites_require_safety_comments() {
-        let src = "fn f(v: &[u8]) {\n    // SAFETY: bounds checked by caller.\n    let x = unsafe { v.get_unchecked(0) };\n    let y = unsafe { v.get_unchecked(1) };\n}\n";
-        let lexed = lex(src);
-        let tree = scope::build(&lexed);
-        let sites = unsafe_sites(&lexed, &tree);
-        assert_eq!(sites.len(), 2);
-        assert!(sites[0].has_safety_comment);
-        assert!(
-            !sites[1].has_safety_comment,
-            "comment is 2 lines away but belongs to the first"
-        );
-    }
-
-    #[test]
-    fn unsafe_fn_and_impl_are_inventoried() {
-        let src = "/// Doc.\n/// SAFETY: caller upholds the aliasing rules.\nunsafe fn raw() {}\nunsafe impl Send for X {}\n";
-        let lexed = lex(src);
-        let tree = scope::build(&lexed);
-        let sites = unsafe_sites(&lexed, &tree);
-        assert_eq!(sites.len(), 2);
-        assert_eq!(sites[0].kind, "unsafe fn");
-        assert!(sites[0].has_safety_comment);
-        assert_eq!(sites[1].kind, "unsafe impl");
-        assert!(!sites[1].has_safety_comment);
     }
 }

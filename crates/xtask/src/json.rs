@@ -1,5 +1,4 @@
-//! Machine-readable output for `cargo xtask lint --json` and
-//! `cargo xtask unsafe-audit --json`.
+//! Machine-readable output for `cargo xtask lint --json`.
 //!
 //! Hand-rolled emission (the workspace vendors no serde): every string
 //! passes through one escape routine, field order is fixed, and
@@ -8,7 +7,7 @@
 
 use std::fmt::Write as _;
 
-use crate::engine::{Outcome, UnsafeAudit};
+use crate::engine::Outcome;
 
 /// Render a lint [`Outcome`] as one line of JSON.
 pub fn lint_json(out: &Outcome) -> String {
@@ -49,35 +48,6 @@ pub fn lint_json(out: &Outcome) -> String {
     s
 }
 
-/// Render an [`UnsafeAudit`] as one line of JSON.
-pub fn unsafe_audit_json(audit: &UnsafeAudit) -> String {
-    let mut s = String::new();
-    let _ = write!(s, "{{\"files_scanned\":{}", audit.files_scanned);
-    let _ = write!(s, ",\"violation_count\":{}", audit.violations().len());
-    s.push_str(",\"sites\":[");
-    for (n, site) in audit.sites.iter().enumerate() {
-        if n > 0 {
-            s.push(',');
-        }
-        s.push_str("{\"file\":");
-        push_str_value(&mut s, &site.file);
-        let _ = write!(s, ",\"line\":{},\"col\":{},\"kind\":", site.line, site.col);
-        push_str_value(&mut s, site.kind);
-        s.push_str(",\"name\":");
-        match &site.name {
-            Some(name) => push_str_value(&mut s, name),
-            None => s.push_str("null"),
-        }
-        let _ = write!(
-            s,
-            ",\"safety_comment\":{},\"test\":{}}}",
-            site.has_safety_comment, site.test
-        );
-    }
-    s.push_str("]}");
-    s
-}
-
 /// Append `value` as a quoted JSON string with the required escapes.
 fn push_str_value(out: &mut String, value: &str) {
     out.push('"');
@@ -106,11 +76,11 @@ mod tests {
     fn lint_json_is_exact_and_escaped() {
         let out = Outcome {
             violations: vec![Diagnostic {
-                file: "crates/db/src/rgdb2.rs".into(),
+                file: "crates/core/src/coverage.rs".into(),
                 line: 7,
                 col: 13,
-                rule: "RG010".into(),
-                message: "unchecked index `image[at]` — use \"get\"".into(),
+                rule: "RG009".into(),
+                message: "allocating `lookup` — use \"ResolvedView\"".into(),
             }],
             waivers: vec![WaiverRecord {
                 file: "crates/cymru/src/server.rs".into(),
@@ -123,9 +93,9 @@ mod tests {
         };
         assert_eq!(
             lint_json(&out),
-            "{\"files_scanned\":2,\"violations\":[{\"file\":\"crates/db/src/rgdb2.rs\",\
-             \"line\":7,\"col\":13,\"rule\":\"RG010\",\"message\":\"unchecked index \
-             `image[at]` — use \\\"get\\\"\"}],\"waivers\":[{\"file\":\
+            "{\"files_scanned\":2,\"violations\":[{\"file\":\"crates/core/src/coverage.rs\",\
+             \"line\":7,\"col\":13,\"rule\":\"RG009\",\"message\":\"allocating \
+             `lookup` — use \\\"ResolvedView\\\"\"}],\"waivers\":[{\"file\":\
              \"crates/cymru/src/server.rs\",\"line\":217,\"rules\":[\"RG011\"],\
              \"reason\":\"handoff discipline\",\"suppressed\":1}]}"
         );
@@ -138,23 +108,6 @@ mod tests {
             lint_json(&out),
             "{\"files_scanned\":0,\"violations\":[],\"waivers\":[]}"
         );
-    }
-
-    #[test]
-    fn unsafe_audit_json_counts_violations() {
-        let sites = crate::engine::audit_source(
-            "lib.rs",
-            "fn f(v: &[u8]) { let a = unsafe { v.get_unchecked(0) }; }",
-        );
-        let audit = UnsafeAudit {
-            sites,
-            files_scanned: 1,
-        };
-        let json = unsafe_audit_json(&audit);
-        assert!(json.starts_with("{\"files_scanned\":1,\"violation_count\":1,"));
-        assert!(json.contains("\"kind\":\"unsafe block\""));
-        assert!(json.contains("\"name\":null"));
-        assert!(json.contains("\"safety_comment\":false"));
     }
 
     #[test]

@@ -43,7 +43,7 @@ pub struct Tok {
     pub col: u32,
 }
 
-/// One comment with its position; rules read waivers and doc status here.
+/// One comment with its position; rules read waivers here.
 #[derive(Debug, Clone)]
 pub struct Comment {
     /// Full comment text excluding the delimiters.
@@ -53,8 +53,6 @@ pub struct Comment {
     /// 1-based line the comment ends on (equals `line` for `//` comments;
     /// block comments may span several).
     pub end_line: u32,
-    /// Whether this is a doc comment (`///`, `//!`, `/** */`, `/*! */`).
-    pub doc: bool,
 }
 
 /// A fully lexed file.
@@ -66,15 +64,14 @@ pub struct Lexed {
     pub comments: Vec<Comment>,
 }
 
-struct Cursor<'a> {
+struct Cursor {
     chars: Vec<char>,
-    src: &'a str,
     pos: usize,
     line: u32,
     col: u32,
 }
 
-impl Cursor<'_> {
+impl Cursor {
     fn peek(&self) -> Option<char> {
         self.chars.get(self.pos).copied()
     }
@@ -109,7 +106,6 @@ fn is_ident_continue(c: char) -> bool {
 pub fn lex(src: &str) -> Lexed {
     let mut cur = Cursor {
         chars: src.chars().collect(),
-        src,
         pos: 0,
         line: 1,
         col: 1,
@@ -170,14 +166,14 @@ pub fn lex(src: &str) -> Lexed {
 /// Whether the characters after the `r` at `cur.pos + off - 1` look like a
 /// raw-string opener (`r"`, `r#"`, `r##"`, …) rather than an identifier
 /// like `r#keyword`.
-fn raw_string_follows(cur: &Cursor<'_>, mut off: usize) -> bool {
+fn raw_string_follows(cur: &Cursor, mut off: usize) -> bool {
     while cur.peek_at(off) == Some('#') {
         off += 1;
     }
     cur.peek_at(off) == Some('"')
 }
 
-fn lex_line_comment(cur: &mut Cursor<'_>, out: &mut Lexed) {
+fn lex_line_comment(cur: &mut Cursor, out: &mut Lexed) {
     let line = cur.line;
     let mut text = String::new();
     while let Some(c) = cur.peek() {
@@ -187,7 +183,6 @@ fn lex_line_comment(cur: &mut Cursor<'_>, out: &mut Lexed) {
         text.push(c);
         cur.bump();
     }
-    let doc = (text.starts_with("///") && !text.starts_with("////")) || text.starts_with("//!");
     let body = text
         .trim_start_matches('/')
         .trim_start_matches('!')
@@ -196,19 +191,14 @@ fn lex_line_comment(cur: &mut Cursor<'_>, out: &mut Lexed) {
         text: body,
         line,
         end_line: line,
-        doc,
     });
 }
 
-fn lex_block_comment(cur: &mut Cursor<'_>, out: &mut Lexed) {
+fn lex_block_comment(cur: &mut Cursor, out: &mut Lexed) {
     let line = cur.line;
     let mut text = String::new();
     cur.bump();
     cur.bump();
-    let doc_probe: String = cur.chars[cur.pos..cur.pos + 1.min(cur.chars.len() - cur.pos)]
-        .iter()
-        .collect();
-    let doc = doc_probe == "*" && cur.peek_at(1) != Some('/') || doc_probe == "!";
     let mut depth = 1u32;
     while let Some(c) = cur.peek() {
         if c == '/' && cur.peek_at(1) == Some('*') {
@@ -233,11 +223,10 @@ fn lex_block_comment(cur: &mut Cursor<'_>, out: &mut Lexed) {
         text,
         line,
         end_line: cur.line,
-        doc,
     });
 }
 
-fn lex_string(cur: &mut Cursor<'_>, out: &mut Lexed, line: u32, col: u32) {
+fn lex_string(cur: &mut Cursor, out: &mut Lexed, line: u32, col: u32) {
     cur.bump(); // opening quote
     let mut inner = String::new();
     while let Some(c) = cur.bump() {
@@ -266,7 +255,7 @@ fn lex_string(cur: &mut Cursor<'_>, out: &mut Lexed, line: u32, col: u32) {
     });
 }
 
-fn lex_raw_string(cur: &mut Cursor<'_>, out: &mut Lexed, line: u32, col: u32) {
+fn lex_raw_string(cur: &mut Cursor, out: &mut Lexed, line: u32, col: u32) {
     let mut hashes = 0usize;
     while cur.peek() == Some('#') {
         hashes += 1;
@@ -274,7 +263,7 @@ fn lex_raw_string(cur: &mut Cursor<'_>, out: &mut Lexed, line: u32, col: u32) {
     }
     cur.bump(); // opening quote
     let closer: String = std::iter::once('"')
-        .chain(std::iter::repeat('#').take(hashes))
+        .chain(std::iter::repeat_n('#', hashes))
         .collect();
     let mut inner = String::new();
     'outer: while let Some(c) = cur.peek() {
@@ -302,7 +291,7 @@ fn lex_raw_string(cur: &mut Cursor<'_>, out: &mut Lexed, line: u32, col: u32) {
     });
 }
 
-fn lex_char(cur: &mut Cursor<'_>, out: &mut Lexed, line: u32, col: u32) {
+fn lex_char(cur: &mut Cursor, out: &mut Lexed, line: u32, col: u32) {
     cur.bump(); // opening quote
     if cur.peek() == Some('\\') {
         cur.bump();
@@ -321,7 +310,7 @@ fn lex_char(cur: &mut Cursor<'_>, out: &mut Lexed, line: u32, col: u32) {
     });
 }
 
-fn lex_char_or_lifetime(cur: &mut Cursor<'_>, out: &mut Lexed, line: u32, col: u32) {
+fn lex_char_or_lifetime(cur: &mut Cursor, out: &mut Lexed, line: u32, col: u32) {
     // `'a'` is a char; `'a` (no closing quote right after one char) is a
     // lifetime; `'\n'` is a char.
     if cur.peek_at(1) == Some('\\') || cur.peek_at(2) == Some('\'') {
@@ -346,7 +335,7 @@ fn lex_char_or_lifetime(cur: &mut Cursor<'_>, out: &mut Lexed, line: u32, col: u
     });
 }
 
-fn lex_number(cur: &mut Cursor<'_>, out: &mut Lexed, line: u32, col: u32) {
+fn lex_number(cur: &mut Cursor, out: &mut Lexed, line: u32, col: u32) {
     let mut text = String::new();
     let mut is_float = false;
 
@@ -435,18 +424,19 @@ fn lex_number(cur: &mut Cursor<'_>, out: &mut Lexed, line: u32, col: u32) {
     });
 }
 
-fn lex_punct(cur: &mut Cursor<'_>, out: &mut Lexed, line: u32, col: u32) {
+fn lex_punct(cur: &mut Cursor, out: &mut Lexed, line: u32, col: u32) {
     let c = cur.bump().unwrap_or(' ');
     let mut text = String::from(c);
     // Join the few multi-char operators the rules inspect, so `!=` never
     // looks like a macro bang and `..` never looks like member access.
-    let joined = match (c, cur.peek()) {
-        ('=', Some('=')) | ('!', Some('=')) | ('<', Some('=')) | ('>', Some('=')) => true,
-        (':', Some(':')) => true,
-        ('-', Some('>')) | ('=', Some('>')) => true,
-        ('.', Some('.')) => true,
-        _ => false,
-    };
+    let joined = matches!(
+        (c, cur.peek()),
+        ('=', Some('=') | Some('>'))
+            | ('!' | '<' | '>', Some('='))
+            | (':', Some(':'))
+            | ('-', Some('>'))
+            | ('.', Some('.'))
+    );
     if joined {
         if let Some(n) = cur.bump() {
             text.push(n);
@@ -462,14 +452,6 @@ fn lex_punct(cur: &mut Cursor<'_>, out: &mut Lexed, line: u32, col: u32) {
         line,
         col,
     });
-}
-
-// Unused-field silencer: `src` is kept for future span extraction.
-impl<'a> Cursor<'a> {
-    #[allow(dead_code)]
-    fn source(&self) -> &'a str {
-        self.src
-    }
 }
 
 #[cfg(test)]
@@ -539,11 +521,9 @@ mod tests {
     }
 
     #[test]
-    fn nested_block_comments_and_docs() {
+    fn nested_block_comments() {
         let lexed = lex("/* outer /* inner */ still */ /// doc line\nfn x() {}");
         assert_eq!(lexed.comments.len(), 2);
-        assert!(!lexed.comments[0].doc);
-        assert!(lexed.comments[1].doc);
     }
 
     #[test]

@@ -1,8 +1,12 @@
 //! `cargo xtask` — entry point for the workspace static-analysis gate.
 
-use std::collections::BTreeMap;
+#![expect(
+    clippy::disallowed_macros,
+    reason = "a binary entry point reports CLI diagnostics on stderr"
+)]
+
 use std::env;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use xtask::{bench, deps, engine, json};
@@ -10,11 +14,8 @@ use xtask::{bench, deps, engine, json};
 const USAGE: &str = "usage: cargo xtask <command>\n\n\
 commands:\n  \
   lint [--waivers] [--json]\n  \
-                        run RG001-RG013 over workspace sources; non-zero exit on violations\n  \
-                        (--json prints machine-readable findings on stdout)\n  \
-  unsafe-audit [--json] inventory every `unsafe` site workspace-wide; non-zero exit unless\n  \
-                        each carries a `// SAFETY:` comment\n  \
-  fix-audit             print the violation/waiver burn-down dashboard by rule and crate\n  \
+                        run the custom RG rules over workspace sources; non-zero exit on\n  \
+                        violations (--json prints machine-readable findings on stdout)\n  \
   deps                  check manifests against the workspace dependency policy\n  \
   bench-check [--bless] run repro --timings at tiny scale, at the baseline's thread\n  \
                         count, and gate per-stage wall clock against\n  \
@@ -63,15 +64,6 @@ fn main() -> ExitCode {
             }
             run_lint(&root, show_waivers, as_json)
         }
-        Some("unsafe-audit") => {
-            let as_json = args.iter().any(|a| a == "--json");
-            if let Some(bad) = args[1..].iter().find(|a| *a != "--json") {
-                eprintln!("xtask unsafe-audit: unknown flag `{bad}`\n\n{USAGE}");
-                return ExitCode::FAILURE;
-            }
-            run_unsafe_audit(&root, as_json)
-        }
-        Some("fix-audit") => run_fix_audit(&root),
         Some("deps") => run_deps(&root),
         Some("bench-check") => {
             let bless = args.iter().any(|a| a == "--bless");
@@ -176,7 +168,7 @@ fn current_root() -> Option<PathBuf> {
     engine::find_root(&cwd)
 }
 
-fn run_lint(root: &PathBuf, show_waivers: bool, as_json: bool) -> ExitCode {
+fn run_lint(root: &Path, show_waivers: bool, as_json: bool) -> ExitCode {
     let outcome = match engine::lint_workspace(root) {
         Ok(o) => o,
         Err(err) => {
@@ -224,88 +216,6 @@ fn run_lint(root: &PathBuf, show_waivers: bool, as_json: bool) -> ExitCode {
     } else {
         ExitCode::FAILURE
     }
-}
-
-fn run_unsafe_audit(root: &PathBuf, as_json: bool) -> ExitCode {
-    let audit = match engine::unsafe_audit_workspace(root) {
-        Ok(a) => a,
-        Err(err) => {
-            eprintln!("xtask unsafe-audit: failed to walk workspace: {err}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let violations = audit.violations().len();
-    if as_json {
-        println!("{}", json::unsafe_audit_json(&audit));
-    } else {
-        for site in &audit.sites {
-            println!("{site}");
-        }
-    }
-    eprintln!(
-        "xtask unsafe-audit: {} file(s) scanned, {} unsafe site(s), {} missing SAFETY comment(s)",
-        audit.files_scanned,
-        audit.sites.len(),
-        violations
-    );
-    if violations == 0 {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
-}
-
-fn run_fix_audit(root: &PathBuf) -> ExitCode {
-    let outcome = match engine::lint_workspace(root) {
-        Ok(o) => o,
-        Err(err) => {
-            eprintln!("xtask fix-audit: failed to walk workspace: {err}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let mut by_rule: BTreeMap<String, (usize, usize)> = BTreeMap::new();
-    for v in &outcome.violations {
-        by_rule.entry(v.rule.clone()).or_default().0 += 1;
-    }
-    for w in &outcome.waivers {
-        for r in &w.rules {
-            by_rule.entry(r.clone()).or_default().1 += w.suppressed;
-        }
-    }
-    let mut by_crate: BTreeMap<String, (usize, usize)> = BTreeMap::new();
-    for v in &outcome.violations {
-        by_crate.entry(crate_of(&v.file)).or_default().0 += 1;
-    }
-    for w in &outcome.waivers {
-        by_crate.entry(crate_of(&w.file)).or_default().1 += w.suppressed;
-    }
-
-    println!("burn-down by rule:");
-    println!("  {:<8} {:>10} {:>8}", "rule", "violations", "waived");
-    for (rule, (open, waived)) in &by_rule {
-        println!("  {rule:<8} {open:>10} {waived:>8}");
-    }
-    println!();
-    println!("burn-down by crate:");
-    println!("  {:<12} {:>10} {:>8}", "crate", "violations", "waived");
-    for (krate, (open, waived)) in &by_crate {
-        println!("  {krate:<12} {open:>10} {waived:>8}");
-    }
-    println!();
-    println!(
-        "total: {} open violation(s), {} waived finding(s) across {} file(s)",
-        outcome.violations.len(),
-        outcome.waivers.iter().map(|w| w.suppressed).sum::<usize>(),
-        outcome.files_scanned
-    );
-    ExitCode::SUCCESS
-}
-
-fn crate_of(rel: &str) -> String {
-    rel.strip_prefix("crates/")
-        .and_then(|r| r.split('/').next())
-        .unwrap_or("routergeo")
-        .to_string()
 }
 
 /// Worker-count variable the timed binaries read (`routergeo_pool::THREADS_ENV`).
@@ -767,7 +677,7 @@ fn lookup_ns_per_addr(text: &str) -> Option<f64> {
     rest[..end].parse().ok()
 }
 
-fn run_deps(root: &PathBuf) -> ExitCode {
+fn run_deps(root: &Path) -> ExitCode {
     let violations = match deps::check_workspace(root) {
         Ok(v) => v,
         Err(err) => {

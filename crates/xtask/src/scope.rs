@@ -1,14 +1,13 @@
 //! Brace-matched scope tree over the lexed token stream.
 //!
-//! The v2 lint engine needs more than a flat token stream: "a lock guard
-//! is live in this scope", "this index expression sits inside a reader
-//! function", "this `unsafe` block spans lines 40–55". This module builds
-//! that structure in one pass: every `{ … }` region becomes a [`Scope`]
-//! node, classified by the construct that introduced it (`fn`, `impl`,
-//! `mod`, `trait`, closure, `unsafe` block, or a plain block), with
+//! The lint engine needs more than a flat token stream: "a lock guard is
+//! live in this scope", "this call sits inside a `#[cfg(test)]` module".
+//! This module builds that structure in one pass: every `{ … }` region
+//! becomes a [`Scope`] node, classified by the construct that introduced
+//! it (`fn`, `impl`, `mod`, `trait`, closure, or a plain block), with
 //! `#[cfg(test)]` / `#[test]` regions tracked structurally — the gated
-//! item's scope carries `test = true` and every token inside it is masked,
-//! replacing the older item-end heuristic.
+//! item's scope carries `test = true` and every token inside it is
+//! masked, replacing the older item-end heuristic.
 //!
 //! The lexer has already removed everything that can confuse brace
 //! matching — braces inside string literals, char literals (`'{'`),
@@ -32,8 +31,6 @@ pub enum ScopeKind {
     Fn,
     /// A closure body (`|args| { … }`).
     Closure,
-    /// An `unsafe { … }` block.
-    Unsafe,
     /// An `impl … { … }` block.
     Impl,
     /// A `trait … { … }` block.
@@ -52,7 +49,6 @@ impl ScopeKind {
             ScopeKind::Root => "root",
             ScopeKind::Fn => "fn",
             ScopeKind::Closure => "closure",
-            ScopeKind::Unsafe => "unsafe",
             ScopeKind::Impl => "impl",
             ScopeKind::Trait => "trait",
             ScopeKind::Mod => "mod",
@@ -73,16 +69,12 @@ pub struct Scope {
     /// Token index of the matching `}`; `tokens.len()` when unterminated
     /// (and always for the root).
     pub close: usize,
-    /// 1-based line of the introducing token (`fn`, `unsafe`, the `{`…).
+    /// 1-based line of the introducing token (`fn`, `mod`, the `{`…).
     pub line: u32,
     /// 1-based column of the introducing token.
     pub col: u32,
     /// Whether the scope sits inside a `#[cfg(test)]` / `#[test]` item.
     pub test: bool,
-    /// Whether the construct carries the `unsafe` qualifier
-    /// (`unsafe fn`, `unsafe impl`) — `Unsafe` block scopes are
-    /// implicitly unsafe.
-    pub is_unsafe: bool,
     /// Parent scope index (`None` for the root).
     pub parent: Option<usize>,
     /// Child scope indices in source order.
@@ -99,8 +91,6 @@ pub struct ScopeTree {
     /// `test_mask[i]` is true when token `i` belongs to a test-gated
     /// item, including the gating attribute tokens themselves.
     pub test_mask: Vec<bool>,
-    /// Inclusive line spans covered by attributes (`#[…]` / `#![…]`).
-    pub attr_spans: Vec<(u32, u32)>,
 }
 
 /// Keywords that can precede `[` without making it an index expression
@@ -127,7 +117,6 @@ struct Pending {
     name: Option<String>,
     line: u32,
     col: u32,
-    is_unsafe: bool,
 }
 
 /// Build the scope tree for a lexed file. Never panics: unbalanced
@@ -142,21 +131,18 @@ pub fn build(lexed: &Lexed) -> ScopeTree {
         line: 1,
         col: 1,
         test: false,
-        is_unsafe: false,
         parent: None,
         children: Vec::new(),
     }];
     let mut stack: Vec<usize> = vec![0];
     let mut enclosing = vec![0usize; toks.len()];
     let mut test_mask = vec![false; toks.len()];
-    let mut attr_spans = Vec::new();
 
     let mut pending: Option<Pending> = None;
     // Token index of the `#[cfg(test)]`-ish attribute waiting for its item.
     let mut pending_test: Option<usize> = None;
     // Scope index -> attribute token that gated it (for mask back-fill).
     let mut gated_by: Vec<Option<usize>> = vec![None];
-    let mut unsafe_qualifier = false;
     let mut bracket_depth = 0i32;
 
     let mut i = 0usize;
@@ -165,7 +151,7 @@ pub fn build(lexed: &Lexed) -> ScopeTree {
         enclosing[i] = top;
         let t = &toks[i];
 
-        // Attributes: `#[…]` / `#![…]` — record the span, note test gates.
+        // Attributes: `#[…]` / `#![…]` — skip them, noting test gates.
         if t.kind == TokKind::Punct && t.text == "#" && is_attr_open(toks, i) {
             let open = if tok_text(toks, i + 1) == Some("!") {
                 i + 2
@@ -176,7 +162,6 @@ pub fn build(lexed: &Lexed) -> ScopeTree {
             for slot in enclosing.iter_mut().take(close + 1).skip(i) {
                 *slot = top;
             }
-            attr_spans.push((t.line, toks[close].line));
             if pending_test.is_none() && attr_gates_tests(&toks[open + 1..close]) {
                 pending_test = Some(i);
             }
@@ -192,9 +177,7 @@ pub fn build(lexed: &Lexed) -> ScopeTree {
                     name: name.map(|n| n.text.clone()),
                     line: t.line,
                     col: t.col,
-                    is_unsafe: unsafe_qualifier,
                 });
-                unsafe_qualifier = false;
             }
             (TokKind::Ident, "impl") => {
                 pending = Some(Pending {
@@ -202,9 +185,7 @@ pub fn build(lexed: &Lexed) -> ScopeTree {
                     name: impl_name(toks, i + 1),
                     line: t.line,
                     col: t.col,
-                    is_unsafe: unsafe_qualifier,
                 });
-                unsafe_qualifier = false;
             }
             (TokKind::Ident, "trait") => {
                 let name = toks.get(i + 1).filter(|n| n.kind == TokKind::Ident);
@@ -213,9 +194,7 @@ pub fn build(lexed: &Lexed) -> ScopeTree {
                     name: name.map(|n| n.text.clone()),
                     line: t.line,
                     col: t.col,
-                    is_unsafe: unsafe_qualifier,
                 });
-                unsafe_qualifier = false;
             }
             (TokKind::Ident, "mod") => {
                 let name = toks.get(i + 1).filter(|n| n.kind == TokKind::Ident);
@@ -224,22 +203,7 @@ pub fn build(lexed: &Lexed) -> ScopeTree {
                     name: name.map(|n| n.text.clone()),
                     line: t.line,
                     col: t.col,
-                    is_unsafe: false,
                 });
-            }
-            (TokKind::Ident, "unsafe") => {
-                if tok_text(toks, i + 1) == Some("{") {
-                    pending = Some(Pending {
-                        kind: ScopeKind::Unsafe,
-                        name: None,
-                        line: t.line,
-                        col: t.col,
-                        is_unsafe: true,
-                    });
-                } else {
-                    // `unsafe fn` / `unsafe impl` / `unsafe trait`.
-                    unsafe_qualifier = true;
-                }
             }
             (TokKind::Punct, "|") => {
                 if let Some(body_open) = closure_body_brace(toks, i) {
@@ -249,7 +213,6 @@ pub fn build(lexed: &Lexed) -> ScopeTree {
                             name: None,
                             line: t.line,
                             col: t.col,
-                            is_unsafe: false,
                         });
                         // Jump to just before the body brace so an inner
                         // `|` in the parameter list is not re-examined.
@@ -269,7 +232,6 @@ pub fn build(lexed: &Lexed) -> ScopeTree {
                     name: None,
                     line: t.line,
                     col: t.col,
-                    is_unsafe: false,
                 });
                 let parent = top;
                 let test = scopes[parent].test || pending_test.is_some();
@@ -282,7 +244,6 @@ pub fn build(lexed: &Lexed) -> ScopeTree {
                     line: p.line,
                     col: p.col,
                     test,
-                    is_unsafe: p.is_unsafe,
                     parent: Some(parent),
                     children: Vec::new(),
                 });
@@ -291,15 +252,13 @@ pub fn build(lexed: &Lexed) -> ScopeTree {
                 stack.push(ix);
                 enclosing[i] = ix;
             }
-            (TokKind::Punct, "}") => {
-                if stack.len() > 1 {
-                    let ix = stack.pop().unwrap_or(0);
-                    scopes[ix].close = i;
-                    enclosing[i] = ix;
-                    if let Some(attr_start) = gated_by.get(ix).copied().flatten() {
-                        for slot in test_mask.iter_mut().take(i + 1).skip(attr_start) {
-                            *slot = true;
-                        }
+            (TokKind::Punct, "}") if stack.len() > 1 => {
+                let ix = stack.pop().unwrap_or(0);
+                scopes[ix].close = i;
+                enclosing[i] = ix;
+                if let Some(attr_start) = gated_by.get(ix).copied().flatten() {
+                    for slot in test_mask.iter_mut().take(i + 1).skip(attr_start) {
+                        *slot = true;
                     }
                 }
             }
@@ -331,7 +290,6 @@ pub fn build(lexed: &Lexed) -> ScopeTree {
         scopes,
         enclosing,
         test_mask,
-        attr_spans,
     }
 }
 
@@ -382,9 +340,6 @@ impl ScopeTree {
         let _ = write!(out, " @{}:{} tok[{}..{}]", s.line, s.col, s.open, s.close);
         if s.test {
             out.push_str(" test");
-        }
-        if s.is_unsafe {
-            out.push_str(" unsafe");
         }
         out.push('\n');
         for child in &s.children {
@@ -536,12 +491,10 @@ mod tests {
     #[test]
     fn unsafe_block_and_unsafe_fn() {
         let t = tree("unsafe fn f() { unsafe { g(); } } unsafe impl Send for X {}");
-        let f = t.of_kind(ScopeKind::Fn).next().expect("fn scope");
-        assert!(f.is_unsafe);
-        let b = t.of_kind(ScopeKind::Unsafe).next().expect("unsafe block");
-        assert!(b.is_unsafe && b.parent == Some(1));
+        assert!(t.of_kind(ScopeKind::Fn).next().is_some(), "fn scope");
+        let b = t.of_kind(ScopeKind::Block).next().expect("unsafe block");
+        assert_eq!(b.parent, Some(1));
         let im = t.of_kind(ScopeKind::Impl).next().expect("impl scope");
-        assert!(im.is_unsafe);
         assert_eq!(im.name.as_deref(), Some("Send"));
     }
 

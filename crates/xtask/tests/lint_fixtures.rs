@@ -35,13 +35,8 @@ fn bad_fixture_reports_exact_rules_and_lines() {
     assert_eq!(
         got,
         vec![
-            ("RG005", 3),  // pub fn undocumented
-            ("RG001", 4),  // .unwrap()
-            ("RG001", 8),  // .expect("")
-            ("RG002", 13), // panic!
-            ("RG002", 15), // unreachable!
-            ("RG003", 20), // x as u32
-            ("RG004", 24), // a == 0.5
+            ("RG001", 5), // .expect("")
+            ("RG004", 9), // a == 0.5
         ],
         "full diagnostics: {:#?}",
         out.violations
@@ -52,10 +47,10 @@ fn bad_fixture_reports_exact_rules_and_lines() {
 #[test]
 fn bad_fixture_reports_exact_columns() {
     let out = lint_source("bad_rules.rs", &fixture("bad_rules.rs"), &RuleSet::all());
-    let unwrap = &out.violations[1];
-    assert_eq!((unwrap.line, unwrap.col), (4, 7), "col of `unwrap` token");
-    let cast = &out.violations[5];
-    assert_eq!((cast.line, cast.col), (20, 7), "col of `as` token");
+    let expect = &out.violations[0];
+    assert_eq!((expect.line, expect.col), (5, 7), "col of `expect` token");
+    let float_eq = &out.violations[1];
+    assert_eq!((float_eq.line, float_eq.col), (9, 7), "col of `==` token");
 }
 
 #[test]
@@ -71,7 +66,7 @@ fn bad_fixture_would_fail_the_lint_gate() {
 fn test_code_in_fixture_is_exempt() {
     let out = lint_source("bad_rules.rs", &fixture("bad_rules.rs"), &RuleSet::all());
     assert!(
-        out.violations.iter().all(|v| v.line < 26),
+        out.violations.iter().all(|v| v.line < 12),
         "nothing inside #[cfg(test)] may be flagged: {:#?}",
         out.violations
     );
@@ -94,10 +89,7 @@ fn waived_fixture_is_clean_and_audited() {
         .iter()
         .map(|w| (w.line, w.rules[0].as_str()))
         .collect();
-    assert_eq!(
-        got,
-        vec![(4, "RG001"), (7, "RG002"), (11, "RG003"), (15, "RG004")]
-    );
+    assert_eq!(got, vec![(4, "RG001"), (7, "RG004")]);
     assert!(
         out.waivers.iter().all(|w| !w.reason.is_empty()),
         "every audited waiver carries its reason"
@@ -128,7 +120,7 @@ const XW_STALE: &str = "XW002";
 const XW_MALFORMED: &str = "XW001";
 
 #[test]
-fn rg006_fixture_reports_deadline_less_sockets_and_honours_waivers() {
+fn rg006_fixture_reports_cleared_deadlines() {
     let out = lint_source("bad_rg006.rs", &fixture("bad_rg006.rs"), &RuleSet::all());
     let got: Vec<(&str, u32)> = out
         .violations
@@ -138,67 +130,14 @@ fn rg006_fixture_reports_deadline_less_sockets_and_honours_waivers() {
     assert_eq!(
         got,
         vec![
-            ("RG006", 8),  // TcpStream::connect without a deadline
             ("RG006", 16), // set_read_timeout(None)
             ("RG006", 17), // set_write_timeout(None)
         ],
         "full diagnostics: {:#?}",
         out.violations
     );
-    // connect_timeout, Some(..) deadlines, and #[cfg(test)] code pass;
-    // the waived self-nudge is suppressed and audited.
-    assert_eq!(out.waivers.len(), 1);
-    assert_eq!(out.waivers[0].rules, vec!["RG006".to_string()]);
-    assert_eq!(out.waivers[0].suppressed, 1);
-}
-
-#[test]
-fn rg007_fixture_reports_ad_hoc_threading_and_honours_waivers() {
-    let out = lint_source("bad_rg007.rs", &fixture("bad_rg007.rs"), &RuleSet::all());
-    let got: Vec<(&str, u32)> = out
-        .violations
-        .iter()
-        .map(|v| (v.rule.as_str(), v.line))
-        .collect();
-    assert_eq!(
-        got,
-        vec![
-            ("RG007", 7),  // thread::spawn fan-out
-            ("RG007", 11), // thread::scope fan-out
-        ],
-        "full diagnostics: {:#?}",
-        out.violations
-    );
-    // thread::sleep, scope-handle `.spawn`, and #[cfg(test)] code pass;
-    // the waived watchdog is suppressed and audited.
-    assert_eq!(out.waivers.len(), 1);
-    assert_eq!(out.waivers[0].rules, vec!["RG007".to_string()]);
-    assert_eq!(out.waivers[0].suppressed, 1);
-}
-
-#[test]
-fn rg008_fixture_reports_adhoc_instrumentation_and_honours_waivers() {
-    let out = lint_source("bad_rg008.rs", &fixture("bad_rg008.rs"), &RuleSet::all());
-    let got: Vec<(&str, u32)> = out
-        .violations
-        .iter()
-        .map(|v| (v.rule.as_str(), v.line))
-        .collect();
-    assert_eq!(
-        got,
-        vec![
-            ("RG008", 7),  // Instant::now()
-            ("RG008", 8),  // std::time::Instant::now()
-            ("RG008", 14), // eprintln! progress print
-        ],
-        "full diagnostics: {:#?}",
-        out.violations
-    );
-    // println! (stdout tables), injected clocks, and #[cfg(test)] code
-    // pass; the waived system-clock impl is suppressed and audited.
-    assert_eq!(out.waivers.len(), 1);
-    assert_eq!(out.waivers[0].rules, vec!["RG008".to_string()]);
-    assert_eq!(out.waivers[0].suppressed, 1);
+    // TcpStream::connect (clippy's), connect_timeout, Some(..) deadlines,
+    // and #[cfg(test)] code pass.
 }
 
 #[test]
@@ -223,27 +162,6 @@ fn rg009_fixture_reports_allocating_lookups_and_honours_waivers() {
     assert_eq!(out.waivers.len(), 1);
     assert_eq!(out.waivers[0].rules, vec!["RG009".to_string()]);
     assert_eq!(out.waivers[0].suppressed, 1);
-}
-
-#[test]
-fn rg010_fixture_reports_unchecked_indexing_with_exact_positions() {
-    let out = lint_source("bad_rg010.rs", &fixture("bad_rg010.rs"), &RuleSet::all());
-    let got: Vec<(&str, u32, u32)> = out
-        .violations
-        .iter()
-        .map(|v| (v.rule.as_str(), v.line, v.col))
-        .collect();
-    assert_eq!(
-        got,
-        vec![
-            ("RG010", 6, 21), // image[at]
-            ("RG010", 7, 24), // &image[at..at + len]
-            ("RG010", 9, 32), // get_unchecked(at)
-        ],
-        "full diagnostics: {:#?}",
-        out.violations
-    );
-    // image[0] (single literal), .get(at), and #[cfg(test)] code pass.
 }
 
 #[test]
@@ -293,64 +211,6 @@ fn rg012_fixture_flags_swallowed_results() {
 }
 
 #[test]
-fn rg013_fixture_flags_placeholders_and_honours_waivers() {
-    let out = lint_source("bad_rg013.rs", &fixture("bad_rg013.rs"), &RuleSet::all());
-    let got: Vec<(&str, u32)> = out
-        .violations
-        .iter()
-        .map(|v| (v.rule.as_str(), v.line))
-        .collect();
-    assert_eq!(
-        got,
-        vec![
-            ("RG013", 5),  // todo! on a library path
-            ("RG013", 14), // unimplemented! arm
-            ("RG002", 15), // unreachable! stays RG002's, reported once
-        ],
-        "full diagnostics: {:#?}",
-        out.violations
-    );
-    // The waived scaffold is suppressed and audited; #[cfg(test)]
-    // placeholders pass outright.
-    assert_eq!(out.waivers.len(), 1);
-    assert_eq!(out.waivers[0].rules, vec!["RG013".to_string()]);
-    assert_eq!(out.waivers[0].suppressed, 1);
-}
-
-#[test]
-fn unsafe_audit_fixture_reports_every_site_and_flags_undocumented_ones() {
-    let sites = engine::audit_source("bad_unsafe.rs", &fixture("bad_unsafe.rs"));
-    let got: Vec<(u32, &str, Option<&str>, bool, bool)> = sites
-        .iter()
-        .map(|s| {
-            (
-                s.line,
-                s.kind,
-                s.name.as_deref(),
-                s.has_safety_comment,
-                s.test,
-            )
-        })
-        .collect();
-    assert_eq!(
-        got,
-        vec![
-            (6, "unsafe block", None, true, false),
-            (11, "unsafe block", None, false, false),
-            (15, "unsafe fn", Some("third"), false, false),
-            (24, "unsafe block", None, false, true),
-        ],
-        "full sites: {:#?}",
-        sites
-    );
-    let audit = engine::UnsafeAudit {
-        sites,
-        files_scanned: 1,
-    };
-    assert_eq!(audit.violations().len(), 3);
-}
-
-#[test]
 fn scope_tree_of_net_lib_is_pinned_byte_exact() {
     // The scope tree of a real workspace file, rendered and compared
     // byte-for-byte. Regenerate after intentional changes with:
@@ -379,24 +239,6 @@ fn only_core_analysis_modules_carry_rg009() {
     assert!(!resolve.rg009, "the view builder itself resolves lookups");
     let inmem = rules_for("crates/db/src/inmem.rs").expect("in scope");
     assert!(!inmem.rg009, "database impls own their lookups");
-}
-
-#[test]
-fn obs_and_timing_files_are_exempt_from_rg008() {
-    let obs = rules_for("crates/obs/src/lib.rs").expect("in scope");
-    assert!(!obs.rg008);
-    let timing = rules_for("crates/bench/src/timing.rs").expect("in scope");
-    assert!(!timing.rg008);
-    let lab = rules_for("crates/bench/src/lab.rs").expect("in scope");
-    assert!(lab.rg008);
-}
-
-#[test]
-fn pool_crate_is_exempt_from_rg007_everyone_else_is_not() {
-    let pool = rules_for("crates/pool/src/lib.rs").expect("in scope");
-    assert!(!pool.rg007);
-    let core = rules_for("crates/core/src/accuracy.rs").expect("in scope");
-    assert!(core.rg007);
 }
 
 #[test]

@@ -11,6 +11,11 @@
 //! The world is regenerated from the seed on every run (sub-second at the
 //! default scale), so the tool needs no state on disk.
 
+#![expect(
+    clippy::disallowed_macros,
+    reason = "a binary entry point reports CLI diagnostics on stderr"
+)]
+
 use routergeo::cymru::MappingService;
 use routergeo::db::synth::{build_vendor, SignalWorld, VendorProfile};
 use routergeo::db::GeoDatabase;

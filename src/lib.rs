@@ -16,8 +16,6 @@
 //! the per-experiment index, and `EXPERIMENTS.md` for paper-vs-measured
 //! results.
 
-#![forbid(unsafe_code)]
-
 pub use routergeo_core as core;
 pub use routergeo_cymru as cymru;
 pub use routergeo_db as db;
