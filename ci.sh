@@ -83,6 +83,12 @@ step_budget clippy 60 cargo clippy -q -p 'routergeo*' -p xtask -- -D warnings
 # error there.
 step bench-targets cargo check -q -p routergeo-bench --benches
 
+# Benchmark build: perfbench is a package of its own, so no other step
+# compiles it. Its `GeoDatabase` wrappers and its `view.column(d)` reads
+# use the program's API; a change that breaks them fails here, not only
+# when the benchmark runs.
+step perfbench-build cargo check -q --offline --manifest-path perfbench/Cargo.toml --tests
+
 # Lint gate: the custom rules clippy cannot express, with
 # machine-readable output (archived as a CI artifact) and a wall-clock
 # budget on the scan itself. The engine is a single-pass token walk per
@@ -102,6 +108,15 @@ step fault-matrix-build cargo test -q -p routergeo-cymru --test fault_matrix --n
 step_budget fault-matrix 60 cargo test -q -p routergeo-cymru --test fault_matrix
 
 step build-release cargo build --release
+
+# Report gate: the release `repro all --csv` at tenth scale, seed
+# 20170301, must reproduce results/results_tenth.txt (stdout) and every
+# CSV under results/results_tenth_csv/ byte for byte. The determinism
+# gate compares thread counts within one build; this one pins the
+# figures across commits. Refresh with `cargo xtask report-check
+# --bless` only when a figure is meant to move. The budget bounds one
+# tenth-scale lab build and report (about 1.5 s).
+step_budget report-check 30 cargo xtask report-check
 
 # Determinism gate: the full Tiny-scale report must be byte-identical at
 # 1, 2, and 8 worker threads. The budget bounds the three lab builds —

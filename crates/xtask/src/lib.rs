@@ -11,6 +11,8 @@
 //! cargo xtask deps            # offline manifest / dependency policy
 //! cargo xtask bench-check     # compare repro --timings vs the baseline
 //! cargo xtask bench-check --bless  # refresh BENCH_pipeline.json
+//! cargo xtask report-check    # compare repro all vs results/
+//! cargo xtask report-check --bless # refresh the golden report
 //! ```
 //!
 //! Lint policy that clippy can express lives in the root `Cargo.toml`'s
@@ -26,7 +28,8 @@
 //! ([`facts`]), evaluates the rules ([`rules`]), classifies files and
 //! applies waivers ([`engine`]), and renders machine-readable output
 //! ([`json`]). [`deps`] checks manifests and [`bench`] gates stage
-//! timings against the committed baseline. See CONTRIBUTING.md for the
+//! timings against the committed baseline; [`report`] pins the tenth-scale
+//! report's bytes to the committed golden. See CONTRIBUTING.md for the
 //! rule catalogue and how to add a rule.
 
 pub mod bench;
@@ -35,5 +38,6 @@ pub mod engine;
 pub mod facts;
 pub mod json;
 pub mod lexer;
+pub mod report;
 pub mod rules;
 pub mod scope;

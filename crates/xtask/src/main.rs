@@ -9,7 +9,7 @@ use std::env;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use xtask::{bench, deps, engine, json};
+use xtask::{bench, deps, engine, json, report};
 
 const USAGE: &str = "usage: cargo xtask <command>\n\n\
 commands:\n  \
@@ -20,6 +20,11 @@ commands:\n  \
   bench-check [--bless] run repro --timings at tiny scale, at the baseline's thread\n  \
                         count, and gate per-stage wall clock against\n  \
                         BENCH_pipeline.json (--bless refreshes the baseline)\n  \
+  report-check [--bless]\n  \
+                        run the release `repro all --csv` at tenth scale, seed 20170301,\n  \
+                        and compare stdout and every CSV byte for byte with\n  \
+                        results/results_tenth.txt and results/results_tenth_csv/\n  \
+                        (--bless refreshes the golden from this run)\n  \
   obs-check FILE        verify the structural invariants of a `repro --obs` JSONL trace\n  \
                         (span accounting, counter identities, histogram totals)\n  \
   fuzz [--budget-ms N] [--json]\n  \
@@ -72,6 +77,14 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
             run_bench_check(&root, bless)
+        }
+        Some("report-check") => {
+            let bless = args.iter().any(|a| a == "--bless");
+            if let Some(bad) = args[1..].iter().find(|a| *a != "--bless") {
+                eprintln!("xtask report-check: unknown flag `{bad}`\n\n{USAGE}");
+                return ExitCode::FAILURE;
+            }
+            run_report_check(&root, bless)
         }
         Some("obs-check") => match args.get(1) {
             Some(file) if args.len() == 2 => run_obs_check(&PathBuf::from(file)),
@@ -331,6 +344,104 @@ fn run_bench_check(root: &PathBuf, bless: bool) -> ExitCode {
         bench::SMOOTHING_MS
     );
     if failed == 0 {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
+}
+
+/// The report golden gate: see [`report`].
+fn run_report_check(root: &Path, bless: bool) -> ExitCode {
+    let out_dir = root.join("target").join("report-check");
+    let csv_dir = out_dir.join("csv");
+    if out_dir.exists() {
+        if let Err(err) = std::fs::remove_dir_all(&out_dir) {
+            eprintln!(
+                "xtask report-check: cannot clear {}: {err}",
+                out_dir.display()
+            );
+            return ExitCode::FAILURE;
+        }
+    }
+
+    eprintln!(
+        "xtask report-check: repro all at {} scale, seed {} (release)…",
+        report::SCALE,
+        report::SEED
+    );
+    let output = std::process::Command::new("cargo")
+        .current_dir(root)
+        .args([
+            "run",
+            "--release",
+            "-q",
+            "-p",
+            "routergeo-bench",
+            "--bin",
+            "repro",
+            "--",
+            "all",
+            "--csv",
+        ])
+        .arg(&csv_dir)
+        .env("ROUTERGEO_SCALE", report::SCALE)
+        .env("ROUTERGEO_SEED", report::SEED)
+        .stderr(std::process::Stdio::inherit())
+        .output();
+    let stdout = match output {
+        Ok(o) if o.status.success() => o.stdout,
+        Ok(o) => {
+            eprintln!("xtask report-check: repro exited with {}", o.status);
+            return ExitCode::FAILURE;
+        }
+        Err(err) => {
+            eprintln!("xtask report-check: cannot run repro: {err}");
+            return ExitCode::FAILURE;
+        }
+    };
+
+    if bless {
+        return match report::bless(root, &stdout, &csv_dir) {
+            Ok(()) => {
+                eprintln!(
+                    "xtask report-check: blessed {} and {} from this run",
+                    report::GOLDEN_STDOUT,
+                    report::GOLDEN_CSV_DIR
+                );
+                ExitCode::SUCCESS
+            }
+            Err(err) => {
+                eprintln!("xtask report-check: cannot write the golden: {err}");
+                ExitCode::FAILURE
+            }
+        };
+    }
+
+    let mut problems = Vec::new();
+    match std::fs::read(root.join(report::GOLDEN_STDOUT)) {
+        Ok(golden) => {
+            if let Some(diff) = report::first_difference(&golden, &stdout) {
+                problems.push(format!("{}: {diff}", report::GOLDEN_STDOUT));
+            }
+        }
+        Err(err) => problems.push(format!("{}: {err}", report::GOLDEN_STDOUT)),
+    }
+    match report::compare_dirs(&root.join(report::GOLDEN_CSV_DIR), &csv_dir) {
+        Ok(diffs) => problems.extend(
+            diffs
+                .into_iter()
+                .map(|d| format!("{}/{d}", report::GOLDEN_CSV_DIR)),
+        ),
+        Err(err) => problems.push(format!("{}: {err}", report::GOLDEN_CSV_DIR)),
+    }
+    for p in &problems {
+        println!("{p}");
+    }
+    eprintln!(
+        "xtask report-check: {} difference(s) from the golden",
+        problems.len()
+    );
+    if problems.is_empty() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
