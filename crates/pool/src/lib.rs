@@ -179,10 +179,28 @@ impl Pool {
         );
     }
 
+    /// [`fold_shards`](Pool::fold_shards) over `items` positions with
+    /// no slice behind them: for work whose items each shard draws for
+    /// itself from its seed.
+    pub fn fold_count<R, M, F>(
+        &self,
+        master_seed: u64,
+        items: usize,
+        shard_size: usize,
+        map: M,
+        fold: F,
+    ) where
+        R: Send,
+        M: Fn(&Shard) -> R + Sync,
+        F: FnMut(&Shard, R) + Send,
+    {
+        self.fold_plan(plan_shards(master_seed, items, shard_size), map, fold);
+    }
+
     /// Run `f` once per shard of a `plan_shards(master_seed, items,
     /// shard_size)` plan and return the results **in shard order**,
     /// regardless of which worker finished which shard when — a
-    /// [`fold_shards`](Pool::fold_shards) that collects.
+    /// [`fold_count`](Pool::fold_count) that collects.
     pub fn run_shards<R, F>(
         &self,
         master_seed: u64,
@@ -194,9 +212,8 @@ impl Pool {
         R: Send,
         F: Fn(&Shard) -> R + Sync,
     {
-        let shards = plan_shards(master_seed, items, shard_size);
-        let mut out = Vec::with_capacity(shards.len());
-        self.fold_plan(shards, f, |_, r| out.push(r));
+        let mut out = Vec::new();
+        self.fold_count(master_seed, items, shard_size, f, |_, r| out.push(r));
         out
     }
 

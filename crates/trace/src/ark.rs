@@ -7,7 +7,7 @@
 //! addresses observed on paths form the **Ark-topo-router dataset** the
 //! paper's coverage and consistency analysis (§5.1) runs on.
 
-use crate::engine::TraceEngine;
+use crate::engine::{Step, TraceEngine};
 use crate::graph::{PathTree, Topology};
 use crate::record::TracerouteRecord;
 use crate::rttmodel::SplitMix64;
@@ -15,8 +15,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use routergeo_pool::{plan_shards, Pool, Shard};
-use routergeo_world::{OperatorKind, PopId, World};
-use std::collections::HashSet;
+use routergeo_world::{InterfaceId, OperatorKind, PopId, World};
 use std::net::Ipv4Addr;
 
 /// Traceroutes per shard. Fixed (never derived from the thread count) so
@@ -116,6 +115,7 @@ impl<'w> ArkCampaign<'w> {
             }
         }
 
+        let trees = routergeo_obs::span!("ark.trees", monitors = pops.len());
         let monitors = pops
             .into_iter()
             .enumerate()
@@ -126,6 +126,7 @@ impl<'w> ArkCampaign<'w> {
                 src_ip: Ipv4Addr::new(203, (i >> 8) as u8, (i & 0xFF) as u8, 10),
             })
             .collect();
+        drop(trees);
 
         ArkCampaign {
             engine: TraceEngine::new(world, config.seed),
@@ -160,27 +161,36 @@ impl<'w> ArkCampaign<'w> {
     /// team probing.
     pub fn run_shard<F: FnMut(&TracerouteRecord)>(&self, shard: &Shard, mut sink: F) {
         let world = self.engine.world();
-        let blocks = world.plan().blocks();
+        self.for_each_trace(shard, |monitor, origin_id, dst_pop, dst_ip| {
+            let src_coord = world.city(world.pop(monitor.pop).city).coord;
+            if let Some(rec) = self.engine.trace(
+                &monitor.tree,
+                src_coord,
+                origin_id,
+                monitor.src_ip,
+                dst_pop,
+                dst_ip,
+            ) {
+                sink(&rec);
+            }
+        });
+    }
+
+    /// The traceroutes of one shard, in order: each one's monitor, origin
+    /// id, destination PoP and destination address, drawn from the
+    /// shard's stream.
+    fn for_each_trace(&self, shard: &Shard, mut visit: impl FnMut(&Monitor, u32, PopId, Ipv4Addr)) {
+        let blocks = self.engine.world().plan().blocks();
         if blocks.is_empty() || self.monitors.is_empty() {
             return;
         }
         let mut rng = SplitMix64::new(shard.seed);
         for i in shard.start..shard.end {
-            let monitor = &self.monitors[i % self.monitors.len()];
+            let origin = i % self.monitors.len();
             let block = &blocks[(rng.next_u64() % blocks.len() as u64) as usize];
             let host = 1 + rng.next_u64() % 254;
             let dst_ip = block.block.nth(host).expect("host in /24");
-            let src_coord = world.city(world.pop(monitor.pop).city).coord;
-            if let Some(rec) = self.engine.trace(
-                &monitor.tree,
-                src_coord,
-                (i % self.monitors.len()) as u32,
-                monitor.src_ip,
-                block.pop,
-                dst_ip,
-            ) {
-                sink(&rec);
-            }
+            visit(&self.monitors[origin], origin as u32, block.pop, dst_ip);
         }
     }
 
@@ -202,9 +212,14 @@ impl<'w> ArkCampaign<'w> {
     }
 
     /// [`extract_dataset`](ArkCampaign::extract_dataset) on an explicit
-    /// pool. Shards run concurrently; each yields its own sorted
-    /// interface set and the union is re-sorted, so the result is
-    /// byte-identical at every thread count.
+    /// pool. Shards run concurrently and walk their traceroutes without
+    /// pricing a hop or building a record: each yields the ids of the
+    /// interfaces that answered short of the destination, and the fold
+    /// marks them, in shard order, in one bit per world interface. The
+    /// marked addresses, sorted, are byte-identical at every thread
+    /// count and equal to the interface addresses of
+    /// [`responding_intermediate_ips`](TracerouteRecord::responding_intermediate_ips)
+    /// over [`run`](ArkCampaign::run).
     pub fn extract_dataset_with(&self, pool: &Pool) -> ArkDataset {
         let world = self.engine.world();
         let total = self.total_traceroutes();
@@ -214,24 +229,42 @@ impl<'w> ArkCampaign<'w> {
             monitors = self.monitors.len()
         );
         routergeo_obs::counter("ark.traceroutes").add(total as u64);
-        let per_shard: Vec<Vec<Ipv4Addr>> =
-            pool.run_shards(self.config.seed ^ 0xDE57, total, ARK_SHARD_SIZE, |shard| {
-                let mut seen: HashSet<Ipv4Addr> = HashSet::new();
-                self.run_shard(shard, |rec| {
-                    for ip in rec.responding_intermediate_ips() {
-                        // Keep only addresses that are actually router
-                        // interfaces; destination hosts that happened to
-                        // reply are endpoints.
-                        if world.find_interface(ip).is_some() {
-                            seen.insert(ip);
-                        }
+        let mut seen = vec![0u64; world.interfaces.len().div_ceil(64)];
+        pool.fold_count(
+            self.config.seed ^ 0xDE57,
+            total,
+            ARK_SHARD_SIZE,
+            |shard| {
+                let mut answered: Vec<InterfaceId> = Vec::new();
+                let mut path = Vec::new();
+                self.for_each_trace(shard, |monitor, _, dst_pop, dst_ip| {
+                    if !monitor.tree.path_into(dst_pop, &mut path) {
+                        return;
                     }
+                    self.engine
+                        .walk(&path, monitor.src_ip, dst_ip, |_, step| match step {
+                            // The destination's own reply is an endpoint,
+                            // even when its address is a router interface
+                            // met earlier on the path.
+                            Step::Interface { id, ip, .. } if ip != dst_ip => answered.push(id),
+                            _ => {}
+                        });
                 });
-                let mut found: Vec<Ipv4Addr> = seen.into_iter().collect();
-                found.sort();
-                found
-            });
-        let mut interfaces: Vec<Ipv4Addr> = per_shard.into_iter().flatten().collect();
+                answered
+            },
+            |_, answered| {
+                for id in answered {
+                    seen[id.index() / 64] |= 1 << (id.index() % 64);
+                }
+            },
+        );
+        let mut interfaces: Vec<Ipv4Addr> = world
+            .interfaces
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| seen[i / 64] & (1 << (i % 64)) != 0)
+            .map(|(_, interface)| interface.ip)
+            .collect();
         interfaces.sort();
         interfaces.dedup();
         routergeo_obs::counter("ark.interfaces").add(interfaces.len() as u64);
@@ -247,6 +280,7 @@ impl<'w> ArkCampaign<'w> {
 mod tests {
     use super::*;
     use routergeo_world::{World, WorldConfig};
+    use std::collections::HashSet;
 
     fn campaign(world: &World) -> (Topology, ArkConfig) {
         let topo = Topology::build(world);
@@ -280,6 +314,47 @@ mod tests {
             assert_eq!(serial.traceroutes_run, parallel.traceroutes_run);
         }
         assert!(!serial.is_empty());
+    }
+
+    #[test]
+    fn extraction_equals_the_record_path_at_every_width() {
+        // The record path: run every traceroute into a record, keep the
+        // responding hops short of the destination that are router
+        // interfaces, sort and deduplicate.
+        let w = World::generate(WorldConfig::tiny(41));
+        let topo = Topology::build(&w);
+        let cfg = ArkConfig {
+            seed: 5,
+            monitors: 10,
+            traceroutes: Some(4_000),
+        };
+        let c = ArkCampaign::new(&w, &topo, cfg);
+        let mut want = Vec::new();
+        let mut dst_on_path = Vec::new();
+        c.run(|rec| {
+            want.extend(
+                rec.responding_intermediate_ips()
+                    .filter(|ip| w.find_interface(*ip).is_some()),
+            );
+            // An intermediate hop answering from the destination address.
+            let at_dst = rec.hops.iter().filter(|h| h.ip == Some(rec.dst_ip)).count();
+            if at_dst > usize::from(rec.reached) {
+                dst_on_path.push(rec.dst_ip);
+            }
+        });
+        want.sort();
+        want.dedup();
+        // Pin the destination exclusion: some destination is an interface
+        // on its own path that no other traceroute saw.
+        assert!(
+            dst_on_path.iter().any(|ip| want.binary_search(ip).is_err()),
+            "no destination-only interface among {dst_on_path:?}"
+        );
+        for threads in [1, 2, 8] {
+            let got = c.extract_dataset_with(&Pool::new(threads));
+            assert_eq!(got.interfaces, want, "threads={threads}");
+            assert_eq!(got.traceroutes_run, 4_000);
+        }
     }
 
     #[test]

@@ -8,9 +8,13 @@
 //! what `routergeo-rtt` mines for 0.5 ms-proximity ground truth.
 //!
 //! Anycast routing trick: rather than running Dijkstra per probe
-//! (thousands of sources), trees are computed per *instance* (dozens) and
-//! paths reversed — the graph is undirected, so the shortest path is the
-//! same in both directions.
+//! (thousands of sources), each *target* gets one multi-source walk from
+//! all of its instances at once ([`Topology::nearest_paths`]), and paths
+//! are reversed — the graph is undirected, so the shortest path is the
+//! same in both directions. The walk labels every PoP with its nearest
+//! instance, ties going to the instance drawn first, so a probe reads
+//! its nearest instance and the path from it directly: one walk per
+//! target instead of one tree per instance.
 
 use crate::engine::TraceEngine;
 use crate::graph::{PathTree, Topology};
@@ -45,42 +49,42 @@ impl Default for AtlasConfig {
 /// Prepared built-in measurement campaign.
 pub struct AtlasBuiltins<'w> {
     engine: TraceEngine<'w>,
-    /// Per target: service address plus its instances (PoP + tree).
-    targets: Vec<ServiceTarget>,
+    /// Per target: service address plus the shortest paths from its
+    /// nearest instance to every PoP.
+    targets: Vec<(Ipv4Addr, PathTree)>,
 }
 
-struct ServiceTarget {
-    addr: Ipv4Addr,
-    instances: Vec<(PopId, PathTree)>,
+/// Place every target's anycast instances: per target, its service
+/// address and its instance PoPs in draw order.
+fn place_instances(world: &World, config: &AtlasConfig) -> Vec<(Ipv4Addr, Vec<PopId>)> {
+    let mut rng = StdRng::seed_from_u64(config.seed ^ 0x0075);
+    let global_pops: Vec<PopId> = world
+        .pops
+        .iter()
+        .filter(|p| world.operator(p.op).kind == OperatorKind::GlobalTransit)
+        .map(|p| p.id)
+        .collect();
+    (0..config.targets)
+        .map(|t| {
+            let mut pool = global_pops.clone();
+            pool.shuffle(&mut rng);
+            pool.truncate(config.instances_per_target.min(pool.len()).max(1));
+            // Service addresses live outside the router plan
+            // (100.64.0.0/10 is never allocated to operators).
+            (Ipv4Addr::new(100, 64 + (t as u8 % 64), 0, 53), pool)
+        })
+        .collect()
 }
 
 impl<'w> AtlasBuiltins<'w> {
-    /// Place anycast instances and precompute their path trees.
+    /// Place anycast instances and walk each target's paths from them.
     pub fn new(world: &'w World, topo: &Topology, config: AtlasConfig) -> Self {
-        let mut rng = StdRng::seed_from_u64(config.seed ^ 0x0075);
-        let global_pops: Vec<PopId> = world
-            .pops
-            .iter()
-            .filter(|p| world.operator(p.op).kind == OperatorKind::GlobalTransit)
-            .map(|p| p.id)
+        let placed = place_instances(world, &config);
+        let _span = routergeo_obs::span!("atlas.trees", targets = placed.len());
+        let targets = placed
+            .into_iter()
+            .map(|(addr, instances)| (addr, topo.nearest_paths(&instances)))
             .collect();
-        let mut targets = Vec::with_capacity(config.targets);
-        for t in 0..config.targets {
-            let mut pool = global_pops.clone();
-            pool.shuffle(&mut rng);
-            let n = config.instances_per_target.min(pool.len()).max(1);
-            let instances = pool
-                .into_iter()
-                .take(n)
-                .map(|pop| (pop, topo.shortest_paths(pop)))
-                .collect();
-            targets.push(ServiceTarget {
-                // Service addresses live outside the router plan
-                // (100.64.0.0/10 is never allocated to operators).
-                addr: Ipv4Addr::new(100, 64 + (t as u8 % 64), 0, 53),
-                instances,
-            });
-        }
         AtlasBuiltins {
             engine: TraceEngine::new(world, config.seed),
             targets,
@@ -97,6 +101,11 @@ impl<'w> AtlasBuiltins<'w> {
     /// (probe, target) order.
     pub fn run(&self) -> Vec<TracerouteRecord> {
         let world = self.engine.world();
+        let _span = routergeo_obs::span!(
+            "atlas.run",
+            probes = world.probes.len(),
+            targets = self.targets.len()
+        );
         let mut out = Vec::with_capacity(world.probes.len() * self.targets.len());
         for probe in &world.probes {
             // Probe host address: outside the router plan.
@@ -106,19 +115,9 @@ impl<'w> AtlasBuiltins<'w> {
                 (probe.id.0 >> 8) as u8,
                 probe.id.0 as u8,
             );
-            for target in &self.targets {
-                // Nearest instance by path distance.
-                let Some((_, tree)) = target
-                    .instances
-                    .iter()
-                    .filter_map(|(_pop, tree)| tree.distance_km(probe.host_pop).map(|d| (d, tree)))
-                    .min_by(|a, b| a.0.total_cmp(&b.0))
-                else {
-                    continue;
-                };
-                // Reverse the instance→probe path into probe→instance and
-                // recompute cumulative distances from the probe side.
-                let Some(path) = tree.path_to(probe.host_pop) else {
+            for (addr, paths) in &self.targets {
+                // The nearest instance's path to the probe, instance first.
+                let Some(path) = paths.path_to(probe.host_pop) else {
                     continue;
                 };
                 let total = path.last().map(|(_, d)| *d).unwrap_or(0.0);
@@ -127,13 +126,9 @@ impl<'w> AtlasBuiltins<'w> {
                     .rev()
                     .map(|(pop, cum)| (*pop, total - *cum))
                     .collect();
-                let rec = self.engine.trace_along(
-                    &reversed,
-                    probe.true_coord,
-                    probe.id.0,
-                    src_ip,
-                    target.addr,
-                );
+                let rec =
+                    self.engine
+                        .trace_along(&reversed, probe.true_coord, probe.id.0, src_ip, *addr);
                 out.push(rec);
             }
         }
@@ -144,6 +139,7 @@ impl<'w> AtlasBuiltins<'w> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::tests::oracle_tree;
     use routergeo_world::{World, WorldConfig};
 
     fn run_builtins(seed: u64) -> (World, Vec<TracerouteRecord>) {
@@ -156,6 +152,52 @@ mod tests {
         };
         let records = AtlasBuiltins::new(&w, &topo, cfg).run();
         (w, records)
+    }
+
+    #[test]
+    fn one_walk_per_target_matches_the_per_instance_trees() {
+        // For every probe × target: the nearest instance by the
+        // first-minimum rule over the per-instance trees (the oracle
+        // Dijkstra), its PoP path, and the bits of every cumulative
+        // distance on it.
+        let presets: [fn(u64) -> WorldConfig; 2] = [WorldConfig::tiny, WorldConfig::small];
+        for make in presets {
+            for seed in [1, 7, 20_170_301] {
+                let w = World::generate(make(seed));
+                let topo = Topology::build(&w);
+                let cfg = AtlasConfig {
+                    seed,
+                    targets: 13,
+                    instances_per_target: 8,
+                };
+                for (addr, instances) in place_instances(&w, &cfg) {
+                    let forest = topo.nearest_paths(&instances);
+                    let trees: Vec<PathTree> =
+                        instances.iter().map(|&i| oracle_tree(&topo, i)).collect();
+                    for probe in &w.probes {
+                        let nearest = trees
+                            .iter()
+                            .enumerate()
+                            .filter_map(|(i, t)| t.distance_km(probe.host_pop).map(|d| (d, i)))
+                            .min_by(|a, b| a.0.total_cmp(&b.0));
+                        let want = nearest.and_then(|(_, i)| trees[i].path_to(probe.host_pop));
+                        let got = forest.path_to(probe.host_pop);
+                        let at = format!("seed {seed}, {addr}, {}", probe.id);
+                        if let (Some(path), Some((_, i))) = (&got, nearest) {
+                            assert_eq!(path[0].0, instances[i], "instance: {at}");
+                        }
+                        let bits = |p: Option<Vec<(PopId, f32)>>| {
+                            p.map(|p| {
+                                p.iter()
+                                    .map(|&(pop, d)| (pop, d.to_bits()))
+                                    .collect::<Vec<_>>()
+                            })
+                        };
+                        assert_eq!(bits(got), bits(want), "path: {at}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

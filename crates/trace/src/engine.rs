@@ -11,7 +11,7 @@ use crate::graph::PathTree;
 use crate::record::{Hop, TracerouteRecord};
 use crate::rttmodel::{flow_seed, RttModel, SplitMix64};
 use routergeo_geo::Coordinate;
-use routergeo_world::{PopId, World};
+use routergeo_world::{InterfaceId, PopId, RouterId, World};
 use std::net::Ipv4Addr;
 
 /// Traceroute engine over one world.
@@ -83,69 +83,37 @@ impl<'w> TraceEngine<'w> {
         src_ip: Ipv4Addr,
         dst_ip: Ipv4Addr,
     ) -> TracerouteRecord {
-        let mut rng = SplitMix64::new(flow_seed(
-            self.campaign_seed,
-            u32::from(src_ip),
-            u32::from(dst_ip),
-        ));
-        let inflation = self.model.draw_inflation(&mut rng);
         let mut hops: Vec<Hop> = Vec::with_capacity(path.len() + 2);
-        let mut hop_no = 1u8;
-        let mut aborted = false;
-
-        for (i, (pop_id, cum_km)) in path.iter().enumerate() {
-            // Within the source PoP, emit the gateway router and (sometimes)
-            // one more local router; other PoPs contribute their ingress.
-            let local_hops = if i == 0 {
-                1 + usize::from(rng.chance(0.5))
-            } else {
-                1
-            };
-            for k in 0..local_hops {
-                if rng.chance(self.abort_prob) {
-                    aborted = true;
-                    break;
+        let mut reached = false;
+        self.walk(path, src_ip, dst_ip, |inflation, step| {
+            let hop = u8::try_from(hops.len() + 1).unwrap_or(u8::MAX);
+            hops.push(match step {
+                Step::Timeout => Hop::timeout(hop),
+                Step::Gateway { ip, u } => {
+                    Hop::reply(hop, ip, self.model.rtt_ms(0.0, inflation, u))
                 }
-                // A measurement host has exactly one gateway: the first
-                // hop is sticky per source address, not per flow — and for
-                // many hosts it is a private-space CPE.
-                if i == 0 && k == 0 {
-                    let h = flow_seed(self.campaign_seed, u32::from(src_ip), 0xC9E);
-                    if (h % 10_000) as f64 / 10_000.0 < self.private_first_hop {
-                        let gw = Ipv4Addr::new(192, 168, (h >> 16) as u8, 1);
-                        let rtt = self.model.hop_rtt_ms(0.0, inflation, &mut rng);
-                        hops.push(Hop::reply(hop_no, gw, rtt));
-                        hop_no = hop_no.saturating_add(1);
-                        continue;
-                    }
+                Step::Interface {
+                    ip,
+                    router,
+                    cum_km,
+                    u,
+                    ..
+                } => {
+                    // The physical floor is the direct distance from the
+                    // measurement source to the actual router; the path
+                    // distance drives the inflated component. Never
+                    // undercuts physics w.r.t. true locations — the
+                    // invariant RTT-proximity extraction relies on.
+                    let direct_km = src_coord.distance_km(&self.world.router(router).coord);
+                    let eff_km = (cum_km as f64).max(direct_km);
+                    Hop::reply(hop, ip, self.model.rtt_ms(eff_km, inflation, u))
                 }
-                let sticky = (i == 0 && k == 0)
-                    .then(|| flow_seed(self.campaign_seed, u32::from(src_ip), 0x6A7E));
-                let hop = self.emit_hop(
-                    *pop_id,
-                    k as u64,
-                    *cum_km as f64,
-                    inflation,
-                    src_coord,
-                    sticky,
-                    &mut rng,
-                    hop_no,
-                );
-                hops.push(hop);
-                hop_no = hop_no.saturating_add(1);
-            }
-            if aborted {
-                break;
-            }
-        }
-
-        let reached = !aborted && rng.chance(self.dst_reply_prob);
-        if reached {
-            let total_km = path.last().map(|(_, d)| *d as f64).unwrap_or(0.0);
-            let rtt = self.model.hop_rtt_ms(total_km, inflation, &mut rng);
-            hops.push(Hop::reply(hop_no, dst_ip, rtt));
-        }
-
+                Step::Destination { km, u } => {
+                    reached = true;
+                    Hop::reply(hop, dst_ip, self.model.rtt_ms(km as f64, inflation, u))
+                }
+            });
+        });
         TracerouteRecord {
             origin_id,
             src_ip,
@@ -155,51 +123,120 @@ impl<'w> TraceEngine<'w> {
         }
     }
 
-    #[allow(
-        clippy::too_many_arguments,
-        reason = "per-hop state threaded through the walk without an ad-hoc struct"
-    )]
-    fn emit_hop(
+    /// Walk the flow `(src_ip, dst_ip)` along `path`, making every random
+    /// draw of the traceroute in stream order, and hand each hop to
+    /// `visit` with the flow's path inflation. The RTT arithmetic is left
+    /// to the caller: [`trace_along`](TraceEngine::trace_along) prices
+    /// every hop into a record, while Ark extraction only reads which
+    /// interfaces answered.
+    pub(crate) fn walk(
         &self,
-        pop_id: PopId,
-        salt: u64,
-        cum_km: f64,
-        inflation: f64,
-        src_coord: Coordinate,
-        sticky: Option<u64>,
-        rng: &mut SplitMix64,
-        hop_no: u8,
-    ) -> Hop {
-        if rng.chance(self.hop_loss) {
-            return Hop::timeout(hop_no);
-        }
-        let pop = self.world.pop(pop_id);
-        let n_routers = pop.router_count() as u64;
-        debug_assert!(n_routers > 0, "PoP without routers");
-        let pick = match sticky {
-            // Keep the rng stream in step either way.
-            Some(s) => {
-                let _ = rng.next_u64();
-                s
+        path: &[(PopId, f32)],
+        src_ip: Ipv4Addr,
+        dst_ip: Ipv4Addr,
+        mut visit: impl FnMut(f64, Step),
+    ) {
+        let mut rng = SplitMix64::new(flow_seed(
+            self.campaign_seed,
+            u32::from(src_ip),
+            u32::from(dst_ip),
+        ));
+        let inflation = self.model.draw_inflation(&mut rng);
+        for (i, &(pop_id, cum_km)) in path.iter().enumerate() {
+            // Within the source PoP, emit the gateway router and (sometimes)
+            // one more local router; other PoPs contribute their ingress.
+            let local_hops = if i == 0 {
+                1 + usize::from(rng.chance(0.5))
+            } else {
+                1
+            };
+            for k in 0..local_hops {
+                if rng.chance(self.abort_prob) {
+                    return;
+                }
+                // A measurement host has exactly one gateway: the first
+                // hop is sticky per source address, not per flow — and for
+                // many hosts it is a private-space CPE.
+                if i == 0 && k == 0 {
+                    let h = flow_seed(self.campaign_seed, u32::from(src_ip), 0xC9E);
+                    if (h % 10_000) as f64 / 10_000.0 < self.private_first_hop {
+                        let ip = Ipv4Addr::new(192, 168, (h >> 16) as u8, 1);
+                        visit(
+                            inflation,
+                            Step::Gateway {
+                                ip,
+                                u: rng.next_f64(),
+                            },
+                        );
+                        continue;
+                    }
+                }
+                if rng.chance(self.hop_loss) {
+                    visit(inflation, Step::Timeout);
+                    continue;
+                }
+                let sticky = (i == 0 && k == 0)
+                    .then(|| flow_seed(self.campaign_seed, u32::from(src_ip), 0x6A7E));
+                let pick = match sticky {
+                    // Keep the rng stream in step either way.
+                    Some(s) => {
+                        let _ = rng.next_u64();
+                        s
+                    }
+                    None => rng.next_u64(),
+                }
+                .wrapping_add((k as u64).wrapping_mul(0x9E37_79B9));
+                let pop = self.world.pop(pop_id);
+                let n_routers = pop.router_count() as u64;
+                debug_assert!(n_routers > 0, "PoP without routers");
+                let router_id = RouterId(pop.routers.start + (pick % n_routers) as u32);
+                let router = self.world.router(router_id);
+                let n_if = router.interface_count() as u64;
+                let id = InterfaceId(router.interfaces.start + ((pick >> 32) % n_if) as u32);
+                visit(
+                    inflation,
+                    Step::Interface {
+                        id,
+                        ip: self.world.interface(id).ip,
+                        router: router_id,
+                        cum_km,
+                        u: rng.next_f64(),
+                    },
+                );
             }
-            None => rng.next_u64(),
         }
-        .wrapping_add(salt.wrapping_mul(0x9E37_79B9));
-        let router_id = pop.routers.start + (pick % n_routers) as u32;
-        let router = &self.world.routers[router_id as usize];
-        let n_if = router.interface_count() as u64;
-        let if_idx = router.interfaces.start + ((pick >> 32) % n_if) as u32;
-        let ip = self.world.interfaces[if_idx as usize].ip;
-
-        // The physical floor is the direct distance from the measurement
-        // source to the actual router; the path distance drives the
-        // inflated component. Never undercuts physics w.r.t. true
-        // locations — the invariant RTT-proximity extraction relies on.
-        let direct_km = src_coord.distance_km(&router.coord);
-        let eff_km = cum_km.max(direct_km);
-        let rtt = self.model.hop_rtt_ms(eff_km, inflation, rng);
-        Hop::reply(hop_no, ip, rtt)
+        if rng.chance(self.dst_reply_prob) {
+            let km = path.last().map_or(0.0, |&(_, d)| d);
+            visit(
+                inflation,
+                Step::Destination {
+                    km,
+                    u: rng.next_f64(),
+                },
+            );
+        }
     }
+}
+
+/// One hop of a [`TraceEngine::walk`], before any RTT arithmetic. A hop
+/// that answered carries `u`, the uniform draw its jitter is priced from.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Step {
+    /// The hop did not answer.
+    Timeout,
+    /// The source's private-space CPE gateway answered from `ip`.
+    Gateway { ip: Ipv4Addr, u: f64 },
+    /// Interface `id` (address `ip`) of `router`, at a path PoP `cum_km`
+    /// along the path, answered.
+    Interface {
+        id: InterfaceId,
+        ip: Ipv4Addr,
+        router: RouterId,
+        cum_km: f32,
+        u: f64,
+    },
+    /// The destination answered, `km` along the path.
+    Destination { km: f32, u: f64 },
 }
 
 #[cfg(test)]

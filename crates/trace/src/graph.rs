@@ -16,9 +16,18 @@
 //! Edge weights are great-circle distances between the PoP cities (plus a
 //! small intra-metro constant), so Dijkstra yields geographically sensible
 //! routes and, through the RTT model, physically consistent delays.
+//!
+//! One Dijkstra serves two callers. [`Topology::shortest_paths`] grows the
+//! tree of one source (an Ark monitor);
+//! [`Topology::nearest_paths`] grows one forest from every instance of an
+//! anycast service at once, so each node learns its nearest instance and
+//! the path from it in a single walk. The heap pops one packed `u64` key,
+//! the `f32` distance bits above the node index: for the finite
+//! non-negative distances Dijkstra produces, the bits order exactly like
+//! the distances, so the key orders by (distance, node).
 
 use routergeo_world::{AsId, CityId, OperatorKind, PopId, World};
-use std::cmp::Ordering;
+use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 use std::collections::HashMap;
 
@@ -192,8 +201,150 @@ impl Topology {
 
     /// Single-source shortest paths (Dijkstra) from `src`.
     pub fn shortest_paths(&self, src: PopId) -> PathTree {
-        const UNREACHED: u32 = u32::MAX;
+        self.nearest_paths(&[src])
+    }
+
+    /// Shortest paths from the nearest of `sources`, in one multi-source
+    /// Dijkstra: every node is labelled (distance, source order) and
+    /// keeps the smallest label, so the nearest source wins and an exact
+    /// distance tie goes to the source listed first. A node reached from
+    /// source `i` gets the distance and path it has in
+    /// `shortest_paths(sources[i])`, unless an equal-distance path
+    /// through another source's region was settled first; the two
+    /// agree on every probe of the Tiny and Small test worlds.
+    pub fn nearest_paths(&self, sources: &[PopId]) -> PathTree {
         let n = self.adj.len();
+        let mut dist = vec![f32::INFINITY; n];
+        let mut prev = vec![UNREACHED; n];
+        // Per node, the position in `sources` of the source it is reached
+        // from: the low half of its label.
+        let mut origin = vec![u32::MAX; n];
+        let mut heap: BinaryHeap<Reverse<u64>> = BinaryHeap::new();
+        for (i, src) in sources.iter().enumerate() {
+            let i = u32::try_from(i).unwrap_or(u32::MAX);
+            if pack(0.0, i) < pack(dist[src.index()], origin[src.index()]) {
+                dist[src.index()] = 0.0;
+                prev[src.index()] = src.0;
+                origin[src.index()] = i;
+                heap.push(Reverse(pack(0.0, src.0)));
+            }
+        }
+        while let Some(Reverse(key)) = heap.pop() {
+            let node = key as u32;
+            let d = f32::from_bits((key >> 32) as u32);
+            if d > dist[node as usize] {
+                continue;
+            }
+            let from = origin[node as usize];
+            for &(next, w) in &self.adj[node as usize] {
+                let nd = d + w;
+                let (next_dist, next_origin) = (dist[next as usize], origin[next as usize]);
+                if pack(nd, from) < pack(next_dist, next_origin) {
+                    dist[next as usize] = nd;
+                    prev[next as usize] = node;
+                    origin[next as usize] = from;
+                    heap.push(Reverse(pack(nd, next)));
+                }
+            }
+        }
+        PathTree { dist, prev }
+    }
+}
+
+/// Predecessor of a node no path reaches.
+const UNREACHED: u32 = u32::MAX;
+
+/// `distance` and `low` packed into one key that orders by (distance,
+/// low): the distance's bits fill the high half. A heap key packs the
+/// node, a label the source order. IEEE 754 bits order
+/// like the values for finite non-negative `f32`s and `+∞` sorts after
+/// them, which covers every distance a walk holds.
+fn pack(distance: f32, low: u32) -> u64 {
+    (u64::from(distance.to_bits()) << 32) | u64::from(low)
+}
+
+/// Shortest paths from one source, or from the nearest of several: a
+/// tree or a forest, walked back from any node to its source.
+pub struct PathTree {
+    dist: Vec<f32>,
+    /// Per node, its predecessor on the path; a source is its own.
+    prev: Vec<u32>,
+}
+
+impl PathTree {
+    /// Path distance in km to `dst`, `None` if unreachable.
+    pub fn distance_km(&self, dst: PopId) -> Option<f32> {
+        let d = self.dist[dst.index()];
+        d.is_finite().then_some(d)
+    }
+
+    /// Cumulative distance of every node on the path to `dst`, source
+    /// first — used by the RTT model. `None` if unreachable.
+    pub fn path_to(&self, dst: PopId) -> Option<Vec<(PopId, f32)>> {
+        let mut path = Vec::new();
+        self.path_into(dst, &mut path).then_some(path)
+    }
+
+    /// [`path_to`](PathTree::path_to) into a reused buffer: `path` is
+    /// cleared and, when `dst` is reachable (the return value), filled.
+    pub fn path_into(&self, dst: PopId, path: &mut Vec<(PopId, f32)>) -> bool {
+        path.clear();
+        if !self.dist[dst.index()].is_finite() {
+            return false;
+        }
+        let mut cur = dst.0;
+        loop {
+            path.push((PopId(cur), self.dist[cur as usize]));
+            let p = self.prev[cur as usize];
+            debug_assert_ne!(p, UNREACHED, "reachable node must have a predecessor");
+            if p == cur {
+                break;
+            }
+            cur = p;
+        }
+        path.reverse();
+        true
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+    use routergeo_world::{World, WorldConfig};
+
+    fn world() -> World {
+        World::generate(WorldConfig::tiny(21))
+    }
+
+    #[derive(PartialEq)]
+    struct HeapItem {
+        dist: f32,
+        node: u32,
+    }
+
+    impl Eq for HeapItem {}
+
+    impl Ord for HeapItem {
+        fn cmp(&self, other: &Self) -> Ordering {
+            // Min-heap on distance.
+            other
+                .dist
+                .total_cmp(&self.dist)
+                .then_with(|| other.node.cmp(&self.node))
+        }
+    }
+
+    impl PartialOrd for HeapItem {
+        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+
+    /// The single-source Dijkstra the packed key replaced, kept as the
+    /// oracle for [`Topology::shortest_paths`] and
+    /// [`Topology::nearest_paths`].
+    pub(crate) fn oracle_tree(topo: &Topology, src: PopId) -> PathTree {
+        let n = topo.adj.len();
         let mut dist = vec![f32::INFINITY; n];
         let mut prev = vec![UNREACHED; n];
         let mut heap: BinaryHeap<HeapItem> = BinaryHeap::new();
@@ -207,7 +358,7 @@ impl Topology {
             if d > dist[node as usize] {
                 continue;
             }
-            for &(next, w) in &self.adj[node as usize] {
+            for &(next, w) in &topo.adj[node as usize] {
                 let nd = d + w;
                 if nd < dist[next as usize] {
                     dist[next as usize] = nd;
@@ -219,82 +370,67 @@ impl Topology {
                 }
             }
         }
-        PathTree { src, dist, prev }
-    }
-}
-
-#[derive(PartialEq)]
-struct HeapItem {
-    dist: f32,
-    node: u32,
-}
-
-impl Eq for HeapItem {}
-
-impl Ord for HeapItem {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Min-heap on distance.
-        other
-            .dist
-            .total_cmp(&self.dist)
-            .then_with(|| other.node.cmp(&self.node))
-    }
-}
-
-impl PartialOrd for HeapItem {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// Shortest-path tree from one source PoP.
-pub struct PathTree {
-    src: PopId,
-    dist: Vec<f32>,
-    prev: Vec<u32>,
-}
-
-impl PathTree {
-    /// The source PoP.
-    pub fn source(&self) -> PopId {
-        self.src
+        PathTree { dist, prev }
     }
 
-    /// Path distance in km to `dst`, `None` if unreachable.
-    pub fn distance_km(&self, dst: PopId) -> Option<f32> {
-        let d = self.dist[dst.index()];
-        d.is_finite().then_some(d)
+    /// `dist` as bits, so equality means bit-identical distances.
+    fn dist_bits(tree: &PathTree) -> Vec<u32> {
+        tree.dist.iter().map(|d| d.to_bits()).collect()
     }
 
-    /// Cumulative distance of every node on the path to `dst` — used by
-    /// the RTT model. `None` if unreachable.
-    pub fn path_to(&self, dst: PopId) -> Option<Vec<(PopId, f32)>> {
-        if !self.dist[dst.index()].is_finite() {
-            return None;
+    #[test]
+    fn packed_key_trees_match_the_heap_item_oracle_from_every_source() {
+        let w = world();
+        let topo = Topology::build(&w);
+        for pop in &w.pops {
+            let (got, want) = (topo.shortest_paths(pop.id), oracle_tree(&topo, pop.id));
+            assert_eq!(dist_bits(&got), dist_bits(&want), "dist from {}", pop.id);
+            assert_eq!(got.prev, want.prev, "prev from {}", pop.id);
         }
-        let mut rev = Vec::new();
-        let mut cur = dst.0;
-        loop {
-            rev.push((PopId(cur), self.dist[cur as usize]));
-            if cur == self.src.0 {
-                break;
-            }
-            let p = self.prev[cur as usize];
-            debug_assert_ne!(p, u32::MAX, "reachable node must have a predecessor");
-            cur = p;
-        }
-        rev.reverse();
-        Some(rev)
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use routergeo_world::{World, WorldConfig};
+    /// A hand-built graph: `a`–`x`–`c` (3 + 7 km) and `b`–`c` (10 km)
+    /// reach `c` at exactly 10.0 km from both `a` and `b`; `d` hangs off
+    /// `c` and `e` is unreachable.
+    fn tie_graph() -> Topology {
+        let (a, b, c, x, d) = (0u32, 1u32, 2u32, 3u32, 4u32);
+        let mut adj: Vec<Vec<(u32, f32)>> = vec![Vec::new(); 6];
+        let mut edge_count = 0;
+        for (u, v, km) in [(a, x, 3.0), (x, c, 7.0), (b, c, 10.0), (c, d, 5.0)] {
+            adj[u as usize].push((v, km));
+            adj[v as usize].push((u, km));
+            edge_count += 1;
+        }
+        Topology { adj, edge_count }
+    }
 
-    fn world() -> World {
-        World::generate(WorldConfig::tiny(21))
+    #[test]
+    fn an_exact_distance_tie_goes_to_the_source_listed_first() {
+        let topo = tie_graph();
+        let (a, b, c, x, d, e) = (PopId(0), PopId(1), PopId(2), PopId(3), PopId(4), PopId(5));
+        let via_a = vec![(a, 0.0), (x, 3.0), (c, 10.0), (d, 15.0)];
+        let via_b = vec![(b, 0.0), (c, 10.0), (d, 15.0)];
+        let first_a = topo.nearest_paths(&[a, b]);
+        assert_eq!(first_a.path_to(d), Some(via_a));
+        let first_b = topo.nearest_paths(&[b, a]);
+        assert_eq!(first_b.path_to(d), Some(via_b));
+        for forest in [&first_a, &first_b] {
+            assert_eq!(forest.distance_km(c), Some(10.0));
+            assert_eq!(forest.path_to(a), Some(vec![(a, 0.0)]));
+            assert_eq!(forest.path_to(b), Some(vec![(b, 0.0)]));
+            assert_eq!(forest.path_to(e), None);
+        }
+    }
+
+    #[test]
+    fn path_into_reuses_the_buffer() {
+        let topo = tie_graph();
+        let tree = topo.shortest_paths(PopId(1));
+        let mut path = vec![(PopId(9), 9.0)];
+        assert!(tree.path_into(PopId(4), &mut path));
+        assert_eq!(path, tree.path_to(PopId(4)).expect("reachable"));
+        assert!(!tree.path_into(PopId(5), &mut path));
+        assert!(path.is_empty());
     }
 
     #[test]

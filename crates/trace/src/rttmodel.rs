@@ -55,14 +55,19 @@ impl SplitMix64 {
 
     /// Exponential with the given mean.
     pub fn exponential(&mut self, mean: f64) -> f64 {
-        let u = self.next_f64().max(1e-12);
-        -mean * u.ln()
+        exponential(mean, self.next_f64())
     }
 
     /// Bernoulli trial.
     pub fn chance(&mut self, p: f64) -> bool {
         self.next_f64() < p
     }
+}
+
+/// Exponential with the given mean, by inversion of a uniform draw `u`
+/// in `[0, 1)`.
+pub fn exponential(mean: f64, u: f64) -> f64 {
+    -mean * u.max(1e-12).ln()
 }
 
 /// Hash a flow identity into a seed (FNV-1a over the fields).
@@ -111,9 +116,16 @@ impl RttModel {
     /// Guaranteed `>= min_rtt_ms(path_km)`: the physical floor is never
     /// undercut.
     pub fn hop_rtt_ms(&self, path_km: f64, inflation: f64, rng: &mut SplitMix64) -> f64 {
+        self.rtt_ms(path_km, inflation, rng.next_f64())
+    }
+
+    /// [`hop_rtt_ms`](RttModel::hop_rtt_ms) with the jitter's uniform
+    /// draw `u` already made: the trace engine draws every number of a
+    /// flow in one walk and prices the hops after.
+    pub fn rtt_ms(&self, path_km: f64, inflation: f64, u: f64) -> f64 {
         debug_assert!(inflation >= 1.0, "inflation must not beat physics");
         let floor = min_rtt_ms(path_km);
-        floor * inflation + self.local_cost_ms + rng.exponential(self.hop_jitter_mean_ms)
+        floor * inflation + self.local_cost_ms + exponential(self.hop_jitter_mean_ms, u)
     }
 }
 
