@@ -26,7 +26,8 @@ pub struct LabConfig {
     /// Scale factor on the paper's per-domain DNS ground-truth targets
     /// (1.0 = the paper's counts; small worlds need less).
     pub dns_gt_scale: f64,
-    /// Ark traceroute count (`None`: three passes over every /24).
+    /// Ark traceroute count (`None`: eight passes over every allocated
+    /// /24, as `ArkCampaign::total_traceroutes` runs them).
     pub ark_traceroutes: Option<usize>,
     /// Ark monitor count.
     pub ark_monitors: usize,

@@ -243,9 +243,10 @@ impl<'w> ArkCampaign<'w> {
                     }
                     self.engine
                         .walk(&path, monitor.src_ip, dst_ip, |_, step| match step {
-                            // The destination's own reply is an endpoint,
-                            // even when its address is a router interface
-                            // met earlier on the path.
+                            // A hop answering from the destination address
+                            // counts as the destination, as in
+                            // `responding_intermediate_ips`; a private CPE
+                            // gateway is no world interface.
                             Step::Interface { id, ip, .. } if ip != dst_ip => answered.push(id),
                             _ => {}
                         });

@@ -90,7 +90,7 @@ impl<'w> TraceEngine<'w> {
             hops.push(match step {
                 Step::Timeout => Hop::timeout(hop),
                 Step::Gateway { ip, u } => {
-                    Hop::reply(hop, ip, self.model.rtt_ms(0.0, inflation, u))
+                    Hop::reply(hop, ip, self.model.hop_rtt_ms(0.0, inflation, u))
                 }
                 Step::Interface {
                     ip,
@@ -106,11 +106,11 @@ impl<'w> TraceEngine<'w> {
                     // invariant RTT-proximity extraction relies on.
                     let direct_km = src_coord.distance_km(&self.world.router(router).coord);
                     let eff_km = (cum_km as f64).max(direct_km);
-                    Hop::reply(hop, ip, self.model.rtt_ms(eff_km, inflation, u))
+                    Hop::reply(hop, ip, self.model.hop_rtt_ms(eff_km, inflation, u))
                 }
                 Step::Destination { km, u } => {
                     reached = true;
-                    Hop::reply(hop, dst_ip, self.model.rtt_ms(km as f64, inflation, u))
+                    Hop::reply(hop, dst_ip, self.model.hop_rtt_ms(km as f64, inflation, u))
                 }
             });
         });

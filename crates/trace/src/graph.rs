@@ -206,12 +206,12 @@ impl Topology {
 
     /// Shortest paths from the nearest of `sources`, in one multi-source
     /// Dijkstra: every node is labelled (distance, source order) and
-    /// keeps the smallest label, so the nearest source wins and an exact
-    /// distance tie goes to the source listed first. A node reached from
-    /// source `i` gets the distance and path it has in
-    /// `shortest_paths(sources[i])`, unless an equal-distance path
-    /// through another source's region was settled first; the two
-    /// agree on every probe of the Tiny and Small test worlds.
+    /// keeps the smallest label, so it goes to its nearest source, and
+    /// an exact distance tie goes to the source listed first. Its
+    /// distance is exactly the one `shortest_paths` from that source
+    /// gives. So is its path, unless rounding lets a predecessor that
+    /// another source won tie with the tree's own; the tests find no
+    /// such node for any probe of the Tiny and Small worlds.
     pub fn nearest_paths(&self, sources: &[PopId]) -> PathTree {
         let n = self.adj.len();
         let mut dist = vec![f32::INFINITY; n];
@@ -254,11 +254,11 @@ impl Topology {
 /// Predecessor of a node no path reaches.
 const UNREACHED: u32 = u32::MAX;
 
-/// `distance` and `low` packed into one key that orders by (distance,
-/// low): the distance's bits fill the high half. A heap key packs the
-/// node, a label the source order. IEEE 754 bits order
-/// like the values for finite non-negative `f32`s and `+∞` sorts after
-/// them, which covers every distance a walk holds.
+/// Pack `distance` and `low` into one key that orders by (distance,
+/// low): the distance's bits fill the high half. Heap keys pack the
+/// node, labels the source order. The bits of finite non-negative
+/// `f32`s order like their values and `+∞` sorts after them; a walk
+/// holds no other distances.
 fn pack(distance: f32, low: u32) -> u64 {
     (u64::from(distance.to_bits()) << 32) | u64::from(low)
 }

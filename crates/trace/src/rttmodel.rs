@@ -53,11 +53,6 @@ impl SplitMix64 {
         lo + (hi - lo) * self.next_f64()
     }
 
-    /// Exponential with the given mean.
-    pub fn exponential(&mut self, mean: f64) -> f64 {
-        exponential(mean, self.next_f64())
-    }
-
     /// Bernoulli trial.
     pub fn chance(&mut self, p: f64) -> bool {
         self.next_f64() < p
@@ -66,7 +61,7 @@ impl SplitMix64 {
 
 /// Exponential with the given mean, by inversion of a uniform draw `u`
 /// in `[0, 1)`.
-pub fn exponential(mean: f64, u: f64) -> f64 {
+fn exponential(mean: f64, u: f64) -> f64 {
     -mean * u.max(1e-12).ln()
 }
 
@@ -111,18 +106,13 @@ impl RttModel {
     }
 
     /// RTT in ms for a hop at cumulative path distance `path_km`, given
-    /// the flow's inflation factor.
+    /// the flow's inflation factor and `u`, the flow's uniform draw
+    /// (`SplitMix64::next_f64`) for this hop's jitter. The trace engine
+    /// makes every draw of a flow in one walk and prices hops from them.
     ///
     /// Guaranteed `>= min_rtt_ms(path_km)`: the physical floor is never
     /// undercut.
-    pub fn hop_rtt_ms(&self, path_km: f64, inflation: f64, rng: &mut SplitMix64) -> f64 {
-        self.rtt_ms(path_km, inflation, rng.next_f64())
-    }
-
-    /// [`hop_rtt_ms`](RttModel::hop_rtt_ms) with the jitter's uniform
-    /// draw `u` already made: the trace engine draws every number of a
-    /// flow in one walk and prices the hops after.
-    pub fn rtt_ms(&self, path_km: f64, inflation: f64, u: f64) -> f64 {
+    pub fn hop_rtt_ms(&self, path_km: f64, inflation: f64, u: f64) -> f64 {
         debug_assert!(inflation >= 1.0, "inflation must not beat physics");
         let floor = min_rtt_ms(path_km);
         floor * inflation + self.local_cost_ms + exponential(self.hop_jitter_mean_ms, u)
@@ -159,7 +149,7 @@ mod tests {
         let n = 20_000;
         let mut sum = 0.0;
         for _ in 0..n {
-            let v = rng.exponential(0.5);
+            let v = exponential(0.5, rng.next_f64());
             assert!(v >= 0.0);
             sum += v;
         }
@@ -184,7 +174,7 @@ mod tests {
         for km in [0.0, 1.0, 50.0, 500.0, 8000.0] {
             let inflation = model.draw_inflation(&mut rng);
             for _ in 0..100 {
-                let rtt = model.hop_rtt_ms(km, inflation, &mut rng);
+                let rtt = model.hop_rtt_ms(km, inflation, rng.next_f64());
                 assert!(
                     rtt >= min_rtt_ms(km),
                     "rtt {rtt} below floor {} at {km} km",
@@ -204,7 +194,7 @@ mod tests {
         let n = 2000;
         for _ in 0..n {
             let inflation = model.draw_inflation(&mut rng);
-            let rtt = model.hop_rtt_ms(10.0, inflation, &mut rng);
+            let rtt = model.hop_rtt_ms(10.0, inflation, rng.next_f64());
             if rtt < 0.5 {
                 under += 1;
             }
@@ -220,7 +210,7 @@ mod tests {
         let mut rng = SplitMix64::new(13);
         for _ in 0..1000 {
             let inflation = model.draw_inflation(&mut rng);
-            let rtt = model.hop_rtt_ms(60.0, inflation, &mut rng);
+            let rtt = model.hop_rtt_ms(60.0, inflation, rng.next_f64());
             assert!(rtt > 0.5);
         }
     }

@@ -97,7 +97,7 @@ proptest! {
         let model = RttModel::default();
         let mut rng = SplitMix64::new(seed);
         let inflation = model.draw_inflation(&mut rng);
-        let rtt = model.hop_rtt_ms(km, inflation, &mut rng);
+        let rtt = model.hop_rtt_ms(km, inflation, rng.next_f64());
         prop_assert!(rtt >= routergeo_geo::distance::min_rtt_ms(km));
     }
 
