@@ -287,7 +287,7 @@ impl PathTree {
 
     /// [`path_to`](PathTree::path_to) into a reused buffer: `path` is
     /// cleared and, when `dst` is reachable (the return value), filled.
-    pub fn path_into(&self, dst: PopId, path: &mut Vec<(PopId, f32)>) -> bool {
+    pub(crate) fn path_into(&self, dst: PopId, path: &mut Vec<(PopId, f32)>) -> bool {
         path.clear();
         if !self.dist[dst.index()].is_finite() {
             return false;
