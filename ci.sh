@@ -113,9 +113,12 @@ step build-release cargo build --release
 # 20170301, must reproduce results/results_tenth.txt (stdout) and every
 # CSV under results/results_tenth_csv/ byte for byte. The determinism
 # gate compares thread counts within one build; this one pins the
-# figures across commits. Refresh with `cargo xtask report-check
-# --bless` only when a figure is meant to move. The budget bounds one
-# tenth-scale lab build and report (about 1.5 s).
+# figures across commits. Before the compare (and before any
+# `--bless`) the fresh CSVs must hold the README's at-a-glance
+# orderings, so a re-bless cannot flip a finding. Refresh with
+# `cargo xtask report-check --bless` only when a figure is meant to
+# move. The budget bounds one tenth-scale lab build and report (about
+# 1.5 s).
 step_budget report-check 30 cargo xtask report-check
 
 # Determinism gate: the full Tiny-scale report must be byte-identical at
@@ -150,12 +153,14 @@ step fuzz-build cargo build -q -p xtask -p routergeo-fuzz
 step_budget fuzz 45 sh -c "cargo xtask fuzz --budget-ms 30000 --json > $ART_DIR/fuzz_ci.json"
 
 # Serve gate: the lookup daemon must hold its production discipline
-# under a deterministic loadgen — virtual-time sim (byte-identical
-# serve_ci.json at any thread count), one hot swap under concurrent
-# load with zero failed lookups and zero torn reads, raw-socket and
-# faultnet abuse fully attributed, and wall-clock latency/throughput
-# gated by machine-speed-cancelling ratios. The budget catches a
-# wedged worker pool or a drain that never completes.
+# under a deterministic loadgen — the seeded traffic mix replayed
+# through the daemon's own frame loop with exact accounting (one
+# answer per frame, each fitting its request, daemon counters equal to
+# the answers; byte-identical serve_ci.json across runs), one hot swap
+# under concurrent load with zero failed lookups and zero torn reads,
+# raw-socket and faultnet abuse fully attributed, and wall-clock
+# latency/throughput gated by machine-speed-cancelling ratios. The
+# budget catches a wedged worker pool or a drain that never completes.
 step serve-build cargo build --release -q -p routergeo-serve
 step_budget serve-loadgen 90 cargo xtask serve-check --budget-ms 8000
 

@@ -199,6 +199,20 @@ impl Accounting {
             latency_us: routergeo_obs::histogram("serve.latency_us"),
         }
     }
+
+    /// The daemon's own totals, read tally by tally.
+    fn snapshot(&self) -> ServeStats {
+        ServeStats {
+            requests: self.requests.get(),
+            served: self.served.get(),
+            shed: self.shed.get(),
+            malformed: self.malformed.get(),
+            hits: self.hits.get(),
+            misses: self.misses.get(),
+            errors: self.errors.get(),
+            swaps: self.swaps.get(),
+        }
+    }
 }
 
 /// Snapshot of the daemon's request accounting. The conservation law
@@ -337,17 +351,7 @@ impl ServeDaemon {
 
     /// Snapshot the request accounting.
     pub fn stats(&self) -> ServeStats {
-        let a = &self.shared.acct;
-        ServeStats {
-            requests: a.requests.get(),
-            served: a.served.get(),
-            shed: a.shed.get(),
-            malformed: a.malformed.get(),
-            hits: a.hits.get(),
-            misses: a.misses.get(),
-            errors: a.errors.get(),
-            swaps: a.swaps.get(),
-        }
+        self.shared.acct.snapshot()
     }
 
     /// Atomically replace the live generation with `image`.
@@ -589,6 +593,21 @@ fn serve_frames<R: Read, W: Write>(
     };
     pending.flush(out, latency_us)?;
     Ok(close)
+}
+
+/// Run one in-memory connection whose peer sent `wire` through
+/// [`serve_frames`], against a fresh daemon state whose generation 1 is
+/// `reader`: the daemon's accounting afterwards, and every answer byte
+/// it wrote.
+pub(crate) fn replay(reader: Rgdb2Reader, wire: &[u8]) -> std::io::Result<(ServeStats, Vec<u8>)> {
+    let shared = Shared::new(reader, ServeConfig::default());
+    let mut answers = Vec::new();
+    serve_frames(
+        &mut BufReader::with_capacity(IO_BUF, wire),
+        &mut answers,
+        &shared,
+    )?;
+    Ok((shared.acct.snapshot(), answers))
 }
 
 /// Answer one intact frame. Body-level nonsense gets a `MALFORMED`

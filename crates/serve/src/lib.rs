@@ -20,9 +20,10 @@
 //! * [`mix`] — seeded traffic mixes (Zipf-hot, cold scan, malformed,
 //!   generation probes) where element `i` is a pure function of
 //!   `(seed, i)`;
-//! * [`sim`] — the virtual-time engine: real parse/lookup/encode work,
-//!   integer-nanosecond costs, shardable per virtual worker — the
-//!   source of the byte-deterministic numbers in `serve_ci.json`;
+//! * [`replay`] — the mix replayed through the daemon's own frame loop
+//!   over an in-memory connection, with every answer and the daemon's
+//!   accounting checked exactly: the deterministic half of
+//!   `serve_ci.json`;
 //! * [`live`] — real-TCP phases: hot swap under concurrent load,
 //!   raw-socket abuse, scripted faultnet chaos, and the ratio-gated
 //!   wall-clock measurements;
@@ -39,23 +40,20 @@ pub mod daemon;
 pub mod live;
 pub mod mix;
 pub mod protocol;
+pub mod replay;
 pub mod report;
-pub mod sim;
 
 pub use corpus::Corpus;
 pub use daemon::{Generation, ServeConfig, ServeDaemon, ServeError, ServeStats, SwapReport};
 pub use live::{AbuseOutcome, ServeClient, SwapOutcome, WallStats};
 pub use mix::{MixKind, MixRequest, MixWeights, TrafficMix};
 pub use protocol::{ProtoError, Request, Response, MAX_FRAME};
+pub use replay::ReplayOutcome;
 pub use report::{gate_violations, ServeReport};
-pub use sim::{SimConfig, SimOutcome};
-
-use routergeo_db::Rgdb2Reader;
-use routergeo_pool::Pool;
 
 /// The full loadgen plan — a pure function of `(budget_ms, seed)`, like
 /// the fuzz harness's trial plan, so a fixed budget always produces the
-/// same virtual workload and the same deterministic report.
+/// same replay and the same deterministic report.
 #[derive(Debug, Clone, Copy)]
 pub struct LoadgenConfig {
     /// Mix seed.
@@ -64,15 +62,8 @@ pub struct LoadgenConfig {
     pub budget_ms: u64,
     /// Corpus records per generation.
     pub records: usize,
-    /// Simulated stream length.
+    /// Mix elements replayed through the daemon's frame loop.
     pub sim_requests: u64,
-    /// Virtual worker chains.
-    pub virtual_workers: u64,
-    /// Virtual inter-arrival gap (mild overload by design, so the shed
-    /// path stays exercised).
-    pub interarrival_ns: u64,
-    /// Virtual backlog age that triggers a shed.
-    pub shed_wait_ns: u64,
     /// Concurrent clients in the swap phase.
     pub swap_clients: u64,
     /// Round-trip lookups per swap-phase client.
@@ -94,9 +85,6 @@ impl LoadgenConfig {
             budget_ms,
             records: 256,
             sim_requests: budget_ms.saturating_mul(4).clamp(2_000, 48_000),
-            virtual_workers: 4,
-            interarrival_ns: 500,
-            shed_wait_ns: 2_000_000,
             swap_clients: 4,
             swap_lookups: (budget_ms / 40).clamp(50, 300),
             wall_probes: (budget_ms / 10).clamp(100, 1_500),
@@ -116,30 +104,11 @@ pub struct LoadgenOutcome {
     pub wall: WallStats,
 }
 
-/// Run the full loadgen: sim, swap-under-load, abuse, wall clock.
-///
-/// `pool` shards only the virtual-time sim; the live phases use their
-/// own bounded I/O threads, so the report is byte-identical at any
-/// pool width.
-pub fn run_loadgen(config: &LoadgenConfig, pool: &Pool) -> Result<LoadgenOutcome, ServeError> {
+/// Run the full loadgen: replay, swap under load, abuse, wall clock.
+pub fn run_loadgen(config: &LoadgenConfig) -> Result<LoadgenOutcome, ServeError> {
     let corpus = Corpus::new(config.records);
-    let mix = TrafficMix::new(
-        config.seed,
-        corpus,
-        MixWeights::default(),
-        config.interarrival_ns,
-    );
-    let reader = Rgdb2Reader::open(corpus.image_v21(1))?;
-    let sim = sim::run_sim(
-        &mix,
-        &SimConfig {
-            requests: config.sim_requests,
-            virtual_workers: config.virtual_workers,
-            shed_wait_ns: config.shed_wait_ns,
-        },
-        &reader,
-        pool,
-    );
+    let mix = TrafficMix::new(config.seed, corpus, MixWeights::default(), 0);
+    let replay = replay::run_replay(&mix, config.sim_requests)?;
     let swap = live::run_swap_phase(
         &corpus,
         config.seed,
@@ -159,8 +128,7 @@ pub fn run_loadgen(config: &LoadgenConfig, pool: &Pool) -> Result<LoadgenOutcome
             seed: config.seed,
             budget_ms: config.budget_ms,
             records: u64::try_from(corpus.records()).expect("record count bounded"),
-            virtual_workers: config.virtual_workers,
-            sim,
+            replay,
             swap,
             abuse,
         },

@@ -2,9 +2,9 @@
 //!
 //! Request `i` is a **pure function of `(seed, i)`** — generation never
 //! consumes shared RNG state — so any subset of the stream can be
-//! produced independently, in any order, on any thread. That is what
-//! lets the simulator shard the stream across virtual workers and still
-//! merge a byte-identical report at 1, 2, or 8 threads.
+//! produced independently, in any order, on any thread. The loadgen's
+//! replay and the benchmark client frame the same elements from the
+//! same seed, so their streams agree byte for byte.
 //!
 //! The mix follows the shapes "Lost in the Prefix" observed in real
 //! lookup traffic: a Zipf-weighted hot set (popular prefixes dominate),
@@ -55,9 +55,9 @@ pub enum MixKind {
 /// One generated request.
 #[derive(Debug, Clone)]
 pub struct MixRequest {
-    /// Stream index.
-    pub index: u64,
-    /// Virtual arrival time.
+    /// The element's index times the mix's `interarrival_ns`. Nothing
+    /// reads it; it stays while the benchmark harness builds mixes
+    /// through the four-argument [`TrafficMix::new`].
     pub arrival_ns: u64,
     /// Request body bytes as they would appear inside a frame.
     pub body: Bytes,
@@ -87,8 +87,9 @@ pub struct TrafficMix {
 }
 
 impl TrafficMix {
-    /// Build a stream over `corpus` with `weights`, one arrival every
-    /// `interarrival_ns` of virtual time.
+    /// Build a stream over `corpus` with `weights`. `interarrival_ns`
+    /// only spaces the elements' `arrival_ns` stamps; the loadgen and
+    /// the benchmark pass 0.
     pub fn new(seed: u64, corpus: Corpus, weights: MixWeights, interarrival_ns: u64) -> TrafficMix {
         // Fixed-point harmonic weights: w_k ∝ 1/(k+1), scaled so even the
         // coldest rank keeps a nonzero integer weight.
@@ -156,7 +157,6 @@ impl TrafficMix {
             )
         };
         MixRequest {
-            index: i,
             arrival_ns: i * self.interarrival_ns,
             body,
             kind,

@@ -1,18 +1,19 @@
 //! The aggregated loadgen report and its hand-rolled JSON rendering.
 //!
 //! `serve_ci.json` is a CI artifact with the same contract as
-//! `fuzz_ci.json`: byte-identical across runs, machines, and worker
-//! thread counts for a fixed seed and budget. It is rendered by hand
-//! with a fixed field order and no floats or timestamps, and it
-//! contains **only** deterministic observables — virtual-time sim
-//! numbers and the swap/abuse invariants that hold exactly when the run
-//! is green. Wall-clock measurements live in
-//! [`WallStats`](crate::live::WallStats) and go to stderr; only their
-//! *ratios* gate CI (see [`gate_violations`]), so machine speed
-//! cancels the way the bench-check gate normalizes its baselines.
+//! `fuzz_ci.json`: byte-identical across runs and machines for a fixed
+//! seed and budget. It is rendered by hand with a fixed field order and
+//! no floats or timestamps, and it contains **only** exact accounting —
+//! the replay's answer tallies, which the daemon's own accounting must
+//! match, and the swap/abuse invariants that hold exactly when the run
+//! is green. Wall-clock
+//! measurements live in [`WallStats`](crate::live::WallStats) and go to
+//! stderr; only their *ratios* gate CI (see [`gate_violations`]), so
+//! machine speed cancels the way the bench-check gate normalizes its
+//! baselines.
 
 use crate::live::{AbuseOutcome, SwapOutcome, WallStats};
-use crate::sim::SimOutcome;
+use crate::replay::ReplayOutcome;
 use std::fmt::Write as _;
 
 /// p99 may exceed p50 by at most this factor (p50 floored at
@@ -36,10 +37,8 @@ pub struct ServeReport {
     pub budget_ms: u64,
     /// Corpus records per generation.
     pub records: u64,
-    /// Virtual worker chains in the sim.
-    pub virtual_workers: u64,
-    /// Virtual-time simulation outcome.
-    pub sim: SimOutcome,
+    /// Mix replay through the daemon's frame loop.
+    pub replay: ReplayOutcome,
     /// Hot-swap-under-load outcome.
     pub swap: SwapOutcome,
     /// Abuse-phase outcome.
@@ -74,22 +73,33 @@ impl ServeReport {
     /// condition.
     pub fn violations(&self) -> Vec<String> {
         let mut out = Vec::new();
-        let s = &self.sim;
-        if s.requests != s.served + s.shed + s.malformed {
+        let r = &self.replay;
+        if r.answers != r.requests {
             out.push(format!(
-                "sim conservation broken: {} requests vs {}+{}+{}",
-                s.requests, s.served, s.shed, s.malformed
+                "replay answered {} of {} request frames",
+                r.answers, r.requests
             ));
         }
-        if s.served != s.hits + s.misses + s.gen_infos {
+        if r.mismatches > 0 {
             out.push(format!(
-                "sim served breakdown broken: {} vs {}+{}+{}",
-                s.served, s.hits, s.misses, s.gen_infos
+                "{} replay answers do not fit their request",
+                r.mismatches
+            ));
+        }
+        if r.daemon != r.expected_daemon() {
+            out.push(format!(
+                "daemon accounting {:?} disagrees with the replay's answers {:?}",
+                r.daemon,
+                r.expected_daemon()
             ));
         }
         let w = &self.swap;
-        if w.ok + w.miss + w.busy + w.errors + w.torn_reads < w.lookups {
-            out.push("swap phase lost lookups".to_string());
+        let tallied = w.ok + w.miss + w.busy + w.errors + w.torn_reads;
+        if tallied != w.lookups {
+            out.push(format!(
+                "swap phase tallied {tallied} outcomes for {} lookups",
+                w.lookups
+            ));
         }
         if w.busy > 0 {
             out.push(format!("swap phase shed {} lookups", w.busy));
@@ -146,29 +156,15 @@ impl ServeReport {
         let mut s = String::new();
         let _ = write!(
             s,
-            "{{\n  \"schema\": \"routergeo-serve-ci-v1\",\n  \"seed\": {},\n  \"budget_ms\": {},\n  \"records\": {},\n",
+            "{{\n  \"schema\": \"routergeo-serve-ci-v2\",\n  \"seed\": {},\n  \"budget_ms\": {},\n  \"records\": {},\n",
             self.seed, self.budget_ms, self.records
         );
-        let m = &self.sim;
+        let r = &self.replay;
         let _ = write!(
             s,
-            "  \"sim\": {{\n    \"requests\": {}, \"served\": {}, \"shed\": {}, \"malformed\": {},\n    \
-             \"hits\": {}, \"misses\": {}, \"gen_infos\": {},\n    \"virtual_workers\": {},\n    \
-             \"latency_p50_ns\": {}, \"latency_p99_ns\": {}, \"latency_max_ns\": {},\n    \
-             \"makespan_ns\": {}, \"virtual_rate_per_sec\": {}\n  }},\n",
-            m.requests,
-            m.served,
-            m.shed,
-            m.malformed,
-            m.hits,
-            m.misses,
-            m.gen_infos,
-            self.virtual_workers,
-            m.latency_p50_ns,
-            m.latency_p99_ns,
-            m.latency_max_ns,
-            m.makespan_ns,
-            m.virtual_rate_per_sec
+            "  \"replay\": {{\n    \"requests\": {}, \"answers\": {}, \"mismatches\": {},\n    \
+             \"hits\": {}, \"misses\": {}, \"malformed\": {}, \"gen_infos\": {}\n  }},\n",
+            r.requests, r.answers, r.mismatches, r.hits, r.misses, r.malformed, r.gen_infos
         );
         let w = &self.swap;
         let _ = write!(
@@ -229,26 +225,31 @@ pub fn gate_violations(wall: &WallStats) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::daemon::ServeStats;
 
     fn sample() -> ServeReport {
         ServeReport {
             seed: 1,
             budget_ms: 100,
             records: 8,
-            virtual_workers: 4,
-            sim: SimOutcome {
+            replay: ReplayOutcome {
                 requests: 10,
-                served: 8,
-                shed: 1,
-                malformed: 1,
+                answers: 10,
+                mismatches: 0,
                 hits: 5,
                 misses: 2,
+                malformed: 2,
                 gen_infos: 1,
-                latency_p50_ns: 2_000,
-                latency_p99_ns: 9_000,
-                latency_max_ns: 9_500,
-                makespan_ns: 100_000,
-                virtual_rate_per_sec: 80_000,
+                daemon: ServeStats {
+                    requests: 10,
+                    served: 8,
+                    shed: 0,
+                    malformed: 2,
+                    hits: 5,
+                    misses: 2,
+                    errors: 0,
+                    swaps: 0,
+                },
             },
             swap: SwapOutcome {
                 clients: 2,
@@ -299,10 +300,21 @@ mod tests {
     }
 
     #[test]
-    fn sim_conservation_is_enforced() {
+    fn a_lookup_counted_twice_is_a_violation() {
         let mut broken = sample();
-        broken.sim.shed = 0;
-        assert!(!broken.is_clean());
+        broken.swap.ok += 1;
+        assert_eq!(broken.violations().len(), 1, "{:?}", broken.violations());
+    }
+
+    #[test]
+    fn replay_accounting_is_exact() {
+        let (mut dropped, mut unfit, mut skewed) = (sample(), sample(), sample());
+        dropped.replay.answers -= 1;
+        unfit.replay.mismatches = 1;
+        skewed.replay.daemon.shed = 1;
+        for broken in [dropped, unfit, skewed] {
+            assert!(!broken.is_clean());
+        }
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! The loadgen report is a CI artifact: it must be byte-identical
-//! across repeated runs and across worker-thread counts, or the
-//! `serve-loadgen` gate would flake on diffs.
+//! across repeated runs, or the `serve-loadgen` gate would flake on
+//! diffs.
 
-use routergeo_pool::Pool;
 use routergeo_serve::{run_loadgen, LoadgenConfig};
 
 /// A small plan so the three live phases stay cheap under `cargo test`.
@@ -20,8 +19,8 @@ fn small_config() -> LoadgenConfig {
 #[test]
 fn report_is_byte_identical_across_runs() {
     let config = small_config();
-    let first = run_loadgen(&config, &Pool::serial()).expect("loadgen runs");
-    let second = run_loadgen(&config, &Pool::serial()).expect("loadgen runs");
+    let first = run_loadgen(&config).expect("loadgen runs");
+    let second = run_loadgen(&config).expect("loadgen runs");
     assert!(
         first.report.violations().is_empty(),
         "clean run expected: {:?}",
@@ -35,27 +34,11 @@ fn report_is_byte_identical_across_runs() {
 }
 
 #[test]
-fn report_is_byte_identical_across_thread_counts() {
-    let config = small_config();
-    let baseline = run_loadgen(&config, &Pool::new(1))
-        .expect("loadgen runs")
-        .report
-        .to_json();
-    for threads in [2, 8] {
-        let json = run_loadgen(&config, &Pool::new(threads))
-            .expect("loadgen runs")
-            .report
-            .to_json();
-        assert_eq!(baseline, json, "threads={threads}");
-    }
-}
-
-#[test]
 fn seed_changes_the_report() {
     let config = small_config();
     let reseeded = LoadgenConfig { seed: 99, ..config };
-    let a = run_loadgen(&config, &Pool::serial()).expect("loadgen runs");
-    let b = run_loadgen(&reseeded, &Pool::serial()).expect("loadgen runs");
+    let a = run_loadgen(&config).expect("loadgen runs");
+    let b = run_loadgen(&reseeded).expect("loadgen runs");
     assert_ne!(
         a.report.to_json(),
         b.report.to_json(),

@@ -11,7 +11,7 @@
 //! cargo xtask deps            # offline manifest / dependency policy
 //! cargo xtask bench-check     # compare repro --timings vs the baseline
 //! cargo xtask bench-check --bless  # refresh BENCH_pipeline.json
-//! cargo xtask report-check    # compare repro all vs results/
+//! cargo xtask report-check    # README orderings, then repro all vs results/
 //! cargo xtask report-check --bless # refresh the golden report
 //! ```
 //!

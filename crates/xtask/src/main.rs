@@ -22,9 +22,10 @@ commands:\n  \
                         BENCH_pipeline.json (--bless refreshes the baseline)\n  \
   report-check [--bless]\n  \
                         run the release `repro all --csv` at tenth scale, seed 20170301,\n  \
+                        check that its CSVs hold the README's at-a-glance orderings,\n  \
                         and compare stdout and every CSV byte for byte with\n  \
                         results/results_tenth.txt and results/results_tenth_csv/\n  \
-                        (--bless refreshes the golden from this run)\n  \
+                        (--bless refreshes the golden from this run, orderings first)\n  \
   obs-check FILE        verify the structural invariants of a `repro --obs` JSONL trace\n  \
                         (span accounting, counter identities, histogram totals)\n  \
   fuzz [--budget-ms N] [--json]\n  \
@@ -33,7 +34,8 @@ commands:\n  \
                         is a pure function of the budget, so output is byte-identical\n  \
                         across runs (default budget 30000 ms)\n  \
   serve-check [--budget-ms N] [--vendor-images]\n  \
-                        run the serve loadgen (virtual-time sim, hot swap under load,\n  \
+                        run the serve loadgen (the traffic mix replayed through the\n  \
+                        daemon's frame loop with exact accounting, hot swap under load,\n  \
                         abuse, wall-clock ratio gates) and write the deterministic\n  \
                         report to target/ci-artifacts/serve_ci.json (default budget\n  \
                         8000 ms); --vendor-images additionally sweeps the daemon over\n  \
@@ -399,6 +401,21 @@ fn run_report_check(root: &Path, bless: bool) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+
+    // A re-bless must not flip a finding, so the guard runs on the fresh
+    // CSVs before either the compare or the bless.
+    let findings = report::ordering_violations(&csv_dir)
+        .unwrap_or_else(|err| vec![format!("{}: {err}", csv_dir.display())]);
+    if !findings.is_empty() {
+        for f in &findings {
+            println!("{f}");
+        }
+        eprintln!(
+            "xtask report-check: {} finding(s) of the README no longer hold",
+            findings.len()
+        );
+        return ExitCode::FAILURE;
+    }
 
     if bless {
         return match report::bless(root, &stdout, &csv_dir) {

@@ -12,6 +12,11 @@
 //! passes the determinism gate; this gate is what catches it across
 //! commits. Refresh the golden with `--bless` only when a figure is
 //! meant to move.
+//!
+//! Bytes alone would let a re-bless flip a finding unnoticed, so the
+//! fresh run's CSVs must first hold the orderings the README's "at a
+//! glance" table states ([`ordering_violations`]), both before the
+//! compare and before a bless.
 
 use std::collections::BTreeSet;
 use std::fs;
@@ -29,6 +34,174 @@ pub const SCALE: &str = "tenth";
 
 /// Master seed of the golden report (`ROUTERGEO_SEED`).
 pub const SEED: &str = "20170301";
+
+/// Country and city coverage over the Ark set, per database.
+const COVERAGE: &str = "02_coverage.csv";
+/// Pairwise country-level agreement over the Ark set.
+const CONSISTENCY: &str = "03_consistency_country.csv";
+/// Coverage and accuracy over the ground truth, per database.
+const ACCURACY: &str = "05_fig2_summary.csv";
+/// Percent of ground truth placed in the wrong country, per RIR and
+/// database.
+const BY_RIR: &str = "06_fig3_rir.csv";
+
+/// One report CSV: its header and rows, split on commas (no cell of the
+/// report holds one).
+struct Csv<'a> {
+    name: &'a str,
+    header: Vec<&'a str>,
+    rows: Vec<Vec<&'a str>>,
+}
+
+impl<'a> Csv<'a> {
+    fn new(name: &'a str, text: &'a str) -> Csv<'a> {
+        let mut lines = text.lines().map(|line| line.split(',').collect());
+        Csv {
+            name,
+            header: lines.next().unwrap_or_default(),
+            rows: lines.collect(),
+        }
+    }
+
+    /// Each row's label: its first cell.
+    fn labels(&self) -> impl Iterator<Item = &'a str> + '_ {
+        self.rows.iter().filter_map(|row| row.first().copied())
+    }
+
+    /// The percentage at (`row`, `column`) in tenths of a percent.
+    fn tenths(&self, row: &str, column: &str) -> Result<u32, String> {
+        let at = self.header.iter().position(|h| *h == column);
+        let cell = at.and_then(|at| {
+            let row = self.rows.iter().find(|r| r.first() == Some(&row))?;
+            row.get(at)
+        });
+        cell.and_then(|cell| parse_tenths(cell))
+            .ok_or_else(|| format!("{}: no percentage at ({row}, {column})", self.name))
+    }
+}
+
+/// A cell such as `89.9%` as tenths of a percent (899).
+fn parse_tenths(cell: &str) -> Option<u32> {
+    let (whole, tenth) = cell.strip_suffix('%')?.split_once('.')?;
+    if tenth.len() != 1 {
+        return None;
+    }
+    let whole = whole.parse::<u32>().ok()?.checked_mul(10)?;
+    whole.checked_add(tenth.parse().ok()?)
+}
+
+/// Render tenths of a percent as the report does.
+fn pct(tenths: u32) -> String {
+    format!("{}.{}%", tenths / 10, tenths % 10)
+}
+
+/// The findings of the README's "at a glance" table, checked on the
+/// report CSVs in `csv_dir`: one message per finding the report
+/// contradicts, empty when all hold.
+///
+/// * NetAcuity has the highest country accuracy.
+/// * City coverage orders MaxMind-GeoLite < MaxMind-Paid < both
+///   IP2Location-Lite and NetAcuity.
+/// * The two MaxMind databases agree more often than any other pair.
+/// * In every database, ARIN and RIPENCC have the two highest shares of
+///   wrong countries, and NetAcuity's share is the lowest (ties
+///   allowed) in every RIR.
+pub fn ordering_violations(csv_dir: &Path) -> io::Result<Vec<String>> {
+    let read = |name| fs::read_to_string(csv_dir.join(name));
+    let texts = [
+        read(COVERAGE)?,
+        read(CONSISTENCY)?,
+        read(ACCURACY)?,
+        read(BY_RIR)?,
+    ];
+    Ok(orderings(&texts).unwrap_or_else(|missing| vec![missing]))
+}
+
+/// [`ordering_violations`] over the texts of [`COVERAGE`],
+/// [`CONSISTENCY`], [`ACCURACY`] and [`BY_RIR`]; `Err` names a cell the
+/// check needs and the report lacks.
+fn orderings(
+    [coverage, consistency, accuracy, by_rir]: &[String; 4],
+) -> Result<Vec<String>, String> {
+    let mut out = Vec::new();
+
+    let accuracy = Csv::new(ACCURACY, accuracy);
+    let best = accuracy.tenths("NetAcuity", "country acc")?;
+    for db in accuracy.labels().filter(|db| *db != "NetAcuity") {
+        let acc = accuracy.tenths(db, "country acc")?;
+        if acc >= best {
+            out.push(format!(
+                "{ACCURACY}: {db}'s country accuracy {} is not below NetAcuity's {}",
+                pct(acc),
+                pct(best)
+            ));
+        }
+    }
+
+    let coverage = Csv::new(COVERAGE, coverage);
+    let city = |db| coverage.tenths(db, "city-level");
+    let (free, paid) = (city("MaxMind-GeoLite")?, city("MaxMind-Paid")?);
+    let full = city("IP2Location-Lite")?.min(city("NetAcuity")?);
+    if !(free < paid && paid < full) {
+        out.push(format!(
+            "{COVERAGE}: city coverage {} (MaxMind-GeoLite), {} (MaxMind-Paid), {} (lower of \
+             IP2Location-Lite and NetAcuity) is not strictly increasing",
+            pct(free),
+            pct(paid),
+            pct(full)
+        ));
+    }
+
+    let consistency = Csv::new(CONSISTENCY, consistency);
+    let vendor = "MaxMind-GeoLite vs MaxMind-Paid";
+    let top = consistency.tenths(vendor, "agreement")?;
+    for pair in consistency
+        .labels()
+        .filter(|p| *p != vendor && *p != "ALL databases")
+    {
+        let agree = consistency.tenths(pair, "agreement")?;
+        if agree >= top {
+            out.push(format!(
+                "{CONSISTENCY}: {pair} agrees on {}, not below {vendor}'s {}",
+                pct(agree),
+                pct(top)
+            ));
+        }
+    }
+
+    let by_rir = Csv::new(BY_RIR, by_rir);
+    // After the RIR and n columns, one column per database.
+    let dbs: Vec<&str> = by_rir.header.iter().skip(2).copied().collect();
+    for &db in &dbs {
+        let floor = by_rir
+            .tenths("ARIN", db)?
+            .min(by_rir.tenths("RIPENCC", db)?);
+        for rir in by_rir.labels().filter(|r| *r != "ARIN" && *r != "RIPENCC") {
+            let wrong = by_rir.tenths(rir, db)?;
+            if wrong >= floor {
+                out.push(format!(
+                    "{BY_RIR}: {db} is wrong on {} of {rir}, not below ARIN and RIPENCC (both at least {})",
+                    pct(wrong),
+                    pct(floor)
+                ));
+            }
+        }
+    }
+    for rir in by_rir.labels() {
+        let netacuity = by_rir.tenths(rir, "NetAcuity")?;
+        for &db in &dbs {
+            let wrong = by_rir.tenths(rir, db)?;
+            if wrong < netacuity {
+                out.push(format!(
+                    "{BY_RIR}: in {rir}, {db} is wrong on {}, below NetAcuity's {}",
+                    pct(wrong),
+                    pct(netacuity)
+                ));
+            }
+        }
+    }
+    Ok(out)
+}
 
 /// Where `golden` and `fresh` first differ, as `line N: expected … got …`
 /// (1-based), or `None` when they are byte-identical.
@@ -108,6 +281,93 @@ pub fn bless(root: &Path, stdout: &[u8], fresh_csv: &Path) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn golden_csv() -> std::path::PathBuf {
+        Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../..")
+            .join(GOLDEN_CSV_DIR)
+    }
+
+    /// `text` with every cell equal to `a` renamed `b` and vice versa:
+    /// two rows or two columns trade places.
+    fn swap(text: &str, a: &str, b: &str) -> String {
+        let line = |line: &str| {
+            let cells: Vec<&str> = line
+                .split(',')
+                .map(|c| {
+                    if c == a {
+                        b
+                    } else if c == b {
+                        a
+                    } else {
+                        c
+                    }
+                })
+                .collect();
+            cells.join(",")
+        };
+        text.lines().map(|l| line(l) + "\n").collect()
+    }
+
+    #[test]
+    fn the_golden_report_holds_every_finding() {
+        let violations = ordering_violations(&golden_csv()).expect("the golden is readable");
+        assert!(violations.is_empty(), "{violations:?}");
+    }
+
+    #[test]
+    fn a_flipped_row_breaks_its_finding() {
+        let files = [COVERAGE, CONSISTENCY, ACCURACY, BY_RIR];
+        let golden = files.map(|f| fs::read_to_string(golden_csv().join(f)).expect("golden"));
+        let flips = [
+            (ACCURACY, "NetAcuity", "IP2Location-Lite"),
+            (COVERAGE, "MaxMind-GeoLite", "MaxMind-Paid"),
+            (COVERAGE, "MaxMind-Paid", "NetAcuity"),
+            (
+                CONSISTENCY,
+                "MaxMind-GeoLite vs MaxMind-Paid",
+                "MaxMind-Paid vs NetAcuity",
+            ),
+            (BY_RIR, "RIPENCC", "APNIC"),
+            (BY_RIR, "NetAcuity", "MM-Paid"),
+        ];
+        for (file, a, b) in flips {
+            let mut texts = golden.clone();
+            let at = files
+                .iter()
+                .position(|f| *f == file)
+                .expect("a finding file");
+            texts[at] = swap(&texts[at], a, b);
+            assert_ne!(texts[at], golden[at], "{a} and {b} are in {file}");
+            let violations = orderings(&texts).expect("every cell is there");
+            assert!(
+                !violations.is_empty() && violations.iter().all(|v| v.starts_with(file)),
+                "{file} with {a} and {b} swapped: {violations:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn only_one_decimal_percentages_parse() {
+        assert_eq!(parse_tenths("100.0%"), Some(1000));
+        assert_eq!(parse_tenths("0.0%"), Some(0));
+        for bad in ["89.95%", "89.9", "12%", "x.1%", "99999999999.9%"] {
+            assert_eq!(parse_tenths(bad), None, "{bad}");
+        }
+    }
+
+    #[test]
+    fn a_missing_cell_is_a_violation() {
+        let files = [COVERAGE, CONSISTENCY, ACCURACY, BY_RIR];
+        let mut texts = files.map(|f| fs::read_to_string(golden_csv().join(f)).expect("golden"));
+        texts[2] = swap(&texts[2], "country acc", "country accuracy");
+        assert_eq!(
+            orderings(&texts),
+            Err(format!(
+                "{ACCURACY}: no percentage at (NetAcuity, country acc)"
+            ))
+        );
+    }
 
     #[test]
     fn identical_bytes_have_no_difference() {
