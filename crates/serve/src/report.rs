@@ -6,8 +6,7 @@
 //! no floats or timestamps, and it contains **only** exact accounting —
 //! the replay's answer tallies, which the daemon's own accounting must
 //! match, and the swap/abuse invariants that hold exactly when the run
-//! is green. Wall-clock
-//! measurements live in [`WallStats`](crate::live::WallStats) and go to
+//! is green. Wall-clock measurements live in [`WallStats`] and go to
 //! stderr; only their *ratios* gate CI (see [`gate_violations`]), so
 //! machine speed cancels the way the bench-check gate normalizes its
 //! baselines.
