@@ -323,7 +323,7 @@ fn handle_connection(
 mod tests {
     use super::*;
     use routergeo_world::{World, WorldConfig};
-    use std::io::Read;
+    use std::io::{BufRead, Read};
 
     fn server() -> (World, WhoisServer) {
         let w = World::generate(WorldConfig::tiny(141));
@@ -432,32 +432,53 @@ mod tests {
 
     #[test]
     fn saturated_pool_sheds_load_with_busy() {
+        // One worker, a one-slot queue, and no sleeps: every step waits
+        // on bytes from the server.
         let w = World::generate(WorldConfig::tiny(142));
         let svc = Arc::new(MappingService::build(&w));
-        // One worker, rendezvous queue: a single held connection
-        // saturates the server.
+        let ip = w.interfaces[0].ip;
+        // Enough rows to overflow the worker's 8 KiB `BufWriter`, so the
+        // banner reaches the client while the request is still open.
+        let rows = 2 * 8 * 1024 / svc.format_row(ip).len();
         let config = ServerConfig {
             max_workers: 1,
-            queue_depth: 0,
+            queue_depth: 1,
             read_timeout: Duration::from_secs(5),
             write_timeout: Duration::from_secs(5),
         };
         let mut srv = WhoisServer::spawn_with(svc, config).expect("bind");
 
-        // Hold the only worker: send `begin` and stall mid-request.
-        let mut held = TcpStream::connect(srv.addr()).unwrap();
-        held.write_all(b"begin\n").unwrap();
-        // Let the worker dequeue the held connection.
-        std::thread::sleep(Duration::from_millis(100));
+        // Hold the only worker: `begin` and the rows, but no `end`. The
+        // banner arrives only once the worker has taken the connection.
+        let mut held = TcpStream::connect_timeout(&srv.addr(), Duration::from_secs(2)).unwrap();
+        held.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let request = format!("begin\n{}", format!("{ip}\n").repeat(rows));
+        held.write_all(request.as_bytes()).unwrap();
+        let mut held_out = BufReader::new(held.try_clone().unwrap());
+        let mut banner = String::new();
+        held_out.read_line(&mut banner).unwrap();
+        assert!(banner.starts_with("Bulk mode;"), "{banner}");
 
-        let ip = w.interfaces[0].ip;
+        // Accepted in order: this one takes the queue slot...
+        let mut queued = TcpStream::connect_timeout(&srv.addr(), Duration::from_secs(2)).unwrap();
+        queued
+            .write_all(format!("begin\n{ip}\nend\n").as_bytes())
+            .unwrap();
+        queued.shutdown(std::net::Shutdown::Write).unwrap();
+        // ...and this one finds the queue full.
         let out = talk(srv.addr(), &format!("begin\n{ip}\nend\n"));
         assert!(out.starts_with("Error: busy"), "{out}");
 
-        // Release the worker; the next request is served normally.
+        // Release the worker; the queued request is served, and so is
+        // the next one.
         held.write_all(b"end\n").unwrap();
-        drop(held);
-        std::thread::sleep(Duration::from_millis(50));
+        held.shutdown(std::net::Shutdown::Write).unwrap();
+        let mut rest = String::new();
+        held_out.read_to_string(&mut rest).unwrap();
+        assert_eq!(rest.lines().count(), rows, "rows after the banner");
+        let mut out = String::new();
+        queued.read_to_string(&mut out).unwrap();
+        assert!(out.contains(&ip.to_string()), "{out}");
         let out = talk(srv.addr(), &format!("begin\n{ip}\nend\n"));
         assert!(out.contains(&ip.to_string()), "{out}");
         assert_eq!(srv.shutdown(), 0);

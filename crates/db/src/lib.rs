@@ -8,8 +8,6 @@
 //!   location" analysis (§5.2.3).
 //! * [`GeoDatabase`] — the lookup trait every backend implements.
 //! * [`inmem`] — an in-memory range database (the working representation).
-//! * [`csvdb`] — an IP2Location-style CSV format (range rows), reader and
-//!   writer.
 //! * [`rgdb2`] — **RGDB**, the MaxMind-style binary format (layout
 //!   revision v2.1): a checksummed header, a stride-16 root table,
 //!   level-order trie nodes, fixed-width records, and a deduplicated
@@ -30,7 +28,6 @@
 #![deny(clippy::cast_possible_truncation)]
 
 pub mod compact;
-pub mod csvdb;
 pub mod diff;
 pub mod image;
 pub mod inmem;

@@ -945,9 +945,10 @@ impl Rgdb2Reader {
     }
 
     /// Prefix length of the longest match for `ip`, without decoding the
-    /// record. `None` when no prefix on the walk carries a record. This
-    /// is the trie-walk depth the serving cost model keys on: a /28
-    /// match costs a deeper walk than a /12 match.
+    /// record. `None` when no prefix on the walk carries a record. The
+    /// fuzz differential's LPM-depth check, the fuzz round-trip battery
+    /// and the RGDB unit tests compare it with the length of the prefix
+    /// that holds `ip`.
     pub fn match_len(&self, ip: Ipv4Addr) -> Result<Option<u8>, RgdbError> {
         Ok(self.deepest_match(ip)?.map(|(_, len)| len))
     }

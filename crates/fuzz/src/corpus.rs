@@ -9,10 +9,9 @@
 //!   nested longest-prefix matching — `InMemoryDb` (a flat range map)
 //!   rejects overlapping ranges outright.
 //! * **Coordinates are micro-degree-valued** (`k / 1e6`). RGDB stores
-//!   integer micro-degrees and CSV prints six decimals, so exact
-//!   three-way agreement is only possible when the source values sit on
-//!   that grid. `k / 1e6` and the CSV decimal parse produce the same
-//!   correctly-rounded `f64`, which the round-trip battery relies on.
+//!   integer micro-degrees, so exact agreement with the in-memory
+//!   oracle is only possible when the source values sit on that grid;
+//!   the round-trip battery relies on it.
 
 use crate::rng::FuzzRng;
 use bytes::Bytes;
@@ -166,8 +165,7 @@ fn synth_record(rng: &mut FuzzRng) -> LocationRecord {
     let coord = if rng.chance(70) {
         let lat_micro = rng.range_i64(-90_000_000, 90_000_000);
         let lon_micro = rng.range_i64(-180_000_000, 180_000_000);
-        // Micro-degree grid: exact under RGDB quantization and CSV's
-        // six-decimal print.
+        // Micro-degree grid: exact under RGDB quantization.
         let lat = lat_micro as f64 / 1e6;
         let lon = lon_micro as f64 / 1e6;
         Coordinate::new(lat, lon).ok()
@@ -191,9 +189,8 @@ fn synth_record(rng: &mut FuzzRng) -> LocationRecord {
 /// ASCII name of varying length: mostly short, occasionally a single
 /// character, the empty string, or close to the format's 255-byte cap
 /// (never over it — the writer truncates at 255). `Some("")` is a
-/// legal present-but-empty name everywhere: the binary formats carry
-/// it as a set flag with length 0 and CSV as a quoted-empty cell, so
-/// the differential backends all round-trip it.
+/// legal present-but-empty name everywhere: RGDB carries it as a set
+/// flag with length 0, so the differential backends all round-trip it.
 fn synth_string(rng: &mut FuzzRng, kind: &str) -> String {
     match rng.below(10) {
         0 => "X".to_string(),
@@ -252,8 +249,8 @@ mod tests {
     #[test]
     fn corpus_strings_cover_the_empty_present_shape() {
         // The differential pillar is only as strong as the corpus: the
-        // `Some("")` shape (fixed in CsvDb this cycle) must actually
-        // occur across the seeds the harness replays.
+        // `Some("")` shape must actually occur across the seeds the
+        // harness replays.
         let mut empties = 0usize;
         for seed in 1..=8u64 {
             for (_, record) in build_entry(seed, Scale::Tenth).entries {

@@ -1,29 +1,26 @@
-//! Pillar 3: differential lookups across the four database backends.
+//! Pillar 3: differential lookups across the three database backends.
 //!
 //! For every corpus entry, the same `(prefix, record)` set is loaded
-//! four ways — an RGDB image in the heap, the same image re-loaded
-//! from disk through [`routergeo_db::FileImage`], a flat [`InMemoryDb`]
-//! range map (the oracle), and a CSV round-trip through
-//! `csvdb::write`/`csvdb::parse` (the paper's other vendor format) —
-//! and all four must answer [`GeoDatabase::lookup_compact`] identically
-//! over a seeded address sweep. Both RGDB readers must also report,
-//! through `match_len`, the length of the corpus prefix that holds the
-//! probe (corpus prefixes are disjoint, so there is at most one), and
-//! `None` where no prefix does. One [`LocationInterner`] is shared by
+//! three ways — an RGDB image in the heap, the same image re-loaded
+//! from disk through [`routergeo_db::FileImage`], and a flat
+//! [`routergeo_db::InMemoryDb`] range map (the oracle) — and all three
+//! must answer [`GeoDatabase::lookup_compact`] identically over a
+//! seeded address sweep. Both RGDB readers must also report, through
+//! `match_len`, the length of the corpus prefix that holds the probe
+//! (corpus prefixes are disjoint, so there is at most one), and `None`
+//! where no prefix does. One [`LocationInterner`] is shared by
 //! the backends so equal strings intern to equal ids and
 //! [`CompactRecord`]s compare directly.
 //!
-//! The corpus is constructed to be exactly representable in every
-//! format (disjoint prefixes, micro-degree coordinates, strings at or
-//! under the 255-byte cap — `Some("")` included, which every backend
-//! now round-trips — see [`crate::corpus`]), so any disagreement is a
-//! backend defect, not a corpus artifact.
+//! The corpus is constructed to be exactly representable in RGDB
+//! (disjoint prefixes, micro-degree coordinates, strings at or under
+//! the 255-byte cap, `Some("")` included — see [`crate::corpus`]), so
+//! any disagreement is a backend defect, not a corpus artifact.
 
 use crate::corpus::{build_entry, Scale};
 use crate::rgdb_fuzz::CORPUS_SEEDS;
 use crate::rng::FuzzRng;
 use crate::FuzzConfig;
-use routergeo_db::csvdb;
 use routergeo_db::inmem::InMemoryDbBuilder;
 use routergeo_db::rgdb2::Rgdb2Reader;
 use routergeo_db::{CompactRecord, FileImage, GeoDatabase, LocationInterner};
@@ -36,7 +33,7 @@ pub struct DiffScaleOutcome {
     pub scale: Scale,
     /// Corpus entries compared.
     pub entries: u64,
-    /// Addresses swept across all entries (each checked four ways).
+    /// Addresses swept across all entries (each checked three ways).
     pub addresses: u64,
     /// One line per disagreement (empty on a healthy run).
     pub mismatches: Vec<String>,
@@ -63,7 +60,7 @@ fn render(r: Option<CompactRecord>) -> String {
     }
 }
 
-/// Sweep one corpus entry across the four backends. Returns the
+/// Sweep one corpus entry across the three backends. Returns the
 /// addresses probed and any disagreement lines.
 fn sweep_entry(seed: u64, scale: Scale, diff_addrs: u64, root: u64) -> (u64, Vec<String>) {
     let entry = build_entry(seed, scale);
@@ -113,10 +110,6 @@ fn sweep_entry(seed: u64, scale: Scale, diff_addrs: u64, root: u64) -> (u64, Vec
         Ok(db) => db,
         Err(e) => return (0, vec![spec(&format!("in-memory build failed: {e}"))]),
     };
-    let csv = match csvdb::parse("csv", &csvdb::write(&inmem)) {
-        Ok(db) => db,
-        Err(e) => return (0, vec![spec(&format!("csv round-trip failed: {e}"))]),
-    };
 
     // One shared interner: identical strings get identical ids no
     // matter which backend interned them first.
@@ -131,15 +124,13 @@ fn sweep_entry(seed: u64, scale: Scale, diff_addrs: u64, root: u64) -> (u64, Vec
         let h = heap.lookup_compact(ip, interner);
         let f = file.lookup_compact(ip, interner);
         let m = inmem.lookup_compact(ip, interner);
-        let c = csv.lookup_compact(ip, interner);
         *addresses += 1;
-        if h != f || h != m || m != c {
+        if h != f || h != m {
             mismatches.push(spec(&format!(
-                "addr={ip}: rgdb[{}] rgdb-file[{}] mem[{}] csv[{}]",
+                "addr={ip}: rgdb[{}] rgdb-file[{}] mem[{}]",
                 render(h),
                 render(f),
-                render(m),
-                render(c)
+                render(m)
             )));
         }
         // The LPM semantics, not just the final answer: the match must

@@ -120,9 +120,8 @@ fn addresses_outside_every_prefix_miss() {
 #[test]
 fn empty_strings_survive_the_binary_format() {
     // `Some("")` is a present, empty name — not an absent one. The
-    // binary layout carries it as a set flag with length 0 (and since
-    // the quoted-empty CSV fix, the text format round-trips it too, so
-    // the differential corpus now generates it freely).
+    // binary layout carries it as a set flag with length 0, so the
+    // differential corpus generates it freely.
     let prefix: routergeo_net::Prefix = "10.0.0.0/24".parse().expect("prefix literal");
     let record = LocationRecord {
         country: None,
@@ -176,7 +175,7 @@ fn interner_ids_are_stable_across_backends_for_equal_strings() {
     // An RGDB reader and an `InMemoryDb` over the same record set, one
     // shared interner: the ids a `CompactRecord` carries must depend
     // only on the strings, which is the property the differential
-    // pillar's four-way compare rests on.
+    // pillar's three-way compare rests on.
     let entry = build_entry(5, Scale::Tiny);
     let rgdb = Rgdb2Reader::open(entry.image()).expect("opens");
     let mut builder = InMemoryDbBuilder::new("mem");

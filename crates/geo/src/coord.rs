@@ -117,7 +117,7 @@ impl Coordinate {
         crate::distance::haversine_km(self, other)
     }
 
-    /// Parse from `"lat,lon"` decimal-degree text (the CSV database format).
+    /// Parse from `"lat,lon"` decimal-degree text.
     pub fn parse(s: &str) -> Result<Self, CoordinateError> {
         let mut parts = s.splitn(2, ',');
         let lat = parts

@@ -63,7 +63,7 @@ pub struct LoadgenConfig {
     /// Corpus records per generation.
     pub records: usize,
     /// Mix elements replayed through the daemon's frame loop.
-    pub sim_requests: u64,
+    pub replay_requests: u64,
     /// Concurrent clients in the swap phase.
     pub swap_clients: u64,
     /// Round-trip lookups per swap-phase client.
@@ -84,7 +84,7 @@ impl LoadgenConfig {
             seed,
             budget_ms,
             records: 256,
-            sim_requests: budget_ms.saturating_mul(4).clamp(2_000, 48_000),
+            replay_requests: budget_ms.saturating_mul(4).clamp(2_000, 48_000),
             swap_clients: 4,
             swap_lookups: (budget_ms / 40).clamp(50, 300),
             wall_probes: (budget_ms / 10).clamp(100, 1_500),
@@ -108,7 +108,7 @@ pub struct LoadgenOutcome {
 pub fn run_loadgen(config: &LoadgenConfig) -> Result<LoadgenOutcome, ServeError> {
     let corpus = Corpus::new(config.records);
     let mix = TrafficMix::new(config.seed, corpus, MixWeights::default(), 0);
-    let replay = replay::run_replay(&mix, config.sim_requests)?;
+    let replay = replay::run_replay(&mix, config.replay_requests)?;
     let swap = live::run_swap_phase(
         &corpus,
         config.seed,

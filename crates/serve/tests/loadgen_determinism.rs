@@ -11,7 +11,7 @@ fn small_config() -> LoadgenConfig {
         swap_lookups: 40,
         wall_probes: 20,
         wall_batches: 4,
-        sim_requests: 4_000,
+        replay_requests: 4_000,
         ..LoadgenConfig::from_budget(500, 20_170_301)
     }
 }

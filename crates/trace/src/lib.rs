@@ -23,20 +23,15 @@
 //!   threshold relies on.
 //! * [`engine`] — turns a PoP path into a hop-by-hop traceroute with
 //!   ingress-interface selection and loss.
-//! * [`record`] — measurement records plus RIPE-Atlas-shaped JSON
-//!   import/export.
-//! * [`wire`] — *warts-lite*, a compact checksummed binary stream format
-//!   for spooling campaigns to disk (CAIDA ships Ark data as binary warts
-//!   for the same reason).
+//! * [`record`] — measurement records plus their RIPE-Atlas-shaped JSON
+//!   rendering.
 
 pub mod ark;
 pub mod atlas;
 pub mod engine;
 pub mod graph;
-pub mod json;
 pub mod record;
 pub mod rttmodel;
-pub mod wire;
 
 pub use ark::{ArkCampaign, ArkConfig, ArkDataset};
 pub use atlas::{AtlasBuiltins, AtlasConfig};
@@ -44,4 +39,3 @@ pub use engine::TraceEngine;
 pub use graph::{PathTree, Topology};
 pub use record::{Hop, TracerouteRecord};
 pub use rttmodel::RttModel;
-pub use wire::{WartsReader, WartsWriter, WireError};

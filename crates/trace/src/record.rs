@@ -1,16 +1,13 @@
-//! Measurement records and RIPE-Atlas-shaped JSON.
+//! Measurement records and their RIPE-Atlas-shaped JSON rendering.
 //!
 //! The paper consumes Atlas built-in measurements "provided in JSON format
 //! that specify the measurement origin, target, intermediate hops and their
-//! observed RTTs" (§2.3.2). This module defines the in-memory record and a
-//! faithful-enough JSON mapping (`prb_id`, `src_addr`, `dst_addr`,
-//! `result[].hop`, `result[].result[].from/rtt`, `"x": "*"` for timeouts)
-//! so the downstream extraction code parses the same shape it would parse
-//! from a real Atlas dump. Serialization is hand-rolled over
-//! [`crate::json`] — the workspace builds without `serde`.
+//! observed RTTs" (§2.3.2). This module defines the in-memory record the
+//! simulators produce and the analyses read, and renders it in the Atlas
+//! shape (`prb_id`, `src_addr`, `dst_addr`, `result[].hop`,
+//! `result[].result[].from/rtt`, `"x": "*"` for timeouts), which the RTT
+//! pins in `tests/rtt_pins.rs` compare byte for byte.
 
-use crate::json::{self, Value};
-use std::fmt;
 use std::net::Ipv4Addr;
 
 /// One traceroute hop. A hop that did not respond has neither address nor
@@ -71,16 +68,18 @@ impl TracerouteRecord {
             .filter_map(|h| h.ip)
     }
 
-    /// Serialize to Atlas-shaped JSON.
+    /// Serialize to Atlas-shaped JSON. Addresses are dotted quads, which
+    /// need no escaping, and RTTs use Rust's shortest round-trip `f64`
+    /// formatting, a valid JSON number for every finite RTT.
     pub fn to_atlas_json(&self) -> String {
         let mut out = String::with_capacity(96 + self.hops.len() * 48);
         out.push_str("{\"prb_id\":");
         out.push_str(&self.origin_id.to_string());
-        out.push_str(",\"src_addr\":");
-        json::write_escaped(&mut out, &self.src_ip.to_string());
-        out.push_str(",\"dst_addr\":");
-        json::write_escaped(&mut out, &self.dst_ip.to_string());
-        out.push_str(",\"type\":\"traceroute\",\"result\":[");
+        out.push_str(",\"src_addr\":\"");
+        out.push_str(&self.src_ip.to_string());
+        out.push_str("\",\"dst_addr\":\"");
+        out.push_str(&self.dst_ip.to_string());
+        out.push_str("\",\"type\":\"traceroute\",\"result\":[");
         for (i, h) in self.hops.iter().enumerate() {
             if i > 0 {
                 out.push(',');
@@ -90,11 +89,13 @@ impl TracerouteRecord {
             out.push_str(",\"result\":[{");
             match (h.ip, h.rtt_ms) {
                 (Some(ip), rtt) => {
-                    out.push_str("\"from\":");
-                    json::write_escaped(&mut out, &ip.to_string());
+                    out.push_str("\"from\":\"");
+                    out.push_str(&ip.to_string());
+                    out.push('"');
                     if let Some(rtt) = rtt {
+                        debug_assert!(rtt.is_finite(), "JSON numbers must be finite");
                         out.push_str(",\"rtt\":");
-                        json::write_f64(&mut out, rtt);
+                        out.push_str(&rtt.to_string());
                     }
                 }
                 (None, _) => out.push_str("\"x\":\"*\""),
@@ -106,106 +107,6 @@ impl TracerouteRecord {
         out.push('}');
         out
     }
-
-    /// Parse from Atlas-shaped JSON.
-    pub fn from_atlas_json(s: &str) -> Result<TracerouteRecord, RecordParseError> {
-        let doc = json::parse(s).map_err(|e| RecordParseError(e.to_string()))?;
-        record_from_value(&doc)
-    }
-}
-
-/// Error parsing an Atlas-shaped JSON record.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RecordParseError(pub String);
-
-impl fmt::Display for RecordParseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "bad traceroute record: {}", self.0)
-    }
-}
-
-impl std::error::Error for RecordParseError {}
-
-// ---- Atlas JSON shape -------------------------------------------------------
-
-fn record_from_value(doc: &Value) -> Result<TracerouteRecord, RecordParseError> {
-    let kind = doc
-        .get("type")
-        .and_then(Value::as_str)
-        .ok_or_else(|| RecordParseError("missing measurement type".into()))?;
-    if kind != "traceroute" {
-        return Err(RecordParseError(format!(
-            "unsupported measurement type {kind:?}"
-        )));
-    }
-    let prb_id = doc
-        .get("prb_id")
-        .and_then(Value::as_u64)
-        .and_then(|v| u32::try_from(v).ok())
-        .ok_or_else(|| RecordParseError("missing or invalid prb_id".into()))?;
-    let src_ip = parse_ip(doc.get("src_addr"), "src_addr")?;
-    let dst_ip = parse_ip(doc.get("dst_addr"), "dst_addr")?;
-    let result = doc
-        .get("result")
-        .and_then(Value::as_array)
-        .ok_or_else(|| RecordParseError("missing result array".into()))?;
-
-    let mut hops = Vec::with_capacity(result.len());
-    for h in result {
-        let hop_no = h
-            .get("hop")
-            .and_then(Value::as_u64)
-            .and_then(|v| u8::try_from(v).ok())
-            .ok_or_else(|| RecordParseError("missing or invalid hop number".into()))?;
-        let replies = h
-            .get("result")
-            .and_then(Value::as_array)
-            .ok_or_else(|| RecordParseError("hop without result array".into()))?;
-        let reply = replies
-            .first()
-            .ok_or_else(|| RecordParseError("hop with no result entries".into()))?;
-        let from = reply.get("from");
-        let timeout = reply.get("x");
-        match (from, timeout) {
-            (Some(from), _) => {
-                let ip = from
-                    .as_str()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| RecordParseError(format!("bad address {from:?}")))?;
-                let rtt = reply
-                    .get("rtt")
-                    .and_then(Value::as_f64)
-                    .filter(|r| r.is_finite() && *r >= 0.0);
-                hops.push(Hop {
-                    hop: hop_no,
-                    ip: Some(ip),
-                    rtt_ms: rtt,
-                });
-            }
-            (None, Some(_)) => hops.push(Hop::timeout(hop_no)),
-            (None, None) => {
-                return Err(RecordParseError("hop reply with neither from nor x".into()))
-            }
-        }
-    }
-    Ok(TracerouteRecord {
-        origin_id: prb_id,
-        src_ip,
-        dst_ip,
-        hops,
-        reached: doc
-            .get("destination_replied")
-            .and_then(Value::as_bool)
-            .unwrap_or(false),
-    })
-}
-
-fn parse_ip(v: Option<&Value>, what: &str) -> Result<Ipv4Addr, RecordParseError> {
-    let s = v
-        .and_then(Value::as_str)
-        .ok_or_else(|| RecordParseError(format!("missing {what}")))?;
-    s.parse()
-        .map_err(|_| RecordParseError(format!("bad address {s:?}")))
 }
 
 #[cfg(test)]
@@ -228,14 +129,6 @@ mod tests {
     }
 
     #[test]
-    fn json_roundtrip() {
-        let rec = sample();
-        let json = rec.to_atlas_json();
-        let back = TracerouteRecord::from_atlas_json(&json).unwrap();
-        assert_eq!(rec, back);
-    }
-
-    #[test]
     fn json_shape_matches_atlas_conventions() {
         let json = sample().to_atlas_json();
         assert!(json.contains("\"prb_id\":42"));
@@ -254,29 +147,5 @@ mod tests {
                 "6.0.0.1".parse().unwrap()
             ]
         );
-    }
-
-    #[test]
-    fn parse_rejects_junk() {
-        assert!(TracerouteRecord::from_atlas_json("").is_err());
-        assert!(TracerouteRecord::from_atlas_json("{}").is_err());
-        assert!(TracerouteRecord::from_atlas_json("not json").is_err());
-        // Wrong measurement type.
-        let ping =
-            r#"{"prb_id":1,"src_addr":"1.1.1.1","dst_addr":"2.2.2.2","type":"ping","result":[]}"#;
-        assert!(TracerouteRecord::from_atlas_json(ping).is_err());
-        // Bad address.
-        let bad =
-            r#"{"prb_id":1,"src_addr":"zz","dst_addr":"2.2.2.2","type":"traceroute","result":[]}"#;
-        assert!(TracerouteRecord::from_atlas_json(bad).is_err());
-    }
-
-    #[test]
-    fn negative_rtt_is_dropped_not_propagated() {
-        let j = r#"{"prb_id":1,"src_addr":"1.1.1.1","dst_addr":"2.2.2.2","type":"traceroute",
-                    "result":[{"hop":1,"result":[{"from":"3.3.3.3","rtt":-5.0}]}]}"#;
-        let rec = TracerouteRecord::from_atlas_json(j).unwrap();
-        assert_eq!(rec.hops[0].ip, Some("3.3.3.3".parse().unwrap()));
-        assert_eq!(rec.hops[0].rtt_ms, None);
     }
 }

@@ -1,7 +1,6 @@
 //! Database formats: serialize a synthesized vendor database to the RGDB
-//! binary format and to IP2Location-style CSV, read both back, and verify
-//! all three representations answer identically. Also demonstrates the
-//! reader's corruption handling.
+//! binary format, read it back, and verify both representations answer
+//! identically. Also demonstrates the reader's corruption handling.
 //!
 //! ```sh
 //! cargo run --release --example database_formats
@@ -9,7 +8,7 @@
 
 use routergeo::db::rgdb2::{self, Rgdb2Reader};
 use routergeo::db::synth::{build_vendor, SignalWorld, VendorId, VendorProfile};
-use routergeo::db::{csvdb, GeoDatabase};
+use routergeo::db::GeoDatabase;
 use routergeo::net::Prefix;
 use routergeo::world::{World, WorldConfig};
 
@@ -38,23 +37,15 @@ fn main() {
         entries.len()
     );
 
-    // CSV: IP2Location-style range rows.
-    let csv = csvdb::write(&db);
-    let csv_db = csvdb::parse(db.name(), &csv).expect("valid CSV");
-    println!("CSV: {} lines, {} bytes", csv.lines().count(), csv.len());
-    println!("first row: {}", csv.lines().next().unwrap_or(""));
-
-    // All three answer identically for every interface.
+    // Both answer identically for every interface.
     let mut checked = 0usize;
     for iface in world.interfaces.iter().step_by(7) {
         let a = db.lookup(iface.ip);
         let b = reader.lookup(iface.ip);
-        let c = csv_db.lookup(iface.ip);
         assert_eq!(a, b, "RGDB diverged at {}", iface.ip);
-        assert_eq!(a, c, "CSV diverged at {}", iface.ip);
         checked += 1;
     }
-    println!("\n{checked} lookups agree across in-memory / RGDB / CSV");
+    println!("\n{checked} lookups agree across in-memory / RGDB");
 
     // Corruption is detected, not propagated.
     let mut corrupt = image.to_vec();
@@ -63,9 +54,5 @@ fn main() {
     match Rgdb2Reader::open(corrupt.into()) {
         Err(e) => println!("corrupted image rejected: {e}"),
         Ok(_) => unreachable!("corruption must not pass validation"),
-    }
-    match csvdb::parse("x", "\"not\",\"a\",\"database\"\n") {
-        Err(e) => println!("malformed CSV rejected: {e}"),
-        Ok(_) => unreachable!("bad CSV must not parse"),
     }
 }

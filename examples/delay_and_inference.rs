@@ -1,6 +1,6 @@
-//! Extensions walk-through: constraint-based (delay-based) geolocation,
-//! DRoP-style rule inference, and the warts-lite binary spool format —
-//! the pieces a researcher would reach for when the databases fall short.
+//! Extensions walk-through: constraint-based (delay-based) geolocation
+//! and DRoP-style rule inference — the pieces a researcher would reach
+//! for when the databases fall short.
 //!
 //! ```sh
 //! cargo run --release --example delay_and_inference
@@ -8,7 +8,7 @@
 
 use routergeo::dns::{infer_rules, InferenceConfig};
 use routergeo::rtt::cbg;
-use routergeo::trace::{wire, AtlasBuiltins, AtlasConfig, Topology};
+use routergeo::trace::{AtlasBuiltins, AtlasConfig, Topology};
 use routergeo::world::{World, WorldConfig};
 
 fn main() {
@@ -17,19 +17,8 @@ fn main() {
     let records = AtlasBuiltins::new(&world, &topo, AtlasConfig::default()).run();
     println!("{} built-in measurement records", records.len());
 
-    // 1. Spool the campaign to the warts-lite binary format and replay it.
-    let spool = wire::write_all(&records);
-    let replayed = wire::read_all(&spool).expect("own spool replays");
-    let json_size: usize = records.iter().map(|r| r.to_atlas_json().len()).sum();
-    println!(
-        "warts-lite spool: {} bytes for {} records ({}x smaller than JSON)",
-        spool.len(),
-        replayed.len(),
-        json_size / spool.len().max(1)
-    );
-
-    // 2. Delay-based geolocation: use the probes as CBG landmarks.
-    let results = cbg::evaluate_cbg(&world, &replayed, 20.0, 2);
+    // 1. Delay-based geolocation: use the probes as CBG landmarks.
+    let results = cbg::evaluate_cbg(&world, &records, 20.0, 2);
     let mut errs: Vec<f64> = results.iter().map(|(_, _, e)| *e).collect();
     errs.sort_by(f64::total_cmp);
     if !errs.is_empty() {
@@ -52,7 +41,7 @@ fn main() {
         );
     }
 
-    // 3. Rule inference: learn per-domain hostname rules from RTT-located
+    // 2. Rule inference: learn per-domain hostname rules from RTT-located
     //    addresses, the way DRoP built its 1,398-domain rule base.
     let samples = routergeo::dns::infer::training_from_world(&world, 3);
     let rules = infer_rules(&world, &samples, &InferenceConfig::default());
