@@ -77,6 +77,12 @@ step fmt cargo fmt --all --check
 # covers a cold check of the whole workspace.
 step_budget clippy 60 cargo clippy -q -p 'routergeo*' -p xtask -- -D warnings
 
+# Doc gate: rustdoc over the same packages with warnings as errors, so
+# a broken or ambiguous intra-doc link, or a public doc linking a
+# private item, fails here instead of rendering as dead text. The
+# budget covers documenting every package from a cold cache.
+step_budget doc 120 env RUSTDOCFLAGS='-D warnings' cargo doc -q --no-deps -p 'routergeo*' -p xtask
+
 # Bench targets: no other step compiles `crates/bench/benches`, and
 # `forbid(unsafe_code)` from `[workspace.lints]` only bites on a target
 # that is compiled. A plain rustc check is enough: forbid is a hard

@@ -2,10 +2,14 @@
 //!
 //! Every breakdown slice is tallied from pre-resolved [`ResolvedView`]
 //! columns — never the allocating `GeoDatabase::lookup` (enforced by
-//! lint RG009). The view is built once over the ground-truth addresses;
-//! the per-slice tallies are cheap serial passes that visit entries in
-//! ground-truth order, so the Figure 2/5 CDFs see the exact sample
-//! sequence the old per-slice re-query path produced.
+//! lint RG009). The view is built once over the ground-truth addresses,
+//! and each database's column is walked once: every entry carries the
+//! ids of the slices it belongs to (overall, its RIR, its country when
+//! top-ranked, its method, degraded), and the walk tallies all of them
+//! together, computing each city-level error once. The errors are then
+//! sorted once per database and appended to their slices in that
+//! order, so every slice's CDF holds the same samples as a walk over
+//! that slice alone and receives them already sorted.
 
 use crate::groundtruth::{GroundTruth, GtEntry, GtMethod};
 use crate::resolve::ResolvedView;
@@ -13,11 +17,12 @@ use routergeo_db::GeoDatabase;
 use routergeo_geo::stats::ratio;
 use routergeo_geo::{CountryCode, EmpiricalCdf, Rir, CITY_RANGE_KM};
 use routergeo_pool::Pool;
-use std::collections::HashMap;
+use std::borrow::Borrow;
+use std::collections::{HashMap, HashSet};
 use std::net::Ipv4Addr;
 
 /// Accuracy of one database over one set of ground-truth entries.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VendorAccuracy {
     /// Database name.
     pub database: String,
@@ -63,69 +68,141 @@ impl VendorAccuracy {
     }
 }
 
-/// Tally one database column over one slice of ground-truth entries.
-/// `picks` pairs each entry with its row index in the view; iteration
-/// order is the slice order, so the error CDF sample sequence matches
-/// the serial loop over the same filter.
-fn evaluate_slice(view: &ResolvedView, db: usize, picks: &[(usize, &GtEntry)]) -> VendorAccuracy {
+/// The ids of the breakdown slices one ground-truth entry belongs to:
+/// overall, RIR, top country, method and degraded make at most five.
+#[derive(Debug, Clone, Copy, Default)]
+struct SliceIds {
+    ids: [u16; 5],
+    len: u8,
+}
+
+impl SliceIds {
+    fn push(&mut self, id: usize) {
+        self.ids[usize::from(self.len)] = u16::try_from(id).expect("slice id fits u16");
+        self.len += 1;
+    }
+
+    fn len(&self) -> usize {
+        usize::from(self.len)
+    }
+
+    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        self.ids[..self.len()].iter().map(|&id| usize::from(id))
+    }
+}
+
+/// One slice's counts while its database column is walked.
+#[derive(Debug, Clone, Copy, Default)]
+struct Tally {
+    total: usize,
+    country_covered: usize,
+    country_correct: usize,
+    city_covered: usize,
+    city_correct: usize,
+}
+
+/// Tally database `db`'s column over every slice in one walk.
+/// `entries[i]` is the ground truth of view row `i` and `slices[i]` the
+/// ids of the slices it belongs to; the result holds one
+/// [`VendorAccuracy`] per id in `0..slice_count`. A row whose answer and
+/// ground-truth coordinates repeat the previous city-level row's bit
+/// for bit reuses its error.
+fn evaluate_column<E: Borrow<GtEntry>>(
+    view: &ResolvedView,
+    db: usize,
+    entries: &[E],
+    slices: &[SliceIds],
+    slice_count: usize,
+) -> Vec<VendorAccuracy> {
+    let database = &view.databases()[db];
     let mut span = routergeo_obs::span!(
         "core.accuracy",
-        database = view.databases()[db],
-        entries = picks.len()
+        database = database,
+        entries = entries.len(),
+        slices = slice_count
     );
-    routergeo_obs::counter("accuracy.entries").add(picks.len() as u64);
+    let memberships: usize = slices.iter().map(SliceIds::len).sum();
+    routergeo_obs::counter("accuracy.entries").add(memberships as u64);
+    let error_km = routergeo_obs::histogram("accuracy.error_km");
 
-    let mut total = 0usize;
-    let mut country_covered = 0usize;
-    let mut country_correct = 0usize;
-    let mut city_covered = 0usize;
-    let mut city_correct = 0usize;
-    let mut errors = Vec::new();
-    for (row, e) in picks {
-        total += 1;
-        let Some(rec) = view.record(db, *row) else {
+    let mut tallies = vec![Tally::default(); slice_count];
+    // `(error, row)` for every city-level answer.
+    let mut city: Vec<(f64, usize)> = Vec::new();
+    let mut prev: Option<([[u64; 2]; 2], f64)> = None;
+    for (row, (e, ids)) in entries.iter().zip(slices).enumerate() {
+        let e = e.borrow();
+        for s in ids.iter() {
+            tallies[s].total += 1;
+        }
+        let Some(rec) = view.record(db, row) else {
             continue;
         };
-        if let Some(cc) = rec.country {
-            country_covered += 1;
-            if cc == e.country {
-                country_correct += 1;
+        let country_ok = rec.country.map(|cc| cc == e.country);
+        let error = rec.coord.filter(|_| rec.has_city()).map(|coord| {
+            let key = [coord.to_bits(), e.coord.to_bits()];
+            match prev {
+                Some((prev_key, d)) if prev_key == key => d,
+                _ => {
+                    let d = coord.distance_km(&e.coord);
+                    prev = Some((key, d));
+                    d
+                }
+            }
+        });
+        for s in ids.iter() {
+            let t = &mut tallies[s];
+            if let Some(ok) = country_ok {
+                t.country_covered += 1;
+                t.country_correct += usize::from(ok);
+            }
+            if let Some(d) = error {
+                t.city_covered += 1;
+                t.city_correct += usize::from(d <= CITY_RANGE_KM);
             }
         }
-        if rec.has_city() {
-            city_covered += 1;
-            let d = rec
-                .coord
-                .expect("has_city implies coord")
-                .distance_km(&e.coord);
-            errors.push(d);
-            if d <= CITY_RANGE_KM {
-                city_correct += 1;
+        if let Some(d) = error {
+            city.push((d, row));
+        }
+    }
+
+    // Deal the errors to their slices in ascending order, so each
+    // slice's samples arrive sorted.
+    city.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+    let mut errors: Vec<Vec<f64>> = tallies
+        .iter()
+        .map(|t| Vec::with_capacity(t.city_covered))
+        .collect();
+    for &(d, row) in &city {
+        // Rounded km in log2 buckets, once per slice sample: a
+        // deterministic quantity, so the metrics snapshot stays
+        // byte-identical across thread counts.
+        let bucket = (d.is_finite() && d >= 0.0).then(|| d.round() as u64);
+        for s in slices[row].iter() {
+            errors[s].push(d);
+            if let Some(km) = bucket {
+                error_km.record(km);
             }
         }
     }
 
-    let error_km = routergeo_obs::histogram("accuracy.error_km");
-    for e in &errors {
-        if e.is_finite() && *e >= 0.0 {
-            // Rounded km in log2 buckets: a deterministic quantity, so
-            // the metrics snapshot stays byte-identical across thread
-            // counts (entries are visited in ground-truth order).
-            error_km.record(e.round() as u64);
-        }
-    }
-    let (error_cdf, dropped_nan) = EmpiricalCdf::from_iter_lossy(errors);
-    span.attr("city_covered", city_covered);
-    VendorAccuracy {
-        database: view.databases()[db].clone(),
-        total,
-        country_covered,
-        country_correct,
-        city_covered,
-        city_correct,
-        error_cdf,
-        dropped_nan,
-    }
+    span.attr("city_covered", city.len());
+    tallies
+        .into_iter()
+        .zip(errors)
+        .map(|(t, errors)| {
+            let (error_cdf, dropped_nan) = EmpiricalCdf::from_iter_lossy(errors);
+            VendorAccuracy {
+                database: database.clone(),
+                total: t.total,
+                country_covered: t.country_covered,
+                country_correct: t.country_correct,
+                city_covered: t.city_covered,
+                city_correct: t.city_correct,
+                error_cdf,
+                dropped_nan,
+            }
+        })
+        .collect()
 }
 
 /// Evaluate one database over a set of ground-truth entries. Thread
@@ -139,8 +216,8 @@ pub fn evaluate_entries<'a, D: GeoDatabase + Sync>(
 
 /// [`evaluate_entries`] on an explicit pool: the entries are resolved
 /// once into a single-database [`ResolvedView`] and tallied from the
-/// column in entry order, so the Figure 2 CDF sees the same sample
-/// sequence the serial loop would produce.
+/// column as one slice, so the Figure 2 CDF holds the same samples the
+/// serial loop would produce.
 pub fn evaluate_entries_with<'a, D: GeoDatabase + Sync>(
     db: &D,
     entries: impl IntoIterator<Item = &'a GtEntry>,
@@ -149,8 +226,11 @@ pub fn evaluate_entries_with<'a, D: GeoDatabase + Sync>(
     let list: Vec<&GtEntry> = entries.into_iter().collect();
     let ips: Vec<Ipv4Addr> = list.iter().map(|e| e.ip).collect();
     let view = ResolvedView::build_with(std::slice::from_ref(db), &ips, pool);
-    let picks: Vec<(usize, &GtEntry)> = list.into_iter().enumerate().collect();
-    evaluate_slice(&view, 0, &picks)
+    let mut overall = SliceIds::default();
+    overall.push(0);
+    let slices = vec![overall; list.len()];
+    let mut accs = evaluate_column(&view, 0, &list, &slices, 1);
+    accs.pop().expect("one slice")
 }
 
 /// Full accuracy report: overall, by RIR, by country, by method.
@@ -208,8 +288,8 @@ pub fn evaluate_with<D: GeoDatabase + Sync>(
 
 /// Produce the full report from a pre-built view whose rows correspond
 /// 1:1 (in order) to `gt.entries` — the shared-view entry point the
-/// pipeline uses. Each breakdown slice's index list is computed once
-/// and reused across databases.
+/// pipeline uses. Each entry's slice ids are computed once, and each
+/// database's column is walked once for all of its slices.
 pub fn evaluate_from_view(
     view: &ResolvedView,
     gt: &GroundTruth,
@@ -221,27 +301,6 @@ pub fn evaluate_from_view(
         "view rows must correspond to ground-truth entries"
     );
     let n = view.db_count();
-    let all: Vec<(usize, &GtEntry)> = gt.entries.iter().enumerate().collect();
-
-    let overall: Vec<VendorAccuracy> = (0..n).map(|d| evaluate_slice(view, d, &all)).collect();
-
-    let rir_picks: Vec<Vec<(usize, &GtEntry)>> = Rir::TABLE1_ORDER
-        .iter()
-        .map(|rir| {
-            all.iter()
-                .filter(|(_, e)| e.rir == Some(*rir))
-                .copied()
-                .collect()
-        })
-        .collect();
-    let by_rir = (0..n)
-        .map(|d| {
-            rir_picks
-                .iter()
-                .map(|picks| evaluate_slice(view, d, picks))
-                .collect()
-        })
-        .collect();
 
     // Figure 4: top countries by ground-truth address count.
     let mut counts: HashMap<CountryCode, usize> = HashMap::new();
@@ -251,46 +310,68 @@ pub fn evaluate_from_view(
     let mut ranked: Vec<(CountryCode, usize)> = counts.into_iter().collect();
     ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
     ranked.truncate(top_countries);
-    let by_country = ranked
+
+    // Slice ids: overall, the RIRs in Table 1 order, the ranked
+    // countries, the two methods, degraded.
+    let rir_base = 1;
+    let country_base = rir_base + Rir::TABLE1_ORDER.len();
+    let method_base = country_base + ranked.len();
+    let degraded_id = method_base + 2;
+    let country_rank: HashMap<CountryCode, usize> = ranked
+        .iter()
+        .enumerate()
+        .map(|(k, (cc, _))| (*cc, k))
+        .collect();
+    let degraded_set: HashSet<Ipv4Addr> = gt.degraded.iter().copied().collect();
+    let slices: Vec<SliceIds> = gt
+        .entries
+        .iter()
+        .map(|e| {
+            let mut ids = SliceIds::default();
+            ids.push(0);
+            if let Some(k) = Rir::TABLE1_ORDER.iter().position(|r| e.rir == Some(*r)) {
+                ids.push(rir_base + k);
+            }
+            if let Some(k) = country_rank.get(&e.country) {
+                ids.push(country_base + k);
+            }
+            ids.push(
+                method_base
+                    + match e.method {
+                        GtMethod::DnsBased => 0,
+                        GtMethod::RttProximity => 1,
+                    },
+            );
+            if degraded_set.contains(&e.ip) {
+                ids.push(degraded_id);
+            }
+            ids
+        })
+        .collect();
+
+    let mut overall = Vec::with_capacity(n);
+    let mut by_rir = Vec::with_capacity(n);
+    let mut by_country: Vec<(CountryCode, usize, Vec<VendorAccuracy>)> = ranked
         .into_iter()
-        .map(|(cc, count)| {
-            let picks: Vec<(usize, &GtEntry)> = all
-                .iter()
-                .filter(|(_, e)| e.country == cc)
-                .copied()
-                .collect();
-            let accs = (0..n).map(|d| evaluate_slice(view, d, &picks)).collect();
-            (cc, count, accs)
-        })
+        .map(|(cc, count)| (cc, count, Vec::with_capacity(n)))
         .collect();
-
-    let method_picks: Vec<Vec<(usize, &GtEntry)>> = [GtMethod::DnsBased, GtMethod::RttProximity]
-        .iter()
-        .map(|m| {
-            all.iter()
-                .filter(|(_, e)| e.method == *m)
-                .copied()
-                .collect()
-        })
-        .collect();
-    let by_method = (0..n)
-        .map(|d| {
-            [
-                evaluate_slice(view, d, &method_picks[0]),
-                evaluate_slice(view, d, &method_picks[1]),
-            ]
-        })
-        .collect();
-
-    let degraded_set: std::collections::HashSet<Ipv4Addr> = gt.degraded.iter().copied().collect();
-    let degraded_picks: Vec<(usize, &GtEntry)> = all
-        .iter()
-        .filter(|(_, e)| degraded_set.contains(&e.ip))
-        .copied()
-        .collect();
-    let degraded = (0..n)
-        .map(|d| evaluate_slice(view, d, &degraded_picks))
-        .collect();
+    let mut by_method = Vec::with_capacity(n);
+    let mut degraded = Vec::with_capacity(n);
+    for d in 0..n {
+        // Split the slices off the end, highest ids first.
+        let mut accs = evaluate_column(view, d, &gt.entries, &slices, degraded_id + 1);
+        degraded.extend(accs.split_off(degraded_id));
+        let methods: [VendorAccuracy; 2] = accs
+            .split_off(method_base)
+            .try_into()
+            .expect("two method slices");
+        by_method.push(methods);
+        for ((_, _, per_db), acc) in by_country.iter_mut().zip(accs.split_off(country_base)) {
+            per_db.push(acc);
+        }
+        by_rir.push(accs.split_off(rir_base));
+        overall.extend(accs);
+    }
     let with_rir = gt.entries.iter().filter(|e| e.rir.is_some()).count();
     let rir_coverage = ratio(with_rir, gt.entries.len());
 
@@ -496,9 +577,10 @@ mod tests {
         assert!((acc.country_coverage() - 1.0 / 3.0).abs() < 1e-12);
     }
 
-    /// The pinned old-vs-new check: the view-based report must match a
-    /// naive per-entry `lookup` evaluation exactly (tests are outside
-    /// RG009's scope, so the naive path can query directly).
+    /// The pinned old-vs-new check: every slice of the view-based report
+    /// — its counts, `dropped_nan` and CDF samples — must match a naive
+    /// per-slice `lookup` walk that computes each error afresh (tests are
+    /// outside RG009's scope, so the naive path can query directly).
     #[test]
     fn view_report_matches_naive_lookup_evaluation() {
         let dbs = [
@@ -511,28 +593,71 @@ mod tests {
             ),
             simple_db("d2", &[("6.0.1.0/24", "CA", 55.0, -100.0)]),
         ];
-        let gt = sample_gt();
+        // d1 answers the first three entries alike; the second shares
+        // the first's latitudes but not its ground-truth longitude, and
+        // the third repeats the second's coordinates exactly.
+        let mut gt = sample_gt();
+        let us = |ip, lon, rir, method| gt_entry(ip, "US", 40.0, lon, rir, method);
+        gt.entries
+            .insert(1, us("6.0.0.2", -90.0, Rir::Arin, GtMethod::DnsBased));
+        let mut degraded = us("6.0.0.3", -90.0, Rir::Arin, GtMethod::RttProximity);
+        degraded.rir = None;
+        gt.degraded = vec![degraded.ip];
+        gt.entries.insert(2, degraded);
         let report = evaluate(&dbs, &gt, 20);
-        for (d, db) in dbs.iter().enumerate() {
-            let mut covered = 0usize;
-            let mut correct = 0usize;
+
+        let naive = |db: &InMemoryDb, keep: &dyn Fn(&GtEntry) -> bool| {
+            let mut acc = (0, 0, 0, 0, 0);
             let mut errors = Vec::new();
-            for e in &gt.entries {
+            for e in gt.entries.iter().filter(|e| keep(e)) {
+                acc.0 += 1;
                 let Some(rec) = db.lookup(e.ip) else { continue };
                 if let Some(cc) = rec.country {
-                    covered += 1;
-                    if cc == e.country {
-                        correct += 1;
-                    }
+                    acc.1 += 1;
+                    acc.2 += usize::from(cc == e.country);
                 }
                 if rec.has_city() {
-                    errors.push(rec.coord.unwrap().distance_km(&e.coord));
+                    let d = rec.coord.unwrap().distance_km(&e.coord);
+                    acc.3 += 1;
+                    acc.4 += usize::from(d <= CITY_RANGE_KM);
+                    errors.push(d);
                 }
             }
-            assert_eq!(report.overall[d].country_covered, covered);
-            assert_eq!(report.overall[d].country_correct, correct);
-            assert_eq!(report.overall[d].error_cdf.len(), errors.len());
+            let (error_cdf, dropped_nan) = EmpiricalCdf::from_iter_lossy(errors);
+            VendorAccuracy {
+                database: db.name().to_string(),
+                total: acc.0,
+                country_covered: acc.1,
+                country_correct: acc.2,
+                city_covered: acc.3,
+                city_correct: acc.4,
+                error_cdf,
+                dropped_nan,
+            }
+        };
+        for (d, db) in dbs.iter().enumerate() {
+            assert_eq!(report.overall[d], naive(db, &|_| true), "{d} overall");
+            for (k, rir) in Rir::TABLE1_ORDER.iter().enumerate() {
+                let want = naive(db, &|e| e.rir == Some(*rir));
+                assert_eq!(report.by_rir[d][k], want, "{d} {rir}");
+            }
+            for (cc, count, accs) in &report.by_country {
+                let want = naive(db, &|e| e.country == *cc);
+                assert_eq!(*count, want.total);
+                assert_eq!(accs[d], want, "{d} {cc}");
+            }
+            for (k, method) in [GtMethod::DnsBased, GtMethod::RttProximity]
+                .iter()
+                .enumerate()
+            {
+                let want = naive(db, &|e| e.method == *method);
+                assert_eq!(report.by_method[d][k], want, "{d} {method:?}");
+            }
+            let want = naive(db, &|e| gt.degraded.contains(&e.ip));
+            assert_eq!(report.degraded[d], want, "{d} degraded");
         }
+        assert_eq!(report.by_country.len(), 3);
+        assert_eq!(report.degraded[0].error_cdf.len(), 1);
 
         // The majority-vote count matches a naive triple-lookup loop.
         let trio = [&dbs[0], &dbs[0], &dbs[1]];

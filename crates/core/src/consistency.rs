@@ -8,15 +8,18 @@
 //!
 //! The tallies consume pre-resolved [`ResolvedView`] columns — never
 //! the allocating `GeoDatabase::lookup` (enforced by lint RG009). The
-//! parallelism lives in the view build; the tally itself is a cheap
-//! serial pass over the flat columns, visiting addresses in input
-//! order, so the distance CDFs see the exact sample sequence the old
-//! per-shard merge produced.
+//! parallelism lives in the view build; the tally itself is one serial
+//! pass over the flat columns. Consecutive Figure 1 rows often carry the
+//! same coordinates in every database, so each pair keeps its samples as
+//! `(distance, count)` runs: a row whose coordinates all repeat the
+//! previous Figure 1 row's bit for bit extends the last runs instead of
+//! recomputing the distances. Each CDF is built from its runs sorted by
+//! distance, which holds the same samples as the row-order sequence.
 
 use crate::resolve::ResolvedView;
 use routergeo_db::GeoDatabase;
 use routergeo_geo::stats::ratio;
-use routergeo_geo::{EmpiricalCdf, CITY_RANGE_KM};
+use routergeo_geo::{Coordinate, EmpiricalCdf, CITY_RANGE_KM};
 use routergeo_pool::Pool;
 use std::net::Ipv4Addr;
 
@@ -99,7 +102,13 @@ pub fn consistency_from_view(view: &ResolvedView) -> ConsistencyReport {
     let mut all_have = 0usize;
     let mut all_agree = 0usize;
     let mut city_in_all = 0usize;
-    let mut pair_samples: Vec<Vec<f64>> = vec![Vec::new(); n * n];
+    // Figure 1 samples as `(distance, count)` runs, one list per pair.
+    let mut pair_runs: Vec<Vec<(f64, usize)>> = vec![Vec::new(); n * n];
+    // The previous Figure 1 row's coordinates as bit patterns (empty
+    // before the first such row): a row with the same keys repeats its
+    // distances.
+    let mut prev_keys: Vec<[u64; 2]> = Vec::with_capacity(n);
+    let mut keys: Vec<[u64; 2]> = Vec::with_capacity(n);
 
     let mut countries = Vec::with_capacity(n);
     let mut city_coords = Vec::with_capacity(n);
@@ -134,13 +143,26 @@ pub fn consistency_from_view(view: &ResolvedView) -> ConsistencyReport {
 
         if city_coords.iter().all(|c| c.is_some()) {
             city_in_all += 1;
-            for i in 0..n {
-                for j in i + 1..n {
-                    let (a, b) = (&city_coords[i], &city_coords[j]);
-                    if let (Some(a), Some(b)) = (a, b) {
-                        pair_samples[i * n + j].push(a.distance_km(b));
+            keys.clear();
+            keys.extend(city_coords.iter().flatten().map(Coordinate::to_bits));
+            if keys == prev_keys {
+                // Only the `i < j` lists hold runs, and each has one
+                // for the previous Figure 1 row.
+                for runs in &mut pair_runs {
+                    if let Some(run) = runs.last_mut() {
+                        run.1 += 1;
                     }
                 }
+            } else {
+                for i in 0..n {
+                    for j in i + 1..n {
+                        let (a, b) = (&city_coords[i], &city_coords[j]);
+                        if let (Some(a), Some(b)) = (a, b) {
+                            pair_runs[i * n + j].push((a.distance_km(b), 1));
+                        }
+                    }
+                }
+                std::mem::swap(&mut keys, &mut prev_keys);
             }
         }
     }
@@ -164,7 +186,14 @@ pub fn consistency_from_view(view: &ResolvedView) -> ConsistencyReport {
     let mut dropped_nan = 0usize;
     for i in 0..n {
         for j in i + 1..n {
-            let samples = std::mem::take(&mut pair_samples[i * n + j]);
+            // Sorted runs expand to sorted samples, so the CDF's own
+            // stable sort finds its input already in order.
+            let mut runs = std::mem::take(&mut pair_runs[i * n + j]);
+            runs.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+            let mut samples = Vec::with_capacity(city_in_all);
+            for (d, count) in runs {
+                samples.extend(std::iter::repeat_n(d, count));
+            }
             let (cdf, dropped) = EmpiricalCdf::from_iter_lossy(samples);
             dropped_nan += dropped;
             pair_distance.push(((i, j), cdf));

@@ -1,4 +1,4 @@
-//! HLOC-style hint verification (related work [27], Scheitle et al.):
+//! HLOC-style hint verification (related work \[27\], Scheitle et al.):
 //! cross-check DNS location hints against latency constraints.
 //!
 //! A decoded hostname hint claims a location; every RTT measurement to the

@@ -10,9 +10,8 @@
 //! * [`validation`] — the ground-truth correctness analysis of §3:
 //!   cross-dataset agreement and hostname churn.
 //! * [`resolve`] — the resolve-once lookup engine: every (IP, database)
-//!   pair answered exactly once into a columnar
-//!   [`ResolvedView`](resolve::ResolvedView) that the coverage,
-//!   consistency, and accuracy analyses share.
+//!   pair answered exactly once into a columnar [`ResolvedView`] that
+//!   the coverage, consistency, and accuracy analyses share.
 //! * [`coverage`] — country-/city-level coverage over an address set
 //!   (§5.1, §5.2.1).
 //! * [`consistency`] — pairwise database agreement and the Figure 1

@@ -3,7 +3,7 @@
 //!
 //! The analysis workload resolves every (IP, database) pair and then
 //! reads only scalar facts — country, coordinates, resolution — yet the
-//! owning [`LocationRecord`](crate::LocationRecord) carries its region
+//! owning [`LocationRecord`] carries its region
 //! and city as `Option<String>`, so each answer costs heap allocations.
 //! [`LocationInterner`] maps those strings to dense `u32` symbol ids
 //! exactly once, and [`CompactRecord`] carries the ids by value, so a

@@ -130,7 +130,7 @@ fn carve_prefix(i: usize, rng: &mut FuzzRng) -> Prefix {
 }
 
 /// Random address inside some record's private /16 block (same block
-/// geometry as [`carve_prefix`]). Address sweeps over mutated images
+/// geometry as `carve_prefix`). Address sweeps over mutated images
 /// use this to actually reach record decode paths — a uniform draw
 /// over all 2³² addresses almost never lands inside the corpus.
 pub fn block_addr(scale: Scale, rng: &mut FuzzRng) -> Ipv4Addr {

@@ -14,7 +14,7 @@
 //! record_count u32 | strings_len u32 | checksum u64`), the name, a
 //! 512 KiB stride-16 root table (65 536 × 8-byte `record u32 | node
 //! u32` entries), `node_count × 12` bytes of nodes, `record_count × 20`
-//! fixed-width records, and the string table. [`geometry`] reads the
+//! fixed-width records, and the string table. `geometry` reads the
 //! section bounds the header claims, so every mutator targets the
 //! real payload region and the three root-table classes target the
 //! root table specifically.

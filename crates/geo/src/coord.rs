@@ -8,15 +8,13 @@
 
 use std::fmt;
 
-/// Errors produced when constructing or parsing a [`Coordinate`].
+/// Errors produced when constructing a [`Coordinate`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum CoordinateError {
     /// Latitude outside the [-90, +90] degree range, or not finite.
     InvalidLatitude(f64),
     /// Longitude outside the [-180, +180] degree range, or not finite.
     InvalidLongitude(f64),
-    /// A textual coordinate could not be parsed.
-    Parse(String),
 }
 
 impl fmt::Display for CoordinateError {
@@ -28,7 +26,6 @@ impl fmt::Display for CoordinateError {
             CoordinateError::InvalidLongitude(v) => {
                 write!(f, "longitude {v} out of range [-180, 180]")
             }
-            CoordinateError::Parse(s) => write!(f, "cannot parse coordinate from {s:?}"),
         }
     }
 }
@@ -102,6 +99,14 @@ impl Coordinate {
         self.lon.to_radians()
     }
 
+    /// The exact bit patterns of latitude and longitude. Equal bits mean
+    /// equal distances to any point, which `==` cannot promise: it
+    /// compares coordinates quantised to 1e-6 degrees.
+    #[inline]
+    pub fn to_bits(&self) -> [u64; 2] {
+        [self.lat.to_bits(), self.lon.to_bits()]
+    }
+
     /// Quantize to 1e-6 degrees for exact equality/hashing.
     #[inline]
     fn quantized(&self) -> (i64, i64) {
@@ -115,67 +120,6 @@ impl Coordinate {
     #[inline]
     pub fn distance_km(&self, other: &Coordinate) -> f64 {
         crate::distance::haversine_km(self, other)
-    }
-
-    /// Parse from `"lat,lon"` decimal-degree text.
-    pub fn parse(s: &str) -> Result<Self, CoordinateError> {
-        let mut parts = s.splitn(2, ',');
-        let lat = parts
-            .next()
-            .and_then(|p| p.trim().parse::<f64>().ok())
-            .ok_or_else(|| CoordinateError::Parse(s.to_string()))?;
-        let lon = parts
-            .next()
-            .and_then(|p| p.trim().parse::<f64>().ok())
-            .ok_or_else(|| CoordinateError::Parse(s.to_string()))?;
-        Coordinate::new(lat, lon)
-    }
-
-    /// Parse a degrees-minutes-seconds pair like the paper's
-    /// `N51°00′00″ E09°00′00″` (§3.2's default-coordinate example).
-    /// ASCII quote variants (`'`, `"`) are accepted too.
-    pub fn parse_dms(s: &str) -> Result<Self, CoordinateError> {
-        let err = || CoordinateError::Parse(s.to_string());
-        let mut parts = s.split_whitespace();
-        let lat_part = parts.next().ok_or_else(err)?;
-        let lon_part = parts.next().ok_or_else(err)?;
-        if parts.next().is_some() {
-            return Err(err());
-        }
-        let lat = Self::parse_dms_component(lat_part, 'N', 'S').ok_or_else(err)?;
-        let lon = Self::parse_dms_component(lon_part, 'E', 'W').ok_or_else(err)?;
-        Coordinate::new(lat, lon)
-    }
-
-    fn parse_dms_component(s: &str, pos: char, neg: char) -> Option<f64> {
-        let mut chars = s.chars();
-        let hemi = chars.next()?;
-        let sign = if hemi == pos {
-            1.0
-        } else if hemi == neg {
-            -1.0
-        } else {
-            return None;
-        };
-        // Split on the degree/minute/second markers, tolerating ASCII
-        // fallbacks and missing trailing fields.
-        let rest: String = chars.collect();
-        let mut fields = rest
-            .split(['°', '′', '″', '\'', '"'])
-            .filter(|f| !f.is_empty());
-        let deg: f64 = fields.next()?.trim().parse().ok()?;
-        let min: f64 = match fields.next() {
-            Some(f) => f.trim().parse().ok()?,
-            None => 0.0,
-        };
-        let sec: f64 = match fields.next() {
-            Some(f) => f.trim().parse().ok()?,
-            None => 0.0,
-        };
-        if fields.next().is_some() || !(0.0..60.0).contains(&min) || !(0.0..60.0).contains(&sec) {
-            return None;
-        }
-        Some(sign * (deg + min / 60.0 + sec / 3600.0))
     }
 }
 
@@ -252,57 +196,9 @@ mod tests {
         let c = Coordinate::new(50.001, 8.0).unwrap();
         assert_eq!(a, b);
         assert_ne!(a, c);
-    }
-
-    #[test]
-    fn parse_roundtrip() {
-        let c = Coordinate::new(37.7749, -122.4194).unwrap();
-        let parsed = Coordinate::parse(&c.to_string()).unwrap();
-        assert_eq!(c, parsed);
-    }
-
-    #[test]
-    fn parse_rejects_junk() {
-        assert!(Coordinate::parse("").is_err());
-        assert!(Coordinate::parse("abc,def").is_err());
-        assert!(Coordinate::parse("12.0").is_err());
-        assert!(Coordinate::parse("91.0,0.0").is_err());
-    }
-
-    #[test]
-    fn parse_dms_paper_example() {
-        // §3.2: Germany's default country coordinates.
-        let c = Coordinate::parse_dms("N51°00′00″ E09°00′00″").unwrap();
-        assert_eq!(c, Coordinate::new(51.0, 9.0).unwrap());
-    }
-
-    #[test]
-    fn parse_dms_variants() {
-        let c = Coordinate::parse_dms("S33°51′54″ E151°12′34″").unwrap();
-        assert!((c.lat() + 33.865).abs() < 0.001, "{}", c.lat());
-        assert!((c.lon() - 151.2094).abs() < 0.001, "{}", c.lon());
-        // ASCII quotes and missing seconds.
-        let c = Coordinate::parse_dms("N40°30' W74°0'").unwrap();
-        assert!((c.lat() - 40.5).abs() < 1e-9);
-        assert!((c.lon() + 74.0).abs() < 1e-9);
-        // Degrees only.
-        let c = Coordinate::parse_dms("N51° E9°").unwrap();
-        assert_eq!(c, Coordinate::new(51.0, 9.0).unwrap());
-    }
-
-    #[test]
-    fn parse_dms_rejects_junk() {
-        for s in [
-            "",
-            "N51°00′00″",            // missing longitude
-            "X51°00′00″ E09°00′00″", // bad hemisphere
-            "N51°72′00″ E09°00′00″", // minutes out of range
-            "N91°00′00″ E09°00′00″", // latitude out of range
-            "N51°00′00″ E09°00′00″ extra",
-            "N51°00′00″00″ E09°00′00″", // too many fields
-        ] {
-            assert!(Coordinate::parse_dms(s).is_err(), "{s:?} accepted");
-        }
+        // The bit patterns still tell the quantised-equal pair apart.
+        assert_ne!(a.to_bits(), b.to_bits());
+        assert_eq!(a.to_bits(), Coordinate::new(50.0000001, 8.0).unwrap().to_bits());
     }
 
     #[test]

@@ -441,7 +441,7 @@ impl Obs {
 }
 
 /// Guard for an open span; dropping it records the close event.
-/// Obtained via [`span!`], [`span`], or [`span_under`].
+/// Obtained via [`span!`], [`fn@span`], or [`span_under`].
 pub struct SpanGuard {
     obs: Option<&'static Obs>,
     id: u64,

@@ -27,7 +27,7 @@
 //! intra-function facts — guard liveness and fallible functions —
 //! ([`facts`]), evaluates the rules ([`rules`]), classifies files and
 //! applies waivers ([`engine`]), and renders machine-readable output
-//! ([`json`]). [`deps`] checks manifests and [`bench`] gates stage
+//! ([`json`]). [`deps`] checks manifests and [`mod@bench`] gates stage
 //! timings against the committed baseline; [`report`] pins the tenth-scale
 //! report's bytes to the committed golden. See CONTRIBUTING.md for the
 //! rule catalogue and how to add a rule.
