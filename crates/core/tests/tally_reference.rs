@@ -213,23 +213,7 @@ fn same_slice(
     want: &VendorAccuracy,
     what: &str,
 ) -> Result<(), TestCaseError> {
-    prop_assert_eq!(&got.database, &want.database, "{}", what);
-    prop_assert_eq!(got.total, want.total, "{} total", what);
-    prop_assert_eq!(
-        got.country_covered,
-        want.country_covered,
-        "{} country_covered",
-        what
-    );
-    prop_assert_eq!(
-        got.country_correct,
-        want.country_correct,
-        "{} country_correct",
-        what
-    );
-    prop_assert_eq!(got.city_covered, want.city_covered, "{} city_covered", what);
-    prop_assert_eq!(got.city_correct, want.city_correct, "{} city_correct", what);
-    prop_assert_eq!(got.dropped_nan, want.dropped_nan, "{} dropped_nan", what);
+    prop_assert_eq!(got, want, "{}", what);
     same_cdf(&got.error_cdf, &want.error_cdf, what)
 }
 
@@ -273,7 +257,7 @@ proptest! {
         ranked.truncate(top);
         prop_assert_eq!(
             report.by_country.iter().map(|(cc, n, _)| (*cc, *n)).collect::<Vec<_>>(),
-            ranked.clone()
+            ranked
         );
 
         let all = || gt.entries.iter();

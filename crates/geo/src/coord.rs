@@ -198,7 +198,10 @@ mod tests {
         assert_ne!(a, c);
         // The bit patterns still tell the quantised-equal pair apart.
         assert_ne!(a.to_bits(), b.to_bits());
-        assert_eq!(a.to_bits(), Coordinate::new(50.0000001, 8.0).unwrap().to_bits());
+        assert_eq!(
+            a.to_bits(),
+            Coordinate::new(50.0000001, 8.0).unwrap().to_bits()
+        );
     }
 
     #[test]
