@@ -11,7 +11,11 @@
 //! it into `target/ci-artifacts/`) and, when `--budget-ms` is given,
 //! exits non-zero if the resolve stage alone exceeded the budget. The
 //! report carries `lookup_ns_per_addr` so `cargo xtask resolve-check`
-//! can ratio-gate per-lookup cost against the blessed baseline.
+//! can ratio-gate per-lookup cost against the blessed baseline. It
+//! also carries `view_digest`, an FNV-1a over the whole view, which the
+//! check requires to equal the baseline's, as it does `hits` and
+//! `interned`: so the view's bytes are pinned at paper scale, where the
+//! resolve folds 92 shards.
 //!
 //! ```text
 //! usage: resolve_smoke [--budget-ms N]
@@ -35,12 +39,14 @@
 use routergeo_bench::timing::StageClock;
 use routergeo_bench::StageTiming;
 use routergeo_core::ResolvedView;
+use routergeo_db::compact::FnvBuildHasher;
 use routergeo_db::record::{Granularity, LocationRecord};
 use routergeo_db::rgdb2::{self, Rgdb2Reader};
 use routergeo_geo::{Coordinate, CountryCode};
 use routergeo_net::Prefix;
 use routergeo_pool::{splitmix64, Pool};
 use routergeo_world::Scale;
+use std::hash::{BuildHasher, Hasher};
 use std::net::Ipv4Addr;
 
 /// Vendor database names, mirroring the paper's four commercial
@@ -128,6 +134,36 @@ fn probe_addresses(seed: u64, count: u64, prefixes: u64) -> Vec<Ipv4Addr> {
         out.push(Ipv4Addr::from(ip));
     }
     out
+}
+
+/// An order-sensitive FNV-1a digest of everything a view holds: the
+/// database names, the interner's strings in id order, and every
+/// cell's country, region and city ids, coordinate bits and
+/// granularity, column by column. Two views digest equal only if they
+/// answer alike *and* assign the same interner ids.
+fn view_digest(view: &ResolvedView) -> u64 {
+    let mut h = FnvBuildHasher.build_hasher();
+    let strings = (0u32..).map_while(|id| view.interner().resolve(id));
+    for s in view.databases().iter().map(String::as_str).chain(strings) {
+        h.write(s.as_bytes());
+        h.write_u8(0xFF);
+    }
+    let id = |v: Option<u32>| v.map_or(u64::MAX, u64::from);
+    for cell in (0..view.db_count()).flat_map(|d| view.column(d)) {
+        let Some(r) = cell else {
+            h.write_u8(0);
+            continue;
+        };
+        let cc = r.country.map_or(0, |c| {
+            c.as_str().bytes().fold(1, |a, b| a << 8 | u64::from(b))
+        });
+        let [lat, lon] = r.coord.map_or([u64::MAX; 2], |c| c.to_bits());
+        let gran = u64::from(r.granularity.id());
+        for v in [cc, id(r.region_id), id(r.city_id), lat, lon, gran] {
+            h.write(&v.to_le_bytes());
+        }
+    }
+    h.finish()
 }
 
 fn env_u64(key: &str, default: u64) -> u64 {
@@ -233,6 +269,10 @@ fn main() {
     ));
     out.push_str(&format!("  \"hits\": {hits},\n"));
     out.push_str(&format!("  \"interned\": {},\n", view.interner().len()));
+    out.push_str(&format!(
+        "  \"view_digest\": \"{:016x}\",\n",
+        view_digest(&view)
+    ));
     out.push_str(&format!("  \"resolve_wall_ms\": {resolve_ms:.3},\n"));
     out.push_str(&format!(
         "  \"lookup_ns_per_addr\": {lookup_ns_per_addr:.3},\n"

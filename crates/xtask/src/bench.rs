@@ -15,6 +15,10 @@
 //!   median ratio across stages, cancelling the machine-speed factor
 //!   between the baseline host and the current host. A uniform 3×-slower
 //!   machine passes; one stage regressing 3× relative to its peers fails.
+//!
+//! A bless writes the median of [`BLESS_RUNS`] runs ([`median_of_runs`]),
+//! so one run taken while the host was busy cannot skew every later
+//! ratio.
 
 use std::fmt;
 
@@ -24,6 +28,85 @@ pub const THRESHOLD: f64 = 2.0;
 /// Milliseconds added to both sides of a ratio to damp timer noise on
 /// sub-ms stages.
 pub const SMOOTHING_MS: f64 = 25.0;
+
+/// Runs a `--bless` takes the median of.
+pub const BLESS_RUNS: usize = 5;
+
+/// The wall-clock fields of a timing report: [`median_of_runs`] takes
+/// the median of each over the runs, and every other field must agree.
+const TIMING_KEYS: [&str; 5] = [
+    "total_wall_ms",
+    "resolve_wall_ms",
+    "lookup_ns_per_addr",
+    "wall_ms",
+    "items_per_sec",
+];
+
+/// Find `"key":` on `line` (not as the tail of a longer key) and return
+/// the byte range of the number after it.
+fn number_span(line: &str, key: &str) -> Option<(usize, usize)> {
+    let pat = format!("\"{key}\":");
+    let at = line.find(&pat)? + pat.len();
+    let rest = &line[at..];
+    let start = at + (rest.len() - rest.trim_start().len());
+    let len = line[start..]
+        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == '+'))
+        .unwrap_or(line.len() - start);
+    Some((start, start + len))
+}
+
+/// Merge the timing reports `runs` (the same binary's output, run
+/// several times) into one report: each timing field of each line —
+/// every stage's `wall_ms` and `items_per_sec`, and the top-level
+/// [`TIMING_KEYS`] — becomes the median of that line's field over the
+/// runs, printed with the first run's decimals. Every other byte must
+/// be the same in every run (stage names, counts, digests); an odd run
+/// count makes each median one run's value.
+pub fn median_of_runs(runs: &[String]) -> Result<String, String> {
+    let Some(first) = runs.first() else {
+        return Err("no runs to take the median of".into());
+    };
+    let lines: Vec<Vec<&str>> = runs.iter().map(|r| r.lines().collect()).collect();
+    if lines.iter().any(|l| l.len() != lines[0].len()) {
+        return Err("runs differ in line count".into());
+    }
+    let mut out = String::with_capacity(first.len());
+    for (ix, line) in lines[0].iter().enumerate() {
+        let mut merged = (*line).to_string();
+        let mut masked: Vec<String> = lines.iter().map(|l| l[ix].to_string()).collect();
+        for key in TIMING_KEYS {
+            let Some((s, e)) = number_span(&merged, key) else {
+                continue;
+            };
+            let mut values = Vec::with_capacity(runs.len());
+            for m in &mut masked {
+                let (ms, me) = number_span(m, key)
+                    .ok_or_else(|| format!("line {}: `{key}` missing from a run", ix + 1))?;
+                let v: f64 = m[ms..me]
+                    .parse()
+                    .map_err(|_| format!("line {}: `{key}` is not a number", ix + 1))?;
+                values.push(v);
+                m.replace_range(ms..me, "#");
+            }
+            values.sort_by(f64::total_cmp);
+            let median = values[values.len() / 2];
+            let decimals = merged[s..e]
+                .split_once('.')
+                .map_or(0, |(_, frac)| frac.len());
+            merged.replace_range(s..e, &format!("{median:.decimals$}"));
+        }
+        if masked.iter().any(|m| *m != masked[0]) {
+            return Err(format!(
+                "line {}: runs differ outside their timings: {}",
+                ix + 1,
+                masked.join(" | ")
+            ));
+        }
+        out.push_str(&merged);
+        out.push('\n');
+    }
+    Ok(out)
+}
 
 /// One timed stage out of `BENCH_pipeline.json`.
 #[derive(Debug, Clone, PartialEq)]
@@ -333,5 +416,61 @@ mod tests {
     #[test]
     fn garbage_input_is_rejected() {
         assert!(parse_report("not json at all").is_err());
+    }
+
+    /// `SAMPLE` with every timing field scaled by `k` (one run of a
+    /// machine that ran `k` times slower).
+    fn run_at(k: f64) -> String {
+        SAMPLE
+            .replace("52.500", &format!("{:.3}", 52.5 * k))
+            .replace("12.500,", &format!("{:.3},", 12.5 * k))
+            .replace("40.000,", &format!("{:.3},", 40.0 * k))
+            .replace("100.000,", &format!("{:.3},", 100.0 * k))
+            .replace("80000.0}", &format!("{:.1}}}", 80_000.0 / k))
+    }
+
+    #[test]
+    fn median_of_runs_takes_each_timing_fields_median() {
+        let mut runs = vec![
+            run_at(1.0),
+            run_at(9.0),
+            run_at(2.0),
+            run_at(0.5),
+            run_at(3.0),
+        ];
+        // A busy host slows one stage of one run only.
+        runs[3] = runs[3].replace("\"wall_ms\": 50.000", "\"wall_ms\": 900.000");
+        let merged = median_of_runs(&runs).expect("the runs agree outside timings");
+        let report = parse_report(&merged).expect("the median parses");
+        assert_eq!(report.stages[0].wall_ms, 25.0, "world: median of 12.5 k");
+        assert_eq!(report.stages[1].wall_ms, 80.0, "ark: median of 40 k");
+        // 100 200 300 900 900: the slowed run moves the median one
+        // rank, not to its own 900.
+        assert_eq!(report.stages[2].wall_ms, 300.0, "accuracy");
+        assert_eq!(report.stages[2].items, 4000.0, "counts are copied");
+        assert!(merged.contains("\"total_wall_ms\": 105.000,"), "{merged}");
+        assert!(merged.contains("\"items_per_sec\": 40000.0}"), "{merged}");
+        assert_eq!(report.seed, 20_170_301.0);
+        // Precision follows the first run's digits, lines stay intact.
+        assert_eq!(merged.lines().count(), SAMPLE.lines().count());
+        assert_eq!(median_of_runs(&[SAMPLE.to_string()]).unwrap(), SAMPLE);
+    }
+
+    #[test]
+    fn median_of_runs_rejects_runs_that_differ_outside_timings() {
+        let other = SAMPLE.replace("\"items\": 800", "\"items\": 801");
+        let err = median_of_runs(&[SAMPLE.to_string(), other, SAMPLE.to_string()])
+            .expect_err("item counts differ");
+        assert!(err.contains("line 9"), "{err}");
+        let short = SAMPLE.replace("  ]\n}\n", "  ]\n");
+        assert!(median_of_runs(&[SAMPLE.to_string(), short]).is_err());
+        assert!(median_of_runs(&[]).is_err());
+        // A digest is not a timing: it must match too.
+        let a = "{\n  \"view_digest\": \"00ff\",\n  \"lookup_ns_per_addr\": 2.0\n}\n";
+        let b = a.replace("00ff", "00fe");
+        assert!(median_of_runs(&[a.to_string(), b]).is_err());
+        let c = a.replace("2.0", "4.0");
+        let merged = median_of_runs(&[a.to_string(), c.clone(), c]).unwrap();
+        assert!(merged.contains("\"lookup_ns_per_addr\": 4.0"), "{merged}");
     }
 }

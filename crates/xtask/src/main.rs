@@ -19,7 +19,8 @@ commands:\n  \
   deps                  check manifests against the workspace dependency policy\n  \
   bench-check [--bless] run repro --timings at tiny scale, at the baseline's thread\n  \
                         count, and gate per-stage wall clock against\n  \
-                        BENCH_pipeline.json (--bless refreshes the baseline)\n  \
+                        BENCH_pipeline.json (--bless refreshes the baseline from the\n  \
+                        per-stage medians of five runs)\n  \
   report-check [--bless]\n  \
                         run the release `repro all --csv` at tenth scale, seed 20170301,\n  \
                         check that its CSVs hold the README's at-a-glance orderings,\n  \
@@ -46,10 +47,11 @@ commands:\n  \
                         the baseline's thread count and write the report to\n  \
                         target/ci-artifacts/resolve_ci.json;\n  \
                         non-zero exit when the resolve stage exceeds the budget\n  \
-                        (default 20000 ms), when a stage regresses beyond 2x against\n  \
-                        BENCH_resolve.json, or when lookup_ns_per_addr regresses\n  \
-                        beyond 2x (both median-normalised); --bless refreshes the\n  \
-                        baseline\n";
+                        (default 20000 ms), when hits, interned or view_digest differ\n  \
+                        from BENCH_resolve.json's, when a stage regresses beyond 2x\n  \
+                        against it, or when lookup_ns_per_addr regresses beyond 2x\n  \
+                        (both median-normalised); --bless refreshes the baseline from\n  \
+                        the medians of five runs\n";
 
 fn main() -> ExitCode {
     let args: Vec<String> = env::args().skip(1).collect();
@@ -258,56 +260,52 @@ fn run_bench_check(root: &PathBuf, bless: bool) -> ExitCode {
         return ExitCode::FAILURE;
     }
 
-    eprintln!("xtask bench-check: timing repro at tiny scale (release)…");
-    let status = std::process::Command::new("cargo")
-        .current_dir(root)
-        .envs(baseline_threads(&baseline_path).map(|t| (THREADS_ENV, t)))
-        .args([
-            "run",
-            "--release",
-            "-q",
-            "-p",
-            "routergeo-bench",
-            "--bin",
-            "repro",
-            "--",
-        ])
-        .args(BENCH_EXPERIMENTS)
-        .arg("--timings")
-        .arg(&fresh_path)
-        .env("ROUTERGEO_SCALE", "tiny")
-        .env("ROUTERGEO_SEED", "20170301")
-        .stdout(std::process::Stdio::null())
-        .status();
-    match status {
-        Ok(s) if s.success() => {}
-        Ok(s) => {
-            eprintln!("xtask bench-check: repro exited with {s}");
-            return ExitCode::FAILURE;
+    let runs = if bless { bench::BLESS_RUNS } else { 1 };
+    let mut texts = Vec::with_capacity(runs);
+    for run in 1..=runs {
+        eprintln!("xtask bench-check: timing repro at tiny scale (release), run {run} of {runs}…");
+        let status = std::process::Command::new("cargo")
+            .current_dir(root)
+            .envs(baseline_threads(&baseline_path).map(|t| (THREADS_ENV, t)))
+            .args([
+                "run",
+                "--release",
+                "-q",
+                "-p",
+                "routergeo-bench",
+                "--bin",
+                "repro",
+                "--",
+            ])
+            .args(BENCH_EXPERIMENTS)
+            .arg("--timings")
+            .arg(&fresh_path)
+            .env("ROUTERGEO_SCALE", "tiny")
+            .env("ROUTERGEO_SEED", "20170301")
+            .stdout(std::process::Stdio::null())
+            .status();
+        match status {
+            Ok(s) if s.success() => {}
+            Ok(s) => {
+                eprintln!("xtask bench-check: repro exited with {s}");
+                return ExitCode::FAILURE;
+            }
+            Err(err) => {
+                eprintln!("xtask bench-check: cannot run repro: {err}");
+                return ExitCode::FAILURE;
+            }
         }
-        Err(err) => {
-            eprintln!("xtask bench-check: cannot run repro: {err}");
-            return ExitCode::FAILURE;
+        match std::fs::read_to_string(&fresh_path) {
+            Ok(text) => texts.push(text),
+            Err(err) => {
+                eprintln!("xtask bench-check: {}: {err}", fresh_path.display());
+                return ExitCode::FAILURE;
+            }
         }
     }
 
     if bless {
-        return match std::fs::copy(&fresh_path, &baseline_path) {
-            Ok(_) => {
-                eprintln!(
-                    "xtask bench-check: blessed {} from this run",
-                    baseline_path.display()
-                );
-                ExitCode::SUCCESS
-            }
-            Err(err) => {
-                eprintln!(
-                    "xtask bench-check: cannot write {}: {err}",
-                    baseline_path.display()
-                );
-                ExitCode::FAILURE
-            }
-        };
+        return bless_median("bench-check", &texts, &baseline_path);
     }
 
     let read = |p: &std::path::Path| -> Result<bench::Report, String> {
@@ -349,6 +347,39 @@ fn run_bench_check(root: &PathBuf, bless: bool) -> ExitCode {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
+    }
+}
+
+/// Write the median of the timing reports `runs` to `baseline`
+/// ([`bench::median_of_runs`]).
+fn bless_median(cmd: &str, runs: &[String], baseline: &Path) -> ExitCode {
+    for (n, text) in runs.iter().enumerate() {
+        let totals: Vec<String> = ["total_wall_ms", "resolve_wall_ms", "lookup_ns_per_addr"]
+            .iter()
+            .filter_map(|key| raw_field(text, key).map(|v| format!("{key} {v}")))
+            .collect();
+        eprintln!("xtask {cmd}: run {}: {}", n + 1, totals.join(", "));
+    }
+    let merged = match bench::median_of_runs(runs) {
+        Ok(m) => m,
+        Err(e) => {
+            eprintln!("xtask {cmd}: cannot take the median of the runs: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    match std::fs::write(baseline, merged) {
+        Ok(()) => {
+            eprintln!(
+                "xtask {cmd}: blessed {} from the median of {} runs",
+                baseline.display(),
+                runs.len()
+            );
+            ExitCode::SUCCESS
+        }
+        Err(err) => {
+            eprintln!("xtask {cmd}: cannot write {}: {err}", baseline.display());
+            ExitCode::FAILURE
+        }
     }
 }
 
@@ -635,7 +666,8 @@ fn run_serve_check(root: &PathBuf, budget_ms: u64, vendor_images: bool) -> ExitC
 /// `lookup_ns_per_addr`, both smoothed and median-normalised exactly
 /// like bench-check so a uniformly slower machine passes. Synthesis and
 /// probes are a pure function of the pinned seed, so everything in the
-/// artifact except the wall-clock fields is byte-stable.
+/// artifact except the wall-clock fields is byte-stable, and
+/// [`RESOLVE_EXACT_KEYS`] must equal the baseline's.
 fn run_resolve_check(root: &PathBuf, budget_ms: u64, bless: bool) -> ExitCode {
     let art_dir = root.join("target").join("ci-artifacts");
     if let Err(err) = std::fs::create_dir_all(&art_dir) {
@@ -646,72 +678,69 @@ fn run_resolve_check(root: &PathBuf, budget_ms: u64, bless: bool) -> ExitCode {
         return ExitCode::FAILURE;
     }
     let artifact = art_dir.join("resolve_ci.json");
-    let out_file = match std::fs::File::create(&artifact) {
-        Ok(f) => f,
-        Err(err) => {
-            eprintln!(
-                "xtask resolve-check: cannot create {}: {err}",
-                artifact.display()
-            );
-            return ExitCode::FAILURE;
-        }
-    };
-
     let baseline_path = root.join("BENCH_resolve.json");
-    eprintln!("xtask resolve-check: paper-scale resolve smoke (budget {budget_ms} ms, release)…");
-    let status = std::process::Command::new("cargo")
-        .current_dir(root)
-        .envs(baseline_threads(&baseline_path).map(|t| (THREADS_ENV, t)))
-        .env("ROUTERGEO_SCALE", "paper")
-        .env("ROUTERGEO_SEED", CI_SEED)
-        .args([
-            "run",
-            "--release",
-            "-q",
-            "-p",
-            "routergeo-bench",
-            "--bin",
-            "resolve_smoke",
-            "--",
-            "--budget-ms",
-        ])
-        .arg(budget_ms.to_string())
-        .stdout(out_file)
-        .status();
-    match status {
-        Ok(s) if s.success() => {
-            eprintln!("xtask resolve-check: wrote {}", artifact.display());
+    let runs = if bless { bench::BLESS_RUNS } else { 1 };
+    let mut texts = Vec::with_capacity(runs);
+    for run in 1..=runs {
+        let out_file = match std::fs::File::create(&artifact) {
+            Ok(f) => f,
+            Err(err) => {
+                eprintln!(
+                    "xtask resolve-check: cannot create {}: {err}",
+                    artifact.display()
+                );
+                return ExitCode::FAILURE;
+            }
+        };
+        eprintln!(
+            "xtask resolve-check: paper-scale resolve smoke (budget {budget_ms} ms, release), run {run} of {runs}…"
+        );
+        let status = std::process::Command::new("cargo")
+            .current_dir(root)
+            .envs(baseline_threads(&baseline_path).map(|t| (THREADS_ENV, t)))
+            .env("ROUTERGEO_SCALE", "paper")
+            .env("ROUTERGEO_SEED", CI_SEED)
+            .args([
+                "run",
+                "--release",
+                "-q",
+                "-p",
+                "routergeo-bench",
+                "--bin",
+                "resolve_smoke",
+                "--",
+                "--budget-ms",
+            ])
+            .arg(budget_ms.to_string())
+            .stdout(out_file)
+            .status();
+        match status {
+            Ok(s) if s.success() => {
+                eprintln!("xtask resolve-check: wrote {}", artifact.display());
+            }
+            Ok(s) => {
+                eprintln!(
+                    "xtask resolve-check: resolve_smoke exited with {s} (report at {})",
+                    artifact.display()
+                );
+                return ExitCode::FAILURE;
+            }
+            Err(err) => {
+                eprintln!("xtask resolve-check: cannot run resolve_smoke: {err}");
+                return ExitCode::FAILURE;
+            }
         }
-        Ok(s) => {
-            eprintln!(
-                "xtask resolve-check: resolve_smoke exited with {s} (report at {})",
-                artifact.display()
-            );
-            return ExitCode::FAILURE;
-        }
-        Err(err) => {
-            eprintln!("xtask resolve-check: cannot run resolve_smoke: {err}");
-            return ExitCode::FAILURE;
+        match std::fs::read_to_string(&artifact) {
+            Ok(text) => texts.push(text),
+            Err(err) => {
+                eprintln!("xtask resolve-check: {}: {err}", artifact.display());
+                return ExitCode::FAILURE;
+            }
         }
     }
 
     if bless {
-        return match std::fs::copy(&artifact, &baseline_path) {
-            Ok(_) => {
-                eprintln!(
-                    "xtask resolve-check: blessed {} from this run",
-                    baseline_path.display()
-                );
-                ExitCode::SUCCESS
-            }
-            Err(err) => {
-                eprintln!(
-                    "xtask resolve-check: cannot write {}: {err}",
-                    baseline_path.display()
-                );
-                ExitCode::FAILURE
-            }
-        };
+        return bless_median("resolve-check", &texts, &baseline_path);
     }
 
     let read = |p: &std::path::Path| -> Result<(bench::Report, f64), String> {
@@ -730,6 +759,24 @@ fn run_resolve_check(root: &PathBuf, budget_ms: u64, bless: bool) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    // The view itself must not move: its hit count, interner size and
+    // digest are pure functions of the seed and the resolve code.
+    let base_text = std::fs::read_to_string(&baseline_path).unwrap_or_default();
+    let drift: Vec<String> = RESOLVE_EXACT_KEYS
+        .iter()
+        .filter_map(|key| {
+            let (b, f) = (raw_field(&base_text, key), raw_field(&texts[0], key));
+            (b != f).then(|| format!("{key}: baseline {b:?}, fresh {f:?}"))
+        })
+        .collect();
+    if !drift.is_empty() {
+        eprintln!(
+            "xtask resolve-check: the resolved view changed against {}:\n  {}",
+            baseline_path.display(),
+            drift.join("\n  ")
+        );
+        return ExitCode::FAILURE;
+    }
     let cmp = match bench::compare(&base, &fresh, bench::THRESHOLD) {
         Ok(c) => c,
         Err(e) => {
@@ -792,6 +839,18 @@ fn run_resolve_check(root: &PathBuf, budget_ms: u64, bless: bool) -> ExitCode {
     } else {
         ExitCode::FAILURE
     }
+}
+
+/// Fields of `resolve_ci.json` that must equal the baseline's exactly.
+const RESOLVE_EXACT_KEYS: [&str; 3] = ["hits", "interned", "view_digest"];
+
+/// The raw value token after `"key":` in a report text, up to the
+/// line's comma: `None` when the key is missing.
+fn raw_field<'a>(text: &'a str, key: &str) -> Option<&'a str> {
+    let pat = format!("\"{key}\":");
+    let rest = &text[text.find(&pat)? + pat.len()..];
+    let line = rest.lines().next().unwrap_or("");
+    Some(line.trim().trim_end_matches(',').trim())
 }
 
 /// Pull `lookup_ns_per_addr` out of a resolve_ci.json text.
