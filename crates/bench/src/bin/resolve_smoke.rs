@@ -6,8 +6,9 @@
 //! isolation: it synthesizes four vendor-style databases as RGDB v2.1
 //! images (stride-16 root table + level-order nodes), opens them
 //! zero-copy, and resolves a full interface address set through
-//! `ResolvedView::build_with` — the same batched `lookup_batch` path
-//! the analyses use. It prints one JSON report to stdout (CI redirects
+//! `ResolvedView::build_with` — the path the analyses use: shards
+//! locate record ids with the batched frontier walk, and the fold
+//! decodes each distinct record once per view. It prints one JSON report to stdout (CI redirects
 //! it into `target/ci-artifacts/`) and, when `--budget-ms` is given,
 //! exits non-zero if the resolve stage alone exceeded the budget. The
 //! report carries `lookup_ns_per_addr` so `cargo xtask resolve-check`

@@ -173,15 +173,15 @@ fn evaluate_column<E: Borrow<GtEntry>>(
         .map(|t| Vec::with_capacity(t.city_covered))
         .collect();
     for &(d, row) in &city {
+        let ids = &slices[row];
+        for s in ids.iter() {
+            errors[s].push(d);
+        }
         // Rounded km in log2 buckets, once per slice sample: a
         // deterministic quantity, so the metrics snapshot stays
         // byte-identical across thread counts.
-        let bucket = (d.is_finite() && d >= 0.0).then(|| d.round() as u64);
-        for s in slices[row].iter() {
-            errors[s].push(d);
-            if let Some(km) = bucket {
-                error_km.record(km);
-            }
+        if d.is_finite() && d >= 0.0 {
+            error_km.record_n(d.round() as u64, ids.len() as u64);
         }
     }
 

@@ -8,27 +8,32 @@
 //! [`LocationInterner`]. The analyses then tally over the flat columns
 //! without a single per-lookup allocation.
 //!
-//! Construction is sharded through `routergeo_pool`: each shard resolves
-//! its slice into a *local* interner and local column chunks, and the
-//! pool's ordered fold absorbs each local as soon as every earlier
-//! shard has been absorbed, remapping symbol ids into the global table
-//! and appending the chunks to preallocated columns. Shard boundaries
-//! depend only on the input length, so the view — ids included — is
-//! byte-identical at any thread count.
+//! Construction is sharded through `routergeo_pool`: each shard only
+//! locates its slice, asking every database for its own record ids
+//! ([`GeoDatabase::locate_batch`]). The pool's ordered fold turns the
+//! ids into the view's cells as soon as every earlier shard is in,
+//! through one [`RecordTable`] per database: each distinct record is
+//! decoded and interned once per view, on first sight in (shard,
+//! database, address) order. That is the order a per-address loop
+//! would intern in, and shard boundaries depend only on the input
+//! length, so the view — interner ids included — is byte-identical at
+//! any thread count. A database without record ids is answered in the
+//! fold by its [`GeoDatabase::lookup_batch`], into the view's own
+//! interner, which keeps that order too.
 
-use routergeo_db::{CompactRecord, GeoDatabase, LocationInterner};
+use routergeo_db::{CompactRecord, GeoDatabase, LocationInterner, RecordTable};
 use routergeo_pool::Pool;
 use std::net::Ipv4Addr;
 
 /// Addresses per shard for the parallel resolvers and evaluators in
 /// this crate. Lookups draw no randomness, so the shard seed is
 /// irrelevant; the size is fixed (never thread-derived) to keep fold
-/// order stable. Sized so the batched readers amortize their
-/// per-chunk work (sort, dense memo tables) over many addresses —
-/// each distinct record decodes once per shard, so bigger shards mean
-/// strictly fewer decodes — while still splitting paper-scale inputs
-/// into ~90 shards, plenty of parallelism for any realistic pool.
-pub(crate) const LOOKUP_SHARD_SIZE: usize = 16384;
+/// order stable. Sized so the batched readers amortize their per-call
+/// work (the sort, the root-table seed) over many addresses while still
+/// splitting paper-scale inputs into ~90 shards, plenty of parallelism
+/// for any realistic pool. Records are decoded once per view, not per
+/// shard, so the size no longer trades against decodes.
+pub const LOOKUP_SHARD_SIZE: usize = 16384;
 
 /// Columnar resolve-once answers: `column(db)[i]` is database `db`'s
 /// compact answer for the `i`-th input address.
@@ -47,10 +52,9 @@ impl ResolvedView {
         ResolvedView::build_with(dbs, ips, &Pool::from_env())
     }
 
-    /// [`ResolvedView::build`] on an explicit pool: shards resolve into
-    /// local interners and column chunks, folded in shard order with
-    /// symbol-id remapping, so the view is identical at every thread
-    /// count.
+    /// [`ResolvedView::build`] on an explicit pool: shards locate record
+    /// ids, and the fold decodes each distinct record once in shard
+    /// order, so the view is identical at every thread count.
     pub fn build_with<D: GeoDatabase + Sync>(
         dbs: &[D],
         ips: &[Ipv4Addr],
@@ -70,61 +74,41 @@ impl ResolvedView {
         let mut interner = LocationInterner::new();
         let mut columns: Vec<Vec<Option<CompactRecord>>> =
             (0..n).map(|_| Vec::with_capacity(ips.len())).collect();
+        let mut tables: Vec<RecordTable> = (0..n).map(|_| RecordTable::default()).collect();
         let mut hits = 0u64;
-        let mut refs = 0u64;
-        if pool.threads() <= 1 {
-            // Serial fast path: resolve chunk-major straight into the
-            // global interner. First-seen order is exactly the order the
-            // sharded fold below replays, so ids — and therefore the
-            // whole view — are bit-identical to the threaded build, with
-            // none of the local-table absorb/remap machinery. Going
-            // through `for_each_shard` keeps the pool's shard counters
-            // and spans identical to the threaded plan.
-            pool.for_each_shard(0, ips, LOOKUP_SHARD_SIZE, |_, chunk| {
-                for (column, db) in columns.iter_mut().zip(dbs) {
-                    let part = db.lookup_batch(chunk, &mut interner);
-                    hits += part.iter().filter(|r| r.is_some()).count() as u64;
-                    column.extend(part);
-                }
-            });
-            refs = interner.ref_count();
-        } else {
-            // Each shard resolves into a local interner; the fold
-            // absorbs it and appends the remapped answers while the
-            // other workers are still resolving later shards.
-            pool.fold_shards(
-                0,
-                ips,
-                LOOKUP_SHARD_SIZE,
-                |_, chunk| {
-                    let mut local = LocationInterner::new();
-                    // Batched resolve: backends exploit the whole-chunk
-                    // view (sorted range/trie sweeps, per-record
-                    // memoizing) while guaranteeing the same answers and
-                    // interner ids as the per-address loop.
-                    let parts: Vec<_> = dbs
-                        .iter()
-                        .map(|db| db.lookup_batch(chunk, &mut local))
-                        .collect();
-                    (local, parts)
-                },
-                |_, (local, parts)| {
-                    refs += local.ref_count();
-                    let remap = interner.absorb(&local);
-                    for (column, part) in columns.iter_mut().zip(parts) {
+        pool.fold_shards(
+            0,
+            ips,
+            LOOKUP_SHARD_SIZE,
+            |_, chunk| {
+                dbs.iter()
+                    .map(|db| db.locate_batch(chunk))
+                    .collect::<Vec<_>>()
+            },
+            |shard, located| {
+                let parts = columns.iter_mut().zip(&mut tables).zip(dbs).zip(located);
+                for (((column, table), db), ids) in parts {
+                    let Some(ids) = ids else {
+                        let part = db.lookup_batch(&ips[shard.start..shard.end], &mut interner);
                         hits += part.iter().filter(|r| r.is_some()).count() as u64;
-                        column.extend(part.into_iter().map(|rec| rec.map(|r| r.remapped(&remap))));
-                    }
-                },
-            );
-        }
+                        column.extend(part);
+                        continue;
+                    };
+                    column.extend(ids.into_iter().map(|id| {
+                        let rec = table.get(id?, |id| db.compact_record(id, &mut interner));
+                        hits += u64::from(rec.is_some());
+                        rec
+                    }));
+                }
+            },
+        );
 
         let lookups = (ips.len() as u64) * (n as u64);
         c_lookups.add(lookups);
         c_hits.add(hits);
         c_misses.add(lookups - hits);
         c_strings.add(interner.len() as u64);
-        c_refs.add(refs);
+        c_refs.add(interner.ref_count());
         span.attr("hits", hits);
         span.attr("interned", interner.len());
 
@@ -216,23 +200,6 @@ mod tests {
         assert_eq!(shards.len(), 3);
         assert!(shards[2].len() < LOOKUP_SHARD_SIZE);
         ips
-    }
-
-    #[test]
-    fn parallel_view_is_identical_to_serial() {
-        let dbs = [striped_db("a", 120, 1), striped_db("b", 120, 3)];
-        let ips = multi_shard_ips();
-        let serial = ResolvedView::build_with(&dbs, &ips, &Pool::new(1));
-        for threads in [2, 8] {
-            let parallel = ResolvedView::build_with(&dbs, &ips, &Pool::new(threads));
-            assert_eq!(
-                serial, parallel,
-                "view differs between 1 and {threads} threads"
-            );
-        }
-        assert_eq!(serial.len(), ips.len());
-        assert_eq!(serial.db_count(), 2);
-        assert!(serial.interner().len() > 10, "symbols were interned");
     }
 
     #[test]

@@ -10,12 +10,11 @@
 //! resolved column of answers is a flat `Vec<Option<CompactRecord>>`
 //! with no per-lookup allocation.
 //!
-//! Parallel resolution shards intern into *local* tables; the merge
-//! step absorbs each local table into the global one in shard order via
-//! [`LocationInterner::absorb`], producing an [`IdRemap`] that rewrites
-//! shard-local ids to global ones. Because absorption walks local ids
-//! in order and shards merge in shard order, the global id assignment
-//! is dense and byte-identical at any thread count.
+//! A [`RecordTable`] memoises a backend's records by record id, so a
+//! batch or a whole resolved view decodes (and interns) each distinct
+//! record once. Decoding in a fixed order — for a view, first sight in
+//! (shard, database, address) order — fixes every interner id, so ids
+//! never need remapping and are byte-identical at any thread count.
 
 use crate::record::{Granularity, LocationRecord};
 use routergeo_geo::{Coordinate, CountryCode};
@@ -117,37 +116,43 @@ impl LocationInterner {
     pub fn ref_count(&self) -> u64 {
         self.refs
     }
+}
 
-    /// Record one reference that resolved through a caller-side id
-    /// cache instead of [`LocationInterner::intern`]. Keeps the
-    /// `resolve.interner_refs` metric meaning "references", not "hash
-    /// probes", when readers memoize string-offset → id mappings.
-    pub fn count_ref(&mut self) {
-        self.refs += 1;
-    }
+/// A dense memo from a backend's record ids to their compact records:
+/// each id is decoded, and its names interned, on first sight only.
+/// Ids are small and dense (an RGDB record index, a range-map entry
+/// index), so the table is a `u32` slot per id into the records decoded
+/// so far.
+#[derive(Debug, Default)]
+pub struct RecordTable {
+    /// `slots[id]`: index into `records`, or `u32::MAX` if not seen yet.
+    slots: Vec<u32>,
+    records: Vec<Option<CompactRecord>>,
+}
 
-    /// Absorb every symbol of `local` into `self` (in `local` id order)
-    /// and return the remap from `local` ids to `self` ids. Used to
-    /// merge shard-local interners deterministically.
-    pub fn absorb(&mut self, local: &LocationInterner) -> IdRemap {
-        IdRemap {
-            map: local.strings.iter().map(|s| self.intern(s)).collect(),
+impl RecordTable {
+    /// The record behind `id`, decoded by `decode` if this is the
+    /// first time the table sees `id`.
+    #[inline]
+    pub fn get(
+        &mut self,
+        id: u32,
+        decode: impl FnOnce(u32) -> Option<CompactRecord>,
+    ) -> Option<CompactRecord> {
+        let ix = id as usize;
+        if ix >= self.slots.len() {
+            self.slots.resize(ix + 1, u32::MAX);
         }
-    }
-}
-
-/// A mapping from one interner's ids to another's, produced by
-/// [`LocationInterner::absorb`].
-#[derive(Debug, Clone)]
-pub struct IdRemap {
-    map: Vec<u32>,
-}
-
-impl IdRemap {
-    /// Translate a local id. Ids the remap has never seen pass through
-    /// unchanged (they cannot arise from a well-formed absorb).
-    pub fn apply(&self, id: u32) -> u32 {
-        self.map.get(id as usize).copied().unwrap_or(id)
+        let slot = &mut self.slots[ix];
+        match self.records.get(*slot as usize) {
+            Some(rec) => *rec,
+            None => {
+                *slot = u32::try_from(self.records.len()).expect("at most one slot per u32 id");
+                let rec = decode(id);
+                self.records.push(rec);
+                rec
+            }
+        }
     }
 }
 
@@ -196,15 +201,6 @@ impl CompactRecord {
                 .map(str::to_string),
             coord: self.coord,
             granularity: self.granularity,
-        }
-    }
-
-    /// Rewrite the symbol ids through a shard-merge remap.
-    pub fn remapped(self, remap: &IdRemap) -> CompactRecord {
-        CompactRecord {
-            region_id: self.region_id.map(|id| remap.apply(id)),
-            city_id: self.city_id.map(|id| remap.apply(id)),
-            ..self
         }
     }
 
@@ -266,34 +262,32 @@ mod tests {
     }
 
     #[test]
-    fn absorb_remaps_shard_local_ids_deterministically() {
-        let mut shard_a = LocationInterner::new();
-        let a_x = shard_a.intern("X");
-        let a_y = shard_a.intern("Y");
-        let mut shard_b = LocationInterner::new();
-        let b_z = shard_b.intern("Z");
-        let b_y = shard_b.intern("Y");
-
-        let mut global = LocationInterner::new();
-        let ra = global.absorb(&shard_a);
-        let rb = global.absorb(&shard_b);
-        // Shard-order absorption: X=0, Y=1 from shard a; Z=2 new, Y
-        // rebound to 1 from shard b.
-        assert_eq!(ra.apply(a_x), 0);
-        assert_eq!(ra.apply(a_y), 1);
-        assert_eq!(rb.apply(b_z), 2);
-        assert_eq!(rb.apply(b_y), 1);
-        assert_eq!(global.len(), 3);
-
-        let rec = CompactRecord {
-            country: None,
-            region_id: Some(b_y),
-            city_id: Some(b_z),
-            coord: None,
-            granularity: Granularity::Aggregate,
+    fn record_table_decodes_each_id_once() {
+        let mut table = RecordTable::default();
+        let mut decoded = Vec::new();
+        let rec = |cc: &str| {
+            CompactRecord::from_record(
+                &LocationRecord::country_level(cc.parse().unwrap(), Granularity::Block24),
+                &mut LocationInterner::new(),
+            )
         };
-        let remapped = rec.remapped(&rb);
-        assert_eq!(remapped.region_id, Some(1));
-        assert_eq!(remapped.city_id, Some(2));
+        for (id, want) in [
+            (7, Some("DE")),
+            (2, Some("FR")),
+            (7, Some("DE")),
+            (9, None),
+            (9, None),
+        ] {
+            let got = table.get(id, |id| {
+                decoded.push(id);
+                [(7, "DE"), (2, "FR")]
+                    .iter()
+                    .find(|e| e.0 == id)
+                    .map(|e| rec(e.1))
+            });
+            assert_eq!(got, want.map(rec), "id {id}");
+        }
+        // First sight only; an id that decodes to nothing is memoised too.
+        assert_eq!(decoded, vec![7, 2, 9]);
     }
 }

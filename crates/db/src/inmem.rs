@@ -1,11 +1,10 @@
 //! In-memory range database — the working representation every other
 //! format converts to or from.
 
-use crate::compact::{CompactRecord, FnvBuildHasher, LocationInterner};
+use crate::compact::{CompactRecord, LocationInterner};
 use crate::record::LocationRecord;
 use crate::GeoDatabase;
 use routergeo_net::{Prefix, RangeMap, RangeMapBuilder, RangeOverlap};
-use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 /// A named in-memory geolocation database over non-overlapping ranges.
@@ -93,55 +92,22 @@ impl GeoDatabase for InMemoryDb {
         self.map.lookup(ip).cloned()
     }
 
-    fn lookup_compact(
-        &self,
-        ip: Ipv4Addr,
-        interner: &mut LocationInterner,
-    ) -> Option<CompactRecord> {
-        // Native compact path: compact straight off the borrowed range
-        // entry — the record is never cloned.
-        self.map
-            .lookup(ip)
-            .map(|rec| CompactRecord::from_record(rec, interner))
+    /// Record ids are range-entry indices, from one sorted monotone
+    /// sweep over the entries ([`RangeMap::locate_batch`]).
+    fn locate_batch(&self, ips: &[Ipv4Addr]) -> Option<Vec<Option<u32>>> {
+        Some(
+            self.map
+                .locate_batch(ips)
+                .into_iter()
+                .map(|slot| slot.map(|ix| u32::try_from(ix).expect("entry indices fit a u32 id")))
+                .collect(),
+        )
     }
 
-    fn lookup_batch(
-        &self,
-        ips: &[Ipv4Addr],
-        interner: &mut LocationInterner,
-    ) -> Vec<Option<CompactRecord>> {
-        // Pass 1: one sorted monotone sweep over the range entries
-        // resolves every address to its entry index.
-        let located = self.map.locate_batch(ips);
-        // Pass 2, in original order so interner id assignment matches
-        // the sequential loop bit-for-bit: compact each distinct entry
-        // once and replay the memo for repeats. Sorted inputs revisit
-        // the entry they just left, so a one-slot cache answers most
-        // repeats before the (FNV-hashed) memo map is even probed.
-        let mut memo: HashMap<usize, CompactRecord, FnvBuildHasher> = HashMap::default();
-        let mut last: Option<(usize, CompactRecord)> = None;
-        located
-            .into_iter()
-            .map(|slot| {
-                let idx = slot?;
-                if let Some((li, hit)) = last {
-                    if li == idx {
-                        return Some(hit);
-                    }
-                }
-                if let Some(hit) = memo.get(&idx) {
-                    last = Some((idx, *hit));
-                    return Some(*hit);
-                }
-                let compact = self
-                    .map
-                    .value_at(idx)
-                    .map(|rec| CompactRecord::from_record(rec, interner))?;
-                memo.insert(idx, compact);
-                last = Some((idx, compact));
-                Some(compact)
-            })
-            .collect()
+    fn compact_record(&self, id: u32, interner: &mut LocationInterner) -> Option<CompactRecord> {
+        self.map
+            .value_at(id as usize)
+            .map(|rec| CompactRecord::from_record(rec, interner))
     }
 }
 
@@ -189,6 +155,11 @@ mod tests {
         .iter()
         .map(|s| s.parse().unwrap())
         .collect();
+        // The provided `lookup_batch` answers through the range-entry
+        // ids of one sweep, and must equal the per-address loop,
+        // answers and interner order both.
+        let ids = db.locate_batch(&ips).expect("InMemoryDb has record ids");
+        assert_eq!(ids, vec![Some(1), Some(0), None, Some(0), Some(1), Some(0)]);
         let mut seq_interner = LocationInterner::new();
         let seq: Vec<_> = ips
             .iter()

@@ -35,7 +35,7 @@ pub mod record;
 pub mod rgdb2;
 pub mod synth;
 
-pub use compact::{CompactRecord, IdRemap, LocationInterner};
+pub use compact::{CompactRecord, LocationInterner, RecordTable};
 pub use image::FileImage;
 pub use inmem::InMemoryDb;
 pub use record::{Granularity, LocationRecord};
@@ -44,7 +44,10 @@ pub use synth::{build_vendor, SignalWorld, VendorId, VendorProfile};
 
 use std::net::Ipv4Addr;
 
-/// A geolocation database: IP in, location record out.
+/// A geolocation database: IP in, location record out. A backend with
+/// a record table also answers in two steps, as a MaxMind search tree
+/// yields a data offset: [`GeoDatabase::locate_batch`] gives record ids
+/// and [`GeoDatabase::compact_record`] decodes one, once per record.
 pub trait GeoDatabase {
     /// Database display name (e.g. `MaxMind-GeoLite`).
     fn name(&self) -> &str;
@@ -53,11 +56,10 @@ pub trait GeoDatabase {
     /// for the address (no coverage even at country level).
     fn lookup(&self, ip: Ipv4Addr) -> Option<LocationRecord>;
 
-    /// Look up one address on the compact, allocation-free path: the
-    /// answer comes back by value with region/city interned into
-    /// `interner`. The default implementation bridges through
-    /// [`GeoDatabase::lookup`] (one transient record allocation);
-    /// backends override it to answer without allocating per call.
+    /// Look up one address on the compact path: the answer comes back
+    /// by value with region/city interned into `interner`. The default
+    /// bridges through [`GeoDatabase::lookup`], one transient record
+    /// allocation per call; RGDB overrides it to allocate nothing.
     fn lookup_compact(
         &self,
         ip: Ipv4Addr,
@@ -67,73 +69,92 @@ pub trait GeoDatabase {
             .map(|rec| CompactRecord::from_record(&rec, interner))
     }
 
+    /// The backend's own record id for each address of `ips`, in input
+    /// order: `Some(id)` where a record answers, `None` on a miss.
+    /// [`GeoDatabase::compact_record`] of that id equals
+    /// [`GeoDatabase::lookup_compact`] of the address. The outer `None`
+    /// (the default) means the backend has no record ids.
+    fn locate_batch(&self, _ips: &[Ipv4Addr]) -> Option<Vec<Option<u32>>> {
+        None
+    }
+
+    /// Decode record `id`, an id from [`GeoDatabase::locate_batch`], on
+    /// the compact path: its region, then its city, are interned into
+    /// `interner`. `None` for an id the backend does not hold.
+    fn compact_record(&self, _id: u32, _interner: &mut LocationInterner) -> Option<CompactRecord> {
+        None
+    }
+
     /// Look up a batch of addresses on the compact path.
     ///
     /// The answer vector is element-for-element identical to calling
     /// [`GeoDatabase::lookup_compact`] once per address in order —
     /// including interner id assignment — so callers may batch freely
-    /// without changing results. Backends override this to exploit
-    /// access locality (sorted range/trie walks, per-answer memoizing);
-    /// the default is the sequential loop.
+    /// without changing results. A backend with record ids answers
+    /// through one [`GeoDatabase::locate_batch`] call and decodes each
+    /// distinct record once through a [`RecordTable`]; one without
+    /// answers address by address.
     fn lookup_batch(
         &self,
         ips: &[Ipv4Addr],
         interner: &mut LocationInterner,
     ) -> Vec<Option<CompactRecord>> {
-        ips.iter()
-            .map(|ip| self.lookup_compact(*ip, interner))
+        let Some(ids) = self.locate_batch(ips) else {
+            return ips
+                .iter()
+                .map(|ip| self.lookup_compact(*ip, interner))
+                .collect();
+        };
+        let mut table = RecordTable::default();
+        ids.into_iter()
+            .map(|id| table.get(id?, |id| self.compact_record(id, interner)))
             .collect()
     }
 }
 
-impl<T: GeoDatabase + ?Sized> GeoDatabase for &T {
-    fn name(&self) -> &str {
-        (**self).name()
-    }
+/// Forward every method, so a wrapper's overrides survive a borrow or
+/// a box.
+macro_rules! forward_geo_database {
+    ($ty:ty) => {
+        impl<T: GeoDatabase + ?Sized> GeoDatabase for $ty {
+            fn name(&self) -> &str {
+                (**self).name()
+            }
 
-    fn lookup(&self, ip: Ipv4Addr) -> Option<LocationRecord> {
-        (**self).lookup(ip)
-    }
+            fn lookup(&self, ip: Ipv4Addr) -> Option<LocationRecord> {
+                (**self).lookup(ip)
+            }
 
-    fn lookup_compact(
-        &self,
-        ip: Ipv4Addr,
-        interner: &mut LocationInterner,
-    ) -> Option<CompactRecord> {
-        (**self).lookup_compact(ip, interner)
-    }
+            fn lookup_compact(
+                &self,
+                ip: Ipv4Addr,
+                interner: &mut LocationInterner,
+            ) -> Option<CompactRecord> {
+                (**self).lookup_compact(ip, interner)
+            }
 
-    fn lookup_batch(
-        &self,
-        ips: &[Ipv4Addr],
-        interner: &mut LocationInterner,
-    ) -> Vec<Option<CompactRecord>> {
-        (**self).lookup_batch(ips, interner)
-    }
+            fn locate_batch(&self, ips: &[Ipv4Addr]) -> Option<Vec<Option<u32>>> {
+                (**self).locate_batch(ips)
+            }
+
+            fn compact_record(
+                &self,
+                id: u32,
+                interner: &mut LocationInterner,
+            ) -> Option<CompactRecord> {
+                (**self).compact_record(id, interner)
+            }
+
+            fn lookup_batch(
+                &self,
+                ips: &[Ipv4Addr],
+                interner: &mut LocationInterner,
+            ) -> Vec<Option<CompactRecord>> {
+                (**self).lookup_batch(ips, interner)
+            }
+        }
+    };
 }
 
-impl<T: GeoDatabase + ?Sized> GeoDatabase for Box<T> {
-    fn name(&self) -> &str {
-        (**self).name()
-    }
-
-    fn lookup(&self, ip: Ipv4Addr) -> Option<LocationRecord> {
-        (**self).lookup(ip)
-    }
-
-    fn lookup_compact(
-        &self,
-        ip: Ipv4Addr,
-        interner: &mut LocationInterner,
-    ) -> Option<CompactRecord> {
-        (**self).lookup_compact(ip, interner)
-    }
-
-    fn lookup_batch(
-        &self,
-        ips: &[Ipv4Addr],
-        interner: &mut LocationInterner,
-    ) -> Vec<Option<CompactRecord>> {
-        (**self).lookup_batch(ips, interner)
-    }
-}
+forward_geo_database!(&T);
+forward_geo_database!(Box<T>);

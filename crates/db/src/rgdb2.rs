@@ -993,31 +993,6 @@ impl Rgdb2Reader {
         })
     }
 
-    /// Build the compact answer for record `idx`, borrowing strings
-    /// from the image into the interner.
-    fn record_compact(
-        &self,
-        idx: u32,
-        interner: &mut LocationInterner,
-    ) -> Result<CompactRecord, RgdbError> {
-        let raw = self.raw_record(idx)?;
-        let region_id = match raw.region_off {
-            Some(off) => Some(interner.intern(self.str_at(off)?)),
-            None => None,
-        };
-        let city_id = match raw.city_off {
-            Some(off) => Some(interner.intern(self.str_at(off)?)),
-            None => None,
-        };
-        Ok(CompactRecord {
-            country: raw.country,
-            region_id,
-            city_id,
-            coord: raw.coord,
-            granularity: raw.granularity,
-        })
-    }
-
     /// Build the owning answer for record `idx`.
     fn record_owned(&self, idx: u32) -> Result<LocationRecord, RgdbError> {
         let raw = self.raw_record(idx)?;
@@ -1048,22 +1023,17 @@ impl Rgdb2Reader {
         }
     }
 
-    /// Batched compact lookup — the hot path. Addresses are sorted and
-    /// duplicates collapsed; every unique address's walk is seeded from
-    /// the root table in one pass, and the live walks then advance
+    /// Batched record location — the hot path. Addresses are sorted
+    /// and duplicates collapsed; every unique address's walk is seeded
+    /// from the root table in one pass, and the live walks then advance
     /// **level by level across the whole batch** (a breadth-first
     /// frontier, retired in place as walks bottom out). Because nodes
     /// are placed in level order, each sweep over the sorted frontier
     /// reads a monotonically increasing node range — near-sequential
     /// memory traffic instead of one dependent pointer chase per
-    /// address. Answers are interned in the *original* order with one
-    /// compact conversion per distinct record, so output and interner
-    /// ids are identical to the per-address loop.
-    fn batch_compact(
-        &self,
-        ips: &[Ipv4Addr],
-        interner: &mut LocationInterner,
-    ) -> Vec<Option<CompactRecord>> {
+    /// address. The record indices are scattered back to input order;
+    /// nothing is decoded here.
+    fn batch_locate(&self, ips: &[Ipv4Addr]) -> Vec<Option<u32>> {
         // Sort keys packed as `addr << 32 | pos`: one u64 compare-and-
         // swap instead of a 16-byte tuple, and `pos` rides along for the
         // scatter. Shard sizes keep `pos` far below 2^32.
@@ -1177,65 +1147,7 @@ impl Rgdb2Reader {
                 *slot = (rec != NONE).then_some(rec);
             }
         }
-        // Pass 2 (original order): compact each distinct record once so
-        // interner id assignment matches the sequential loop. The memo
-        // is a dense array over record indices — one indexed load per
-        // address, no hashing — with the decoded records packed into a
-        // side vector so the dense slots stay 4 bytes each.
-        let mut memo_slot: Vec<u32> = vec![NONE; ix(self.record_count)];
-        let mut memo_val: Vec<CompactRecord> = Vec::new();
-        // Dense string-offset → interner-id cache: the writer dedups
-        // the string table, so distinct offsets are few and every
-        // repeat skips the interner's hash probe. First-seen intern
-        // order is untouched — the cache only short-circuits repeats.
-        let mut sym: Vec<u32> = vec![NONE; self.strings_len];
-        let mut intern_off = |off: u32, interner: &mut LocationInterner| -> Option<u32> {
-            match sym.get(ix(off)).copied() {
-                Some(s) if s != NONE => {
-                    interner.count_ref();
-                    Some(s)
-                }
-                _ => {
-                    let id = interner.intern(self.str_at(off).ok()?);
-                    if let Some(s) = sym.get_mut(ix(off)) {
-                        *s = id;
-                    }
-                    Some(id)
-                }
-            }
-        };
         located
-            .into_iter()
-            .map(|slot| {
-                let idx = slot?;
-                match memo_slot.get(ix(idx)).copied() {
-                    Some(s) if s != NONE => memo_val.get(ix(s)).copied(),
-                    _ => {
-                        let raw = self.raw_record_lean(idx)?;
-                        let region_id = match raw.region_off {
-                            Some(off) => Some(intern_off(off, interner)?),
-                            None => None,
-                        };
-                        let city_id = match raw.city_off {
-                            Some(off) => Some(intern_off(off, interner)?),
-                            None => None,
-                        };
-                        let compact = CompactRecord {
-                            country: raw.country,
-                            region_id,
-                            city_id,
-                            coord: raw.coord,
-                            granularity: raw.granularity,
-                        };
-                        if let Some(s) = memo_slot.get_mut(ix(idx)) {
-                            *s = u32::try_from(memo_val.len()).expect("distinct records fit a u32");
-                            memo_val.push(compact);
-                        }
-                        Some(compact)
-                    }
-                }
-            })
-            .collect()
     }
 }
 
@@ -1255,15 +1167,32 @@ impl GeoDatabase for Rgdb2Reader {
         interner: &mut LocationInterner,
     ) -> Option<CompactRecord> {
         let idx = self.locate(u32::from(ip)).ok().flatten()?;
-        self.record_compact(idx, interner).ok()
+        self.compact_record(idx, interner)
     }
 
-    fn lookup_batch(
-        &self,
-        ips: &[Ipv4Addr],
-        interner: &mut LocationInterner,
-    ) -> Vec<Option<CompactRecord>> {
-        self.batch_compact(ips, interner)
+    /// Record ids are record indices, from the batched frontier walk.
+    fn locate_batch(&self, ips: &[Ipv4Addr]) -> Option<Vec<Option<u32>>> {
+        Some(self.batch_locate(ips))
+    }
+
+    /// Decode record `id` trusting the open-time validation sweep, and
+    /// intern its region and city, borrowed from the image. Latent
+    /// corruption degrades to `None` before anything is interned.
+    fn compact_record(&self, id: u32, interner: &mut LocationInterner) -> Option<CompactRecord> {
+        let raw = self.raw_record_lean(id)?;
+        let region = raw
+            .region_off
+            .map(|off| self.str_at(off))
+            .transpose()
+            .ok()?;
+        let city = raw.city_off.map(|off| self.str_at(off)).transpose().ok()?;
+        Some(CompactRecord {
+            country: raw.country,
+            region_id: region.map(|s| interner.intern(s)),
+            city_id: city.map(|s| interner.intern(s)),
+            coord: raw.coord,
+            granularity: raw.granularity,
+        })
     }
 }
 
@@ -1405,8 +1334,7 @@ mod tests {
             // Duplicates included, unsorted order. The second chain hits
             // every `sample_records` prefix: a /24 inside a /16, the /16
             // alone, and the record whose region and city are both
-            // `Some("")` at one string offset, so the second string
-            // interns from the per-offset cache.
+            // `Some("")` at one string offset.
             let ips: Vec<Ipv4Addr> = STRIDE_PROBES
                 .iter()
                 .chain(STRIDE_PROBES.iter().rev())
@@ -1422,6 +1350,12 @@ mod tests {
                 ])
                 .map(|s| s.parse().unwrap())
                 .collect();
+            // The provided `lookup_batch` answers through the record
+            // ids the frontier walk returns...
+            let ids = db.locate_batch(&ips).expect("RGDB has record ids");
+            assert_eq!(ids.len(), ips.len());
+            // ...and must equal the per-address loop, answers and
+            // interner order both.
             let mut seq_interner = LocationInterner::new();
             let seq: Vec<_> = ips
                 .iter()

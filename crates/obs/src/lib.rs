@@ -174,8 +174,14 @@ pub struct Histogram {
 impl Histogram {
     /// Record one value.
     pub fn record(&self, v: u64) {
+        self.record_n(v, 1);
+    }
+
+    /// Record `n` samples of the value `v`: the buckets `n` calls of
+    /// [`Histogram::record`] would leave, in one atomic add.
+    pub fn record_n(&self, v: u64, n: u64) {
         let b = HistogramCore::bucket_of(v);
-        self.core.cells[shard_idx() * BUCKETS + b].fetch_add(1, Ordering::Relaxed);
+        self.core.cells[shard_idx() * BUCKETS + b].fetch_add(n, Ordering::Relaxed);
     }
 
     /// Number of recorded values.
@@ -732,6 +738,23 @@ mod tests {
         let text = obs.render_jsonl();
         // 0→b0, 1→b1, {2,3}→b2, 4→b3, 1024→b11.
         assert!(text.contains("\"buckets\":\"0:1 1:1 2:2 3:1 11:1\""));
+    }
+
+    #[test]
+    fn record_n_equals_n_records() {
+        let (one, many) = (fresh(), fresh());
+        let (h1, hn) = (one.histogram("h"), many.histogram("h"));
+        for (v, n) in [(0, 3), (7, 1), (1024, 5), (5, 0), (6, 2), (u64::MAX, 4)] {
+            for _ in 0..n {
+                h1.record(v);
+            }
+            hn.record_n(v, n);
+        }
+        assert_eq!(hn.count(), 15);
+        assert_eq!(one.render_jsonl(), many.render_jsonl());
+        assert!(many
+            .render_jsonl()
+            .contains("\"buckets\":\"0:3 3:3 11:5 64:4\""));
     }
 
     #[test]

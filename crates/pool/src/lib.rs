@@ -197,67 +197,6 @@ impl Pool {
         self.fold_plan(plan_shards(master_seed, items, shard_size), map, fold);
     }
 
-    /// Run `f` once per shard of a `plan_shards(master_seed, items,
-    /// shard_size)` plan and return the results **in shard order**,
-    /// regardless of which worker finished which shard when — a
-    /// [`fold_count`](Pool::fold_count) that collects.
-    pub fn run_shards<R, F>(
-        &self,
-        master_seed: u64,
-        items: usize,
-        shard_size: usize,
-        f: F,
-    ) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(&Shard) -> R + Sync,
-    {
-        let mut out = Vec::new();
-        self.fold_count(master_seed, items, shard_size, f, |_, r| out.push(r));
-        out
-    }
-
-    /// Run `f` inline over every shard of the plan, in order, as the
-    /// fold of a [`fold_shards`](Pool::fold_shards) with nothing to map
-    /// — the same worker loop, so `pool.shards_*` counter totals,
-    /// spans and panic attribution match every other call and metric
-    /// snapshots stay byte-identical across thread counts even when a
-    /// caller takes a serial fast path.
-    ///
-    /// The closure may borrow caller state mutably and need not be
-    /// `Send`: this is the escape hatch for single-threaded folds that
-    /// accumulate every shard into one structure (no per-shard locals,
-    /// no merge). The pool's thread count is deliberately ignored — the
-    /// caller has already decided to run serially.
-    pub fn for_each_shard<T, F>(&self, master_seed: u64, items: &[T], shard_size: usize, f: F)
-    where
-        F: FnMut(&Shard, &[T]),
-    {
-        let shards = plan_shards(master_seed, items.len(), shard_size);
-        let job = Job::new(shards, |shard: &Shard| &items[shard.start..shard.end], f);
-        job.work();
-        job.finish();
-    }
-
-    /// [`run_shards`](Pool::run_shards) over a slice: each call of `f`
-    /// receives the shard descriptor plus the sub-slice it covers.
-    pub fn map_shards<T, R, F>(
-        &self,
-        master_seed: u64,
-        items: &[T],
-        shard_size: usize,
-        f: F,
-    ) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(&Shard, &[T]) -> R + Sync,
-    {
-        self.run_shards(master_seed, items.len(), shard_size, |shard| {
-            f(shard, &items[shard.start..shard.end])
-        })
-    }
-
     /// Map and fold `shards` on up to `threads` workers: the one place
     /// that spawns them.
     fn fold_plan<R, M, F>(&self, shards: Vec<Shard>, map: M, fold: F)
@@ -533,11 +472,8 @@ mod tests {
     fn empty_input_yields_empty_output() {
         let _counters = shared();
         let pool = Pool::new(4);
-        let out: Vec<u64> = pool.run_shards(1, 0, 8, |s| s.seed);
-        assert!(out.is_empty());
-        let none: Vec<usize> = pool.map_shards(1, &[] as &[u8], 8, |_, chunk| chunk.len());
-        assert!(none.is_empty());
         pool.fold_shards(1, &[] as &[u8], 8, |_, _| (), |_, ()| panic!("no shard"));
+        pool.fold_count(1, 0, 8, |_| (), |_, ()| panic!("no shard"));
     }
 
     #[test]
@@ -545,25 +481,13 @@ mod tests {
         let _counters = shared();
         let pool = Pool::new(32);
         let items = [10u64, 20, 30];
-        let out = pool.map_shards(9, &items, 1, |shard, chunk| {
+        let mut out = Vec::new();
+        let map = |shard: &Shard, chunk: &[u64]| {
             assert_eq!(chunk.len(), 1);
             chunk[0] + shard.index as u64
-        });
+        };
+        pool.fold_shards(9, &items, 1, map, |_, r| out.push(r));
         assert_eq!(out, vec![10, 21, 32]);
-    }
-
-    #[test]
-    fn merge_order_is_input_order_at_every_thread_count() {
-        let _counters = shared();
-        let items: Vec<usize> = (0..1000).collect();
-        let serial = Pool::serial().map_shards(42, &items, 7, |s, chunk| (s.index, chunk.to_vec()));
-        for threads in [2, 3, 8] {
-            let parallel =
-                Pool::new(threads).map_shards(42, &items, 7, |s, chunk| (s.index, chunk.to_vec()));
-            assert_eq!(serial, parallel, "threads={threads}");
-        }
-        let flat: Vec<usize> = serial.into_iter().flat_map(|(_, c)| c).collect();
-        assert_eq!(flat, items, "concatenated shards reproduce the input");
     }
 
     #[test]
@@ -633,7 +557,9 @@ mod tests {
     fn shard_seeds_are_stable_across_thread_counts() {
         let _counters = shared();
         let seeds_at = |threads: usize| -> Vec<u64> {
-            Pool::new(threads).run_shards(0xFEED, 64, 4, |s| s.seed)
+            let mut seeds = Vec::new();
+            Pool::new(threads).fold_count(0xFEED, 64, 4, |s| s.seed, |_, seed| seeds.push(seed));
+            seeds
         };
         let one = seeds_at(1);
         assert_eq!(one, seeds_at(2));
@@ -647,12 +573,13 @@ mod tests {
         for threads in [1, 2, 4] {
             let pool = Pool::new(threads);
             let in_map = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                pool.run_shards(0, 10, 2, |shard| {
+                let map = |shard: &Shard| {
                     if shard.index == 3 {
                         panic!("boom in the middle");
                     }
                     shard.index
-                })
+                };
+                pool.fold_count(0, 10, 2, map, |_, _| ());
             }))
             .expect_err("the pool must propagate the map panic");
             let mut folded = Vec::new();
@@ -701,18 +628,12 @@ mod tests {
         let items = [0u8; 100];
         for threads in [1, 2, 3, 8] {
             let pool = Pool::new(threads);
-            let calls: [(&str, &dyn Fn()); 4] = [
+            let calls: [(&str, &dyn Fn()); 2] = [
                 ("fold_shards", &|| {
                     pool.fold_shards(0, &items, 7, |_, _| (), |_, ()| ())
                 }),
-                ("run_shards", &|| {
-                    drop(pool.run_shards(0, items.len(), 7, |_| ()))
-                }),
-                ("map_shards", &|| {
-                    drop(pool.map_shards(0, &items, 7, |_, _| ()))
-                }),
-                ("for_each_shard", &|| {
-                    pool.for_each_shard(0, &items, 7, |_, _| ())
+                ("fold_count", &|| {
+                    pool.fold_count(0, items.len(), 7, |_| (), |_, ()| ())
                 }),
             ];
             for (name, call) in calls {

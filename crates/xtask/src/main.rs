@@ -252,90 +252,40 @@ fn baseline_threads(baseline: &std::path::Path) -> Option<String> {
 /// free; these names also pull the four analysis stages into the report.
 const BENCH_EXPERIMENTS: [&str; 4] = ["table1", "coverage", "consistency", "fig2"];
 
-fn run_bench_check(root: &PathBuf, bless: bool) -> ExitCode {
+fn run_bench_check(root: &Path, bless: bool) -> ExitCode {
     let baseline_path = root.join("BENCH_pipeline.json");
     let fresh_path = root.join("target").join("BENCH_pipeline.fresh.json");
-    if let Err(err) = std::fs::create_dir_all(root.join("target")) {
-        eprintln!("xtask bench-check: cannot create target dir: {err}");
-        return ExitCode::FAILURE;
-    }
-
-    let runs = if bless { bench::BLESS_RUNS } else { 1 };
-    let mut texts = Vec::with_capacity(runs);
-    for run in 1..=runs {
-        eprintln!("xtask bench-check: timing repro at tiny scale (release), run {run} of {runs}…");
-        let status = std::process::Command::new("cargo")
-            .current_dir(root)
-            .envs(baseline_threads(&baseline_path).map(|t| (THREADS_ENV, t)))
-            .args([
-                "run",
-                "--release",
-                "-q",
-                "-p",
-                "routergeo-bench",
-                "--bin",
-                "repro",
-                "--",
-            ])
+    let texts = timed_runs("bench-check", root, bless, &fresh_path, |cmd| {
+        eprintln!("xtask bench-check: timing repro at tiny scale (release)…");
+        cmd.envs(baseline_threads(&baseline_path).map(|t| (THREADS_ENV, t)))
+            .args(["repro", "--"])
             .args(BENCH_EXPERIMENTS)
             .arg("--timings")
             .arg(&fresh_path)
             .env("ROUTERGEO_SCALE", "tiny")
             .env("ROUTERGEO_SEED", "20170301")
-            .stdout(std::process::Stdio::null())
-            .status();
-        match status {
-            Ok(s) if s.success() => {}
-            Ok(s) => {
-                eprintln!("xtask bench-check: repro exited with {s}");
-                return ExitCode::FAILURE;
-            }
-            Err(err) => {
-                eprintln!("xtask bench-check: cannot run repro: {err}");
-                return ExitCode::FAILURE;
-            }
-        }
-        match std::fs::read_to_string(&fresh_path) {
-            Ok(text) => texts.push(text),
-            Err(err) => {
-                eprintln!("xtask bench-check: {}: {err}", fresh_path.display());
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-
-    if bless {
-        return bless_median("bench-check", &texts, &baseline_path);
-    }
-
-    let read = |p: &std::path::Path| -> Result<bench::Report, String> {
-        let text = std::fs::read_to_string(p).map_err(|e| format!("{}: {e}", p.display()))?;
-        bench::parse_report(&text).map_err(|e| format!("{}: {e}", p.display()))
-    };
-    let (base, fresh) = match (read(&baseline_path), read(&fresh_path)) {
-        (Ok(b), Ok(f)) => (b, f),
-        (Err(e), _) | (_, Err(e)) => {
-            eprintln!(
-                "xtask bench-check: {e}\n(run `cargo xtask bench-check --bless` to create the baseline)"
-            );
+            .stdout(std::process::Stdio::null());
+        Ok(())
+    });
+    let texts = match texts {
+        Ok(t) if bless => return bless_median("bench-check", &t, &baseline_path),
+        Ok(t) => t,
+        Err(e) => {
+            eprintln!("xtask bench-check: {e}");
             return ExitCode::FAILURE;
         }
     };
-    let cmp = match bench::compare(&base, &fresh, bench::THRESHOLD) {
+    let cmp = match read_baseline("bench-check", &baseline_path)
+        .and_then(|(base, _)| Ok((base, bench::parse_report(&texts[0])?)))
+        .and_then(|(base, fresh)| bench::compare(&base, &fresh, bench::THRESHOLD))
+    {
         Ok(c) => c,
         Err(e) => {
             eprintln!("xtask bench-check: {e}");
             return ExitCode::FAILURE;
         }
     };
-    println!(
-        "{:<14} {:>10} {:>10} {:>8} {:>8}",
-        "stage", "base ms", "fresh ms", "ratio", "norm"
-    );
-    for c in &cmp {
-        println!("{c}");
-    }
-    let failed = cmp.iter().filter(|c| c.failed).count();
+    let failed = print_comparisons(&cmp);
     eprintln!(
         "xtask bench-check: {} stage(s), {} regression(s) beyond {:.1}x (smoothing {:.0} ms, median-normalised)",
         cmp.len(),
@@ -348,6 +298,76 @@ fn run_bench_check(root: &PathBuf, bless: bool) -> ExitCode {
     } else {
         ExitCode::FAILURE
     }
+}
+
+/// Run a `routergeo-bench` binary in release once, or
+/// [`bench::BLESS_RUNS`] times for a bless, and return the report text
+/// each run leaves at `report`. `setup` adds the binary name, its
+/// arguments and environment to a `cargo run --release -q -p
+/// routergeo-bench --bin` command.
+fn timed_runs(
+    cmd: &str,
+    root: &Path,
+    bless: bool,
+    report: &Path,
+    setup: impl Fn(&mut std::process::Command) -> std::io::Result<()>,
+) -> Result<Vec<String>, String> {
+    let runs = if bless { bench::BLESS_RUNS } else { 1 };
+    if let Some(dir) = report.parent() {
+        std::fs::create_dir_all(dir)
+            .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
+    }
+    let mut texts = Vec::with_capacity(runs);
+    for run in 1..=runs {
+        eprintln!("xtask {cmd}: run {run} of {runs}");
+        let mut command = std::process::Command::new("cargo");
+        command.current_dir(root).args([
+            "run",
+            "--release",
+            "-q",
+            "-p",
+            "routergeo-bench",
+            "--bin",
+        ]);
+        setup(&mut command).map_err(|e| format!("cannot set up the run: {e}"))?;
+        match command.status() {
+            Ok(s) if s.success() => {}
+            Ok(s) => {
+                return Err(format!(
+                    "the run exited with {s} (report at {})",
+                    report.display()
+                ))
+            }
+            Err(e) => return Err(format!("cannot run cargo: {e}")),
+        }
+        texts.push(
+            std::fs::read_to_string(report).map_err(|e| format!("{}: {e}", report.display()))?,
+        );
+    }
+    Ok(texts)
+}
+
+/// The committed baseline at `path`, parsed, with its text.
+fn read_baseline(cmd: &str, path: &Path) -> Result<(bench::Report, String), String> {
+    let text = std::fs::read_to_string(path).map_err(|e| {
+        format!(
+            "{}: {e}\n(run `cargo xtask {cmd} --bless` to create the baseline)",
+            path.display()
+        )
+    })?;
+    Ok((bench::parse_report(&text)?, text))
+}
+
+/// Print the stage table; return the number of failed stages.
+fn print_comparisons(cmp: &[bench::Comparison]) -> usize {
+    println!(
+        "{:<14} {:>10} {:>10} {:>8} {:>8}",
+        "stage", "base ms", "fresh ms", "ratio", "norm"
+    );
+    for c in cmp {
+        println!("{c}");
+    }
+    cmp.iter().filter(|c| c.failed).count()
 }
 
 /// Write the median of the timing reports `runs` to `baseline`
@@ -668,100 +688,49 @@ fn run_serve_check(root: &PathBuf, budget_ms: u64, vendor_images: bool) -> ExitC
 /// probes are a pure function of the pinned seed, so everything in the
 /// artifact except the wall-clock fields is byte-stable, and
 /// [`RESOLVE_EXACT_KEYS`] must equal the baseline's.
-fn run_resolve_check(root: &PathBuf, budget_ms: u64, bless: bool) -> ExitCode {
-    let art_dir = root.join("target").join("ci-artifacts");
-    if let Err(err) = std::fs::create_dir_all(&art_dir) {
-        eprintln!(
-            "xtask resolve-check: cannot create {}: {err}",
-            art_dir.display()
-        );
-        return ExitCode::FAILURE;
-    }
-    let artifact = art_dir.join("resolve_ci.json");
+fn run_resolve_check(root: &Path, budget_ms: u64, bless: bool) -> ExitCode {
+    let artifact = root
+        .join("target")
+        .join("ci-artifacts")
+        .join("resolve_ci.json");
     let baseline_path = root.join("BENCH_resolve.json");
-    let runs = if bless { bench::BLESS_RUNS } else { 1 };
-    let mut texts = Vec::with_capacity(runs);
-    for run in 1..=runs {
-        let out_file = match std::fs::File::create(&artifact) {
-            Ok(f) => f,
-            Err(err) => {
-                eprintln!(
-                    "xtask resolve-check: cannot create {}: {err}",
-                    artifact.display()
-                );
-                return ExitCode::FAILURE;
-            }
-        };
+    let texts = timed_runs("resolve-check", root, bless, &artifact, |cmd| {
         eprintln!(
-            "xtask resolve-check: paper-scale resolve smoke (budget {budget_ms} ms, release), run {run} of {runs}…"
+            "xtask resolve-check: paper-scale resolve smoke (budget {budget_ms} ms, release)…"
         );
-        let status = std::process::Command::new("cargo")
-            .current_dir(root)
-            .envs(baseline_threads(&baseline_path).map(|t| (THREADS_ENV, t)))
+        cmd.envs(baseline_threads(&baseline_path).map(|t| (THREADS_ENV, t)))
             .env("ROUTERGEO_SCALE", "paper")
             .env("ROUTERGEO_SEED", CI_SEED)
-            .args([
-                "run",
-                "--release",
-                "-q",
-                "-p",
-                "routergeo-bench",
-                "--bin",
-                "resolve_smoke",
-                "--",
-                "--budget-ms",
-            ])
-            .arg(budget_ms.to_string())
-            .stdout(out_file)
-            .status();
-        match status {
-            Ok(s) if s.success() => {
-                eprintln!("xtask resolve-check: wrote {}", artifact.display());
-            }
-            Ok(s) => {
-                eprintln!(
-                    "xtask resolve-check: resolve_smoke exited with {s} (report at {})",
-                    artifact.display()
-                );
-                return ExitCode::FAILURE;
-            }
-            Err(err) => {
-                eprintln!("xtask resolve-check: cannot run resolve_smoke: {err}");
-                return ExitCode::FAILURE;
-            }
+            .args(["resolve_smoke", "--", "--budget-ms", &budget_ms.to_string()])
+            .stdout(std::fs::File::create(&artifact)?);
+        Ok(())
+    });
+    let texts = match texts {
+        Ok(t) if bless => return bless_median("resolve-check", &t, &baseline_path),
+        Ok(t) => t,
+        Err(e) => {
+            eprintln!("xtask resolve-check: {e}");
+            return ExitCode::FAILURE;
         }
-        match std::fs::read_to_string(&artifact) {
-            Ok(text) => texts.push(text),
-            Err(err) => {
-                eprintln!("xtask resolve-check: {}: {err}", artifact.display());
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-
-    if bless {
-        return bless_median("resolve-check", &texts, &baseline_path);
-    }
-
-    let read = |p: &std::path::Path| -> Result<(bench::Report, f64), String> {
-        let text = std::fs::read_to_string(p).map_err(|e| format!("{}: {e}", p.display()))?;
-        let report = bench::parse_report(&text).map_err(|e| format!("{}: {e}", p.display()))?;
-        let per_lookup = lookup_ns_per_addr(&text)
-            .ok_or_else(|| format!("{}: no lookup_ns_per_addr field", p.display()))?;
-        Ok((report, per_lookup))
     };
-    let ((base, base_ns), (fresh, fresh_ns)) = match (read(&baseline_path), read(&artifact)) {
-        (Ok(b), Ok(f)) => (b, f),
-        (Err(e), _) | (_, Err(e)) => {
-            eprintln!(
-                "xtask resolve-check: {e}\n(run `cargo xtask resolve-check --bless` to create the baseline)"
-            );
+    let per_lookup =
+        |text: &str| raw_field(text, "lookup_ns_per_addr").and_then(|v| v.parse::<f64>().ok());
+    let read = read_baseline("resolve-check", &baseline_path).and_then(|(base, base_text)| {
+        let fresh = bench::parse_report(&texts[0])?;
+        match (per_lookup(&base_text), per_lookup(&texts[0])) {
+            (Some(b), Some(f)) => Ok((base, base_text, fresh, b, f)),
+            _ => Err("a report has no lookup_ns_per_addr field".to_string()),
+        }
+    });
+    let (base, base_text, fresh, base_ns, fresh_ns) = match read {
+        Ok(r) => r,
+        Err(e) => {
+            eprintln!("xtask resolve-check: {e}");
             return ExitCode::FAILURE;
         }
     };
     // The view itself must not move: its hit count, interner size and
     // digest are pure functions of the seed and the resolve code.
-    let base_text = std::fs::read_to_string(&baseline_path).unwrap_or_default();
     let drift: Vec<String> = RESOLVE_EXACT_KEYS
         .iter()
         .filter_map(|key| {
@@ -784,37 +753,22 @@ fn run_resolve_check(root: &PathBuf, budget_ms: u64, bless: bool) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    println!(
-        "{:<14} {:>10} {:>10} {:>8} {:>8}",
-        "stage", "base ms", "fresh ms", "ratio", "norm"
-    );
-    for c in &cmp {
-        println!("{c}");
-    }
-    let mut failed = cmp.iter().filter(|c| c.failed).count();
+    let mut failed = print_comparisons(&cmp);
 
     // Per-lookup cost gate: normalise the fresh/base ratio by the run's
     // median stage ratio (the machine-speed factor bench::compare
     // already derived) so only a *relative* regression fails. The
     // median is recoverable from any unfailed comparison as
     // `ratio / normalized`.
-    let machine = cmp.first().map_or(1.0, |c| {
-        if c.normalized > 0.0 {
-            c.ratio / c.normalized
-        } else {
-            1.0
-        }
-    });
+    let machine = (cmp.first())
+        .filter(|c| c.normalized > 0.0)
+        .map_or(1.0, |c| c.ratio / c.normalized);
     let per_lookup_ratio = if base_ns > 0.0 {
         fresh_ns / base_ns
     } else {
         1.0
     };
-    let per_lookup_norm = if machine > 0.0 {
-        per_lookup_ratio / machine
-    } else {
-        per_lookup_ratio
-    };
+    let per_lookup_norm = per_lookup_ratio / machine;
     let lookup_failed = !per_lookup_norm.is_finite() || per_lookup_norm > bench::THRESHOLD;
     println!(
         "{:<14} {:>8.1}ns {:>8.1}ns {:>7.2}x {:>7.2}x  {}",
@@ -851,17 +805,6 @@ fn raw_field<'a>(text: &'a str, key: &str) -> Option<&'a str> {
     let rest = &text[text.find(&pat)? + pat.len()..];
     let line = rest.lines().next().unwrap_or("");
     Some(line.trim().trim_end_matches(',').trim())
-}
-
-/// Pull `lookup_ns_per_addr` out of a resolve_ci.json text.
-fn lookup_ns_per_addr(text: &str) -> Option<f64> {
-    let pat = "\"lookup_ns_per_addr\":";
-    let rest = &text[text.find(pat)? + pat.len()..];
-    let rest = rest.trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == '+'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
 }
 
 fn run_deps(root: &Path) -> ExitCode {

@@ -294,7 +294,7 @@ fn check_rg009(toks: &[Tok], i: usize, out: &mut Vec<Finding>) {
 /// `fmt::Write::write_str` would swamp the rule with false positives,
 /// and the guard-acquisition forms of `read`/`write` are already what
 /// RG011 is protecting.
-const RG011_BLOCKING: [&str; 19] = [
+const RG011_BLOCKING: [&str; 18] = [
     "try_lookup",
     "connect",
     "connect_timeout",
@@ -310,7 +310,6 @@ const RG011_BLOCKING: [&str; 19] = [
     "send_to",
     "sleep",
     "wait",
-    "run_shards",
     "fold_shards",
     "fold_count",
     "map_reduce",
