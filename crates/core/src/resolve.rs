@@ -28,11 +28,10 @@ use std::net::Ipv4Addr;
 /// Addresses per shard for the parallel resolvers and evaluators in
 /// this crate. Lookups draw no randomness, so the shard seed is
 /// irrelevant; the size is fixed (never thread-derived) to keep fold
-/// order stable. Sized so the batched readers amortize their per-call
-/// work (the sort, the root-table seed) over many addresses while still
-/// splitting paper-scale inputs into ~90 shards, plenty of parallelism
-/// for any realistic pool. Records are decoded once per view, not per
-/// shard, so the size no longer trades against decodes.
+/// order stable. Records decode once per view whatever the size, so it
+/// only trades the batched readers' per-call work (the sort, the
+/// root-table seed) against parallelism: paper-scale inputs still split
+/// into ~90 shards, plenty for any realistic pool.
 pub const LOOKUP_SHARD_SIZE: usize = 16384;
 
 /// Columnar resolve-once answers: `column(db)[i]` is database `db`'s

@@ -8,9 +8,10 @@
 //! The mix puts a wrapper that has no record ids (it overrides only
 //! `lookup_batch`) between two databases that have them, an
 //! `InMemoryDb` and an RGDB image, so the fold interleaves the id path
-//! and the fallback within each shard. Names repeat across databases
-//! and blocks, and the inputs span two to three shards, unsorted, with
-//! repeats and misses.
+//! and the fallback within each shard. Each database draws its names
+//! from a range that overlaps its neighbours', so the order in which
+//! databases first meet a name shows in the interner. The inputs span
+//! two to three shards, unsorted, with repeats and misses.
 
 use proptest::prelude::*;
 use routergeo_core::resolve::{ResolvedView, LOOKUP_SHARD_SIZE};
@@ -25,31 +26,38 @@ use std::net::Ipv4Addr;
 /// /24 blocks `10.0.0.0/24 ..` a database may answer for.
 const BLOCKS: usize = 24;
 
-/// One block's record: 0 absent, else `(region pick, city pick)` where
-/// a pick of 0 leaves the name out.
-fn arb_db() -> impl Strategy<Value = Vec<(bool, usize, usize)>> {
-    prop::collection::vec((any::<bool>(), 0usize..4, 0usize..6), BLOCKS..BLOCKS + 1)
+/// Per block: whether a record answers, and its region and city picks
+/// (`None` leaves the name out).
+type BlockSpec = (bool, Option<usize>, Option<usize>);
+
+fn arb_db() -> impl Strategy<Value = Vec<BlockSpec>> {
+    let pick = || prop::option::of(0usize..8);
+    prop::collection::vec((any::<bool>(), pick(), pick()), BLOCKS..BLOCKS + 1)
 }
 
-fn build_db(name: &str, blocks: &[(bool, usize, usize)]) -> InMemoryDb {
+/// Names are `name-{pick + offset}`: databases with overlapping offsets
+/// share some names, so which database meets a name first decides its
+/// interner id.
+fn build_db(name: &str, blocks: &[BlockSpec], offset: usize) -> InMemoryDb {
     let mut b = InMemoryDbBuilder::new(name);
+    let named = |pick: Option<usize>| pick.map(|p| format!("name-{}", p + offset));
     for (block, &(present, region, city)) in blocks.iter().enumerate() {
         if !present {
             continue;
         }
-        let block = u8::try_from(block).unwrap();
+        let block = u8::try_from(block).expect("BLOCKS fits an octet");
         b.push_prefix(
-            Prefix::new(Ipv4Addr::new(10, 0, block, 0), 24).unwrap(),
+            Prefix::new(Ipv4Addr::new(10, 0, block, 0), 24).expect("an aligned /24"),
             LocationRecord {
-                country: Some("DE".parse().unwrap()),
-                region: (region > 0).then(|| format!("name-{region}")),
-                city: (city > 0).then(|| format!("name-{}", city + 1)),
-                coord: Some(Coordinate::new(f64::from(block), 8.5).unwrap()),
+                country: Some("DE".parse().expect("a valid code")),
+                region: named(region),
+                city: named(city),
+                coord: Some(Coordinate::new(f64::from(block), 8.5).expect("in range")),
                 granularity: Granularity::Block24,
             },
         );
     }
-    b.build().unwrap()
+    b.build().expect("/24 blocks never overlap")
 }
 
 fn image_of(db: &InMemoryDb) -> Rgdb2Reader {
@@ -57,7 +65,7 @@ fn image_of(db: &InMemoryDb) -> Rgdb2Reader {
         .iter()
         .flat_map(|(s, e, rec)| Prefix::cover_range(s, e).into_iter().map(move |p| (p, rec)))
         .collect();
-    Rgdb2Reader::open(rgdb2::write_v21(db.name(), rows)).unwrap()
+    Rgdb2Reader::open(rgdb2::write_v21(db.name(), rows)).expect("the writer's image opens")
 }
 
 /// A database with no record ids: it answers batches through its
@@ -88,11 +96,11 @@ fn addresses(seed: u64, len: usize) -> Vec<Ipv4Addr> {
     (0..len as u64)
         .map(|k| {
             let h = splitmix64(seed, k);
-            let block = u32::try_from(h % (BLOCKS as u64 + 2)).unwrap();
+            let low = |x: u64| u32::try_from(x & 0xFFFF_FFFF).expect("masked to 32 bits");
             if h >> 60 == 0 {
-                Ipv4Addr::from(u32::try_from(h >> 20 & 0xFFFF_FFFF).unwrap())
+                Ipv4Addr::from(low(h >> 20))
             } else {
-                Ipv4Addr::from(0x0A00_0000 | block << 8 | u32::try_from(h >> 32 & 0x3).unwrap())
+                Ipv4Addr::from(0x0A00_0000 | low(h % (BLOCKS as u64 + 2)) << 8 | low(h >> 32 & 0x3))
             }
         })
         .collect()
@@ -123,9 +131,9 @@ proptest! {
         seed in any::<u64>(),
         extra in 1usize..2 * LOOKUP_SHARD_SIZE,
     ) {
-        let mem = build_db("mem", &specs.0);
-        let wrapped = BatchOnly(build_db("wrapped", &specs.1));
-        let rgdb = image_of(&build_db("rgdb", &specs.2));
+        let mem = build_db("mem", &specs.0, 0);
+        let wrapped = BatchOnly(build_db("wrapped", &specs.1, 4));
+        let rgdb = image_of(&build_db("rgdb", &specs.2, 8));
         let dbs: [&(dyn GeoDatabase + Sync); 3] = [&mem, &wrapped, &rgdb];
         prop_assert!(wrapped.locate_batch(&[]).is_none());
         prop_assert!(mem.locate_batch(&[]).is_some() && rgdb.locate_batch(&[]).is_some());

@@ -18,17 +18,21 @@ fn striped() -> InMemoryDb {
     let mut b = InMemoryDbBuilder::new("striped");
     for i in (0u8..40).step_by(2) {
         b.push_prefix(
-            format!("10.{i}.0.0/16").parse().unwrap(),
+            format!("10.{i}.0.0/16").parse().expect("a valid prefix"),
             LocationRecord {
-                country: Some(if i % 3 == 0 { "US" } else { "BR" }.parse().unwrap()),
+                country: Some(
+                    if i % 3 == 0 { "US" } else { "BR" }
+                        .parse()
+                        .expect("a valid code"),
+                ),
                 region: (i % 4 != 0).then(|| format!("region-{}", i % 5)),
                 city: (i % 6 != 0).then(|| format!("city-{}", i % 7)),
-                coord: Some(Coordinate::new(f64::from(i), -50.0).unwrap()),
+                coord: Some(Coordinate::new(f64::from(i), -50.0).expect("in range")),
                 granularity: Granularity::Block24,
             },
         );
     }
-    b.build().unwrap()
+    b.build().expect("/16 blocks never overlap")
 }
 
 #[test]

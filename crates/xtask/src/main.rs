@@ -255,8 +255,8 @@ const BENCH_EXPERIMENTS: [&str; 4] = ["table1", "coverage", "consistency", "fig2
 fn run_bench_check(root: &Path, bless: bool) -> ExitCode {
     let baseline_path = root.join("BENCH_pipeline.json");
     let fresh_path = root.join("target").join("BENCH_pipeline.fresh.json");
+    eprintln!("xtask bench-check: timing repro at tiny scale (release)…");
     let texts = timed_runs("bench-check", root, bless, &fresh_path, |cmd| {
-        eprintln!("xtask bench-check: timing repro at tiny scale (release)…");
         cmd.envs(baseline_threads(&baseline_path).map(|t| (THREADS_ENV, t)))
             .args(["repro", "--"])
             .args(BENCH_EXPERIMENTS)
@@ -694,10 +694,8 @@ fn run_resolve_check(root: &Path, budget_ms: u64, bless: bool) -> ExitCode {
         .join("ci-artifacts")
         .join("resolve_ci.json");
     let baseline_path = root.join("BENCH_resolve.json");
+    eprintln!("xtask resolve-check: paper-scale resolve smoke (budget {budget_ms} ms, release)…");
     let texts = timed_runs("resolve-check", root, bless, &artifact, |cmd| {
-        eprintln!(
-            "xtask resolve-check: paper-scale resolve smoke (budget {budget_ms} ms, release)…"
-        );
         cmd.envs(baseline_threads(&baseline_path).map(|t| (THREADS_ENV, t)))
             .env("ROUTERGEO_SCALE", "paper")
             .env("ROUTERGEO_SEED", CI_SEED)
