@@ -22,10 +22,10 @@ use std::collections::HashMap;
 use std::hash::{BuildHasher, Hasher};
 
 /// FNV-1a as a [`std::hash::Hasher`]: a handful of instructions per
-/// byte, no per-hash setup cost. The resolve hot path hashes short
-/// location names and small integer keys millions of times; SipHash's
-/// HashDoS hardening buys nothing for these private, trusted-key maps
-/// and costs most of the lookup. Not for untrusted keys.
+/// byte, no per-hash setup cost. The interner hashes a short location
+/// name for every record it decodes; SipHash's HashDoS hardening buys
+/// nothing for this private, trusted-key map and costs most of the
+/// lookup. Not for untrusted keys.
 #[derive(Debug, Clone)]
 pub struct FnvHasher(u64);
 

@@ -47,7 +47,8 @@ use std::net::Ipv4Addr;
 /// A geolocation database: IP in, location record out. A backend with
 /// a record table also answers in two steps, as a MaxMind search tree
 /// yields a data offset: [`GeoDatabase::locate_batch`] gives record ids
-/// and [`GeoDatabase::compact_record`] decodes one, once per record.
+/// and [`GeoDatabase::compact_record`] decodes one, so a caller can
+/// decode each distinct record once.
 pub trait GeoDatabase {
     /// Database display name (e.g. `MaxMind-GeoLite`).
     fn name(&self) -> &str;
