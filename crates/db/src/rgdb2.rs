@@ -1022,6 +1022,26 @@ impl Rgdb2Reader {
             Some(idx) => self.record_owned(idx).map(Some),
         }
     }
+}
+
+impl GeoDatabase for Rgdb2Reader {
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    fn lookup(&self, ip: Ipv4Addr) -> Option<LocationRecord> {
+        // Images validated at open; treat latent corruption as a miss.
+        self.try_lookup(ip).ok().flatten()
+    }
+
+    fn lookup_compact(
+        &self,
+        ip: Ipv4Addr,
+        interner: &mut LocationInterner,
+    ) -> Option<CompactRecord> {
+        let idx = self.locate(u32::from(ip)).ok().flatten()?;
+        self.compact_record(idx, interner)
+    }
 
     /// Batched record location — the hot path. Addresses are sorted
     /// and duplicates collapsed; every unique address's walk is seeded
@@ -1031,9 +1051,9 @@ impl Rgdb2Reader {
     /// are placed in level order, each sweep over the sorted frontier
     /// reads a monotonically increasing node range — near-sequential
     /// memory traffic instead of one dependent pointer chase per
-    /// address. The record indices are scattered back to input order;
-    /// nothing is decoded here.
-    fn batch_locate(&self, ips: &[Ipv4Addr]) -> Vec<Option<u32>> {
+    /// address. The record indices — the record ids — are scattered
+    /// back to input order; nothing is decoded here.
+    fn locate_batch(&self, ips: &[Ipv4Addr]) -> Option<Vec<Option<u32>>> {
         // Sort keys packed as `addr << 32 | pos`: one u64 compare-and-
         // swap instead of a 16-byte tuple, and `pos` rides along for the
         // scatter. Shard sizes keep `pos` far below 2^32.
@@ -1147,32 +1167,7 @@ impl Rgdb2Reader {
                 *slot = (rec != NONE).then_some(rec);
             }
         }
-        located
-    }
-}
-
-impl GeoDatabase for Rgdb2Reader {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn lookup(&self, ip: Ipv4Addr) -> Option<LocationRecord> {
-        // Images validated at open; treat latent corruption as a miss.
-        self.try_lookup(ip).ok().flatten()
-    }
-
-    fn lookup_compact(
-        &self,
-        ip: Ipv4Addr,
-        interner: &mut LocationInterner,
-    ) -> Option<CompactRecord> {
-        let idx = self.locate(u32::from(ip)).ok().flatten()?;
-        self.compact_record(idx, interner)
-    }
-
-    /// Record ids are record indices, from the batched frontier walk.
-    fn locate_batch(&self, ips: &[Ipv4Addr]) -> Option<Vec<Option<u32>>> {
-        Some(self.batch_locate(ips))
+        Some(located)
     }
 
     /// Decode record `id` trusting the open-time validation sweep, and
