@@ -173,8 +173,10 @@ step_budget serve-loadgen 90 cargo xtask serve-check --budget-ms 8000
 # Resolve gate: the paper-scale lookup workload — four synthetic vendor
 # databases written as RGDB v2.1 images, 1.5 M interface addresses
 # pushed through ResolvedView's batched lookup path — must finish its
-# resolve stage inside the wall budget, and the per-lookup cost is
-# ratio-gated against BENCH_resolve.json. This is the §5 hot path at
+# resolve stage inside the wall budget, the per-lookup cost is
+# ratio-gated against BENCH_resolve.json, and the peak resident set may
+# not exceed 1.25x the baseline's (a fixed ceiling: memory does not
+# scale with machine speed). This is the §5 hot path at
 # the paper's real size; a blowout means the root-table reader or the
 # batched frontier walk regressed to per-lookup parsing or allocation.
 # The v2.1 engine landed the budget at 20 s (from v2's 45 s); the outer

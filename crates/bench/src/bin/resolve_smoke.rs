@@ -16,7 +16,9 @@
 //! also carries `view_digest`, an FNV-1a over the whole view, which the
 //! check requires to equal the baseline's, as it does `hits` and
 //! `interned`: so the view's bytes are pinned at paper scale, where the
-//! resolve folds 92 shards.
+//! resolve folds 92 shards. And it carries `peak_rss_mb`, the process's
+//! peak resident set (`VmHWM`) read after the resolve stage, which the
+//! check holds under a fixed ceiling over the baseline's.
 //!
 //! ```text
 //! usage: resolve_smoke [--budget-ms N]
@@ -167,6 +169,15 @@ fn view_digest(view: &ResolvedView) -> u64 {
     h.finish()
 }
 
+/// Peak resident set of this process (`VmHWM` in `/proc/self/status`),
+/// in MiB; `None` where the kernel does not report it.
+fn peak_rss_mb() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let kb = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    let kb: f64 = kb.trim().trim_end_matches("kB").trim().parse().ok()?;
+    Some(kb / 1024.0)
+}
+
 fn env_u64(key: &str, default: u64) -> u64 {
     std::env::var(key)
         .ok()
@@ -233,6 +244,7 @@ fn main() {
     let clock = StageClock::start("resolve");
     let view = ResolvedView::build_with(&readers, &ips, &pool);
     clock.finish(&mut stages, view.len() * view.db_count());
+    let peak_rss = peak_rss_mb();
 
     let hits: usize = (0..view.db_count())
         .map(|d| view.column(d).iter().filter(|r| r.is_some()).count())
@@ -277,6 +289,10 @@ fn main() {
     out.push_str(&format!("  \"resolve_wall_ms\": {resolve_ms:.3},\n"));
     out.push_str(&format!(
         "  \"lookup_ns_per_addr\": {lookup_ns_per_addr:.3},\n"
+    ));
+    out.push_str(&format!(
+        "  \"peak_rss_mb\": {},\n",
+        peak_rss.map_or("null".to_string(), |mb| format!("{mb:.1}"))
     ));
     out.push_str(&format!(
         "  \"budget_ms\": {},\n",

@@ -75,11 +75,6 @@ impl EndpointComparison {
     pub fn country_gap(&self) -> f64 {
         self.endpoints.country_accuracy() - self.routers.country_accuracy()
     }
-
-    /// City-accuracy gap (endpoints − routers).
-    pub fn city_gap(&self) -> f64 {
-        self.endpoints.city_accuracy() - self.routers.city_accuracy()
-    }
 }
 
 /// Evaluate every database over both populations.

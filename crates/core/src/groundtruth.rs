@@ -268,11 +268,6 @@ impl RirAnnotation {
         ratio(self.resolved, self.total)
     }
 
-    /// Fraction of addresses in the degraded bucket.
-    pub fn degraded_fraction(&self) -> f64 {
-        ratio(self.degraded, self.total)
-    }
-
     /// Whether the annotation degraded at all.
     pub fn is_degraded(&self) -> bool {
         self.degraded > 0

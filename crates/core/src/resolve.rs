@@ -3,15 +3,18 @@
 //! Coverage, consistency, and accuracy all ask every database about the
 //! same address sets. Instead of re-querying per analysis, a
 //! [`ResolvedView`] resolves each (IP, database) pair exactly once into
-//! columnar struct-of-arrays storage: one `Vec<Option<CompactRecord>>`
-//! column per database, with region/city names interned into a shared
-//! [`LocationInterner`]. The analyses then tally over the flat columns
-//! without a single per-lookup allocation.
+//! columnar storage: per database, one 4-byte handle per address and a
+//! table of the distinct records that answered, with region/city names
+//! interned into a shared [`LocationInterner`]. A handle is the record's
+//! index in its database's table, or [`MISS`], the way a MaxMind DB
+//! search tree yields an offset into its data section. The analyses
+//! read answers through the handles ([`ResolvedView::record`],
+//! [`ResolvedView::column`]) without a single per-lookup allocation.
 //!
 //! Construction is sharded through `routergeo_pool`: each shard only
 //! locates its slice, asking every database for its own record ids
 //! ([`GeoDatabase::locate_batch`]). The pool's ordered fold turns the
-//! ids into the view's cells as soon as every earlier shard is in,
+//! ids into the view's handles as soon as every earlier shard is in,
 //! through one [`RecordTable`] per database: each distinct record is
 //! decoded and interned once per view, on first sight in (shard,
 //! database, address) order. That is the order a per-address loop
@@ -19,8 +22,10 @@
 //! length, so the view — interner ids included — is byte-identical at
 //! any thread count. A database without record ids is answered in the
 //! fold by its [`GeoDatabase::lookup_batch`], into the view's own
-//! interner, which keeps that order too.
+//! interner, which keeps that order too; each of its answers is
+//! appended to its table.
 
+use routergeo_db::compact::MISS;
 use routergeo_db::{CompactRecord, GeoDatabase, LocationInterner, RecordTable};
 use routergeo_pool::Pool;
 use std::net::Ipv4Addr;
@@ -34,14 +39,31 @@ use std::net::Ipv4Addr;
 /// into ~90 shards, plenty for any realistic pool.
 pub const LOOKUP_SHARD_SIZE: usize = 16384;
 
-/// Columnar resolve-once answers: `column(db)[i]` is database `db`'s
+/// Columnar resolve-once answers: `record(db, i)` is database `db`'s
 /// compact answer for the `i`-th input address.
-#[derive(Debug, PartialEq)]
+#[derive(Debug)]
 pub struct ResolvedView {
     databases: Vec<String>,
     total: usize,
     interner: LocationInterner,
-    columns: Vec<Vec<Option<CompactRecord>>>,
+    /// Per database, one handle per address into that database's
+    /// table, or [`MISS`].
+    handles: Vec<Vec<u32>>,
+    /// Per database, the records its handles point at.
+    tables: Vec<RecordTable>,
+}
+
+/// Answer-wise: equal names, length, interner and answers in every
+/// cell. Handles are storage, not identity: a database without record
+/// ids appends each of its answers to its table, so equal answers can
+/// sit behind different handles.
+impl PartialEq for ResolvedView {
+    fn eq(&self, other: &ResolvedView) -> bool {
+        self.databases == other.databases
+            && self.total == other.total
+            && self.interner == other.interner
+            && (0..self.db_count()).all(|d| self.column(d).iter().eq(other.column(d)))
+    }
 }
 
 impl ResolvedView {
@@ -71,8 +93,7 @@ impl ResolvedView {
         let c_refs = routergeo_obs::counter("resolve.interner_refs");
 
         let mut interner = LocationInterner::new();
-        let mut columns: Vec<Vec<Option<CompactRecord>>> =
-            (0..n).map(|_| Vec::with_capacity(ips.len())).collect();
+        let mut handles: Vec<Vec<u32>> = (0..n).map(|_| Vec::with_capacity(ips.len())).collect();
         let mut tables: Vec<RecordTable> = (0..n).map(|_| RecordTable::default()).collect();
         let mut hits = 0u64;
         pool.fold_shards(
@@ -85,19 +106,20 @@ impl ResolvedView {
                     .collect::<Vec<_>>()
             },
             |shard, located| {
-                let parts = columns.iter_mut().zip(&mut tables).zip(dbs).zip(located);
+                let parts = handles.iter_mut().zip(&mut tables).zip(dbs).zip(located);
                 for (((column, table), db), ids) in parts {
-                    let Some(ids) = ids else {
+                    let start = column.len();
+                    if let Some(ids) = ids {
+                        column.extend(ids.into_iter().map(|id| {
+                            id.map_or(MISS, |id| {
+                                table.handle(id, |id| db.compact_record(id, &mut interner))
+                            })
+                        }));
+                    } else {
                         let part = db.lookup_batch(&ips[shard.start..shard.end], &mut interner);
-                        hits += part.iter().filter(|r| r.is_some()).count() as u64;
-                        column.extend(part);
-                        continue;
-                    };
-                    column.extend(ids.into_iter().map(|id| {
-                        let rec = table.get(id?, |id| db.compact_record(id, &mut interner));
-                        hits += u64::from(rec.is_some());
-                        rec
-                    }));
+                        column.extend(part.into_iter().map(|rec| table.push(rec)));
+                    }
+                    hits += column[start..].iter().filter(|h| **h != MISS).count() as u64;
                 }
             },
         );
@@ -115,7 +137,8 @@ impl ResolvedView {
             databases: dbs.iter().map(|d| d.name().to_string()).collect(),
             total: ips.len(),
             interner,
-            columns,
+            handles,
+            tables,
         }
     }
 
@@ -145,13 +168,75 @@ impl ResolvedView {
     }
 
     /// The full answer column of database `db`.
-    pub fn column(&self, db: usize) -> &[Option<CompactRecord>] {
-        &self.columns[db]
+    pub fn column(&self, db: usize) -> Column<'_> {
+        Column {
+            handles: &self.handles[db],
+            table: &self.tables[db],
+        }
     }
 
     /// Database `db`'s answer for the `i`-th address.
     pub fn record(&self, db: usize, i: usize) -> Option<CompactRecord> {
-        self.columns[db][i]
+        self.tables[db].record(self.handles[db][i])
+    }
+}
+
+/// One database's answers in a [`ResolvedView`], borrowed: one
+/// `Option<CompactRecord>` per address, by value, read through the
+/// handles.
+#[derive(Debug, Clone, Copy)]
+pub struct Column<'a> {
+    handles: &'a [u32],
+    table: &'a RecordTable,
+}
+
+impl<'a> Column<'a> {
+    /// Number of answers: the view's address count.
+    pub fn len(&self) -> usize {
+        self.handles.len()
+    }
+
+    /// Whether the column holds no answers.
+    pub fn is_empty(&self) -> bool {
+        self.handles.is_empty()
+    }
+
+    /// The answers in address order.
+    pub fn iter(&self) -> ColumnIter<'a> {
+        ColumnIter {
+            handles: self.handles.iter(),
+            table: self.table,
+        }
+    }
+}
+
+impl<'a> IntoIterator for Column<'a> {
+    type Item = Option<CompactRecord>;
+    type IntoIter = ColumnIter<'a>;
+
+    fn into_iter(self) -> ColumnIter<'a> {
+        self.iter()
+    }
+}
+
+/// The answers of a [`Column`], by value, in address order.
+#[derive(Debug, Clone)]
+pub struct ColumnIter<'a> {
+    handles: std::slice::Iter<'a, u32>,
+    table: &'a RecordTable,
+}
+
+impl Iterator for ColumnIter<'_> {
+    type Item = Option<CompactRecord>;
+
+    #[inline]
+    fn next(&mut self) -> Option<Option<CompactRecord>> {
+        let handle = *self.handles.next()?;
+        Some(self.table.record(handle))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.handles.size_hint()
     }
 }
 
@@ -201,6 +286,35 @@ mod tests {
         ips
     }
 
+    /// Two and a half shards in which every address occurs twice,
+    /// once in each half, so shards meet records seen in earlier ones.
+    fn repeated_ips() -> Vec<Ipv4Addr> {
+        let half = sample_ips(5 * LOOKUP_SHARD_SIZE / 4);
+        half.iter().chain(half.iter().rev()).copied().collect()
+    }
+
+    /// A database with no record ids: it answers batches through its
+    /// inner database, so the view takes the id-less fallback.
+    struct BatchOnly<'a>(&'a InMemoryDb);
+
+    impl GeoDatabase for BatchOnly<'_> {
+        fn name(&self) -> &str {
+            self.0.name()
+        }
+
+        fn lookup(&self, ip: Ipv4Addr) -> Option<LocationRecord> {
+            self.0.lookup(ip)
+        }
+
+        fn lookup_batch(
+            &self,
+            ips: &[Ipv4Addr],
+            interner: &mut LocationInterner,
+        ) -> Vec<Option<CompactRecord>> {
+            self.0.lookup_batch(ips, interner)
+        }
+    }
+
     #[test]
     fn every_column_is_preallocated_to_the_address_count() {
         let dbs = [
@@ -208,12 +322,51 @@ mod tests {
             striped_db("b", 120, 3),
             striped_db("c", 120, 5),
         ];
-        let ips = multi_shard_ips();
+        let ips = repeated_ips();
         for threads in [1, 2] {
             let view = ResolvedView::build_with(&dbs, &ips, &Pool::new(threads));
-            for (d, column) in view.columns.iter().enumerate() {
-                assert_eq!(column.capacity(), ips.len(), "threads={threads} column {d}");
+            for (d, db) in dbs.iter().enumerate() {
+                let handles = &view.handles[d];
+                assert_eq!(handles.len(), ips.len(), "threads={threads} column {d}");
+                assert_eq!(
+                    handles.capacity(),
+                    ips.len(),
+                    "threads={threads} column {d}"
+                );
+                // One entry per distinct record that answered: every
+                // striped block has its own coordinates.
+                let ids: std::collections::BTreeSet<u32> = db
+                    .locate_batch(&ips)
+                    .unwrap()
+                    .into_iter()
+                    .flatten()
+                    .collect();
+                let table = view.tables[d].records();
+                assert_eq!(table.len(), ids.len(), "threads={threads} table {d}");
+                for (ix, rec) in table.iter().enumerate() {
+                    assert!(!table[..ix].contains(rec), "table {d} holds a record twice");
+                }
             }
+        }
+    }
+
+    #[test]
+    fn views_compare_answers_not_handles() {
+        let dbs = [striped_db("a", 120, 1), striped_db("b", 120, 3)];
+        let wrapped = [BatchOnly(&dbs[0]), BatchOnly(&dbs[1])];
+        let ips = repeated_ips();
+        for threads in [1, 2] {
+            let pool = Pool::new(threads);
+            let view = ResolvedView::build_with(&dbs, &ips, &pool);
+            let fallback = ResolvedView::build_with(&wrapped, &ips, &pool);
+            // The fallback appends every answer, so its handles differ.
+            assert_ne!(view.handles, fallback.handles, "threads={threads}");
+            assert_eq!(view, fallback, "threads={threads}");
+
+            let mut altered = ResolvedView::build_with(&dbs, &ips, &pool);
+            let hit = altered.handles[1].iter().position(|h| *h != MISS).unwrap();
+            altered.handles[1][hit] = MISS;
+            assert_ne!(view, altered, "threads={threads}");
         }
     }
 

@@ -1,9 +1,9 @@
 //! `ResolvedView::build_with` against its definition: at any width, the
 //! view equals a per-address `lookup_compact` loop over the shards in
 //! order, and within each shard over the databases in order, all into
-//! one interner. Cells and interner are compared with `==`, so the
-//! record-id fold must assign every interner id exactly as that loop
-//! does.
+//! one interner. The interner is compared with `==` and every answer of
+//! every column through the column's iterator, so the record-id fold
+//! must assign every interner id exactly as that loop does.
 //!
 //! The mix puts a wrapper that has no record ids (it overrides only
 //! `lookup_batch`) between two databases that have them, an
@@ -145,7 +145,7 @@ proptest! {
             prop_assert!(view.interner() == &interner, "interner at {} threads", threads);
             for (d, column) in columns.iter().enumerate() {
                 prop_assert!(
-                    view.column(d) == column.as_slice(),
+                    view.column(d).iter().eq(column.iter().copied()),
                     "column {} at {} threads", d, threads
                 );
             }

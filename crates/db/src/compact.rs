@@ -6,15 +6,17 @@
 //! owning [`LocationRecord`] carries its region
 //! and city as `Option<String>`, so each answer costs heap allocations.
 //! [`LocationInterner`] maps those strings to dense `u32` symbol ids
-//! exactly once, and [`CompactRecord`] carries the ids by value, so a
-//! resolved column of answers is a flat `Vec<Option<CompactRecord>>`
-//! with no per-lookup allocation.
+//! exactly once, and [`CompactRecord`] carries the ids by value, so an
+//! answer costs no per-lookup allocation.
 //!
 //! A [`RecordTable`] memoises a backend's records by record id, so a
 //! batch or a whole resolved view decodes (and interns) each distinct
-//! record once. Decoding in a fixed order — for a view, first sight in
-//! (shard, database, address) order — fixes every interner id, so ids
-//! never need remapping and are byte-identical at any thread count.
+//! record once. It hands out 4-byte handles, indices into its table of
+//! the records that answered, so a resolved column stores one `u32` per
+//! address, not a 48-byte `Option<CompactRecord>`. Decoding in a fixed
+//! order — for a view, first sight in (shard, database, address) order
+//! — fixes every interner id, so ids never need remapping and are
+//! byte-identical at any thread count.
 
 use crate::record::{Granularity, LocationRecord};
 use routergeo_geo::{Coordinate, CountryCode};
@@ -118,41 +120,63 @@ impl LocationInterner {
     }
 }
 
-/// A dense memo from a backend's record ids to their compact records:
-/// each id is decoded, and its names interned, on first sight only.
-/// Ids are small and dense (an RGDB record index, a range-map entry
-/// index), so the table is a `u32` slot per id into the records decoded
-/// so far.
+/// The handle of an answer that holds no record.
+pub const MISS: u32 = u32::MAX;
+
+/// A [`RecordTable`] slot whose id has not been seen yet.
+const UNSEEN: u32 = u32::MAX - 1;
+
+/// A dense memo from a backend's record ids to 4-byte handles: each id
+/// is decoded, and its names interned, on first sight only, and the
+/// record it decodes to is appended to the table. A handle is that
+/// record's index in the table, or [`MISS`]. Ids are small and dense
+/// (an RGDB record index, a range-map entry index), so the id map is a
+/// `u32` slot per id.
 #[derive(Debug, Default)]
 pub struct RecordTable {
-    /// `slots[id]`: index into `records`, or `u32::MAX` if not seen yet.
+    /// `slots[id]`: the handle of `id`, or `UNSEEN`.
     slots: Vec<u32>,
-    records: Vec<Option<CompactRecord>>,
+    records: Vec<CompactRecord>,
 }
 
 impl RecordTable {
-    /// The record behind `id`, decoded by `decode` if this is the
+    /// The handle of record `id`, decoded by `decode` if this is the
     /// first time the table sees `id`.
     #[inline]
-    pub fn get(
-        &mut self,
-        id: u32,
-        decode: impl FnOnce(u32) -> Option<CompactRecord>,
-    ) -> Option<CompactRecord> {
+    pub fn handle(&mut self, id: u32, decode: impl FnOnce(u32) -> Option<CompactRecord>) -> u32 {
         let ix = id as usize;
         if ix >= self.slots.len() {
-            self.slots.resize(ix + 1, u32::MAX);
+            self.slots.resize(ix + 1, UNSEEN);
         }
-        let slot = &mut self.slots[ix];
-        match self.records.get(*slot as usize) {
-            Some(rec) => *rec,
-            None => {
-                *slot = u32::try_from(self.records.len()).expect("at most one slot per u32 id");
-                let rec = decode(id);
-                self.records.push(rec);
-                rec
-            }
+        if self.slots[ix] == UNSEEN {
+            self.slots[ix] = self.push(decode(id));
         }
+        self.slots[ix]
+    }
+
+    /// Append `rec`, an answer that came without a record id, and
+    /// return its handle: [`MISS`] for `None`.
+    pub fn push(&mut self, rec: Option<CompactRecord>) -> u32 {
+        let Some(rec) = rec else {
+            return MISS;
+        };
+        let handle = u32::try_from(self.records.len())
+            .ok()
+            .filter(|h| *h < UNSEEN)
+            .expect("fewer than u32::MAX - 1 records per table");
+        self.records.push(rec);
+        handle
+    }
+
+    /// The record behind `handle`: `None` for [`MISS`].
+    #[inline]
+    pub fn record(&self, handle: u32) -> Option<CompactRecord> {
+        self.records.get(handle as usize).copied()
+    }
+
+    /// The records in handle order.
+    pub fn records(&self) -> &[CompactRecord] {
+        &self.records
     }
 }
 
@@ -271,23 +295,28 @@ mod tests {
                 &mut LocationInterner::new(),
             )
         };
-        for (id, want) in [
-            (7, Some("DE")),
-            (2, Some("FR")),
-            (7, Some("DE")),
-            (9, None),
-            (9, None),
+        for (id, want, handle) in [
+            (7, Some("DE"), 0),
+            (2, Some("FR"), 1),
+            (7, Some("DE"), 0),
+            (9, None, MISS),
+            (9, None, MISS),
         ] {
-            let got = table.get(id, |id| {
+            let got = table.handle(id, |id| {
                 decoded.push(id);
                 [(7, "DE"), (2, "FR")]
                     .iter()
                     .find(|e| e.0 == id)
                     .map(|e| rec(e.1))
             });
-            assert_eq!(got, want.map(rec), "id {id}");
+            assert_eq!(got, handle, "id {id}");
+            assert_eq!(table.record(got), want.map(rec), "id {id}");
         }
         // First sight only; an id that decodes to nothing is memoised too.
         assert_eq!(decoded, vec![7, 2, 9]);
+        // An answer without an id is appended, even if it repeats one.
+        assert_eq!(table.push(Some(rec("DE"))), 2);
+        assert_eq!(table.push(None), MISS);
+        assert_eq!(table.records(), [rec("DE"), rec("FR"), rec("DE")]);
     }
 }

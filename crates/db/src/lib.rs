@@ -108,7 +108,10 @@ pub trait GeoDatabase {
         };
         let mut table = RecordTable::default();
         ids.into_iter()
-            .map(|id| table.get(id?, |id| self.compact_record(id, interner)))
+            .map(|id| {
+                let handle = table.handle(id?, |id| self.compact_record(id, interner));
+                table.record(handle)
+            })
             .collect()
     }
 }

@@ -97,11 +97,6 @@ impl<'w> SignalWorld<'w> {
         (info.registry_country, info.registry_city)
     }
 
-    /// Whether the block serves transit (backbone) rather than stub/edge.
-    pub fn is_transit_block(&self, info: &BlockInfo) -> bool {
-        self.world.operator(info.op).kind != OperatorKind::Stub
-    }
-
     /// The kind of network the block serves.
     pub fn block_kind(&self, info: &BlockInfo) -> BlockKind {
         match self.world.operator(info.op).kind {

@@ -148,11 +148,6 @@ impl GenericDecoder {
         }
     }
 
-    /// Wrap an existing dictionary.
-    pub fn with_dict(dict: HintDictionary) -> GenericDecoder {
-        GenericDecoder { dict }
-    }
-
     /// Try to decode any location hint in the hostname, scanning labels
     /// left to right, skipping the domain's last two labels.
     pub fn decode(&self, hostname: &str) -> Option<CityId> {

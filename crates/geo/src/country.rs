@@ -359,11 +359,6 @@ pub fn countries_in_rir(rir: Rir) -> impl Iterator<Item = &'static CountryInfo> 
     COUNTRIES.iter().filter(move |c| c.rir == rir)
 }
 
-/// Total router-infrastructure weight across the whole table.
-pub fn total_weight() -> u64 {
-    COUNTRIES.iter().map(|c| c.weight as u64).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -79,16 +79,6 @@ pub struct Operator {
     pub foreign_pop_scale: f64,
 }
 
-impl Operator {
-    /// Whether this operator is any kind of transit network.
-    pub fn is_transit(&self) -> bool {
-        matches!(
-            self.kind,
-            OperatorKind::GlobalTransit | OperatorKind::DomesticTransit
-        )
-    }
-}
-
 /// Static spec for a built-in global operator.
 #[derive(Debug, Clone, Copy)]
 pub struct GlobalOperatorSpec {

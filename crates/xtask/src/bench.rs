@@ -32,12 +32,14 @@ pub const SMOOTHING_MS: f64 = 25.0;
 /// Runs a `--bless` takes the median of.
 pub const BLESS_RUNS: usize = 5;
 
-/// The wall-clock fields of a timing report: [`median_of_runs`] takes
-/// the median of each over the runs, and every other field must agree.
-const TIMING_KEYS: [&str; 5] = [
+/// The measured fields of a timing report, wall clock and peak
+/// resident set: [`median_of_runs`] takes the median of each over the
+/// runs, and every other field must agree.
+const TIMING_KEYS: [&str; 6] = [
     "total_wall_ms",
     "resolve_wall_ms",
     "lookup_ns_per_addr",
+    "peak_rss_mb",
     "wall_ms",
     "items_per_sec",
 ];
@@ -58,8 +60,9 @@ fn number_span(line: &str, key: &str) -> Option<(usize, usize)> {
 /// Merge the timing reports `runs` (the same binary's output, run
 /// several times) into one report: each timing field of each line —
 /// every stage's `wall_ms` and `items_per_sec`, and the top-level
-/// `total_wall_ms`, `resolve_wall_ms` and `lookup_ns_per_addr` —
-/// becomes the median of that line's field over the runs, printed
+/// `total_wall_ms`, `resolve_wall_ms`, `lookup_ns_per_addr` and
+/// `peak_rss_mb` — becomes the median of that line's field over the
+/// runs, printed
 /// with the first run's decimals. Every other byte must
 /// be the same in every run (stage names, counts, digests); an odd run
 /// count makes each median one run's value.
@@ -459,5 +462,9 @@ mod tests {
         let c = a.replace("2.0", "4.0");
         let merged = median_of_runs(&[a.to_string(), c.clone(), c]).unwrap();
         assert!(merged.contains("\"lookup_ns_per_addr\": 4.0"), "{merged}");
+        // Nor is the peak resident set, which is measured.
+        let rss = |mb: &str| format!("{{\n  \"peak_rss_mb\": {mb},\n  \"hits\": 7\n}}\n");
+        let merged = median_of_runs(&[rss("90.5"), rss("88.1"), rss("339.0")]).unwrap();
+        assert_eq!(merged, rss("90.5"));
     }
 }

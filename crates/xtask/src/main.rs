@@ -49,9 +49,10 @@ commands:\n  \
                         non-zero exit when the resolve stage exceeds the budget\n  \
                         (default 20000 ms), when hits, interned or view_digest differ\n  \
                         from BENCH_resolve.json's, when a stage regresses beyond 2x\n  \
-                        against it, or when lookup_ns_per_addr regresses beyond 2x\n  \
-                        (both median-normalised); --bless refreshes the baseline from\n  \
-                        the medians of five runs\n";
+                        against it, when lookup_ns_per_addr regresses beyond 2x\n  \
+                        (both median-normalised), or when peak_rss_mb exceeds 1.25x\n  \
+                        the baseline's (a fixed ceiling); --bless refreshes the\n  \
+                        baseline from the medians of five runs\n";
 
 fn main() -> ExitCode {
     let args: Vec<String> = env::args().skip(1).collect();
@@ -374,10 +375,15 @@ fn print_comparisons(cmp: &[bench::Comparison]) -> usize {
 /// ([`bench::median_of_runs`]).
 fn bless_median(cmd: &str, runs: &[String], baseline: &Path) -> ExitCode {
     for (n, text) in runs.iter().enumerate() {
-        let totals: Vec<String> = ["total_wall_ms", "resolve_wall_ms", "lookup_ns_per_addr"]
-            .iter()
-            .filter_map(|key| raw_field(text, key).map(|v| format!("{key} {v}")))
-            .collect();
+        let totals: Vec<String> = [
+            "total_wall_ms",
+            "resolve_wall_ms",
+            "lookup_ns_per_addr",
+            "peak_rss_mb",
+        ]
+        .iter()
+        .filter_map(|key| raw_field(text, key).map(|v| format!("{key} {v}")))
+        .collect();
         eprintln!("xtask {cmd}: run {}: {}", n + 1, totals.join(", "));
     }
     let merged = match bench::median_of_runs(runs) {
@@ -684,9 +690,10 @@ fn run_serve_check(root: &PathBuf, budget_ms: u64, vendor_images: bool) -> ExitC
 /// the resolve stage alone, plus a regression gate against the blessed
 /// `BENCH_resolve.json`: per-stage wall clock AND per-lookup
 /// `lookup_ns_per_addr`, both smoothed and median-normalised exactly
-/// like bench-check so a uniformly slower machine passes. Synthesis and
-/// probes are a pure function of the pinned seed, so everything in the
-/// artifact except the wall-clock fields is byte-stable, and
+/// like bench-check so a uniformly slower machine passes, and the peak
+/// resident set under [`RSS_CEILING`] times the baseline's. Synthesis
+/// and probes are a pure function of the pinned seed, so everything in
+/// the artifact except the measured fields is byte-stable, and
 /// [`RESOLVE_EXACT_KEYS`] must equal the baseline's.
 fn run_resolve_check(root: &Path, budget_ms: u64, bless: bool) -> ExitCode {
     let artifact = root
@@ -711,16 +718,18 @@ fn run_resolve_check(root: &Path, budget_ms: u64, bless: bool) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let per_lookup =
-        |text: &str| raw_field(text, "lookup_ns_per_addr").and_then(|v| v.parse::<f64>().ok());
+    let number = |text: &str, key: &str| {
+        raw_field(text, key)
+            .and_then(|v| v.parse::<f64>().ok())
+            .ok_or_else(|| format!("a report has no `{key}` value"))
+    };
     let read = read_baseline("resolve-check", &baseline_path).and_then(|(base, base_text)| {
         let fresh = bench::parse_report(&texts[0])?;
-        match (per_lookup(&base_text), per_lookup(&texts[0])) {
-            (Some(b), Some(f)) => Ok((base, base_text, fresh, b, f)),
-            _ => Err("a report has no lookup_ns_per_addr field".to_string()),
-        }
+        let pair = |key| Ok::<_, String>((number(&base_text, key)?, number(&texts[0], key)?));
+        let (ns, rss) = (pair("lookup_ns_per_addr")?, pair("peak_rss_mb")?);
+        Ok((base, base_text, fresh, ns, rss))
     });
-    let (base, base_text, fresh, base_ns, fresh_ns) = match read {
+    let (base, base_text, fresh, (base_ns, fresh_ns), (base_rss, fresh_rss)) = match read {
         Ok(r) => r,
         Err(e) => {
             eprintln!("xtask resolve-check: {e}");
@@ -780,11 +789,34 @@ fn run_resolve_check(root: &Path, budget_ms: u64, bless: bool) -> ExitCode {
     if lookup_failed {
         failed += 1;
     }
+
+    // Memory gate: a fixed ceiling, not median-normalised, because a
+    // resident set does not scale with machine speed.
+    let rss_ratio = fresh_rss / base_rss;
+    let rss_failed = !rss_ratio.is_finite() || rss_ratio > RSS_CEILING;
+    println!(
+        "{:<14} {:>7.1}MiB {:>7.1}MiB {:>7.2}x  (max {:.2}x)  {}",
+        "peak_rss_mb",
+        base_rss,
+        fresh_rss,
+        rss_ratio,
+        RSS_CEILING,
+        if rss_failed { "FAIL" } else { "ok" }
+    );
+    if rss_failed {
+        eprintln!(
+            "xtask resolve-check: peak_rss_mb {fresh_rss:.1} MiB is {rss_ratio:.2}x the baseline's \
+             {base_rss:.1} MiB, above the {RSS_CEILING:.2}x ceiling"
+        );
+        failed += 1;
+    }
     eprintln!(
-        "xtask resolve-check: {} stage(s) + per-lookup gate, {} regression(s) beyond {:.1}x",
+        "xtask resolve-check: {} stage(s) + per-lookup gate beyond {:.1}x, peak_rss_mb \
+         ceiling {:.2}x: {} regression(s)",
         cmp.len(),
-        failed,
-        bench::THRESHOLD
+        bench::THRESHOLD,
+        RSS_CEILING,
+        failed
     );
     if failed == 0 {
         ExitCode::SUCCESS
@@ -795,6 +827,10 @@ fn run_resolve_check(root: &Path, budget_ms: u64, bless: bool) -> ExitCode {
 
 /// Fields of `resolve_ci.json` that must equal the baseline's exactly.
 const RESOLVE_EXACT_KEYS: [&str; 3] = ["hits", "interned", "view_digest"];
+
+/// The most a fresh `peak_rss_mb` may be, as a multiple of the
+/// baseline's.
+const RSS_CEILING: f64 = 1.25;
 
 /// The raw value token after `"key":` in a report text, up to the
 /// line's comma: `None` when the key is missing.
