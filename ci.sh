@@ -77,6 +77,13 @@ step fmt cargo fmt --all --check
 # covers a cold check of the whole workspace.
 step_budget clippy 60 cargo clippy -q -p 'routergeo*' -p xtask -- -D warnings
 
+# The same policy over tests, benches and examples. clippy.toml exempts
+# `#[test]` code from the panic-safety lints; a test helper, bench or
+# example waives a lint with `#[expect]` like library code. `--no-deps`
+# keeps the vendored stubs, workspace members by path, out of
+# `-D warnings`. The budget covers a cold check (9 s on 2 vCPUs).
+step_budget clippy-all-targets 60 cargo clippy -q -p 'routergeo*' -p xtask --all-targets --no-deps -- -D warnings
+
 # Doc gate: rustdoc over the same packages with warnings as errors, so
 # a broken or ambiguous intra-doc link, or a public doc linking a
 # private item, fails here instead of rendering as dead text. The

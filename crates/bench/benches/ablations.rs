@@ -14,9 +14,11 @@
 )]
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use routergeo_bench::experiments::gt_view;
 use routergeo_bench::Lab;
 use routergeo_core::accuracy::evaluate_entries;
 use routergeo_core::groundtruth::GroundTruth;
+use routergeo_core::ResolvedView;
 use routergeo_cymru::MappingService;
 use routergeo_db::synth::{build_vendor, SignalWorld, VendorId, VendorProfile};
 use routergeo_db::GeoDatabase;
@@ -34,7 +36,7 @@ fn lab() -> &'static Lab {
 fn ablate_city_range(c: &mut Criterion) {
     let lab = lab();
     println!("== Ablation: city-range threshold (MaxMind-Paid city accuracy) ==");
-    let acc = evaluate_entries(&lab.dbs[2], &lab.gt.entries);
+    let acc = evaluate_entries(&gt_view(lab), 2, &lab.gt.entries);
     for km in [10.0, 20.0, 40.0, 60.0, 100.0] {
         let frac = acc.error_cdf.fraction_leq(km);
         println!("  <= {km:>5.0} km: {:.1}%", frac * 100.0);
@@ -174,6 +176,7 @@ fn ablate_registry_weight(c: &mut Criterion) {
         degraded: lab.gt.degraded.clone(),
     };
     let _ = whois;
+    let ips: Vec<_> = gt.entries.iter().map(|e| e.ip).collect();
     println!("== Ablation: measurement corpus availability (MaxMind-Paid profile) ==");
     for (label, stub, dom, transit) in [
         ("registry-only", 0.0, 0.0, 0.0),
@@ -185,7 +188,8 @@ fn ablate_registry_weight(c: &mut Criterion) {
         profile.meas_avail_domestic = dom;
         profile.meas_avail_transit = transit;
         let db = build_vendor(&signals, &profile);
-        let acc = evaluate_entries(&db, &gt.entries);
+        let view = ResolvedView::build_with(&[&db], &ips, &lab.pool);
+        let acc = evaluate_entries(&view, 0, &gt.entries);
         println!(
             "  {label:>16}: country {:.1}%  city(40km) {:.1}% over {} city answers",
             acc.country_accuracy() * 100.0,

@@ -13,6 +13,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use routergeo_bench::{experiments as exp, Lab};
+use routergeo_core::ResolvedView;
 use std::sync::OnceLock;
 
 fn lab() -> &'static Lab {
@@ -23,6 +24,19 @@ fn lab() -> &'static Lab {
         // tenth/paper scales.
         Lab::small(20_170_301)
     })
+}
+
+/// The lab's Ark view, for the one-off renders and assertions; the
+/// timed loops resolve their own, as `repro` does once per run.
+fn ark() -> &'static ResolvedView {
+    static ARK: OnceLock<ResolvedView> = OnceLock::new();
+    ARK.get_or_init(|| exp::ark_view(lab()))
+}
+
+/// The lab's ground-truth view, as [`ark`] is its Ark view.
+fn gtv() -> &'static ResolvedView {
+    static GT: OnceLock<ResolvedView> = OnceLock::new();
+    GT.get_or_init(|| exp::gt_view(lab()))
 }
 
 fn bench_table1(c: &mut Criterion) {
@@ -38,7 +52,7 @@ fn bench_table1(c: &mut Criterion) {
 
 fn bench_coverage(c: &mut Criterion) {
     let lab = lab();
-    let (reports, table) = exp::ark_coverage(lab);
+    let (reports, table) = exp::ark_coverage_from(ark());
     println!("{}", table.render());
     // §5.1 headline: IP2Location/NetAcuity ≈ full city coverage, MaxMind
     // editions far below with paid > free.
@@ -46,19 +60,21 @@ fn bench_coverage(c: &mut Criterion) {
     assert!(reports[3].city_coverage() > 0.9);
     assert!(reports[1].city_coverage() < reports[2].city_coverage());
     assert!(reports[2].city_coverage() < 0.8);
-    c.bench_function("E2_ark_coverage", |b| b.iter(|| exp::ark_coverage(lab)));
+    c.bench_function("E2_ark_coverage", |b| {
+        b.iter(|| exp::ark_coverage_from(&exp::ark_view(lab)))
+    });
 }
 
 fn bench_consistency(c: &mut Criterion) {
     let lab = lab();
-    let (report, tables) = exp::ark_consistency(lab);
+    let (report, tables) = exp::ark_consistency_from(ark());
     println!("{}", tables[0].render());
     println!("{}", tables[1].render());
     // Figure 1 headline: the MaxMind pair mostly agrees; cross-vendor
     // pairs disagree on the city for a large share of addresses.
-    let mm_pair = report.pair_disagreement(1, 2).unwrap();
+    let mm_pair = report.pair_disagreement(1, 2).expect("pair computed");
     for (i, j) in [(0, 1), (0, 2), (0, 3), (1, 3), (2, 3)] {
-        let cross = report.pair_disagreement(i, j).unwrap();
+        let cross = report.pair_disagreement(i, j).expect("pair computed");
         assert!(
             cross > mm_pair,
             "E3: cross-vendor pair ({i},{j}) {cross} not above MM pair {mm_pair}"
@@ -68,13 +84,13 @@ fn bench_consistency(c: &mut Criterion) {
     // Country level: the MaxMind pair agrees the most.
     assert!(report.country_agree[1][2] > report.country_agree[0][3]);
     c.bench_function("E3_ark_consistency", |b| {
-        b.iter(|| exp::ark_consistency(lab))
+        b.iter(|| exp::ark_consistency_from(&exp::ark_view(lab)))
     });
 }
 
 fn bench_accuracy(c: &mut Criterion) {
     let lab = lab();
-    let (report, tables) = exp::gt_accuracy(lab);
+    let (report, tables) = exp::gt_accuracy_from(lab, gtv());
     println!("{}", tables[0].render());
     // §5.2.1 headline: NetAcuity clearly best at country level; the three
     // registry-fed databases are comparable; MaxMind city coverage low.
@@ -84,12 +100,14 @@ fn bench_accuracy(c: &mut Criterion) {
     }
     assert!(report.overall[1].city_coverage() < 0.6);
     assert!(report.overall[0].city_accuracy() < report.overall[3].city_accuracy());
-    c.bench_function("E4_gt_accuracy_fig2", |b| b.iter(|| exp::gt_accuracy(lab)));
+    c.bench_function("E4_gt_accuracy_fig2", |b| {
+        b.iter(|| exp::gt_accuracy_from(lab, &exp::gt_view(lab)))
+    });
 }
 
 fn bench_regional(c: &mut Criterion) {
     let lab = lab();
-    let (report, _) = exp::gt_accuracy(lab);
+    let (report, _) = exp::gt_accuracy_from(lab, gtv());
     println!("{}", exp::fig3(&report).render());
     for t in exp::fig5(&report) {
         println!("{}", t.render());
@@ -118,8 +136,8 @@ fn bench_regional(c: &mut Criterion) {
 
 fn bench_countries(c: &mut Criterion) {
     let lab = lab();
-    let (report, _) = exp::gt_accuracy(lab);
-    let (common_wrong, table) = exp::fig4(lab, &report);
+    let (report, _) = exp::gt_accuracy_from(lab, gtv());
+    let (common_wrong, table) = exp::fig4_from(lab, gtv(), &report);
     println!("{}", table.render());
     println!("common wrong across registry-fed DBs: {common_wrong}\n");
     // Figure 4 headline: US excellent everywhere; the registry-fed
@@ -133,12 +151,14 @@ fn bench_countries(c: &mut Criterion) {
         assert!(acc.country_accuracy() > 0.9, "E6: US accuracy dropped");
     }
     assert!(common_wrong > 0, "E6: no common wrong answers");
-    c.bench_function("E6_fig4_countries", |b| b.iter(|| exp::fig4(lab, &report)));
+    c.bench_function("E6_fig4_countries", |b| {
+        b.iter(|| exp::fig4_from(lab, &exp::gt_view(lab), &report))
+    });
 }
 
 fn bench_arin_case(c: &mut Criterion) {
     let lab = lab();
-    let (cases, table) = exp::arin(lab);
+    let (cases, table) = exp::arin(lab, gtv());
     println!("{}", table.render());
     // §5.2.3 headline: a majority of non-US ARIN ground truth is pulled
     // into the US by the registry-fed databases, and the wrong city
@@ -153,12 +173,14 @@ fn bench_arin_case(c: &mut Criterion) {
         let blk = mm_paid.wrong_block_level as f64 / mm_paid.us_city_wrong as f64;
         assert!(blk > 0.7, "E8: wrong answers not block-level: {blk}");
     }
-    c.bench_function("E8_arin_case", |b| b.iter(|| exp::arin(lab)));
+    c.bench_function("E8_arin_case", |b| {
+        b.iter(|| exp::arin(lab, &exp::gt_view(lab)))
+    });
 }
 
 fn bench_method_split(c: &mut Criterion) {
     let lab = lab();
-    let (report, _) = exp::gt_accuracy(lab);
+    let (report, _) = exp::gt_accuracy_from(lab, gtv());
     println!("{}", exp::method_split(&report).render());
     // §5.2.4 headline: the registry-fed databases do far worse on the
     // DNS-based (backbone) set than on the RTT set; NetAcuity is the only

@@ -60,7 +60,7 @@ fn bench_lookup_structures(c: &mut Criterion) {
         })
         .collect();
     let image = rgdb2::write_v21(db.name(), entries.iter().map(|(p, r)| (*p, r)));
-    let reader = Rgdb2Reader::open(image.clone()).unwrap();
+    let reader = Rgdb2Reader::open(image.clone()).expect("the writer's own image validates");
     println!(
         "RGDB image: {} entries, {} bytes ({} deduplicated records)",
         entries.len(),
@@ -126,14 +126,14 @@ fn bench_vendor_build(c: &mut Criterion) {
 }
 
 fn bench_geo_math(c: &mut Criterion) {
-    let a = Coordinate::new(48.8566, 2.3522).unwrap();
+    let a = Coordinate::new(48.8566, 2.3522).expect("Paris is a valid coordinate");
     let pts: Vec<Coordinate> = (0..1000)
         .map(|i| {
             Coordinate::new(
                 -80.0 + (i as f64 * 0.16) % 160.0,
                 -170.0 + (i as f64 * 0.34) % 340.0,
             )
-            .unwrap()
+            .expect("the sweep stays inside the valid ranges")
         })
         .collect();
     let mut group = c.benchmark_group("geo");

@@ -231,24 +231,29 @@ fn main() {
     }
     drop(ark_view);
 
-    // The remaining §5.2 experiments share one accuracy report, fed by
-    // one resolve-once view over the ground-truth addresses (the
-    // `lookup` stage).
+    // The remaining §5.2 experiments, the ARIN case study and the
+    // majority and endpoint extensions share one resolve-once view over
+    // the ground-truth addresses (the `lookup` stage); the §5.2 figures
+    // share one accuracy report from it.
     let needs_accuracy = ["fig2", "fig3", "fig4", "fig5", "split", "recommend"]
         .iter()
         .any(|e| want(e));
-    if needs_accuracy {
-        let gt_view = time_stage(
+    let needs_gt_view = needs_accuracy || ["arin", "majority", "endpoints"].iter().any(|e| want(e));
+    let gt_view = needs_gt_view.then(|| {
+        time_stage(
             &mut stages,
             "lookup",
             |v: &routergeo_core::ResolvedView| v.len() * v.db_count(),
             || exp::gt_view(&lab),
-        );
+        )
+    });
+    let gt = || gt_view.as_ref().expect("ground-truth view built");
+    if needs_accuracy {
         let (report, tables) = time_stage(
             &mut stages,
             "accuracy",
             |_| lab.gt.len() * lab.dbs.len(),
-            || exp::gt_accuracy_from(&lab, &gt_view),
+            || exp::gt_accuracy_from(&lab, gt()),
         );
         if want("fig2") {
             out.emit("fig2_summary", &tables[0]);
@@ -262,7 +267,7 @@ fn main() {
             out.emit("fig3_rir", &exp::fig3(&report));
         }
         if want("fig4") {
-            let (common_wrong, t) = exp::fig4_from(&lab, &gt_view, &report);
+            let (common_wrong, t) = exp::fig4_from(&lab, gt(), &report);
             out.emit("fig4_countries", &t);
             println!(
                 "S5.2.2: the three registry-fed databases agree on the same wrong country \
@@ -283,7 +288,7 @@ fn main() {
     }
 
     if want("arin") {
-        let (_, t) = exp::arin(&lab);
+        let (_, t) = exp::arin(&lab, gt());
         out.emit("arin_case", &t);
     }
     if want("validate") {
@@ -299,10 +304,10 @@ fn main() {
 
     // Extensions beyond the paper.
     if want("majority") {
-        out.emit("ext_majority", &exp::majority(&lab));
+        out.emit("ext_majority", &exp::majority(&lab, gt()));
     }
     if want("endpoints") {
-        out.emit("ext_endpoints", &exp::endpoints(&lab));
+        out.emit("ext_endpoints", &exp::endpoints(&lab, gt()));
     }
     if want("cbg") {
         out.emit("ext_cbg", &exp::cbg(&lab));

@@ -13,12 +13,13 @@ use routergeo_core::groundtruth::{GtMethod, Table1Row};
 use routergeo_core::methodology::{methodology_checks, MethodologyReport};
 use routergeo_core::recommend::recommendations;
 use routergeo_core::report::{cdf_series, pct, TextTable};
+use routergeo_core::resolve::ResolvedView;
 use routergeo_core::validation::{
     churn_stats, dns_vs_onems, dns_vs_rtt, rtt_vs_onems, ChurnStats, OverlapAgreement,
 };
-use routergeo_core::ResolvedView;
 use routergeo_dns::ChurnConfig;
 use routergeo_geo::{Rir, CITY_RANGE_KM};
+use std::net::Ipv4Addr;
 
 /// Diagnostic: composition of the world and the Ark set — operator-kind
 /// shares and the share of addresses whose registry country disagrees with
@@ -177,19 +178,17 @@ pub fn ark_view(lab: &Lab) -> ResolvedView {
     ResolvedView::build_with(&lab.dbs, &lab.ark.interfaces, &lab.pool)
 }
 
-/// Resolve the ground-truth addresses once across all databases — the
-/// shared view every §5.2 accuracy figure consumes.
+/// Resolve the ground-truth addresses once across all databases, rows
+/// in `lab.gt.entries` order — the shared view every §5.2 accuracy
+/// figure, the ARIN case study and the majority and endpoint
+/// extensions consume.
 pub fn gt_view(lab: &Lab) -> ResolvedView {
-    let ips: Vec<std::net::Ipv4Addr> = lab.gt.entries.iter().map(|e| e.ip).collect();
+    let ips: Vec<Ipv4Addr> = lab.gt.entries.iter().map(|e| e.ip).collect();
     ResolvedView::build_with(&lab.dbs, &ips, &lab.pool)
 }
 
-/// E2a — §5.1 coverage of the four databases over the Ark set.
-pub fn ark_coverage(lab: &Lab) -> (Vec<CoverageReport>, TextTable) {
-    ark_coverage_from(&ark_view(lab))
-}
-
-/// [`ark_coverage`] from a pre-built Ark [`ResolvedView`].
+/// E2a — §5.1 coverage of the four databases over the Ark set, from the
+/// Ark view ([`ark_view`]).
 pub fn ark_coverage_from(view: &ResolvedView) -> (Vec<CoverageReport>, TextTable) {
     let reports: Vec<CoverageReport> = (0..view.db_count())
         .map(|d| coverage_from_view(view, d))
@@ -211,12 +210,8 @@ pub fn ark_coverage_from(view: &ResolvedView) -> (Vec<CoverageReport>, TextTable
     (reports, t)
 }
 
-/// E2b + E3 — §5.1 pairwise consistency and the Figure 1 distance CDFs.
-pub fn ark_consistency(lab: &Lab) -> (ConsistencyReport, Vec<TextTable>) {
-    ark_consistency_from(&ark_view(lab))
-}
-
-/// [`ark_consistency`] from a pre-built Ark [`ResolvedView`].
+/// E2b + E3 — §5.1 pairwise consistency and the Figure 1 distance CDFs,
+/// from the Ark view ([`ark_view`]).
 pub fn ark_consistency_from(view: &ResolvedView) -> (ConsistencyReport, Vec<TextTable>) {
     let report = consistency_from_view(view);
     let mut tables = Vec::new();
@@ -281,13 +276,8 @@ pub fn ark_consistency_from(view: &ResolvedView) -> (ConsistencyReport, Vec<Text
     (report, tables)
 }
 
-/// E4 — §5.2.1 coverage and accuracy over ground truth + Figure 2 CDFs.
-pub fn gt_accuracy(lab: &Lab) -> (AccuracyReport, Vec<TextTable>) {
-    gt_accuracy_from(lab, &gt_view(lab))
-}
-
-/// [`gt_accuracy`] from a pre-built ground-truth [`ResolvedView`] (rows
-/// in `lab.gt.entries` order).
+/// E4 — §5.2.1 coverage and accuracy over ground truth + Figure 2 CDFs,
+/// from the ground-truth view ([`gt_view`]).
 pub fn gt_accuracy_from(lab: &Lab, view: &ResolvedView) -> (AccuracyReport, Vec<TextTable>) {
     let report = accuracy::evaluate_from_view(view, &lab.gt, 20);
     let mut tables = Vec::new();
@@ -385,14 +375,8 @@ pub fn fig3(report: &AccuracyReport) -> TextTable {
 }
 
 /// E6 — Figure 4: per-country accuracy for the top-20 ground-truth
-/// countries, plus the §5.2.2 common-wrong-answer count.
-pub fn fig4(lab: &Lab, report: &AccuracyReport) -> (usize, TextTable) {
-    fig4_from(lab, &gt_view(lab), report)
-}
-
-/// [`fig4`] from a pre-built ground-truth [`ResolvedView`]: the
-/// common-wrong count reads the three registry-fed columns directly —
-/// no record is materialized just to compare countries.
+/// countries, plus the §5.2.2 common-wrong-answer count, read from the
+/// three registry-fed columns of the ground-truth view ([`gt_view`]).
 pub fn fig4_from(lab: &Lab, view: &ResolvedView, report: &AccuracyReport) -> (usize, TextTable) {
     let mut t = TextTable::new(
         "Figure 4: country-level accuracy for the top-20 ground-truth countries",
@@ -443,13 +427,11 @@ pub fn fig5(report: &AccuracyReport) -> Vec<TextTable> {
     tables
 }
 
-/// E8 — §5.2.3 ARIN case study, for every database (the paper dissects
-/// MaxMind-Paid).
-pub fn arin(lab: &Lab) -> (Vec<ArinCaseStudy>, TextTable) {
-    let cases: Vec<ArinCaseStudy> = lab
-        .dbs
-        .iter()
-        .map(|db| arin_case_study(db, &lab.gt))
+/// E8 — §5.2.3 ARIN case study, for every database of the ground-truth
+/// view ([`gt_view`]; the paper dissects MaxMind-Paid).
+pub fn arin(lab: &Lab, view: &ResolvedView) -> (Vec<ArinCaseStudy>, TextTable) {
+    let cases: Vec<ArinCaseStudy> = (0..view.db_count())
+        .map(|d| arin_case_study(view, d, &lab.gt))
         .collect();
     let mut t = TextTable::new(
         "S5.2.3: ARIN case study",
@@ -611,14 +593,15 @@ pub fn validation(lab: &Lab) -> (OverlapAgreement, ChurnStats, Vec<TextTable>) {
 /// E12 — §4 methodology checks.
 pub fn methodology(lab: &Lab) -> (MethodologyReport, TextTable) {
     // Sample the Ark set to bound cost at paper scale.
-    let sample: Vec<std::net::Ipv4Addr> = lab
+    let sample: Vec<Ipv4Addr> = lab
         .ark
         .interfaces
         .iter()
         .step_by((lab.ark.len() / 50_000).max(1))
         .copied()
         .collect();
-    let report = methodology_checks(&lab.dbs, &lab.gazetteer, &sample);
+    let view = ResolvedView::build_with(&lab.dbs, &sample, &lab.pool);
+    let report = methodology_checks(&view, &lab.gazetteer);
     let mut t = TextTable::new(
         "S4: methodology checks (coordinates within 40 km)",
         &["Check", "compared", "within 40 km"],
@@ -643,9 +626,9 @@ pub fn methodology(lab: &Lab) -> (MethodologyReport, TextTable) {
 /// Extension X1 — the majority-vote methodology of the prior work the
 /// paper contrasts against (§7): apparent accuracy (vs the databases'
 /// majority) against true accuracy (vs ground truth), plus the blind spot
-/// (agreeing while wrong).
-pub fn majority(lab: &Lab) -> TextTable {
-    let comparisons = routergeo_core::majority::compare_against_majority(&lab.dbs, &lab.gt);
+/// (agreeing while wrong), from the ground-truth view ([`gt_view`]).
+pub fn majority(lab: &Lab, view: &ResolvedView) -> TextTable {
+    let comparisons = routergeo_core::majority::compare_against_majority(view, &lab.gt);
     let mut t = TextTable::new(
         "Extension: majority-vote vs ground-truth evaluation (country level)",
         &[
@@ -671,10 +654,14 @@ pub fn majority(lab: &Lab) -> TextTable {
 }
 
 /// Extension X2 — §8's closing claim: databases geolocate end hosts better
-/// than routers.
-pub fn endpoints(lab: &Lab) -> TextTable {
-    let comparisons =
-        routergeo_core::endpoint::routers_vs_endpoints(&lab.dbs, &lab.world, &lab.gt, 5_000);
+/// than routers. The routers are the ground-truth view's ([`gt_view`]);
+/// the end hosts get a view of their own.
+pub fn endpoints(lab: &Lab, view: &ResolvedView) -> TextTable {
+    use routergeo_core::endpoint::{endpoint_ground_truth, routers_vs_endpoints};
+    let hosts = endpoint_ground_truth(&lab.world, 5_000);
+    let ips: Vec<Ipv4Addr> = hosts.iter().map(|e| e.ip).collect();
+    let host_view = ResolvedView::build_with(&lab.dbs, &ips, &lab.pool);
+    let comparisons = routers_vs_endpoints(view, &lab.gt, &host_view, &hosts);
     let mut t = TextTable::new(
         "Extension: router vs end-host accuracy",
         &[
@@ -703,8 +690,9 @@ pub fn endpoints(lab: &Lab) -> TextTable {
 /// CBG over the Atlas probe fleet vs the databases, on the routers CBG can
 /// reach with ≥ 2 landmarks.
 pub fn cbg(lab: &Lab) -> TextTable {
-    use routergeo_db::GeoDatabase;
     let results = routergeo_rtt::cbg::evaluate_cbg(&lab.world, &lab.atlas_records, 20.0, 2);
+    let ips: Vec<Ipv4Addr> = results.iter().map(|(ip, _, _)| *ip).collect();
+    let view = ResolvedView::build_with(&lab.dbs, &ips, &lab.pool);
     let mut t = TextTable::new(
         format!(
             "Extension: CBG (delay-based) vs databases over {} multi-landmark routers",
@@ -724,14 +712,13 @@ pub fn cbg(lab: &Lab) -> TextTable {
         pct(cbg_cdf.fraction_leq(100.0)),
         "100.0%".to_string(),
     ]);
-    for db in &lab.dbs {
+    for (d, name) in view.databases().iter().enumerate() {
         let mut errs = Vec::new();
         let mut covered = 0usize;
-        for (ip, _, _) in &results {
-            let Some(rec) = db.lookup(*ip) else { continue };
-            if !rec.has_city() {
+        for (rec, ip) in view.column(d).iter().zip(&ips) {
+            let Some(rec) = rec.filter(|r| r.has_city()) else {
                 continue;
-            }
+            };
             covered += 1;
             let router = lab.world.router_of_ip(*ip).expect("interface");
             errs.push(rec.coord.expect("city").distance_km(&router.coord));
@@ -739,7 +726,7 @@ pub fn cbg(lab: &Lab) -> TextTable {
         let (cdf, db_dropped) = routergeo_geo::EmpiricalCdf::from_iter_lossy(errs);
         dropped_nan += db_dropped;
         t.row(&[
-            db.name().to_string(),
+            name.clone(),
             cdf.median().map(|m| format!("{m:.1}")).unwrap_or_default(),
             pct(cdf.fraction_leq(40.0)),
             pct(cdf.fraction_leq(100.0)),
@@ -762,7 +749,7 @@ pub fn cbg(lab: &Lab) -> TextTable {
 /// later (the paper's 50-day re-access, §5.2) and check that the drift is
 /// small and the accuracy conclusions are unchanged.
 pub fn temporal(lab: &Lab) -> (TextTable, TextTable) {
-    use routergeo_db::diff::diff_databases;
+    use routergeo_db::diff::diff_answers;
     use routergeo_db::synth::{build_vendor_with, SignalWorld, VendorProfile};
 
     let signals = SignalWorld::new(&lab.world);
@@ -770,8 +757,13 @@ pub fn temporal(lab: &Lab) -> (TextTable, TextTable) {
         .into_iter()
         .map(|p| build_vendor_with(&signals, &p.at_epoch(1), &lab.pool))
         .collect();
+    // One view over the ground truth holds both releases: column `d` is
+    // database `d`, column `n + d` its re-release.
+    let n = lab.dbs.len();
+    let releases: Vec<_> = lab.dbs.iter().chain(&later).collect();
+    let gt_ips: Vec<Ipv4Addr> = lab.gt.entries.iter().map(|e| e.ip).collect();
+    let view = ResolvedView::build_with(&releases, &gt_ips, &lab.pool);
 
-    let gt_ips: Vec<std::net::Ipv4Addr> = lab.gt.entries.iter().map(|e| e.ip).collect();
     let mut drift = TextTable::new(
         "Extension: snapshot drift over one release epoch (ground-truth addresses)",
         &[
@@ -781,8 +773,8 @@ pub fn temporal(lab: &Lab) -> (TextTable, TextTable) {
             "median move km",
         ],
     );
-    for (old, new) in lab.dbs.iter().zip(later.iter()) {
-        let report = diff_databases(old, new, &gt_ips);
+    for d in 0..n {
+        let report = diff_answers(&view.databases()[d], view.column(d), view.column(n + d));
         drift.row(&[
             report.database.clone(),
             pct(report.any_change_rate()),
@@ -795,8 +787,8 @@ pub fn temporal(lab: &Lab) -> (TextTable, TextTable) {
         ]);
     }
 
-    let before = accuracy::evaluate_with(&lab.dbs, &lab.gt, 5, &lab.pool);
-    let after = accuracy::evaluate_with(&later, &lab.gt, 5, &lab.pool);
+    let report = accuracy::evaluate_from_view(&view, &lab.gt, 5);
+    let (before, after) = report.overall.split_at(n);
     let mut acc = TextTable::new(
         "Extension: accuracy before/after one release epoch",
         &[
@@ -807,7 +799,7 @@ pub fn temporal(lab: &Lab) -> (TextTable, TextTable) {
             "city acc (new)",
         ],
     );
-    for (a, b) in before.overall.iter().zip(after.overall.iter()) {
+    for (a, b) in before.iter().zip(after) {
         acc.row(&[
             a.database.clone(),
             pct(a.country_accuracy()),
@@ -892,43 +884,33 @@ pub fn recommend(report: &AccuracyReport) -> String {
 mod tests {
     use super::*;
 
-    // One shared tiny lab: building it is the expensive part.
+    use std::sync::OnceLock;
+
+    // One shared tiny lab and its two views: building them is the
+    // expensive part.
     fn lab() -> &'static Lab {
-        use std::sync::OnceLock;
         static LAB: OnceLock<Lab> = OnceLock::new();
         LAB.get_or_init(|| Lab::tiny(777))
     }
 
-    /// The pinned old-vs-new check at pipeline level: analyses fed one
-    /// shared [`ResolvedView`] must render byte-identical tables to the
-    /// per-analysis entry points (which build their own views), and the
-    /// §5.2.2 common-wrong count must match a naive triple-`lookup`
-    /// loop over the ground truth.
+    fn ark() -> &'static ResolvedView {
+        static ARK: OnceLock<ResolvedView> = OnceLock::new();
+        ARK.get_or_init(|| ark_view(lab()))
+    }
+
+    fn gtv() -> &'static ResolvedView {
+        static GT: OnceLock<ResolvedView> = OnceLock::new();
+        GT.get_or_init(|| gt_view(lab()))
+    }
+
+    /// The §5.2.2 common-wrong count read from the ground-truth view
+    /// must match a naive triple-`lookup` loop over the ground truth.
     #[test]
-    fn shared_view_pipeline_is_byte_identical() {
+    fn common_wrong_count_matches_naive_triple_lookup() {
         use routergeo_db::GeoDatabase;
         let l = lab();
-        let ark = ark_view(l);
-        let gtv = gt_view(l);
-
-        let (_, direct_cov) = ark_coverage(l);
-        let (_, shared_cov) = ark_coverage_from(&ark);
-        assert_eq!(shared_cov.render(), direct_cov.render());
-
-        let (_, direct_con) = ark_consistency(l);
-        let (_, shared_con) = ark_consistency_from(&ark);
-        assert_eq!(shared_con.len(), direct_con.len());
-        for (s, d) in shared_con.iter().zip(&direct_con) {
-            assert_eq!(s.render(), d.render());
-        }
-
-        let (shared_rep, shared_acc) = gt_accuracy_from(l, &gtv);
-        let (_, direct_acc) = gt_accuracy(l);
-        for (s, d) in shared_acc.iter().zip(&direct_acc) {
-            assert_eq!(s.render(), d.render());
-        }
-
-        let (shared_wrong, _) = fig4_from(l, &gtv, &shared_rep);
+        let (report, _) = gt_accuracy_from(l, gtv());
+        let (shared_wrong, _) = fig4_from(l, gtv(), &report);
         let naive_wrong =
             l.gt.entries
                 .iter()
@@ -956,7 +938,7 @@ mod tests {
 
     #[test]
     fn ark_coverage_shape() {
-        let (reports, t) = ark_coverage(lab());
+        let (reports, t) = ark_coverage_from(ark());
         assert_eq!(reports.len(), 4);
         assert_eq!(t.len(), 4);
         // IP2Location/NetAcuity city coverage above MaxMind's.
@@ -968,7 +950,7 @@ mod tests {
 
     #[test]
     fn consistency_shape() {
-        let (report, tables) = ark_consistency(lab());
+        let (report, tables) = ark_consistency_from(ark());
         assert!(!tables.is_empty());
         // MaxMind pair agrees more than cross-vendor pairs.
         let mm = report.country_agree[1][2];
@@ -984,12 +966,12 @@ mod tests {
 
     #[test]
     fn accuracy_and_figures_render() {
-        let (report, tables) = gt_accuracy(lab());
+        let (report, tables) = gt_accuracy_from(lab(), gtv());
         assert_eq!(report.overall.len(), 4);
         assert!(!tables.is_empty());
         let f3 = fig3(&report);
         assert_eq!(f3.len(), 5);
-        let (_, f4) = fig4(lab(), &report);
+        let (_, f4) = fig4_from(lab(), gtv(), &report);
         assert!(f4.len() <= 20 && !f4.is_empty());
         let f5 = fig5(&report);
         assert_eq!(f5.len(), 4);
@@ -999,7 +981,7 @@ mod tests {
 
     #[test]
     fn netacuity_best_country_accuracy_on_gt() {
-        let (report, _) = gt_accuracy(lab());
+        let (report, _) = gt_accuracy_from(lab(), gtv());
         let neta = report.overall[3].country_accuracy();
         for other in &report.overall[..3] {
             assert!(
@@ -1013,7 +995,7 @@ mod tests {
 
     #[test]
     fn arin_case_runs() {
-        let (cases, t) = arin(lab());
+        let (cases, t) = arin(lab(), gtv());
         assert_eq!(cases.len(), 4);
         assert_eq!(t.len(), 4);
         // The registry pull must exist for the registry-fed databases.
@@ -1036,9 +1018,9 @@ mod tests {
 
     #[test]
     fn majority_vote_overstates_registry_fed_databases() {
-        let t = majority(lab());
+        let t = majority(lab(), gtv());
         assert_eq!(t.len(), 4);
-        let comparisons = routergeo_core::majority::compare_against_majority(&lab().dbs, &lab().gt);
+        let comparisons = routergeo_core::majority::compare_against_majority(gtv(), &lab().gt);
         // Registry-fed databases look better under majority methodology
         // than they are; NetAcuity (the dissenter) does not.
         for c in &comparisons[..3] {
@@ -1052,14 +1034,13 @@ mod tests {
 
     #[test]
     fn endpoints_are_easier_than_routers() {
-        let t = endpoints(lab());
+        use routergeo_core::endpoint::{endpoint_ground_truth, routers_vs_endpoints};
+        let t = endpoints(lab(), gtv());
         assert_eq!(t.len(), 4);
-        let cmp = routergeo_core::endpoint::routers_vs_endpoints(
-            &lab().dbs,
-            &lab().world,
-            &lab().gt,
-            2_000,
-        );
+        let hosts = endpoint_ground_truth(&lab().world, 2_000);
+        let ips: Vec<Ipv4Addr> = hosts.iter().map(|e| e.ip).collect();
+        let host_view = ResolvedView::build_with(&lab().dbs, &ips, &lab().pool);
+        let cmp = routers_vs_endpoints(gtv(), &lab().gt, &host_view, &hosts);
         // The registry-fed databases must show a clear endpoint advantage;
         // NetAcuity's hint mining can nearly close the gap on tiny worlds.
         for c in &cmp[..3] {
@@ -1083,15 +1064,16 @@ mod tests {
     fn temporal_drift_is_small_and_preserves_conclusions() {
         let (drift, _) = temporal(lab());
         assert_eq!(drift.len(), 4);
-        use routergeo_db::diff::diff_databases;
+        use routergeo_db::diff::diff_answers;
         use routergeo_db::synth::{build_vendor, SignalWorld, VendorId, VendorProfile};
         let signals = SignalWorld::new(&lab().world);
         let later = build_vendor(
             &signals,
             &VendorProfile::preset(VendorId::MaxMindPaid).at_epoch(1),
         );
-        let ips: Vec<std::net::Ipv4Addr> = lab().gt.entries.iter().map(|e| e.ip).collect();
-        let report = diff_databases(&lab().dbs[2], &later, &ips);
+        let ips: Vec<Ipv4Addr> = lab().gt.entries.iter().map(|e| e.ip).collect();
+        let view = ResolvedView::build_with(&[&lab().dbs[2], &later], &ips, &lab().pool);
+        let report = diff_answers(&view.databases()[0], view.column(0), view.column(1));
         assert!(
             report.material_change_rate() < 0.06,
             "drift too large: {}",
@@ -1102,7 +1084,8 @@ mod tests {
             .into_iter()
             .map(|p| build_vendor(&signals, &p.at_epoch(1)))
             .collect();
-        let rep = accuracy::evaluate(&after, &lab().gt, 5);
+        let after = ResolvedView::build_with(&after, &ips, &lab().pool);
+        let rep = accuracy::evaluate_from_view(&after, &lab().gt, 5);
         for other in &rep.overall[..3] {
             assert!(rep.overall[3].country_accuracy() > other.country_accuracy());
         }
@@ -1110,7 +1093,7 @@ mod tests {
 
     #[test]
     fn recommendations_render() {
-        let (report, _) = gt_accuracy(lab());
+        let (report, _) = gt_accuracy_from(lab(), gtv());
         let text = recommend(&report);
         assert!(text.contains("NetAcuity"), "{text}");
     }

@@ -3,9 +3,9 @@
 //! must complete with a degraded-coverage line in the §5.2 report — not
 //! an error, not a hang.
 
-use routergeo_bench::experiments::fig3;
+use routergeo_bench::experiments::{fig3, gt_view};
 use routergeo_bench::lab::Lab;
-use routergeo_core::accuracy::evaluate;
+use routergeo_core::accuracy::evaluate_from_view;
 use routergeo_cymru::clock::TestClock;
 use routergeo_cymru::{BulkClient, BulkConfig, RetryPolicy};
 use routergeo_faultnet::{ChaosProxy, Fault, FaultPlan, SystemClock};
@@ -57,7 +57,7 @@ fn ground_truth_run_survives_half_failing_whois_with_degraded_coverage_line() {
 
     // The run completes end to end: evaluation still works and Figure 3
     // carries the degraded-coverage line instead of erroring out.
-    let report = evaluate(&lab.dbs, &lab.gt, 20);
+    let report = evaluate_from_view(&gt_view(&lab), &lab.gt, 20);
     assert!(report.rir_coverage < 1.0);
     assert_eq!(report.degraded[0].total, ann.degraded);
     let f3 = fig3(&report);
@@ -92,7 +92,7 @@ fn healthy_socket_annotation_leaves_report_unchanged() {
         .gt
         .table1_row(routergeo_core::groundtruth::GtMethod::DnsBased);
     assert_eq!(before, after, "healthy socket annotation changed Table 1");
-    let report = evaluate(&lab.dbs, &lab.gt, 20);
+    let report = evaluate_from_view(&gt_view(&lab), &lab.gt, 20);
     assert_eq!(report.rir_coverage, 1.0);
     assert_eq!(fig3(&report).len(), 5, "no degraded line on a healthy run");
     srv.shutdown();

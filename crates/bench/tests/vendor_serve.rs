@@ -52,6 +52,7 @@ fn scratch_path(tag: &str, ix: usize) -> PathBuf {
 /// file-backed v2.1 image, vendors 1.. hot-swap in from disk, and every
 /// generation is differentially checked against its in-memory twin on
 /// the probe set (coverage and country must agree exactly).
+#[expect(clippy::panic, reason = "a test helper fails its test by panicking")]
 fn sweep(lab: &Lab, tag: &str, cap: usize) {
     let images = lab.vendor_images();
     assert_eq!(images.len(), lab.dbs.len(), "one v2.1 image per vendor");

@@ -1,8 +1,8 @@
 //! Accuracy against ground truth (§5.2, Figures 2–5).
 //!
-//! Every breakdown slice is tallied from pre-resolved [`ResolvedView`]
-//! columns — never the allocating `GeoDatabase::lookup` (enforced by
-//! lint RG009). The view is built once over the ground-truth addresses,
+//! Every breakdown slice is tallied from [`ResolvedView`] columns, never
+//! from a database: lint RG009 rejects the allocating per-address
+//! `lookup` here. The view is built once over the ground-truth addresses,
 //! and each database's column is walked once: every entry carries the
 //! ids of the slices it belongs to (overall, its RIR, its country when
 //! top-ranked, its method, degraded), and the walk tallies all of them
@@ -13,11 +13,8 @@
 
 use crate::groundtruth::{GroundTruth, GtEntry, GtMethod};
 use crate::resolve::ResolvedView;
-use routergeo_db::GeoDatabase;
 use routergeo_geo::stats::ratio;
 use routergeo_geo::{CountryCode, EmpiricalCdf, Rir, CITY_RANGE_KM};
-use routergeo_pool::Pool;
-use std::borrow::Borrow;
 use std::collections::{HashMap, HashSet};
 use std::net::Ipv4Addr;
 
@@ -107,10 +104,10 @@ struct Tally {
 /// [`VendorAccuracy`] per id in `0..slice_count`. A row whose answer and
 /// ground-truth coordinates repeat the previous city-level row's bit
 /// for bit reuses its error.
-fn evaluate_column<E: Borrow<GtEntry>>(
+fn evaluate_column(
     view: &ResolvedView,
     db: usize,
-    entries: &[E],
+    entries: &[GtEntry],
     slices: &[SliceIds],
     slice_count: usize,
 ) -> Vec<VendorAccuracy> {
@@ -130,7 +127,6 @@ fn evaluate_column<E: Borrow<GtEntry>>(
     let mut city: Vec<(f64, usize)> = Vec::new();
     let mut prev: Option<([[u64; 2]; 2], f64)> = None;
     for (row, (e, ids)) in entries.iter().zip(slices).enumerate() {
-        let e = e.borrow();
         for s in ids.iter() {
             tallies[s].total += 1;
         }
@@ -205,31 +201,15 @@ fn evaluate_column<E: Borrow<GtEntry>>(
         .collect()
 }
 
-/// Evaluate one database over a set of ground-truth entries. Thread
-/// count from the environment ([`Pool::from_env`]).
-pub fn evaluate_entries<'a, D: GeoDatabase + Sync>(
-    db: &D,
-    entries: impl IntoIterator<Item = &'a GtEntry>,
-) -> VendorAccuracy {
-    evaluate_entries_with(db, entries, &Pool::from_env())
-}
-
-/// [`evaluate_entries`] on an explicit pool: the entries are resolved
-/// once into a single-database [`ResolvedView`] and tallied from the
-/// column as one slice, so the Figure 2 CDF holds the same samples the
-/// serial loop would produce.
-pub fn evaluate_entries_with<'a, D: GeoDatabase + Sync>(
-    db: &D,
-    entries: impl IntoIterator<Item = &'a GtEntry>,
-    pool: &Pool,
-) -> VendorAccuracy {
-    let list: Vec<&GtEntry> = entries.into_iter().collect();
-    let ips: Vec<Ipv4Addr> = list.iter().map(|e| e.ip).collect();
-    let view = ResolvedView::build_with(std::slice::from_ref(db), &ips, pool);
+/// Evaluate column `db` of a view whose rows correspond 1:1 (in order)
+/// to `entries`, as one slice, so the Figure 2 CDF holds the same
+/// samples a per-entry loop would produce.
+pub fn evaluate_entries(view: &ResolvedView, db: usize, entries: &[GtEntry]) -> VendorAccuracy {
+    view.expect_entries(entries.len());
     let mut overall = SliceIds::default();
     overall.push(0);
-    let slices = vec![overall; list.len()];
-    let mut accs = evaluate_column(&view, 0, &list, &slices, 1);
+    let slices = vec![overall; entries.len()];
+    let mut accs = evaluate_column(view, db, entries, &slices, 1);
     accs.pop().expect("one slice")
 }
 
@@ -259,47 +239,18 @@ pub struct AccuracyReport {
     pub rir_coverage: f64,
 }
 
-/// Evaluate all databases over the full ground truth with every breakdown
-/// the paper reports. `top_countries` bounds the Figure 4 x-axis (the
-/// paper uses 20). Thread count from the environment
-/// ([`Pool::from_env`]).
-pub fn evaluate<D: GeoDatabase + Sync>(
-    dbs: &[D],
-    gt: &GroundTruth,
-    top_countries: usize,
-) -> AccuracyReport {
-    evaluate_with(dbs, gt, top_countries, &Pool::from_env())
-}
-
-/// [`evaluate`] on an explicit pool: resolves the ground-truth
-/// addresses once into a [`ResolvedView`] and delegates to
-/// [`evaluate_from_view`], so the whole report is identical at every
-/// thread count.
-pub fn evaluate_with<D: GeoDatabase + Sync>(
-    dbs: &[D],
-    gt: &GroundTruth,
-    top_countries: usize,
-    pool: &Pool,
-) -> AccuracyReport {
-    let ips: Vec<Ipv4Addr> = gt.entries.iter().map(|e| e.ip).collect();
-    let view = ResolvedView::build_with(dbs, &ips, pool);
-    evaluate_from_view(&view, gt, top_countries)
-}
-
-/// Produce the full report from a pre-built view whose rows correspond
-/// 1:1 (in order) to `gt.entries` — the shared-view entry point the
-/// pipeline uses. Each entry's slice ids are computed once, and each
-/// database's column is walked once for all of its slices.
+/// Evaluate every database over the full ground truth with every
+/// breakdown the paper reports, from a view whose rows correspond 1:1
+/// (in order) to `gt.entries`. `top_countries` bounds the Figure 4
+/// x-axis (the paper uses 20). Each entry's slice ids are computed
+/// once, and each database's column is walked once for all of its
+/// slices.
 pub fn evaluate_from_view(
     view: &ResolvedView,
     gt: &GroundTruth,
     top_countries: usize,
 ) -> AccuracyReport {
-    assert_eq!(
-        view.len(),
-        gt.entries.len(),
-        "view rows must correspond to ground-truth entries"
-    );
+    view.expect_entries(gt.entries.len());
     let n = view.db_count();
 
     // Figure 4: top countries by ground-truth address count.
@@ -386,26 +337,12 @@ pub fn evaluate_from_view(
     }
 }
 
-/// The three registry-fed databases' common-wrong-answer count (§5.2.2:
-/// 2,277 addresses wrong in IP2Location-Lite, MaxMind-GeoLite, and
-/// MaxMind-Paid simultaneously, with the same wrong country).
-///
-/// Resolves the entries once into a compact view — no full
-/// `LocationRecord` is ever materialized just to read `.country`.
-pub fn common_wrong_country<D: GeoDatabase + Sync>(dbs: &[D; 3], gt: &GroundTruth) -> usize {
-    let ips: Vec<Ipv4Addr> = gt.entries.iter().map(|e| e.ip).collect();
-    let view = ResolvedView::build(dbs.as_slice(), &ips);
-    common_wrong_from_view(&view, [0, 1, 2], gt)
-}
-
-/// [`common_wrong_country`] over three columns of a pre-built view whose
-/// rows correspond 1:1 (in order) to `gt.entries`.
+/// The common-wrong-answer count of three columns of a view whose rows
+/// correspond 1:1 (in order) to `gt.entries` (§5.2.2: 2,277 addresses
+/// wrong in IP2Location-Lite, MaxMind-GeoLite, and MaxMind-Paid
+/// simultaneously, with the same wrong country).
 pub fn common_wrong_from_view(view: &ResolvedView, dbs: [usize; 3], gt: &GroundTruth) -> usize {
-    assert_eq!(
-        view.len(),
-        gt.entries.len(),
-        "view rows must correspond to ground-truth entries"
-    );
+    view.expect_entries(gt.entries.len());
     gt.entries
         .iter()
         .enumerate()
@@ -422,8 +359,9 @@ pub fn common_wrong_from_view(view: &ResolvedView, dbs: [usize; 3], gt: &GroundT
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::resolve::test_view;
     use routergeo_db::inmem::{InMemoryDb, InMemoryDbBuilder};
-    use routergeo_db::{Granularity, LocationRecord};
+    use routergeo_db::{GeoDatabase, Granularity, LocationRecord};
     use routergeo_geo::Coordinate;
 
     fn gt_entry(ip: &str, cc: &str, lat: f64, lon: f64, rir: Rir, method: GtMethod) -> GtEntry {
@@ -483,7 +421,8 @@ mod tests {
             ],
         );
         let gt = sample_gt();
-        let acc = evaluate_entries(&db, &gt.entries);
+        let view = test_view(&[db], gt.entries.iter().map(|e| e.ip));
+        let acc = evaluate_entries(&view, 0, &gt.entries);
         assert_eq!(acc.total, 3);
         assert_eq!(acc.country_accuracy(), 1.0);
         assert_eq!(acc.city_accuracy(), 1.0);
@@ -502,7 +441,8 @@ mod tests {
             ],
         );
         let gt = sample_gt();
-        let acc = evaluate_entries(&db, &gt.entries);
+        let view = test_view(&[db], gt.entries.iter().map(|e| e.ip));
+        let acc = evaluate_entries(&view, 0, &gt.entries);
         assert_eq!(acc.total, 3);
         assert_eq!(acc.country_covered, 2);
         assert_eq!(acc.country_correct, 1);
@@ -515,7 +455,8 @@ mod tests {
     fn report_breaks_down_by_rir_and_method() {
         let db = simple_db("d", &[("6.0.0.0/24", "US", 40.0, -100.0)]);
         let gt = sample_gt();
-        let report = evaluate(&[db], &gt, 20);
+        let view = test_view(&[db], gt.entries.iter().map(|e| e.ip));
+        let report = evaluate_from_view(&view, &gt, 20);
         assert_eq!(report.overall.len(), 1);
         // ARIN slice has 2 entries, RIPE 1.
         assert_eq!(report.by_rir[0][0].total, 2);
@@ -535,18 +476,15 @@ mod tests {
         // Simulate a failed RIR annotation for the Canadian entry.
         gt.entries[1].rir = None;
         gt.degraded = vec![gt.entries[1].ip];
-        let report = evaluate(&[db], &gt, 20);
+        let view = test_view(&[db], gt.entries.iter().map(|e| e.ip));
+        let report = evaluate_from_view(&view, &gt, 20);
         // The degraded entry left the per-RIR breakdown (ARIN down to 1)…
         assert_eq!(report.by_rir[0][0].total, 1);
         // …and landed in the degraded bucket instead of vanishing.
         assert_eq!(report.degraded[0].total, 1);
         assert!((report.rir_coverage - 2.0 / 3.0).abs() < 1e-12);
         // Healthy ground truth reports full coverage and an empty bucket.
-        let clean = evaluate(
-            &[simple_db("d", &[("6.0.0.0/24", "US", 40.0, -100.0)])],
-            &sample_gt(),
-            20,
-        );
+        let clean = evaluate_from_view(&view, &sample_gt(), 20);
         assert_eq!(clean.rir_coverage, 1.0);
         assert_eq!(clean.degraded[0].total, 0);
     }
@@ -557,21 +495,20 @@ mod tests {
         let wrong_us = simple_db("w1", &[("6.0.1.0/24", "US", 40.0, -100.0)]);
         let wrong_us2 = simple_db("w2", &[("6.0.1.0/24", "US", 41.0, -100.0)]);
         let right = simple_db("r", &[("6.0.1.0/24", "CA", 55.0, -100.0)]);
-        assert_eq!(
-            common_wrong_country(&[&wrong_us, &wrong_us2, &wrong_us], &gt),
-            1
+        let view = test_view(
+            &[wrong_us, wrong_us2, right],
+            gt.entries.iter().map(|e| e.ip),
         );
-        assert_eq!(
-            common_wrong_country(&[&wrong_us, &wrong_us2, &right], &gt),
-            0
-        );
+        assert_eq!(common_wrong_from_view(&view, [0, 1, 0], &gt), 1);
+        assert_eq!(common_wrong_from_view(&view, [0, 1, 2], &gt), 0);
     }
 
     #[test]
     fn uncovered_entries_do_not_poison_accuracy() {
         let db = simple_db("sparse", &[("6.0.0.0/24", "US", 40.0, -100.0)]);
         let gt = sample_gt();
-        let acc = evaluate_entries(&db, &gt.entries);
+        let view = test_view(&[db], gt.entries.iter().map(|e| e.ip));
+        let acc = evaluate_entries(&view, 0, &gt.entries);
         assert_eq!(acc.country_covered, 1);
         assert_eq!(acc.country_accuracy(), 1.0);
         assert!((acc.country_coverage() - 1.0 / 3.0).abs() < 1e-12);
@@ -604,7 +541,8 @@ mod tests {
         degraded.rir = None;
         gt.degraded = vec![degraded.ip];
         gt.entries.insert(2, degraded);
-        let report = evaluate(&dbs, &gt, 20);
+        let view = test_view(&dbs, gt.entries.iter().map(|e| e.ip));
+        let report = evaluate_from_view(&view, &gt, 20);
 
         let naive = |db: &InMemoryDb, keep: &dyn Fn(&GtEntry) -> bool| {
             let mut acc = (0, 0, 0, 0, 0);
@@ -675,6 +613,6 @@ mod tests {
                 )
             })
             .count();
-        assert_eq!(common_wrong_country(&trio, &gt), naive);
+        assert_eq!(common_wrong_from_view(&view, [0, 0, 1], &gt), naive);
     }
 }

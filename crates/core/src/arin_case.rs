@@ -5,9 +5,13 @@
 //! to the US anyway* (registry data), and among the wrong US city answers
 //! the overwhelming majority are block-level entries — whole blocks
 //! assigned one location even though their routers are elsewhere.
+//!
+//! The study reads a [`ResolvedView`] column over the ground truth,
+//! never a database: lint RG009 rejects the allocating per-address
+//! `lookup` here.
 
 use crate::groundtruth::GroundTruth;
-use routergeo_db::GeoDatabase;
+use crate::resolve::ResolvedView;
 use routergeo_geo::{CountryCode, Rir, CITY_RANGE_KM};
 
 /// The §5.2.3 counters for one database.
@@ -49,11 +53,13 @@ impl ArinCaseStudy {
     }
 }
 
-/// Run the case study for one database.
-pub fn arin_case_study<D: GeoDatabase>(db: &D, gt: &GroundTruth) -> ArinCaseStudy {
+/// Run the case study for column `db` of a view whose rows correspond
+/// 1:1 (in order) to `gt.entries`.
+pub fn arin_case_study(view: &ResolvedView, db: usize, gt: &GroundTruth) -> ArinCaseStudy {
+    view.expect_entries(gt.entries.len());
     let us: CountryCode = "US".parse().expect("US is valid");
     let mut out = ArinCaseStudy {
-        database: db.name().to_string(),
+        database: view.databases()[db].clone(),
         arin_total: 0,
         arin_non_us: 0,
         non_us_pulled_to_us: 0,
@@ -66,7 +72,7 @@ pub fn arin_case_study<D: GeoDatabase>(db: &D, gt: &GroundTruth) -> ArinCaseStud
         right_block_level: 0,
     };
 
-    for e in &gt.entries {
+    for (row, e) in gt.entries.iter().enumerate() {
         let is_arin = e.rir == Some(Rir::Arin);
         let truly_us = e.country == us;
         if truly_us {
@@ -76,11 +82,11 @@ pub fn arin_case_study<D: GeoDatabase>(db: &D, gt: &GroundTruth) -> ArinCaseStud
             continue;
         }
         out.arin_total += 1;
-        let rec = db.lookup(e.ip);
+        let rec = view.record(db, row);
 
         if !truly_us {
             out.arin_non_us += 1;
-            if let Some(rec) = &rec {
+            if let Some(rec) = rec {
                 if rec.country == Some(us) {
                     out.non_us_pulled_to_us += 1;
                     if rec.has_city() {
@@ -92,7 +98,7 @@ pub fn arin_case_study<D: GeoDatabase>(db: &D, gt: &GroundTruth) -> ArinCaseStud
                     }
                 }
             }
-        } else if let Some(rec) = &rec {
+        } else if let Some(rec) = rec {
             if rec.has_city() {
                 out.us_city_answers += 1;
                 let d = rec.coord.expect("city").distance_km(&e.coord);
@@ -114,6 +120,7 @@ pub fn arin_case_study<D: GeoDatabase>(db: &D, gt: &GroundTruth) -> ArinCaseStud
 mod tests {
     use super::*;
     use crate::groundtruth::{GtEntry, GtMethod};
+    use crate::resolve::test_view;
     use routergeo_db::inmem::InMemoryDbBuilder;
     use routergeo_db::{Granularity, LocationRecord};
     use routergeo_geo::Coordinate;
@@ -153,7 +160,7 @@ mod tests {
         b.push_prefix("6.0.1.0/24".parse().unwrap(), us_city);
         let db = b.build().unwrap();
 
-        let case = arin_case_study(&db, &gt);
+        let case = arin_case_study(&test_view(&[db], gt.entries.iter().map(|e| e.ip)), 0, &gt);
         assert_eq!(case.arin_total, 2);
         assert_eq!(case.arin_non_us, 1);
         assert_eq!(case.non_us_pulled_to_us, 1);
@@ -187,7 +194,7 @@ mod tests {
             },
         );
         let db = b.build().unwrap();
-        let case = arin_case_study(&db, &gt);
+        let case = arin_case_study(&test_view(&[db], gt.entries.iter().map(|e| e.ip)), 0, &gt);
         assert_eq!(case.us_city_answers, 1);
         assert_eq!(case.us_city_wrong, 1);
         assert_eq!(case.wrong_block_level, 1);
@@ -202,7 +209,7 @@ mod tests {
             degraded: vec![],
         };
         let db = InMemoryDbBuilder::new("mm").build().unwrap();
-        let case = arin_case_study(&db, &gt);
+        let case = arin_case_study(&test_view(&[db], gt.entries.iter().map(|e| e.ip)), 0, &gt);
         assert_eq!(case.arin_total, 0);
         assert_eq!(case.us_total, 0);
     }

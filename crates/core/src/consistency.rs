@@ -6,8 +6,8 @@
 //! yields a distance distribution over the addresses that are city-level
 //! in **all** participating databases (the paper's Figure 1 population).
 //!
-//! The tallies consume pre-resolved [`ResolvedView`] columns — never
-//! the allocating `GeoDatabase::lookup` (enforced by lint RG009). The
+//! The tallies read [`ResolvedView`] columns, never a database: lint
+//! RG009 rejects the allocating per-address `lookup` here. The
 //! parallelism lives in the view build; the tally itself is one serial
 //! pass over the flat columns. Consecutive Figure 1 rows often carry the
 //! same coordinates in every database, so each pair keeps its samples as
@@ -17,11 +17,8 @@
 //! distance, which holds the same samples as the row-order sequence.
 
 use crate::resolve::ResolvedView;
-use routergeo_db::GeoDatabase;
 use routergeo_geo::stats::ratio;
 use routergeo_geo::{Coordinate, EmpiricalCdf, CITY_RANGE_KM};
-use routergeo_pool::Pool;
-use std::net::Ipv4Addr;
 
 /// Pairwise and overall consistency over an address set.
 #[derive(Debug)]
@@ -71,26 +68,8 @@ impl ConsistencyReport {
     }
 }
 
-/// Compute the consistency report for a set of databases over `ips`.
-/// Thread count from the environment ([`Pool::from_env`]).
-pub fn consistency<D: GeoDatabase + Sync>(dbs: &[D], ips: &[Ipv4Addr]) -> ConsistencyReport {
-    consistency_with(dbs, ips, &Pool::from_env())
-}
-
-/// [`consistency`] on an explicit pool: resolves the addresses once
-/// into a [`ResolvedView`] and tallies from the columns.
-pub fn consistency_with<D: GeoDatabase + Sync>(
-    dbs: &[D],
-    ips: &[Ipv4Addr],
-    pool: &Pool,
-) -> ConsistencyReport {
-    let view = ResolvedView::build_with(dbs, ips, pool);
-    consistency_from_view(&view)
-}
-
-/// Tally the consistency report from a pre-built view — the shared-view
-/// entry point the pipeline uses so consistency reads the same
-/// resolve-once answers as coverage and accuracy.
+/// Tally the consistency report from a view, so consistency reads the
+/// same resolve-once answers as coverage and accuracy.
 pub fn consistency_from_view(view: &ResolvedView) -> ConsistencyReport {
     let n = view.db_count();
     let mut span = routergeo_obs::span!("core.consistency", databases = n, addresses = view.len());
@@ -216,9 +195,11 @@ pub fn consistency_from_view(view: &ResolvedView) -> ConsistencyReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::resolve::test_view;
     use routergeo_db::inmem::{InMemoryDb, InMemoryDbBuilder};
     use routergeo_db::{Granularity, LocationRecord};
     use routergeo_geo::Coordinate;
+    use std::net::Ipv4Addr;
 
     fn db(name: &str, specs: &[(&str, &str, f64, f64)]) -> InMemoryDb {
         let mut b = InMemoryDbBuilder::new(name);
@@ -241,8 +222,8 @@ mod tests {
     fn perfect_agreement() {
         let a = db("a", &[("6.0.0.0/24", "US", 40.0, -100.0)]);
         let b = db("b", &[("6.0.0.0/24", "US", 40.0, -100.0)]);
-        let ips = vec!["6.0.0.1".parse().unwrap()];
-        let rep = consistency(&[a, b], &ips);
+        let ips: Vec<Ipv4Addr> = vec!["6.0.0.1".parse().unwrap()];
+        let rep = consistency_from_view(&test_view(&[a, b], ips));
         assert_eq!(rep.all_agreement(), 1.0);
         assert_eq!(rep.city_in_all, 1);
         assert_eq!(rep.pair_disagreement(0, 1), Some(0.0));
@@ -252,8 +233,8 @@ mod tests {
     fn country_disagreement_detected() {
         let a = db("a", &[("6.0.0.0/24", "US", 40.0, -100.0)]);
         let b = db("b", &[("6.0.0.0/24", "CA", 55.0, -100.0)]);
-        let ips = vec!["6.0.0.1".parse().unwrap()];
-        let rep = consistency(&[a, b], &ips);
+        let ips: Vec<Ipv4Addr> = vec!["6.0.0.1".parse().unwrap()];
+        let rep = consistency_from_view(&test_view(&[a, b], ips));
         assert_eq!(rep.all_agreement(), 0.0);
         assert_eq!(rep.country_agree[0][1], 0.0);
         // ~1668 km apart → city-level disagreement too.
@@ -270,8 +251,8 @@ mod tests {
             LocationRecord::country_level("US".parse().unwrap(), Granularity::Aggregate),
         );
         let b = bb.build().unwrap();
-        let ips = vec!["6.0.0.1".parse().unwrap()];
-        let rep = consistency(&[a, b], &ips);
+        let ips: Vec<Ipv4Addr> = vec!["6.0.0.1".parse().unwrap()];
+        let rep = consistency_from_view(&test_view(&[a, b], ips));
         assert_eq!(rep.city_in_all, 0);
         assert!(rep.pair(0, 1).unwrap().is_empty());
         // Country still agrees.
@@ -282,8 +263,8 @@ mod tests {
     fn missing_records_shrink_denominators() {
         let a = db("a", &[("6.0.0.0/24", "US", 40.0, -100.0)]);
         let b = db("b", &[]); // empty
-        let ips = vec!["6.0.0.1".parse().unwrap(), "7.0.0.1".parse().unwrap()];
-        let rep = consistency(&[a, b], &ips);
+        let ips: Vec<Ipv4Addr> = vec!["6.0.0.1".parse().unwrap(), "7.0.0.1".parse().unwrap()];
+        let rep = consistency_from_view(&test_view(&[a, b], ips));
         assert_eq!(rep.all_country_covered, 0);
         assert_eq!(rep.all_agreement(), 0.0);
         assert_eq!(rep.country_agree[0][1], 0.0);
@@ -294,8 +275,8 @@ mod tests {
         let a = db("a", &[("6.0.0.0/24", "US", 40.0, -100.0)]);
         let b = db("b", &[("6.0.0.0/24", "US", 40.1, -100.0)]);
         let c = db("c", &[("6.0.0.0/24", "DE", 51.0, 9.0)]);
-        let ips = vec!["6.0.0.1".parse().unwrap()];
-        let rep = consistency(&[a, b, c], &ips);
+        let ips: Vec<Ipv4Addr> = vec!["6.0.0.1".parse().unwrap()];
+        let rep = consistency_from_view(&test_view(&[a, b, c], ips));
         assert_eq!(rep.all_country_covered, 1);
         assert_eq!(rep.all_country_agree, 0);
         assert_eq!(rep.country_agree[0][1], 1.0);
@@ -303,33 +284,5 @@ mod tests {
         // a-b are ~11 km apart (same city), a-c across the ocean.
         assert!(rep.pair_disagreement(0, 1).unwrap() < 1e-12);
         assert_eq!(rep.pair_disagreement(0, 2), Some(1.0));
-    }
-
-    #[test]
-    fn shared_view_matches_direct_entry_point() {
-        let a = db(
-            "a",
-            &[
-                ("6.0.0.0/24", "US", 40.0, -100.0),
-                ("6.0.1.0/24", "US", 41.0, -100.0),
-            ],
-        );
-        let b = db("b", &[("6.0.0.0/24", "CA", 55.0, -100.0)]);
-        let dbs = [a, b];
-        let ips: Vec<Ipv4Addr> = vec![
-            "6.0.0.1".parse().unwrap(),
-            "6.0.1.1".parse().unwrap(),
-            "9.9.9.9".parse().unwrap(),
-        ];
-        let direct = consistency(&dbs, &ips);
-        let view = ResolvedView::build(&dbs, &ips);
-        let shared = consistency_from_view(&view);
-        assert_eq!(shared.country_agree, direct.country_agree);
-        assert_eq!(shared.city_in_all, direct.city_in_all);
-        assert_eq!(shared.all_country_agree, direct.all_country_agree);
-        assert_eq!(
-            shared.pair(0, 1).unwrap().len(),
-            direct.pair(0, 1).unwrap().len()
-        );
     }
 }

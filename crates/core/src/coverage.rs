@@ -1,14 +1,11 @@
 //! Coverage: what fraction of an address set a database can answer for,
 //! at country and at city level (§5.1, §5.2.1).
 //!
-//! The tallies consume a pre-resolved [`ResolvedView`] column — never
-//! the allocating `GeoDatabase::lookup` (enforced by lint RG009).
+//! The tallies read a [`ResolvedView`] column, never a database: lint
+//! RG009 rejects the allocating per-address `lookup` here.
 
 use crate::resolve::ResolvedView;
-use routergeo_db::GeoDatabase;
 use routergeo_geo::stats::ratio;
-use routergeo_pool::Pool;
-use std::net::Ipv4Addr;
 
 /// Coverage of one database over one address set.
 #[derive(Debug, Clone, PartialEq)]
@@ -37,28 +34,8 @@ impl CoverageReport {
     }
 }
 
-/// Measure coverage of `db` over `ips`. Thread count from the
-/// environment ([`Pool::from_env`]).
-pub fn coverage<D: GeoDatabase + Sync>(db: &D, ips: &[Ipv4Addr]) -> CoverageReport {
-    coverage_with(db, ips, &Pool::from_env())
-}
-
-/// [`coverage`] on an explicit pool: the addresses are resolved once
-/// into a single-database [`ResolvedView`] (sharded, merged in shard
-/// order) and tallied from the column, so the report is identical at
-/// every thread count.
-pub fn coverage_with<D: GeoDatabase + Sync>(
-    db: &D,
-    ips: &[Ipv4Addr],
-    pool: &Pool,
-) -> CoverageReport {
-    let view = ResolvedView::build_with(std::slice::from_ref(db), ips, pool);
-    coverage_from_view(&view, 0)
-}
-
-/// Tally coverage of column `db` of a pre-built view — the shared-view
-/// entry point the pipeline uses so every analysis reads the same
-/// resolve-once answers.
+/// Tally coverage of column `db` of a view, so every analysis reads the
+/// same resolve-once answers.
 pub fn coverage_from_view(view: &ResolvedView, db: usize) -> CoverageReport {
     let mut span = routergeo_obs::span!(
         "core.coverage",
@@ -90,9 +67,11 @@ pub fn coverage_from_view(view: &ResolvedView, db: usize) -> CoverageReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::resolve::test_view;
     use routergeo_db::inmem::InMemoryDbBuilder;
     use routergeo_db::{Granularity, LocationRecord};
     use routergeo_geo::Coordinate;
+    use std::net::Ipv4Addr;
 
     #[test]
     fn counts_resolutions_separately() {
@@ -117,23 +96,19 @@ mod tests {
             "6.0.1.1".parse().unwrap(),
             "9.9.9.9".parse().unwrap(),
         ];
-        let rep = coverage(&db, &ips);
+        let rep = coverage_from_view(&test_view(&[db], ips), 0);
         assert_eq!(rep.total, 3);
         assert_eq!(rep.with_record, 2);
         assert_eq!(rep.with_country, 2);
         assert_eq!(rep.with_city, 1);
         assert!((rep.country_coverage() - 2.0 / 3.0).abs() < 1e-12);
         assert!((rep.city_coverage() - 1.0 / 3.0).abs() < 1e-12);
-
-        // The shared-view entry point reports identically.
-        let view = ResolvedView::build(std::slice::from_ref(&db), &ips);
-        assert_eq!(coverage_from_view(&view, 0), rep);
     }
 
     #[test]
     fn empty_input() {
         let db = InMemoryDbBuilder::new("t").build().unwrap();
-        let rep = coverage(&db, &[]);
+        let rep = coverage_from_view(&test_view(&[db], []), 0);
         assert_eq!(rep.total, 0);
         assert_eq!(rep.country_coverage(), 0.0);
         assert_eq!(rep.city_coverage(), 0.0);

@@ -10,11 +10,13 @@
 //! This module samples synthetic end-host addresses (non-interface hosts
 //! inside stub blocks, whose true location is the block's deployment
 //! city), evaluates every database on them, and contrasts the result with
-//! the router ground truth.
+//! the router ground truth. Both populations are read from
+//! [`ResolvedView`]s over the same databases, never from a database:
+//! lint RG009 rejects the allocating per-address `lookup` here.
 
 use crate::accuracy::{evaluate_entries, VendorAccuracy};
 use crate::groundtruth::{GroundTruth, GtEntry, GtMethod};
-use routergeo_db::GeoDatabase;
+use crate::resolve::ResolvedView;
 use routergeo_world::{OperatorKind, World};
 use std::net::Ipv4Addr;
 
@@ -77,19 +79,21 @@ impl EndpointComparison {
     }
 }
 
-/// Evaluate every database over both populations.
-pub fn routers_vs_endpoints<D: GeoDatabase + Sync>(
-    dbs: &[D],
-    world: &World,
+/// Evaluate every database over both populations: `routers` has one row
+/// per `router_gt` entry and `endpoints` one per `endpoint_gt` entry
+/// (from [`endpoint_ground_truth`]), with the same databases in the
+/// same order.
+pub fn routers_vs_endpoints(
+    routers: &ResolvedView,
     router_gt: &GroundTruth,
-    endpoint_sample: usize,
+    endpoints: &ResolvedView,
+    endpoint_gt: &[GtEntry],
 ) -> Vec<EndpointComparison> {
-    let endpoints = endpoint_ground_truth(world, endpoint_sample);
-    dbs.iter()
-        .map(|db| EndpointComparison {
-            database: db.name().to_string(),
-            routers: evaluate_entries(db, &router_gt.entries),
-            endpoints: evaluate_entries(db, &endpoints),
+    (0..routers.db_count())
+        .map(|d| EndpointComparison {
+            database: routers.databases()[d].clone(),
+            routers: evaluate_entries(routers, d, &router_gt.entries),
+            endpoints: evaluate_entries(endpoints, d, endpoint_gt),
         })
         .collect()
 }
@@ -103,6 +107,7 @@ pub fn is_endpoint(world: &World, ip: Ipv4Addr) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::resolve::test_view;
     use routergeo_db::synth::{build_vendor, SignalWorld, VendorProfile};
     use routergeo_world::WorldConfig;
 
@@ -163,7 +168,13 @@ mod tests {
             overlap: vec![],
             degraded: vec![],
         };
-        let cmp = routers_vs_endpoints(&dbs, &w, &router_gt, 1_000);
+        let endpoint_gt = endpoint_ground_truth(&w, 1_000);
+        let cmp = routers_vs_endpoints(
+            &test_view(&dbs, router_gt.entries.iter().map(|e| e.ip)),
+            &router_gt,
+            &test_view(&dbs, endpoint_gt.iter().map(|e| e.ip)),
+            &endpoint_gt,
+        );
         assert_eq!(cmp.len(), 4);
         for c in &cmp {
             assert!(

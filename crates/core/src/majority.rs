@@ -7,13 +7,16 @@
 //! "agreement among the databases does not imply correctness" — directly:
 //! a database can agree beautifully with the majority while the majority
 //! itself is wrong (all registry-fed databases share the same upstream).
+//!
+//! The vote reads one row of a [`ResolvedView`] across its databases,
+//! never a database: lint RG009 rejects the allocating per-address
+//! `lookup` here.
 
 use crate::groundtruth::GroundTruth;
-use routergeo_db::GeoDatabase;
+use crate::resolve::ResolvedView;
 use routergeo_geo::stats::ratio;
 use routergeo_geo::{Coordinate, CountryCode, CITY_RANGE_KM};
 use std::collections::HashMap;
-use std::net::Ipv4Addr;
 
 /// The majority's verdict for one address.
 #[derive(Debug, Clone, PartialEq)]
@@ -27,13 +30,14 @@ pub struct MajorityLocation {
     pub coord: Option<Coordinate>,
 }
 
-/// Compute the majority location for one address across databases.
-pub fn majority_location<D: GeoDatabase>(dbs: &[D], ip: Ipv4Addr) -> MajorityLocation {
-    let records: Vec<_> = dbs.iter().filter_map(|d| d.lookup(ip)).collect();
+/// Compute the majority location for row `row` of a view, across its
+/// databases.
+pub fn majority_location(view: &ResolvedView, row: usize) -> MajorityLocation {
+    let records = || (0..view.db_count()).filter_map(|d| view.record(d, row));
 
     // Country: plurality vote, ties disqualify.
     let mut counts: HashMap<CountryCode, usize> = HashMap::new();
-    for r in &records {
+    for r in records() {
         if let Some(cc) = r.country {
             *counts.entry(cc).or_default() += 1;
         }
@@ -50,8 +54,7 @@ pub fn majority_location<D: GeoDatabase>(dbs: &[D], ip: Ipv4Addr) -> MajorityLoc
     // Coordinates: medoid of city-level answers — the answer minimizing
     // total distance to the others — provided it sits within the city
     // range of at least half of them.
-    let coords: Vec<Coordinate> = records
-        .iter()
+    let coords: Vec<Coordinate> = records()
         .filter(|r| r.has_city())
         .filter_map(|r| r.coord)
         .collect();
@@ -113,15 +116,16 @@ impl MajorityComparison {
     }
 }
 
-/// Score every database both ways over the ground-truth addresses.
-pub fn compare_against_majority<D: GeoDatabase>(
-    dbs: &[D],
-    gt: &GroundTruth,
-) -> Vec<MajorityComparison> {
-    let mut out: Vec<MajorityComparison> = dbs
+/// Score every database of a view both ways over the ground-truth
+/// addresses, the view's rows corresponding 1:1 (in order) to
+/// `gt.entries`.
+pub fn compare_against_majority(view: &ResolvedView, gt: &GroundTruth) -> Vec<MajorityComparison> {
+    view.expect_entries(gt.entries.len());
+    let mut out: Vec<MajorityComparison> = view
+        .databases()
         .iter()
-        .map(|d| MajorityComparison {
-            database: d.name().to_string(),
+        .map(|name| MajorityComparison {
+            database: name.clone(),
             scored: 0,
             agrees_with_majority: 0,
             correct_per_truth: 0,
@@ -129,26 +133,26 @@ pub fn compare_against_majority<D: GeoDatabase>(
         })
         .collect();
 
-    for e in &gt.entries {
-        let majority = majority_location(dbs, e.ip);
+    for (row, e) in gt.entries.iter().enumerate() {
+        let majority = majority_location(view, row);
         let Some(maj_cc) = majority.country else {
             continue;
         };
-        for (i, db) in dbs.iter().enumerate() {
-            let Some(cc) = db.lookup(e.ip).and_then(|r| r.country) else {
+        for (d, score) in out.iter_mut().enumerate() {
+            let Some(cc) = view.record(d, row).and_then(|r| r.country) else {
                 continue;
             };
-            out[i].scored += 1;
+            score.scored += 1;
             let agrees = cc == maj_cc;
             let correct = cc == e.country;
             if agrees {
-                out[i].agrees_with_majority += 1;
+                score.agrees_with_majority += 1;
             }
             if correct {
-                out[i].correct_per_truth += 1;
+                score.correct_per_truth += 1;
             }
             if agrees && !correct {
-                out[i].agree_but_wrong += 1;
+                score.agree_but_wrong += 1;
             }
         }
     }
@@ -159,6 +163,7 @@ pub fn compare_against_majority<D: GeoDatabase>(
 mod tests {
     use super::*;
     use crate::groundtruth::{GtEntry, GtMethod};
+    use crate::resolve::test_view;
     use routergeo_db::inmem::{InMemoryDb, InMemoryDbBuilder};
     use routergeo_db::{Granularity, LocationRecord};
     use routergeo_geo::Rir;
@@ -200,7 +205,7 @@ mod tests {
             db("b", "US", 40.1),
             db("c", "CA", 55.0),
         ];
-        let m = majority_location(&dbs, "6.0.0.1".parse().unwrap());
+        let m = majority_location(&test_view(&dbs, ["6.0.0.1".parse().unwrap()]), 0);
         assert_eq!(m.country.unwrap().as_str(), "US");
         assert_eq!(m.votes, 2);
         // Medoid of the two co-located US answers.
@@ -211,7 +216,7 @@ mod tests {
     #[test]
     fn ties_produce_no_majority() {
         let dbs = vec![db("a", "US", 40.0), db("b", "CA", 55.0)];
-        let m = majority_location(&dbs, "6.0.0.1".parse().unwrap());
+        let m = majority_location(&test_view(&dbs, ["6.0.0.1".parse().unwrap()]), 0);
         assert_eq!(m.country, None);
     }
 
@@ -219,7 +224,7 @@ mod tests {
     fn missing_records_do_not_vote() {
         let empty = InMemoryDbBuilder::new("empty").build().unwrap();
         let dbs = vec![db("a", "US", 40.0), empty];
-        let m = majority_location(&dbs, "6.0.0.1".parse().unwrap());
+        let m = majority_location(&test_view(&dbs, ["6.0.0.1".parse().unwrap()]), 0);
         assert_eq!(m.country.unwrap().as_str(), "US");
         assert_eq!(m.votes, 1);
     }
@@ -234,7 +239,9 @@ mod tests {
             db("b", "US", 40.0),
             db("c", "US", 40.1),
         ];
-        let cmp = compare_against_majority(&dbs, &gt("CA"));
+        let truth = gt("CA");
+        let cmp =
+            compare_against_majority(&test_view(&dbs, truth.entries.iter().map(|e| e.ip)), &truth);
         for c in &cmp {
             assert_eq!(c.apparent_accuracy(), 1.0, "{c:?}");
             assert_eq!(c.true_accuracy(), 0.0);
@@ -252,7 +259,9 @@ mod tests {
             db("b", "US", 40.0),
             db("c", "CA", 55.0),
         ];
-        let cmp = compare_against_majority(&dbs, &gt("CA"));
+        let truth = gt("CA");
+        let cmp =
+            compare_against_majority(&test_view(&dbs, truth.entries.iter().map(|e| e.ip)), &truth);
         assert_eq!(cmp[2].apparent_accuracy(), 0.0); // right but outvoted
         assert_eq!(cmp[2].true_accuracy(), 1.0);
         assert_eq!(cmp[0].apparent_accuracy(), 1.0); // wrong but conformist

@@ -10,13 +10,17 @@
 //! 2. any two databases place *the same city name* within 40 km of each
 //!    other more than 99% of the time — so coordinate comparison is a
 //!    sound substitute for city-name comparison.
+//!
+//! Both checks read the answers of one [`ResolvedView`] and compare city
+//! names by interner id. An id names the same city in every column only
+//! because a view's databases share its one interner, so the columns
+//! must come from one view.
 
-use routergeo_db::GeoDatabase;
+use crate::resolve::ResolvedView;
 use routergeo_gazetteer::Gazetteer;
 use routergeo_geo::stats::ratio;
-use routergeo_geo::CITY_RANGE_KM;
+use routergeo_geo::{Coordinate, CountryCode, CITY_RANGE_KM};
 use std::collections::HashMap;
-use std::net::Ipv4Addr;
 
 /// Result of the §4 sanity checks.
 #[derive(Debug, Clone)]
@@ -47,38 +51,34 @@ impl MethodologyReport {
     }
 }
 
-/// Run both checks over an address sample.
-pub fn methodology_checks<D: GeoDatabase>(
-    dbs: &[D],
-    gazetteer: &Gazetteer,
-    ips: &[Ipv4Addr],
-) -> MethodologyReport {
-    // Collect each database's city coordinate table as observed through
-    // lookups: city name (+country) → coordinate.
-    let mut per_db_cities: Vec<
-        HashMap<(String, routergeo_geo::CountryCode), routergeo_geo::Coordinate>,
-    > = vec![HashMap::new(); dbs.len()];
-    for ip in ips {
-        for (i, db) in dbs.iter().enumerate() {
-            let Some(rec) = db.lookup(*ip) else { continue };
-            if !rec.has_city() {
-                continue;
+/// Run both checks over the addresses of a view.
+pub fn methodology_checks(view: &ResolvedView, gazetteer: &Gazetteer) -> MethodologyReport {
+    // Each database's city coordinate table as observed through its
+    // answers: (city id, country) → the first coordinate seen.
+    let per_db_cities: Vec<HashMap<(u32, CountryCode), Coordinate>> = (0..view.db_count())
+        .map(|d| {
+            let mut cities = HashMap::new();
+            for rec in view.column(d).iter().flatten() {
+                if let (Some(city), Some(country), Some(coord)) =
+                    (rec.city_id, rec.country, rec.coord)
+                {
+                    cities.entry((city, country)).or_insert(coord);
+                }
             }
-            let (Some(city), Some(country), Some(coord)) =
-                (rec.city.clone(), rec.country, rec.coord)
-            else {
-                continue;
-            };
-            per_db_cities[i].entry((city, country)).or_insert(coord);
-        }
-    }
+            cities
+        })
+        .collect();
 
     // Check 1: vs the gazetteer.
     let mut gazetteer_check = Vec::new();
-    for (i, db) in dbs.iter().enumerate() {
+    for (name, cities) in view.databases().iter().zip(&per_db_cities) {
         let mut total = 0usize;
         let mut ok = 0usize;
-        for ((city, country), coord) in &per_db_cities[i] {
+        for ((city, country), coord) in cities {
+            let city = view
+                .interner()
+                .resolve(*city)
+                .expect("city ids are interned");
             if let Some(entry) = gazetteer.lookup(city, None, *country) {
                 total += 1;
                 if coord.distance_km(&entry.coord) <= CITY_RANGE_KM {
@@ -86,13 +86,14 @@ pub fn methodology_checks<D: GeoDatabase>(
                 }
             }
         }
-        gazetteer_check.push((db.name().to_string(), total, ok));
+        gazetteer_check.push((name.clone(), total, ok));
     }
 
     // Check 2: same city name across database pairs.
     let mut cross_db_check = Vec::new();
-    for i in 0..dbs.len() {
-        for j in i + 1..dbs.len() {
+    let names = view.databases();
+    for i in 0..names.len() {
+        for j in i + 1..names.len() {
             let mut total = 0usize;
             let mut ok = 0usize;
             for (key, coord_a) in &per_db_cities[i] {
@@ -103,12 +104,7 @@ pub fn methodology_checks<D: GeoDatabase>(
                     }
                 }
             }
-            cross_db_check.push((
-                dbs[i].name().to_string(),
-                dbs[j].name().to_string(),
-                total,
-                ok,
-            ));
+            cross_db_check.push((names[i].clone(), names[j].clone(), total, ok));
         }
     }
 
@@ -121,6 +117,7 @@ pub fn methodology_checks<D: GeoDatabase>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::resolve::test_view;
     use routergeo_db::synth::{build_vendor, SignalWorld, VendorProfile};
     use routergeo_world::{World, WorldConfig};
 
@@ -133,8 +130,8 @@ mod tests {
             .map(|p| build_vendor(&signals, p))
             .collect();
         let gazetteer = Gazetteer::from_world(&w, 3, 3.0);
-        let ips: Vec<Ipv4Addr> = w.interfaces.iter().step_by(3).map(|i| i.ip).collect();
-        let report = methodology_checks(&dbs, &gazetteer, &ips);
+        let ips = w.interfaces.iter().step_by(3).map(|i| i.ip);
+        let report = methodology_checks(&test_view(&dbs, ips), &gazetteer);
 
         assert_eq!(report.gazetteer_check.len(), 4);
         assert_eq!(report.cross_db_check.len(), 6);
@@ -159,7 +156,7 @@ mod tests {
         let w = World::generate(WorldConfig::tiny(212));
         let gazetteer = Gazetteer::from_world(&w, 3, 3.0);
         let dbs: Vec<routergeo_db::InMemoryDb> = vec![];
-        let report = methodology_checks(&dbs, &gazetteer, &[]);
+        let report = methodology_checks(&test_view(&dbs, []), &gazetteer);
         assert!(report.gazetteer_check.is_empty());
         assert_eq!(report.min_gazetteer_agreement(), 1.0);
     }

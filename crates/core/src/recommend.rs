@@ -164,8 +164,9 @@ pub fn recommendations(report: &AccuracyReport) -> Vec<Recommendation> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::accuracy::evaluate;
+    use crate::accuracy::evaluate_from_view;
     use crate::groundtruth::{GroundTruth, GtEntry, GtMethod};
+    use crate::resolve::test_view;
     use routergeo_db::inmem::{InMemoryDb, InMemoryDbBuilder};
     use routergeo_db::{Granularity, LocationRecord};
     use routergeo_geo::Coordinate;
@@ -239,7 +240,7 @@ mod tests {
                 }
             }),
         ];
-        evaluate(&dbs, &gt, 20)
+        evaluate_from_view(&test_view(&dbs, gt.entries.iter().map(|e| e.ip)), &gt, 20)
     }
 
     #[test]

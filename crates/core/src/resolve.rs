@@ -1,14 +1,15 @@
 //! The resolve-once lookup engine (§5 hot path).
 //!
-//! Coverage, consistency, and accuracy all ask every database about the
-//! same address sets. Instead of re-querying per analysis, a
-//! [`ResolvedView`] resolves each (IP, database) pair exactly once into
-//! columnar storage: per database, one 4-byte handle per address and a
-//! table of the distinct records that answered, with region/city names
-//! interned into a shared [`LocationInterner`]. A handle is the record's
-//! index in its database's table, or [`MISS`], the way a MaxMind DB
-//! search tree yields an offset into its data section. The analyses
-//! read answers through the handles ([`ResolvedView::record`],
+//! Every analysis in this crate asks the databases about a fixed
+//! address set, and reads their answers only through a view. Instead of
+//! re-querying per analysis, a [`ResolvedView`] resolves each (IP,
+//! database) pair exactly once into columnar storage: per database, one
+//! 4-byte handle per address and a table of the distinct records that
+//! answered, with region/city names interned into a shared
+//! [`LocationInterner`]. A handle is the record's index in its
+//! database's table, or [`MISS`], the way a MaxMind DB search tree
+//! yields an offset into its data section. The analyses read answers
+//! through the handles ([`ResolvedView::record`],
 //! [`ResolvedView::column`]) without a single per-lookup allocation.
 //!
 //! Construction is sharded through `routergeo_pool`: each shard only
@@ -67,15 +68,9 @@ impl PartialEq for ResolvedView {
 }
 
 impl ResolvedView {
-    /// Resolve every (IP, database) pair once. Thread count from the
-    /// environment ([`Pool::from_env`]).
-    pub fn build<D: GeoDatabase + Sync>(dbs: &[D], ips: &[Ipv4Addr]) -> ResolvedView {
-        ResolvedView::build_with(dbs, ips, &Pool::from_env())
-    }
-
-    /// [`ResolvedView::build`] on an explicit pool: shards locate record
-    /// ids, and the fold decodes each distinct record once in shard
-    /// order, so the view is identical at every thread count.
+    /// Resolve every (IP, database) pair once on `pool`: shards locate
+    /// record ids, and the fold decodes each distinct record once in
+    /// shard order, so the view is identical at every thread count.
     pub fn build_with<D: GeoDatabase + Sync>(
         dbs: &[D],
         ips: &[Ipv4Addr],
@@ -179,6 +174,15 @@ impl ResolvedView {
     pub fn record(&self, db: usize, i: usize) -> Option<CompactRecord> {
         self.tables[db].record(self.handles[db][i])
     }
+
+    /// Panic unless the view has one row per ground-truth entry: the
+    /// analyses that pair row `i` with entry `i` check this first.
+    pub(crate) fn expect_entries(&self, entries: usize) {
+        assert_eq!(
+            self.total, entries,
+            "view rows must correspond to ground-truth entries"
+        );
+    }
 }
 
 /// One database's answers in a [`ResolvedView`], borrowed: one
@@ -238,6 +242,17 @@ impl Iterator for ColumnIter<'_> {
     fn size_hint(&self) -> (usize, Option<usize>) {
         self.handles.size_hint()
     }
+}
+
+/// A width-1 view of `dbs` over `ips`, rows in order: the one way the
+/// unit tests of this crate's analyses reach their databases.
+#[cfg(test)]
+pub(crate) fn test_view<D: GeoDatabase + Sync>(
+    dbs: &[D],
+    ips: impl IntoIterator<Item = Ipv4Addr>,
+) -> ResolvedView {
+    let ips: Vec<Ipv4Addr> = ips.into_iter().collect();
+    ResolvedView::build_with(dbs, &ips, &Pool::new(1))
 }
 
 #[cfg(test)]

@@ -20,6 +20,7 @@ use routergeo_core::resolve::ResolvedView;
 use routergeo_db::inmem::{InMemoryDb, InMemoryDbBuilder};
 use routergeo_db::{GeoDatabase, Granularity, LocationRecord};
 use routergeo_geo::{Coordinate, CountryCode, EmpiricalCdf, Rir, CITY_RANGE_KM};
+use routergeo_pool::Pool;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
@@ -227,7 +228,7 @@ proptest! {
     ) {
         let (dbs, gt) = scenario(&specs, &runs);
         let ips: Vec<Ipv4Addr> = gt.entries.iter().map(|e| e.ip).collect();
-        let report = consistency_from_view(&ResolvedView::build(&dbs, &ips));
+        let report = consistency_from_view(&ResolvedView::build_with(&dbs, &ips, &Pool::from_env()));
         let (city_in_all, pairs, dropped) = reference_pairs(&dbs, &ips);
         prop_assert_eq!(report.city_in_all, city_in_all);
         prop_assert_eq!(report.dropped_nan, dropped);
@@ -246,7 +247,7 @@ proptest! {
     ) {
         let (dbs, gt) = scenario(&specs, &runs);
         let ips: Vec<Ipv4Addr> = gt.entries.iter().map(|e| e.ip).collect();
-        let report = evaluate_from_view(&ResolvedView::build(&dbs, &ips), &gt, top);
+        let report = evaluate_from_view(&ResolvedView::build_with(&dbs, &ips, &Pool::from_env()), &gt, top);
 
         let mut counts: HashMap<CountryCode, usize> = HashMap::new();
         for e in &gt.entries {

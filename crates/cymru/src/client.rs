@@ -766,6 +766,10 @@ mod tests {
 
     /// Serve one scripted response (after consuming the request), then
     /// close the listener.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the scripted peer serves the client under test from its own thread"
+    )]
     fn scripted_server(response: &'static str) -> SocketAddr {
         let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
         let addr = listener.local_addr().unwrap();

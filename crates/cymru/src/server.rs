@@ -333,7 +333,7 @@ mod tests {
     }
 
     fn talk(addr: SocketAddr, input: &str) -> String {
-        let mut s = TcpStream::connect(addr).unwrap();
+        let mut s = TcpStream::connect_timeout(&addr, Duration::from_secs(5)).unwrap();
         s.write_all(input.as_bytes()).unwrap();
         s.shutdown(std::net::Shutdown::Write).unwrap();
         let mut out = String::new();
@@ -376,7 +376,7 @@ mod tests {
         // A client streaming one line forever must be cut off at the
         // line cap, not buffered into memory until the process dies.
         let (_, mut srv) = server();
-        let mut s = TcpStream::connect(srv.addr()).unwrap();
+        let mut s = TcpStream::connect_timeout(&srv.addr(), Duration::from_secs(5)).unwrap();
         s.write_all(b"begin\n").unwrap();
         let garbage = vec![b'a'; MAX_LINE * 4];
         s.write_all(&garbage).unwrap();
@@ -389,6 +389,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the test needs concurrent clients, one thread each, against the server"
+    )]
     fn handles_concurrent_clients() {
         let (w, mut srv) = server();
         let addr = srv.addr();
@@ -494,7 +498,7 @@ mod tests {
         };
         let mut srv = WhoisServer::spawn_with(svc, config).expect("bind");
         // Send `begin` and stall: the server must hang up on us.
-        let mut s = TcpStream::connect(srv.addr()).unwrap();
+        let mut s = TcpStream::connect_timeout(&srv.addr(), Duration::from_secs(5)).unwrap();
         s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
         s.write_all(b"begin\n").unwrap();
         let mut out = String::new();

@@ -127,6 +127,10 @@ fn stalled_server_fails_within_deadline_budget_with_per_address_outcomes() {
     let ips = rig.ips(10);
     let config = fast_config();
     let (clock, handle) = TestClock::shared();
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the deadline budget is a bound on real time"
+    )]
     let started = Instant::now();
     let outcome = rig.client(config.clone(), handle).lookup(&ips);
     let elapsed = started.elapsed();
@@ -232,6 +236,10 @@ fn injected_latency_runs_on_virtual_time() {
     let mut rig = Rig::new(907, plan, proxy_handle);
     let ips = rig.ips(10);
     let client_handle: Arc<dyn Clock> = Arc::new(clock.clone());
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the test proves injected latency never sleeps for real"
+    )]
     let started = Instant::now();
     let outcome = rig.client(fast_config(), client_handle).lookup(&ips);
     assert!(started.elapsed() < Duration::from_secs(5), "slept for real");
@@ -272,6 +280,10 @@ fn circuit_breaker_fails_remaining_chunks_fast() {
 }
 
 #[test]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the scripted upstream serves the proxy from its own thread"
+)]
 fn unsolicited_rows_are_quarantined_through_the_proxy() {
     // A scripted upstream that answers the requested addresses but also
     // volunteers rows for addresses the client never asked about —

@@ -3,13 +3,17 @@
 //! Vendors re-release their databases continuously; the paper accessed
 //! each database twice, ~50 days apart, and argued the drift could not
 //! affect its conclusions (§5.2). This module measures drift directly:
-//! compare two snapshots of a database over an address set and classify
-//! every answer pair.
+//! compare two snapshots' answer columns over an address set and
+//! classify every answer pair.
+//!
+//! Answers are [`CompactRecord`]s, whose region and city names compare
+//! by interner id. Ids name the same string only within one interner,
+//! so both columns must come from one resolved view (or otherwise share
+//! one interner).
 
-use crate::GeoDatabase;
+use crate::CompactRecord;
 use routergeo_geo::stats::ratio;
 use routergeo_geo::{EmpiricalCdf, CITY_RANGE_KM};
-use std::net::Ipv4Addr;
 
 /// How one address's answer changed between two snapshots.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -66,15 +70,13 @@ impl DiffReport {
     }
 }
 
-/// Classify one address across two snapshots.
-pub fn classify<D1: GeoDatabase, D2: GeoDatabase>(
-    old: &D1,
-    new: &D2,
-    ip: Ipv4Addr,
+/// Classify one address's answers in two snapshots. Both answers must
+/// draw their names from one interner.
+pub fn classify(
+    old: Option<CompactRecord>,
+    new: Option<CompactRecord>,
 ) -> (AnswerChange, Option<f64>) {
-    let a = old.lookup(ip);
-    let b = new.lookup(ip);
-    match (a, b) {
+    match (old, new) {
         (None, None) => (AnswerChange::Unchanged, None),
         (None, Some(_)) => (AnswerChange::Added, None),
         (Some(_), None) => (AnswerChange::Removed, None),
@@ -97,15 +99,16 @@ pub fn classify<D1: GeoDatabase, D2: GeoDatabase>(
     }
 }
 
-/// Diff two snapshots over an address set.
-pub fn diff_databases<D1: GeoDatabase, D2: GeoDatabase>(
-    old: &D1,
-    new: &D2,
-    ips: &[Ipv4Addr],
+/// Diff the answer columns of two snapshots of `database` over the same
+/// addresses. Both columns must draw their names from one interner.
+pub fn diff_answers(
+    database: &str,
+    old: impl IntoIterator<Item = Option<CompactRecord>>,
+    new: impl IntoIterator<Item = Option<CompactRecord>>,
 ) -> DiffReport {
     let mut report = DiffReport {
-        database: old.name().to_string(),
-        total: ips.len(),
+        database: database.to_string(),
+        total: 0,
         unchanged: 0,
         added: 0,
         removed: 0,
@@ -115,8 +118,9 @@ pub fn diff_databases<D1: GeoDatabase, D2: GeoDatabase>(
         move_cdf: EmpiricalCdf::from_iter_lossy(std::iter::empty()).0,
     };
     let mut moves = Vec::new();
-    for ip in ips {
-        let (change, moved) = classify(old, new, *ip);
+    for (a, b) in old.into_iter().zip(new) {
+        report.total += 1;
+        let (change, moved) = classify(a, b);
         if let Some(d) = moved {
             if d > 0.0 {
                 moves.push(d);
@@ -140,11 +144,22 @@ pub fn diff_databases<D1: GeoDatabase, D2: GeoDatabase>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::inmem::InMemoryDbBuilder;
+    use crate::inmem::{InMemoryDb, InMemoryDbBuilder};
     use crate::record::{Granularity, LocationRecord};
     use crate::synth::{build_vendor, SignalWorld, VendorId, VendorProfile};
+    use crate::{GeoDatabase, LocationInterner};
     use routergeo_geo::Coordinate;
     use routergeo_world::{World, WorldConfig};
+    use std::net::Ipv4Addr;
+
+    /// Diff two snapshots over `ips`, their answers interned into one
+    /// interner as a resolved view's columns are.
+    fn diff(old: &InMemoryDb, new: &InMemoryDb, ips: &[Ipv4Addr]) -> DiffReport {
+        let mut interner = LocationInterner::new();
+        let a = old.lookup_batch(ips, &mut interner);
+        let b = new.lookup_batch(ips, &mut interner);
+        diff_answers(old.name(), a, b)
+    }
 
     fn rec(cc: &str, lat: f64) -> LocationRecord {
         LocationRecord {
@@ -175,7 +190,7 @@ mod tests {
         let ips: Vec<Ipv4Addr> = (0..=4)
             .map(|i| format!("6.0.{i}.9").parse().unwrap())
             .collect();
-        let report = diff_databases(&a, &b, &ips);
+        let report = diff(&a, &b, &ips);
         assert_eq!(report.unchanged, 1);
         assert_eq!(report.country_changed, 1);
         assert_eq!(report.city_moved, 1);
@@ -193,7 +208,12 @@ mod tests {
         let mut b = InMemoryDbBuilder::new("new");
         b.push_prefix("6.0.0.0/24".parse().unwrap(), rec("US", 40.1)); // ~11 km
         let b = b.build().unwrap();
-        let (change, moved) = classify(&a, &b, "6.0.0.1".parse().unwrap());
+        let mut interner = LocationInterner::new();
+        let ip = ["6.0.0.1".parse().unwrap()];
+        let (change, moved) = classify(
+            a.lookup_batch(&ip, &mut interner)[0],
+            b.lookup_batch(&ip, &mut interner)[0],
+        );
         assert_eq!(change, AnswerChange::MinorChange);
         assert!(moved.unwrap() < CITY_RANGE_KM);
     }
@@ -207,12 +227,12 @@ mod tests {
         let old = build_vendor(&signals, &base);
         let new = build_vendor(&signals, &base.clone().at_epoch(1));
         let ips: Vec<Ipv4Addr> = w.interfaces.iter().map(|i| i.ip).collect();
-        let report = diff_databases(&old, &new, &ips);
+        let report = diff(&old, &new, &ips);
         let rate = report.material_change_rate();
         assert!(rate > 0.0, "epochs changed nothing");
         assert!(rate < 0.05, "one epoch moved {rate} of answers");
         // Epoch 0 vs itself: identical.
-        let same = diff_databases(&old, &build_vendor(&signals, &base), &ips);
+        let same = diff(&old, &build_vendor(&signals, &base), &ips);
         assert_eq!(same.any_change_rate(), 0.0);
     }
 
@@ -223,12 +243,12 @@ mod tests {
         let base = VendorProfile::preset(VendorId::NetAcuity);
         let old = build_vendor(&signals, &base);
         let ips: Vec<Ipv4Addr> = w.interfaces.iter().step_by(3).map(|i| i.ip).collect();
-        let one = diff_databases(
+        let one = diff(
             &old,
             &build_vendor(&signals, &base.clone().at_epoch(1)),
             &ips,
         );
-        let five = diff_databases(
+        let five = diff(
             &old,
             &build_vendor(&signals, &base.clone().at_epoch(5)),
             &ips,

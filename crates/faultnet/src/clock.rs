@@ -130,6 +130,10 @@ mod tests {
     #[test]
     fn test_clock_records_sleeps_without_waiting() {
         let (clock, handle) = TestClock::shared();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the test proves a test-clock sleep never waits for real"
+        )]
         let start = Instant::now();
         handle.sleep(Duration::from_secs(3600));
         handle.sleep(Duration::from_millis(250));

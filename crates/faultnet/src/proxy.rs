@@ -449,6 +449,10 @@ mod tests {
     use std::time::Instant;
 
     /// A tiny upstream echo server: replies `echo: <request>` and closes.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the upstream peer serves the proxy under test from its own thread"
+    )]
     fn echo_upstream() -> (SocketAddr, JoinHandle<()>) {
         let listener = TcpListener::bind(("127.0.0.1", 0)).expect("bind echo upstream");
         let addr = listener.local_addr().expect("local addr");
@@ -470,7 +474,7 @@ mod tests {
     }
 
     fn talk(addr: SocketAddr, req: &str) -> std::io::Result<String> {
-        let mut s = TcpStream::connect(addr)?;
+        let mut s = TcpStream::connect_timeout(&addr, Duration::from_secs(2))?;
         s.set_read_timeout(Some(Duration::from_secs(2)))?;
         s.write_all(req.as_bytes())?;
         s.shutdown(Shutdown::Write)?;
@@ -480,7 +484,8 @@ mod tests {
     }
 
     fn stop_upstream(addr: SocketAddr, t: JoinHandle<()>) {
-        let _ = TcpStream::connect(addr).map(|s| s.shutdown(Shutdown::Both));
+        let _ = TcpStream::connect_timeout(&addr, Duration::from_secs(2))
+            .map(|s| s.shutdown(Shutdown::Both));
         let _ = t.join();
     }
 
@@ -553,6 +558,10 @@ mod tests {
             per_chunk: Duration::from_secs(30),
         });
         let mut proxy = ChaosProxy::spawn(up, plan, handle).expect("spawn");
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the test proves the injected clock's delay never sleeps for real"
+        )]
         let started = Instant::now();
         let out = talk(proxy.addr(), "slow").expect("relayed");
         assert_eq!(out, "echo: slow");

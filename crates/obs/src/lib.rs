@@ -679,6 +679,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the test needs a span opened on another thread than its parent"
+    )]
     fn explicit_parent_crosses_threads() {
         let obs = fresh();
         obs.enable();
@@ -698,6 +702,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the test needs counter adds from several threads at once"
+    )]
     fn counters_merge_across_threads() {
         let obs = fresh();
         let c = obs.counter("test.items");

@@ -37,6 +37,10 @@ fn swap_under_concurrent_load_is_atomic_and_drains() {
 }
 
 #[test]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the test needs a prober and a swapper running at once against the daemon"
+)]
 fn responses_are_internally_consistent_during_the_flip() {
     // A sharper torn-read probe than the phase runner: one client pins a
     // hot address and checks that every response is wholly from ONE

@@ -53,6 +53,7 @@ fn lookup(corpus: &Corpus, i: usize) -> Probe {
 }
 
 /// Check one answer against the oracle of the live generation.
+#[expect(clippy::panic, reason = "a test helper fails its test by panicking")]
 fn check(oracle: &InMemoryDb, corpus: &Corpus, probe: Probe, resp: &Response) {
     match (probe, resp) {
         (Probe::Lookup(ip), Response::Hit { generation, record }) => {
@@ -97,6 +98,7 @@ fn connect(daemon: &ServeDaemon) -> (TcpStream, BufReader<TcpStream>) {
 }
 
 /// Send every probe with one write, then read one answer per probe.
+#[expect(clippy::panic, reason = "a test helper fails its test by panicking")]
 fn pipeline(daemon: &ServeDaemon, probes: &[Probe]) -> Vec<Response> {
     let (mut stream, mut reader) = connect(daemon);
     let mut wire = Vec::new();

@@ -35,13 +35,19 @@ const LIB_CRATES: [&str; 16] = [
     "serve",
 ];
 
-/// The core analysis modules that must consume the resolve-once
-/// `ResolvedView` rather than re-querying databases; RG009 (no
-/// allocating `GeoDatabase::lookup`) applies only here.
-const RG009_FILES: [&str; 3] = [
+/// The analysis modules that must consume the resolve-once
+/// `ResolvedView` (or its answer columns) rather than re-querying
+/// databases; RG009 (no allocating `GeoDatabase::lookup`) applies only
+/// here. `core::methodology` reads the view too, but stays out: the
+/// rule matches tokens, and its `Gazetteer::lookup` shares the name.
+const RG009_FILES: [&str; 7] = [
     "crates/core/src/coverage.rs",
     "crates/core/src/consistency.rs",
     "crates/core/src/accuracy.rs",
+    "crates/core/src/arin_case.rs",
+    "crates/core/src/majority.rs",
+    "crates/core/src/endpoint.rs",
+    "crates/db/src/diff.rs",
 ];
 
 /// Directory names never descended into during the workspace walk.
@@ -312,6 +318,20 @@ mod tests {
         assert!(core.rg009, "analysis modules must use the ResolvedView");
         let consistency = rules_for("crates/core/src/consistency.rs").expect("in scope");
         assert!(consistency.rg009);
+        for view_fed in [
+            "crates/core/src/arin_case.rs",
+            "crates/core/src/majority.rs",
+            "crates/core/src/endpoint.rs",
+            "crates/db/src/diff.rs",
+        ] {
+            let rules = rules_for(view_fed).expect("in scope");
+            assert!(rules.rg009, "{view_fed} reads answers, not databases");
+        }
+        let methodology = rules_for("crates/core/src/methodology.rs").expect("in scope");
+        assert!(
+            !methodology.rg009,
+            "the gazetteer's own `lookup` would trip the token rule"
+        );
         let resolve = rules_for("crates/core/src/resolve.rs").expect("in scope");
         assert!(!resolve.rg009, "the view builder itself resolves lookups");
         let inmem = rules_for("crates/db/src/inmem.rs").expect("in scope");

@@ -28,9 +28,8 @@ pub struct RuleSet {
     /// (`TcpStream::connect` is a clippy `disallowed_methods` entry).
     pub rg006: bool,
     /// RG009: no allocating `GeoDatabase::lookup` calls in the
-    /// `crates/core` analysis modules (coverage/consistency/accuracy) —
-    /// the hot path resolves once through a `ResolvedView` and tallies
-    /// compact columns.
+    /// view-fed analysis modules (`engine::RG009_FILES`) — they resolve
+    /// once through a `ResolvedView` and tally compact columns.
     pub rg009: bool,
     /// RG011: no lock guard held across a blocking call (`lookup*`,
     /// `decode_*`/`parse_*`, socket I/O, pool dispatch) — parsing or
@@ -257,9 +256,9 @@ fn check_rg006(toks: &[Tok], i: usize, out: &mut Vec<Finding>) {
     }
 }
 
-/// RG009: the allocating `GeoDatabase::lookup` inside a core analysis
-/// module. Coverage, consistency, and accuracy tally pre-resolved
-/// `ResolvedView` columns; a direct `.lookup(` call re-queries the
+/// RG009: the allocating `GeoDatabase::lookup` inside a view-fed
+/// analysis module. The analyses tally pre-resolved `ResolvedView`
+/// columns; a direct `.lookup(` call re-queries the
 /// database per address and clones a `LocationRecord` (two `String`
 /// allocations) per answer, exactly the per-lookup cost the resolve-once
 /// engine removed. The rule matches the method-call form (`.lookup(`);
@@ -280,9 +279,9 @@ fn check_rg009(toks: &[Tok], i: usize, out: &mut Vec<Finding>) {
         rule: "RG009",
         line: t.line,
         col: t.col,
-        message: "allocating `GeoDatabase::lookup` in a core analysis module — resolve \
-                  once through `ResolvedView` (or `lookup_compact`) and tally the \
-                  compact columns"
+        message: "allocating `GeoDatabase::lookup` in a view-fed analysis module — \
+                  resolve once through `ResolvedView` (or `lookup_compact`) and tally \
+                  the compact columns"
             .into(),
     });
 }

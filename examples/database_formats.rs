@@ -51,8 +51,6 @@ fn main() {
     let mut corrupt = image.to_vec();
     let n = corrupt.len();
     corrupt[n / 2] ^= 0xFF;
-    match Rgdb2Reader::open(corrupt.into()) {
-        Err(e) => println!("corrupted image rejected: {e}"),
-        Ok(_) => unreachable!("corruption must not pass validation"),
-    }
+    let e = Rgdb2Reader::open(corrupt.into()).expect_err("corruption must not pass validation");
+    println!("corrupted image rejected: {e}");
 }

@@ -27,7 +27,9 @@ fn main() {
         };
         let decoded = engine.decode(&name);
         let ip = world.interface(id).ip;
-        let (true_city, _) = world.true_location(ip).unwrap();
+        let (true_city, _) = world
+            .true_location(ip)
+            .expect("an interface has a location");
         println!(
             "{:<46} {:<14} {}",
             name,
@@ -52,7 +54,9 @@ fn main() {
             continue;
         };
         named += 1;
-        let (true_city, _) = world.true_location(iface.ip).unwrap();
+        let (true_city, _) = world
+            .true_location(iface.ip)
+            .expect("an interface has a location");
         if engine.decode(&name) == Some(true_city) {
             rules_hits += 1;
         }

@@ -6,15 +6,17 @@
 //! cargo run --release --example evaluate_databases
 //! ```
 
-use routergeo::core::accuracy::evaluate;
-use routergeo::core::consistency::consistency;
-use routergeo::core::coverage::coverage;
+use routergeo::core::accuracy::evaluate_from_view;
+use routergeo::core::consistency::consistency_from_view;
+use routergeo::core::coverage::coverage_from_view;
 use routergeo::core::groundtruth::GroundTruth;
 use routergeo::core::recommend::recommendations;
 use routergeo::core::report::pct;
+use routergeo::core::ResolvedView;
 use routergeo::cymru::MappingService;
 use routergeo::db::synth::{build_vendor, SignalWorld, VendorProfile};
 use routergeo::dns::RuleEngine;
+use routergeo::pool::Pool;
 use routergeo::rtt::{build_dataset, ProximityConfig};
 use routergeo::trace::{ArkCampaign, ArkConfig, AtlasBuiltins, AtlasConfig, Topology};
 use routergeo::world::{World, WorldConfig};
@@ -47,13 +49,18 @@ fn main() {
         .map(|p| build_vendor(&signals, p))
         .collect();
 
+    // Every analysis reads the databases' answers through a view that
+    // resolves each (address, database) pair once.
+    let pool = Pool::from_env();
+    let ark_view = ResolvedView::build_with(&dbs, &ark.interfaces, &pool);
+
     // Coverage over the Ark set (§5.1).
     println!(
         "{:<18} country-cov  city-cov   (over the Ark set)",
         "database"
     );
-    for db in &dbs {
-        let cov = coverage(db, &ark.interfaces);
+    for d in 0..dbs.len() {
+        let cov = coverage_from_view(&ark_view, d);
         println!(
             "{:<18} {:>10}  {:>8}",
             cov.database,
@@ -63,7 +70,7 @@ fn main() {
     }
 
     // Consistency (§5.1).
-    let cons = consistency(&dbs, &ark.interfaces);
+    let cons = consistency_from_view(&ark_view);
     println!(
         "\nall-database country agreement: {} over {} covered addresses",
         pct(cons.all_agreement()),
@@ -71,7 +78,8 @@ fn main() {
     );
 
     // Accuracy vs ground truth (§5.2).
-    let report = evaluate(&dbs, &gt, 10);
+    let gt_ips: Vec<_> = gt.entries.iter().map(|e| e.ip).collect();
+    let report = evaluate_from_view(&ResolvedView::build_with(&dbs, &gt_ips, &pool), &gt, 10);
     println!("\n{:<18} country-acc  city-acc(40km)  city-cov", "database");
     for acc in &report.overall {
         println!(

@@ -29,7 +29,7 @@ fn main() {
         .step_by(world.interfaces.len() / 8)
         .map(|i| i.ip)
         .collect();
-    ips.push("203.0.113.99".parse().unwrap());
+    ips.push("203.0.113.99".parse().expect("a literal address parses"));
 
     let answers = bulk_lookup(server.addr(), &ips).expect("bulk query");
     println!(

@@ -3,15 +3,17 @@
 //! is true, the vendor ordering matches the paper, and the analysis
 //! modules agree with each other.
 
-use routergeo::core::accuracy::evaluate;
-use routergeo::core::consistency::consistency;
-use routergeo::core::coverage::coverage;
+use routergeo::core::accuracy::evaluate_from_view;
+use routergeo::core::consistency::consistency_from_view;
+use routergeo::core::coverage::coverage_from_view;
 use routergeo::core::groundtruth::{GroundTruth, GtMethod};
 use routergeo::core::recommend::recommendations;
+use routergeo::core::ResolvedView;
 use routergeo::cymru::MappingService;
 use routergeo::db::synth::{build_vendor, SignalWorld, VendorProfile};
 use routergeo::db::InMemoryDb;
 use routergeo::dns::RuleEngine;
+use routergeo::pool::Pool;
 use routergeo::rtt::{build_dataset, ProximityConfig};
 use routergeo::trace::{ArkCampaign, ArkConfig, AtlasBuiltins, AtlasConfig, Topology};
 use routergeo::world::{World, WorldConfig};
@@ -90,7 +92,9 @@ fn ground_truth_is_actually_true() {
 #[test]
 fn paper_ordering_holds_end_to_end() {
     let p = pipeline(1002);
-    let report = evaluate(&p.dbs, &p.gt, 20);
+    let ips: Vec<_> = p.gt.entries.iter().map(|e| e.ip).collect();
+    let view = ResolvedView::build_with(&p.dbs, &ips, &Pool::from_env());
+    let report = evaluate_from_view(&view, &p.gt, 20);
 
     // NetAcuity best country accuracy; registry-fed databases comparable.
     let accs: Vec<f64> = report
@@ -126,9 +130,10 @@ fn paper_ordering_holds_end_to_end() {
 #[test]
 fn coverage_and_consistency_agree_on_population() {
     let p = pipeline(1003);
-    let cons = consistency(&p.dbs, &p.ark.interfaces);
-    for (i, db) in p.dbs.iter().enumerate() {
-        let cov = coverage(db, &p.ark.interfaces);
+    let view = ResolvedView::build_with(&p.dbs, &p.ark.interfaces, &Pool::from_env());
+    let cons = consistency_from_view(&view);
+    for i in 0..p.dbs.len() {
+        let cov = coverage_from_view(&view, i);
         assert_eq!(cov.total, cons.total);
         // Every pair's agreement denominators cannot exceed the smaller
         // country coverage of the two databases.
@@ -140,10 +145,8 @@ fn coverage_and_consistency_agree_on_population() {
         }
     }
     // Figure 1 population is bounded by the weakest city coverage.
-    let min_city = p
-        .dbs
-        .iter()
-        .map(|db| coverage(db, &p.ark.interfaces).with_city)
+    let min_city = (0..p.dbs.len())
+        .map(|i| coverage_from_view(&view, i).with_city)
         .min()
         .unwrap();
     assert!(cons.city_in_all <= min_city);
