@@ -185,7 +185,7 @@ step_budget serve-loadgen 90 cargo xtask serve-check --budget-ms 8000
 # not exceed 1.25x the baseline's (a fixed ceiling: memory does not
 # scale with machine speed). This is the §5 hot path at
 # the paper's real size; a blowout means the root-table reader or the
-# batched frontier walk regressed to per-lookup parsing or allocation.
+# batched trie walk regressed to per-lookup parsing or allocation.
 # The v2.1 engine landed the budget at 20 s (from v2's 45 s); the outer
 # budget adds slack for synthesis and image writing around the gated
 # stage.

@@ -6,10 +6,12 @@
 //! isolation: it synthesizes four vendor-style databases as RGDB v2.1
 //! images (stride-16 root table + level-order nodes), opens them
 //! zero-copy, and resolves a full interface address set through
-//! `ResolvedView::build_with` — the path the analyses use: shards
-//! locate record ids with the batched frontier walk, and the fold
-//! decodes each distinct record once per view. It prints one JSON report to stdout (CI redirects
-//! it into `target/ci-artifacts/`) and, when `--budget-ms` is given,
+//! `ResolvedView::build_with` — the path the analyses use: each shard
+//! sorts its slice once into a `SortedBatch`, every reader locates the
+//! batch's record ids in one ascending pass that resumes each trie walk
+//! from the previous address's path, and the fold decodes each distinct
+//! record once per view. It prints one JSON report to stdout (CI
+//! redirects it into `target/ci-artifacts/`) and, when `--budget-ms` is given,
 //! exits non-zero if the resolve stage alone exceeded the budget. The
 //! report carries `lookup_ns_per_addr` so `cargo xtask resolve-check`
 //! can ratio-gate per-lookup cost against the blessed baseline. It

@@ -13,13 +13,15 @@
 //! [`ResolvedView::column`]) without a single per-lookup allocation.
 //!
 //! Construction is sharded through `routergeo_pool`: each shard only
-//! locates its slice, asking every database for its own record ids
-//! ([`GeoDatabase::locate_batch`]). The pool's ordered fold turns the
-//! ids into the view's handles as soon as every earlier shard is in,
-//! through one [`RecordTable`] per database: each distinct record is
-//! decoded and interned once per view, on first sight in (shard,
-//! database, address) order. That is the order a per-address loop
-//! would intern in, and shard boundaries depend only on the input
+//! locates its slice. It sorts the slice once into a [`SortedBatch`]
+//! and asks every database for the record ids of the batch's distinct
+//! addresses ([`GeoDatabase::locate_batch`]). The pool's ordered fold
+//! reads the ids back in input order through the batch's index and
+//! turns them into the view's handles as soon as every earlier shard
+//! is in, through one [`RecordTable`] per database: each distinct
+//! record is decoded and interned once per view, on first sight in
+//! (shard, database, address) order. That is the order a per-address
+//! loop would intern in, and shard boundaries depend only on the input
 //! length, so the view — interner ids included — is byte-identical at
 //! any thread count. A database without record ids is answered in the
 //! fold by its [`GeoDatabase::lookup_batch`], into the view's own
@@ -27,7 +29,7 @@
 //! appended to its table.
 
 use routergeo_db::compact::MISS;
-use routergeo_db::{CompactRecord, GeoDatabase, LocationInterner, RecordTable};
+use routergeo_db::{CompactRecord, GeoDatabase, LocationInterner, RecordTable, SortedBatch};
 use routergeo_pool::Pool;
 use std::net::Ipv4Addr;
 
@@ -35,9 +37,9 @@ use std::net::Ipv4Addr;
 /// this crate. Lookups draw no randomness, so the shard seed is
 /// irrelevant; the size is fixed (never thread-derived) to keep fold
 /// order stable. Records decode once per view whatever the size, so it
-/// only trades the batched readers' per-call work (the sort, the
-/// root-table seed) against parallelism: paper-scale inputs still split
-/// into ~90 shards, plenty for any realistic pool.
+/// only trades the per-shard work (the sort, each reader's first walk)
+/// against parallelism: paper-scale inputs still split into ~90
+/// shards, plenty for any realistic pool.
 pub const LOOKUP_SHARD_SIZE: usize = 16384;
 
 /// Columnar resolve-once answers: `record(db, i)` is database `db`'s
@@ -96,18 +98,18 @@ impl ResolvedView {
             ips,
             LOOKUP_SHARD_SIZE,
             |_, chunk| {
-                dbs.iter()
-                    .map(|db| db.locate_batch(chunk))
-                    .collect::<Vec<_>>()
+                let batch = SortedBatch::new(chunk);
+                let located: Vec<_> = dbs.iter().map(|db| db.locate_batch(&batch)).collect();
+                (batch, located)
             },
-            |shard, located| {
+            |shard, (batch, located)| {
                 let parts = handles.iter_mut().zip(&mut tables).zip(dbs).zip(located);
                 for (((column, table), db), ids) in parts {
                     let start = column.len();
                     if let Some(ids) = ids {
-                        column.extend(ids.into_iter().map(|id| {
-                            id.map_or(MISS, |id| {
-                                table.handle(id, |id| db.compact_record(id, &mut interner))
+                        column.extend(batch.index().iter().map(|at| {
+                            table.handle(ids[*at as usize], |id| {
+                                db.compact_record(id, &mut interner)
                             })
                         }));
                     } else {
@@ -351,10 +353,10 @@ mod tests {
                 // One entry per distinct record that answered: every
                 // striped block has its own coordinates.
                 let ids: std::collections::BTreeSet<u32> = db
-                    .locate_batch(&ips)
+                    .locate_batch(&SortedBatch::new(&ips))
                     .unwrap()
                     .into_iter()
-                    .flatten()
+                    .filter(|id| *id != MISS)
                     .collect();
                 let table = view.tables[d].records();
                 assert_eq!(table.len(), ids.len(), "threads={threads} table {d}");
@@ -401,10 +403,11 @@ mod tests {
     #[test]
     fn v21_views_are_identical_across_threads_and_image_sources() {
         // The multi-threaded resolve default rests on this: a view
-        // built over v2.1 root-table readers — the batched frontier
-        // walk, not the per-address loop — must be byte-identical at
-        // 1, 2, and 8 threads, and a file-backed image must answer
-        // exactly like the heap-backed bytes it was written from.
+        // built over v2.1 root-table readers — each shard's sorted
+        // batch and the resumed batch walk, not the per-address loop —
+        // must be byte-identical at 1, 2, and 8 threads, and a
+        // file-backed image must answer exactly like the heap-backed
+        // bytes it was written from.
         use routergeo_db::rgdb2::{self, Rgdb2Reader};
         use routergeo_db::FileImage;
         use routergeo_net::Prefix;

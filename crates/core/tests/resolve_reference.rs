@@ -17,7 +17,9 @@ use proptest::prelude::*;
 use routergeo_core::resolve::{ResolvedView, LOOKUP_SHARD_SIZE};
 use routergeo_db::inmem::{InMemoryDb, InMemoryDbBuilder};
 use routergeo_db::rgdb2::{self, Rgdb2Reader};
-use routergeo_db::{CompactRecord, GeoDatabase, Granularity, LocationInterner, LocationRecord};
+use routergeo_db::{
+    CompactRecord, GeoDatabase, Granularity, LocationInterner, LocationRecord, SortedBatch,
+};
 use routergeo_geo::Coordinate;
 use routergeo_net::Prefix;
 use routergeo_pool::{splitmix64, Pool};
@@ -135,8 +137,9 @@ proptest! {
         let wrapped = BatchOnly(build_db("wrapped", &specs.1, 4));
         let rgdb = image_of(&build_db("rgdb", &specs.2, 8));
         let dbs: [&(dyn GeoDatabase + Sync); 3] = [&mem, &wrapped, &rgdb];
-        prop_assert!(wrapped.locate_batch(&[]).is_none());
-        prop_assert!(mem.locate_batch(&[]).is_some() && rgdb.locate_batch(&[]).is_some());
+        let empty = SortedBatch::new(&[]);
+        prop_assert!(wrapped.locate_batch(&empty).is_none());
+        prop_assert!(mem.locate_batch(&empty).is_some() && rgdb.locate_batch(&empty).is_some());
 
         let ips = addresses(seed, LOOKUP_SHARD_SIZE + extra);
         let (interner, columns) = reference(&dbs, &ips);

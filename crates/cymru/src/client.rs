@@ -705,6 +705,7 @@ mod tests {
     use std::io::Read;
     use std::net::TcpListener;
     use std::sync::Arc;
+    use std::thread::JoinHandle;
 
     #[test]
     fn end_to_end_bulk_lookup() {
@@ -765,27 +766,36 @@ mod tests {
     }
 
     /// Serve one scripted response (after consuming the request), then
-    /// close the listener.
+    /// close the listener. The test joins the peer through
+    /// [`join_peer`] once its client is done.
     #[expect(
         clippy::disallowed_methods,
         reason = "the scripted peer serves the client under test from its own thread"
     )]
-    fn scripted_server(response: &'static str) -> SocketAddr {
+    fn scripted_server(response: &'static str) -> (SocketAddr, JoinHandle<()>) {
         let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
         let addr = listener.local_addr().unwrap();
-        std::thread::spawn(move || {
+        let peer = std::thread::spawn(move || {
             if let Ok((mut s, _)) = listener.accept() {
                 let mut req = Vec::new();
                 let _ = s.read_to_end(&mut req);
                 let _ = s.write_all(response.as_bytes());
             }
         });
-        addr
+        (addr, peer)
+    }
+
+    /// Join a scripted peer, failing the test with the peer's own panic
+    /// if it had one.
+    fn join_peer(peer: JoinHandle<()>) {
+        if let Err(panic) = peer.join() {
+            std::panic::resume_unwind(panic);
+        }
     }
 
     #[test]
     fn per_address_error_rows_do_not_abort_the_batch() {
-        let addr = scripted_server(
+        let (addr, peer) = scripted_server(
             "Bulk mode; whois.routergeo.test [synthetic]\n\
              NA | 9.9.9.9 | NA | NA | NA\n\
              Error: bad address \"10.0.0.1\"\n\
@@ -804,6 +814,7 @@ mod tests {
             "11.11.11.11".parse().unwrap(),
         ];
         let outcome = BulkClient::with_config(addr, config, SystemClock::shared()).lookup(&ips);
+        join_peer(peer);
         // Rows after the error line were still consumed...
         assert_eq!(outcome.not_found.len(), 2);
         // ...and the error was attributed to exactly one address.
@@ -820,7 +831,7 @@ mod tests {
         // Both an answer row and an error row for never-requested
         // addresses: neither may poison the merge, fail the batch, or
         // stop parsing of the rows after them.
-        let addr = scripted_server(
+        let (addr, peer) = scripted_server(
             "Bulk mode; whois.routergeo.test [synthetic]\n\
              NA | 9.9.9.9 | NA | NA | NA\n\
              NA | 66.66.66.66 | NA | NA | NA\n\
@@ -836,6 +847,7 @@ mod tests {
         };
         let ips: Vec<Ipv4Addr> = vec!["9.9.9.9".parse().unwrap(), "11.11.11.11".parse().unwrap()];
         let outcome = BulkClient::with_config(addr, config, SystemClock::shared()).lookup(&ips);
+        join_peer(peer);
         assert!(outcome.is_complete(), "failed: {:?}", outcome.failed);
         assert_eq!(outcome.answered(), 2, "rows after the bogus echoes parse");
         let quarantined: Vec<Ipv4Addr> = outcome.unsolicited.iter().map(|u| u.ip).collect();
@@ -856,7 +868,7 @@ mod tests {
         // 1 MiB of banner with no newline: the bounded reader must cut
         // the connection at MAX_LINE instead of buffering it all.
         let big: &'static str = Box::leak(format!("Bulk mode; {}", "x".repeat(1 << 20)).into());
-        let addr = scripted_server(big);
+        let (addr, peer) = scripted_server(big);
         let config = BulkConfig {
             retry: RetryPolicy {
                 max_attempts: 1,
@@ -866,6 +878,7 @@ mod tests {
         };
         let ips: Vec<Ipv4Addr> = vec!["9.9.9.9".parse().unwrap()];
         let outcome = BulkClient::with_config(addr, config, SystemClock::shared()).lookup(&ips);
+        join_peer(peer);
         assert_eq!(outcome.failed.len(), 1);
         assert!(
             matches!(&outcome.failed[0].reason, FailReason::Protocol(s) if s.contains("exceeds")),
@@ -878,7 +891,7 @@ mod tests {
     fn short_response_surfaces_missing_answers_per_address() {
         // Server answers only the first address, then EOFs cleanly —
         // the old client silently returned one answer for two requests.
-        let addr = scripted_server(
+        let (addr, peer) = scripted_server(
             "Bulk mode; whois.routergeo.test [synthetic]\n\
              NA | 9.9.9.9 | NA | NA | NA\n",
         );
@@ -891,6 +904,7 @@ mod tests {
         };
         let ips: Vec<Ipv4Addr> = vec!["9.9.9.9".parse().unwrap(), "10.0.0.1".parse().unwrap()];
         let outcome = BulkClient::with_config(addr, config, SystemClock::shared()).lookup(&ips);
+        join_peer(peer);
         assert_eq!(outcome.not_found.len(), 1);
         assert_eq!(outcome.failed.len(), 1);
         assert_eq!(outcome.failed[0].ip, ips[1]);

@@ -293,7 +293,7 @@ fn unsolicited_rows_are_quarantined_through_the_proxy() {
     use std::io::{Read, Write};
     let listener = std::net::TcpListener::bind(("127.0.0.1", 0)).expect("bind upstream");
     let upstream = listener.local_addr().expect("upstream addr");
-    std::thread::spawn(move || {
+    let peer = std::thread::spawn(move || {
         if let Ok((mut s, _)) = listener.accept() {
             let mut req = Vec::new();
             let _ = s.read_to_end(&mut req);
@@ -313,6 +313,10 @@ fn unsolicited_rows_are_quarantined_through_the_proxy() {
     let (_clock, handle) = TestClock::shared();
     let ips: Vec<Ipv4Addr> = vec!["9.9.9.9".parse().unwrap(), "11.11.11.11".parse().unwrap()];
     let outcome = BulkClient::with_config(proxy.addr(), config, handle).lookup(&ips);
+    // The peer's own panic, if it had one, fails the test here.
+    if let Err(panic) = peer.join() {
+        std::panic::resume_unwind(panic);
+    }
     assert!(outcome.is_complete(), "failed: {:?}", outcome.failed);
     assert_eq!(
         outcome.answered(),

@@ -141,9 +141,13 @@ pub struct RecordTable {
 
 impl RecordTable {
     /// The handle of record `id`, decoded by `decode` if this is the
-    /// first time the table sees `id`.
+    /// first time the table sees `id`. The id [`MISS`] (a located
+    /// miss) has the handle [`MISS`].
     #[inline]
     pub fn handle(&mut self, id: u32, decode: impl FnOnce(u32) -> Option<CompactRecord>) -> u32 {
+        if id == MISS {
+            return MISS;
+        }
         let ix = id as usize;
         if ix >= self.slots.len() {
             self.slots.resize(ix + 1, UNSEEN);
@@ -301,6 +305,7 @@ mod tests {
             (7, Some("DE"), 0),
             (9, None, MISS),
             (9, None, MISS),
+            (MISS, None, MISS),
         ] {
             let got = table.handle(id, |id| {
                 decoded.push(id);
@@ -312,7 +317,8 @@ mod tests {
             assert_eq!(got, handle, "id {id}");
             assert_eq!(table.record(got), want.map(rec), "id {id}");
         }
-        // First sight only; an id that decodes to nothing is memoised too.
+        // First sight only; an id that decodes to nothing is memoised
+        // too, and a located miss is never decoded.
         assert_eq!(decoded, vec![7, 2, 9]);
         // An answer without an id is appended, even if it repeats one.
         assert_eq!(table.push(Some(rec("DE"))), 2);

@@ -1,10 +1,10 @@
 //! In-memory range database — the working representation every other
 //! format converts to or from.
 
-use crate::compact::{CompactRecord, LocationInterner};
+use crate::compact::{CompactRecord, LocationInterner, MISS};
 use crate::record::LocationRecord;
 use crate::GeoDatabase;
-use routergeo_net::{Prefix, RangeMap, RangeMapBuilder, RangeOverlap};
+use routergeo_net::{Prefix, RangeMap, RangeMapBuilder, RangeOverlap, SortedBatch};
 use std::net::Ipv4Addr;
 
 /// A named in-memory geolocation database over non-overlapping ranges.
@@ -92,14 +92,15 @@ impl GeoDatabase for InMemoryDb {
         self.map.lookup(ip).cloned()
     }
 
-    /// Record ids are range-entry indices, from one sorted monotone
-    /// sweep over the entries ([`RangeMap::locate_batch`]).
-    fn locate_batch(&self, ips: &[Ipv4Addr]) -> Option<Vec<Option<u32>>> {
+    /// Record ids are range-entry indices, from one monotone sweep of
+    /// the batch's ascending addresses over the entries
+    /// ([`RangeMap::locate_batch`]).
+    fn locate_batch(&self, batch: &SortedBatch) -> Option<Vec<u32>> {
+        let id = |ix: usize| u32::try_from(ix).expect("entry indices fit a u32 id");
         Some(
             self.map
-                .locate_batch(ips)
-                .into_iter()
-                .map(|slot| slot.map(|ix| u32::try_from(ix).expect("entry indices fit a u32 id")))
+                .locate_batch(batch)
+                .map(|hit| hit.map_or(MISS, id))
                 .collect(),
         )
     }
@@ -156,10 +157,12 @@ mod tests {
         .map(|s| s.parse().unwrap())
         .collect();
         // The provided `lookup_batch` answers through the range-entry
-        // ids of one sweep, and must equal the per-address loop,
-        // answers and interner order both.
-        let ids = db.locate_batch(&ips).expect("InMemoryDb has record ids");
-        assert_eq!(ids, vec![Some(1), Some(0), None, Some(0), Some(1), Some(0)]);
+        // ids of one sweep over the sorted batch, and must equal the
+        // per-address loop, answers and interner order both.
+        let batch = SortedBatch::new(&ips);
+        let ids = db.locate_batch(&batch).expect("InMemoryDb has record ids");
+        let in_order: Vec<u32> = (batch.index().iter()).map(|at| ids[*at as usize]).collect();
+        assert_eq!(in_order, vec![1, 0, MISS, 0, 1, 0]);
         let mut seq_interner = LocationInterner::new();
         let seq: Vec<_> = ips
             .iter()

@@ -40,6 +40,7 @@ pub use image::FileImage;
 pub use inmem::InMemoryDb;
 pub use record::{Granularity, LocationRecord};
 pub use rgdb2::Rgdb2Reader;
+pub use routergeo_net::SortedBatch;
 pub use synth::{build_vendor, SignalWorld, VendorId, VendorProfile};
 
 use std::net::Ipv4Addr;
@@ -48,7 +49,8 @@ use std::net::Ipv4Addr;
 /// a record table also answers in two steps, as a MaxMind search tree
 /// yields a data offset: [`GeoDatabase::locate_batch`] gives record ids
 /// and [`GeoDatabase::compact_record`] decodes one, so a caller can
-/// decode each distinct record once.
+/// decode each distinct record once. Batches arrive as a
+/// [`SortedBatch`], sorted once however many databases answer it.
 pub trait GeoDatabase {
     /// Database display name (e.g. `MaxMind-GeoLite`).
     fn name(&self) -> &str;
@@ -70,12 +72,13 @@ pub trait GeoDatabase {
             .map(|rec| CompactRecord::from_record(&rec, interner))
     }
 
-    /// The backend's own record id for each address of `ips`, in input
-    /// order: `Some(id)` where a record answers, `None` on a miss.
+    /// The backend's own record id for each address of `batch`, in the
+    /// batch's ascending order ([`SortedBatch::addrs`]): the id where a
+    /// record answers, [`compact::MISS`] where none does.
     /// [`GeoDatabase::compact_record`] of that id equals
-    /// [`GeoDatabase::lookup_compact`] of the address. The outer `None`
-    /// (the default) means the backend has no record ids.
-    fn locate_batch(&self, _ips: &[Ipv4Addr]) -> Option<Vec<Option<u32>>> {
+    /// [`GeoDatabase::lookup_compact`] of the address. `None` (the
+    /// default) means the backend has no record ids.
+    fn locate_batch(&self, _batch: &SortedBatch) -> Option<Vec<u32>> {
         None
     }
 
@@ -92,24 +95,27 @@ pub trait GeoDatabase {
     /// [`GeoDatabase::lookup_compact`] once per address in order —
     /// including interner id assignment — so callers may batch freely
     /// without changing results. A backend with record ids answers
-    /// through one [`GeoDatabase::locate_batch`] call and decodes each
-    /// distinct record once through a [`RecordTable`]; one without
-    /// answers address by address.
+    /// through one [`GeoDatabase::locate_batch`] call on the batch's
+    /// [`SortedBatch`], and decodes each distinct record once, in input
+    /// order, through a [`RecordTable`]; one without answers address by
+    /// address.
     fn lookup_batch(
         &self,
         ips: &[Ipv4Addr],
         interner: &mut LocationInterner,
     ) -> Vec<Option<CompactRecord>> {
-        let Some(ids) = self.locate_batch(ips) else {
+        let batch = SortedBatch::new(ips);
+        let Some(ids) = self.locate_batch(&batch) else {
             return ips
                 .iter()
                 .map(|ip| self.lookup_compact(*ip, interner))
                 .collect();
         };
         let mut table = RecordTable::default();
-        ids.into_iter()
-            .map(|id| {
-                let handle = table.handle(id?, |id| self.compact_record(id, interner));
+        (batch.index().iter())
+            .map(|at| {
+                let handle =
+                    table.handle(ids[*at as usize], |id| self.compact_record(id, interner));
                 table.record(handle)
             })
             .collect()
@@ -137,8 +143,8 @@ macro_rules! forward_geo_database {
                 (**self).lookup_compact(ip, interner)
             }
 
-            fn locate_batch(&self, ips: &[Ipv4Addr]) -> Option<Vec<Option<u32>>> {
-                (**self).locate_batch(ips)
+            fn locate_batch(&self, batch: &SortedBatch) -> Option<Vec<u32>> {
+                (**self).locate_batch(batch)
             }
 
             fn compact_record(

@@ -45,9 +45,11 @@
 //! - **Level-order node placement.** The trie nodes are laid out
 //!   breadth-first: node 0 is the root and, scanning nodes in index
 //!   order, the non-`NONE` child links are exactly 1, 2, 3, … so each
-//!   trie level is one contiguous index range. The batched lookup walks
-//!   a sorted frontier level by level, touching the node array in
-//!   near-sequential order instead of chasing one pointer per address.
+//!   trie level is one contiguous index range, ordered by address. The
+//!   batched lookup walks a batch's addresses in ascending order, each
+//!   walk resumed from the previous address's path where the two
+//!   diverge, so at every level it reads nodes in increasing index
+//!   order and skips the levels the two addresses share.
 //!
 //! Both are **pure acceleration**: the full trie is retained, so a
 //! plain walk from the root (which [`Rgdb2Reader::match_len`] takes)
@@ -69,12 +71,12 @@
 // input surfaces as an error rather than an out-of-bounds panic.
 #![deny(clippy::as_conversions, clippy::indexing_slicing)]
 
-use crate::compact::{CompactRecord, LocationInterner};
+use crate::compact::{CompactRecord, LocationInterner, MISS};
 use crate::record::{Granularity, LocationRecord};
 use crate::GeoDatabase;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use routergeo_geo::{Coordinate, CountryCode};
-use routergeo_net::{Prefix, PrefixTrie};
+use routergeo_net::{Prefix, PrefixTrie, SortedBatch};
 use std::collections::HashMap;
 use std::fmt;
 use std::net::Ipv4Addr;
@@ -83,6 +85,8 @@ const MAGIC: &[u8; 4] = b"RGDB";
 /// On-disk header version of the layout (the revision called v2.1).
 const VERSION: u16 = 3;
 const NONE: u32 = u32::MAX;
+// The batched walk returns an absent record as the record id of a miss.
+const _: () = assert!(NONE == MISS);
 pub(crate) const HEADER_LEN: usize = 28;
 /// Fixed byte width of one record in the record array.
 const RECORD_WIDTH: usize = 20;
@@ -366,8 +370,8 @@ fn set_node_link(nodes: &mut [[u32; 3]], node: usize, slot: usize, value: u32) {
 /// node 0 stays the root, its children come next, then the
 /// grandchildren, and so on. Scanning nodes in index order, the
 /// non-`NONE` child links are then exactly 1, 2, 3, … — the placement
-/// invariant the validator pins, and what lets the frontier batch
-/// walk read each trie level as one forward index range.
+/// invariant the validator pins, and what lets the batched walk, over
+/// ascending addresses, read each trie level in forward index order.
 fn bfs_nodes(trie: &PrefixTrie<u32>) -> Vec<[u32; 3]> {
     let arena = flatten_trie(trie);
     // Visit order doubles as the new→old index table.
@@ -646,7 +650,7 @@ impl Rgdb2Reader {
         // scanning nodes in index order, the non-NONE child links must
         // be exactly 1, 2, 3, … (the BFS numbering). One O(n) pass also
         // proves every node is reachable exactly once from the root —
-        // acyclicity included — which the frontier batch walk relies on.
+        // acyclicity included.
         let mut next_child = 1u32;
         for idx in 0..self.node_count {
             let (left, right, record) = self.node(idx)?;
@@ -1043,131 +1047,78 @@ impl GeoDatabase for Rgdb2Reader {
         self.compact_record(idx, interner)
     }
 
-    /// Batched record location — the hot path. Addresses are sorted
-    /// and duplicates collapsed; every unique address's walk is seeded
-    /// from the root table in one pass, and the live walks then advance
-    /// **level by level across the whole batch** (a breadth-first
-    /// frontier, retired in place as walks bottom out). Because nodes
-    /// are placed in level order, each sweep over the sorted frontier
-    /// reads a monotonically increasing node range — near-sequential
-    /// memory traffic instead of one dependent pointer chase per
-    /// address. The record indices — the record ids — are scattered
-    /// back to input order; nothing is decoded here.
-    fn locate_batch(&self, ips: &[Ipv4Addr]) -> Option<Vec<Option<u32>>> {
-        // Sort keys packed as `addr << 32 | pos`: one u64 compare-and-
-        // swap instead of a 16-byte tuple, and `pos` rides along for the
-        // scatter. Shard sizes keep `pos` far below 2^32.
-        #[expect(
-            clippy::as_conversions,
-            reason = "usize→u64 is widening on every supported target"
-        )]
-        let mut order: Vec<u64> = ips
-            .iter()
-            .enumerate()
-            .map(|(pos, ip)| (u64::from(u32::from(*ip)) << 32) | pos as u64)
-            .collect();
-        order.sort_unstable();
-        // Unique ascending addresses; duplicates collapse to one walk.
-        let mut uniq: Vec<u32> = Vec::with_capacity(order.len());
-        for packed in &order {
-            let addr = u32::try_from(packed >> 32).expect("upper half is an address");
-            if uniq.last() != Some(&addr) {
-                uniq.push(addr);
-            }
-        }
-        // The whole node array as one slice: its length *is* the bounds
-        // check, so the per-level loop below never consults node_count
-        // or re-derives section offsets.
+    /// Batched record location — the hot path. One pass over the
+    /// batch's ascending addresses keeps the previous walk's node and
+    /// best-so-far record at each depth from 16 to 32. Two addresses
+    /// share their trie path down to their common prefix length, so a
+    /// walk resumes at the smaller of that length and the depth where
+    /// the previous walk stopped, and the root table is read only when
+    /// the top sixteen bits change. The record indices are the record
+    /// ids, [`MISS`] on a miss; nothing is decoded here.
+    fn locate_batch(&self, batch: &SortedBatch) -> Option<Vec<u32>> {
+        // The node array and the root table as slices: their lengths
+        // are the bounds checks, so the walk below never consults
+        // node_count or re-derives section offsets.
         let nodes: &[u8] = self
             .image
             .get(self.nodes_start..self.nodes_start + ix(self.node_count) * NODE_WIDTH)
             .unwrap_or(&[]);
-        // Pass 1 (sorted): seed one walk per unique address. Each live
-        // walk carries `(node, slot, rest, best)` — `rest` is the
-        // address with consumed bits shifted off (next branch bit is the
-        // MSB) and `best` the deepest record so far, written back to
-        // `best[slot]` only when the walk retires.
-        let mut best: Vec<u32> = vec![NONE; uniq.len()];
-        let mut frontier: Vec<(u32, u32, u32, u32)> = Vec::with_capacity(uniq.len());
-        // The root table as one slice, like `nodes` above: sorted unique
-        // addresses read its entries in ascending order.
         let root: &[u8] = self
             .image
             .get(self.root_start..self.root_start + ROOT_TABLE_BYTES)
             .unwrap_or(&[]);
-        for (slot, addr) in uniq.iter().enumerate() {
-            let slot32 = u32::try_from(slot).expect("unique u32 addresses fit a u32 slot");
-            let at = ix(addr >> 16) * ROOT_ENTRY_WIDTH;
-            if let Some(mut e) = root.get(at..at + ROOT_ENTRY_WIDTH) {
-                let record = e.get_u32_le();
-                let node = e.get_u32_le();
-                if node != NONE {
-                    frontier.push((node, slot32, addr << 16, record));
-                } else if record != NONE {
-                    if let Some(b) = best.get_mut(slot) {
-                        *b = record;
-                    }
-                }
-            }
-        }
-        let mut depth: u32 = 16;
-        // Advance the whole frontier one trie level at a time, keeping
-        // survivors compacted at the front in sorted order.
-        while !frontier.is_empty() && depth <= 32 {
-            let mut keep = 0usize;
-            for i in 0..frontier.len() {
-                let (node, slot32, rest, mut walk_best) =
-                    *frontier.get(i).expect("i < frontier.len()");
+        // `path[d]`: the previous walk's node at depth `16 + d` and the
+        // best record above that node.
+        let mut path = [(NONE, NONE); 17];
+        let mut prev: Option<u32> = None;
+        let mut stop = 16u32;
+        let mut ids = Vec::with_capacity(batch.addrs().len());
+        for &addr in batch.addrs() {
+            let shared = prev.map_or(0, |p| (p ^ addr).leading_zeros());
+            let mut depth = if shared >= 16 {
+                shared.min(stop)
+            } else {
+                // A new /16: seed the path from its root entry.
+                let at = ix(addr >> 16) * ROOT_ENTRY_WIDTH;
+                let (record, node) = root
+                    .get(at..at + ROOT_ENTRY_WIDTH)
+                    .map_or((NONE, NONE), |mut e| (e.get_u32_le(), e.get_u32_le()));
+                path[0] = (node, record);
+                16
+            };
+            let (mut node, mut best) = path.get(ix(depth - 16)).copied().unwrap_or((NONE, NONE));
+            while node != NONE {
                 let at = ix(node) * NODE_WIDTH;
                 let Some(mut b) = nodes.get(at..at + NODE_WIDTH) else {
                     // Unreachable on a validated image; a latent read
                     // failure degrades to a miss, matching the
                     // per-address path.
-                    if let Some(slot) = best.get_mut(ix(slot32)) {
-                        *slot = NONE;
-                    }
-                    continue;
+                    best = NONE;
+                    break;
                 };
-                let left = b.get_u32_le();
-                let right = b.get_u32_le();
-                let record = b.get_u32_le();
+                let (left, right, record) = (b.get_u32_le(), b.get_u32_le(), b.get_u32_le());
                 if record != NONE {
-                    walk_best = record;
+                    best = record;
                 }
-                if depth < 32 {
-                    let next = if rest & 0x8000_0000 == 0 { left } else { right };
-                    if next != NONE {
-                        if let Some(f) = frontier.get_mut(keep) {
-                            *f = (next, slot32, rest << 1, walk_best);
-                        }
-                        keep += 1;
-                        continue;
-                    }
+                if depth == 32 {
+                    break;
                 }
-                if let Some(slot) = best.get_mut(ix(slot32)) {
-                    *slot = walk_best;
+                let bit = (addr << depth) & 0x8000_0000;
+                let next = if bit == 0 { left } else { right };
+                if next == NONE {
+                    break;
+                }
+                depth += 1;
+                node = next;
+                if let Some(slot) = path.get_mut(ix(depth - 16)) {
+                    *slot = (node, best);
                 }
             }
-            frontier.truncate(keep);
-            depth += 1;
-        }
-        // Scatter the per-unique-address answers back to input order.
-        let mut located: Vec<Option<u32>> = vec![None; ips.len()];
-        let mut cursor = 0usize;
-        let mut prev: Option<u32> = None;
-        for packed in order {
-            let addr = u32::try_from(packed >> 32).expect("upper half is an address");
-            let pos = ix(u32::try_from(packed & 0xFFFF_FFFF).expect("lower half is a position"));
-            if prev.is_some() && prev != Some(addr) {
-                cursor += 1;
-            }
+            stop = depth;
             prev = Some(addr);
-            let rec = best.get(cursor).copied().unwrap_or(NONE);
-            if let Some(slot) = located.get_mut(pos) {
-                *slot = (rec != NONE).then_some(rec);
-            }
+            ids.push(best);
         }
-        Some(located)
+        Some(ids)
     }
 
     /// Decode record `id` trusting the open-time validation sweep, and
@@ -1346,9 +1297,11 @@ mod tests {
                 .map(|s| s.parse().unwrap())
                 .collect();
             // The provided `lookup_batch` answers through the record
-            // ids the frontier walk returns...
-            let ids = db.locate_batch(&ips).expect("RGDB has record ids");
-            assert_eq!(ids.len(), ips.len());
+            // ids the resumed walk returns, one per batch address...
+            let batch = SortedBatch::new(&ips);
+            let ids = db.locate_batch(&batch).expect("RGDB has record ids");
+            assert_eq!(ids.len(), batch.addrs().len());
+            assert_eq!(batch.index().len(), ips.len());
             // ...and must equal the per-address loop, answers and
             // interner order both.
             let mut seq_interner = LocationInterner::new();
@@ -1361,6 +1314,86 @@ mod tests {
             assert_eq!(seq, batch);
             assert_eq!(seq_interner, batch_interner);
             assert!(db.lookup_batch(&[], &mut batch_interner).is_empty());
+        }
+    }
+
+    /// A random nested prefix set for seed `seed`: lengths 0 to 32,
+    /// most of them at or below three /16s, and the default route and
+    /// a host route in every other image, so most walks pass records
+    /// carried down from shallower prefixes.
+    fn nested_prefixes(seed: u64) -> Vec<(Prefix, LocationRecord)> {
+        use routergeo_pool::splitmix64;
+        let word = |k: u64| u32::try_from(splitmix64(seed, k) & 0xFFFF_FFFF).unwrap();
+        let bases: Vec<u32> = (0..3).map(|k| word(k) & 0xFFFF_0000).collect();
+        let count = 4 + u64::from(word(3) % 40);
+        let mut prefixes: Vec<Prefix> = (0..count)
+            .map(|k| {
+                let r = word(100 + k);
+                let addr = bases[usize::try_from(r % 3).unwrap()] | (word(200 + k) & 0xFFFF);
+                let deeper = u8::try_from((r >> 12) % 17).unwrap();
+                let len = match r >> 8 & 7 {
+                    0 => deeper,
+                    1 => 32,
+                    _ => 16 + deeper,
+                };
+                Prefix::containing(Ipv4Addr::from(addr), len).unwrap()
+            })
+            .collect();
+        if seed.is_multiple_of(2) {
+            prefixes.push(Prefix::default_route());
+            prefixes.push(Prefix::containing(Ipv4Addr::from(word(4)), 32).unwrap());
+        }
+        prefixes.sort();
+        prefixes.dedup();
+        (prefixes.into_iter().zip(0u32..))
+            .map(|(p, k)| {
+                let rec = LocationRecord {
+                    country: Some("US".parse().unwrap()),
+                    region: None,
+                    city: Some(format!("nested-{k}")),
+                    coord: None,
+                    granularity: Granularity::SubBlock,
+                };
+                (p, rec)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn resumed_batch_walk_matches_the_point_walk_on_nested_prefixes() {
+        use routergeo_pool::splitmix64;
+        for seed in 0..120u64 {
+            let recs = nested_prefixes(seed);
+            let db =
+                Rgdb2Reader::open(write_v21("nest", recs.iter().map(|(p, r)| (*p, r)))).unwrap();
+            // Every prefix's first and last address, each +-1, the two
+            // ends of the space, then every third probe again, shuffled.
+            let mut probes: Vec<u32> = vec![0, u32::MAX];
+            for (p, _) in &recs {
+                let (first, last) = p.range_u32();
+                for addr in [first, last] {
+                    probes.extend([addr.wrapping_sub(1), addr, addr.wrapping_add(1)]);
+                }
+            }
+            let repeats: Vec<u32> = probes.iter().step_by(3).copied().collect();
+            probes.extend(repeats);
+            for i in (1..probes.len()).rev() {
+                let j = usize::try_from(splitmix64(seed ^ 0x5A5A, u64::try_from(i).unwrap()))
+                    .unwrap()
+                    % (i + 1);
+                probes.swap(i, j);
+            }
+            let ips: Vec<Ipv4Addr> = probes.iter().map(|a| Ipv4Addr::from(*a)).collect();
+            let batch = SortedBatch::new(&ips);
+            let ids = db.locate_batch(&batch).unwrap();
+            assert_eq!(ids.len(), batch.addrs().len(), "seed {seed}");
+            for (addr, id) in batch.addrs().iter().zip(&ids) {
+                let want = db.locate(*addr).unwrap().unwrap_or(MISS);
+                assert_eq!(*id, want, "seed {seed}: {}", Ipv4Addr::from(*addr));
+            }
+            for (ip, at) in ips.iter().zip(batch.index()) {
+                assert_eq!(batch.addrs()[ix(*at)], u32::from(*ip), "seed {seed}");
+            }
         }
     }
 

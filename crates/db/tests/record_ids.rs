@@ -1,13 +1,15 @@
 //! The record-id contract every backend with ids keeps:
-//! `compact_record` of the id `locate_batch` returns for an address
-//! equals `lookup_compact` of that address, with a shared interner, and
-//! a miss has no id. Checked for `InMemoryDb` and for an RGDB image of
-//! the same rows, on unsorted input with repeats, misses inside the
-//! covered block and addresses outside it.
+//! `compact_record` of the id `locate_batch` returns for an address of
+//! a `SortedBatch` equals `lookup_compact` of that address, with a
+//! shared interner, and a miss has the id `MISS`. Checked for
+//! `InMemoryDb` and for an RGDB image of the same rows, on unsorted
+//! input with repeats, misses inside the covered block and addresses
+//! outside it, read back in input order through the batch's index.
 
+use routergeo_db::compact::MISS;
 use routergeo_db::inmem::{InMemoryDb, InMemoryDbBuilder};
 use routergeo_db::rgdb2::{self, Rgdb2Reader};
-use routergeo_db::{GeoDatabase, Granularity, LocationInterner, LocationRecord};
+use routergeo_db::{GeoDatabase, Granularity, LocationInterner, LocationRecord, SortedBatch};
 use routergeo_geo::Coordinate;
 use routergeo_net::Prefix;
 use std::net::Ipv4Addr;
@@ -68,22 +70,34 @@ fn located_ids_decode_like_per_address_lookups() {
     .iter()
     .map(|s| s.parse().unwrap())
     .collect();
+    let batch = SortedBatch::new(&ips);
     let backends: [&dyn GeoDatabase; 2] = [&mem, &rgdb];
     for db in backends {
-        let ids = db.locate_batch(&ips).expect("both backends have ids");
+        let located = db.locate_batch(&batch).expect("both backends have ids");
+        assert_eq!(located.len(), batch.addrs().len());
+        let ids: Vec<u32> = (batch.index().iter())
+            .map(|at| located[*at as usize])
+            .collect();
         assert_eq!(ids.len(), ips.len());
         let mut shared = LocationInterner::new();
         for (ip, id) in ips.iter().zip(&ids) {
             let direct = db.lookup_compact(*ip, &mut shared);
-            let decoded = id.and_then(|id| db.compact_record(id, &mut shared));
-            assert_eq!(decoded, direct, "{}: {ip} (id {id:?})", db.name());
-            assert_eq!(id.is_some(), direct.is_some(), "{}: {ip}", db.name());
+            let decoded = (*id != MISS)
+                .then(|| db.compact_record(*id, &mut shared))
+                .flatten();
+            assert_eq!(decoded, direct, "{}: {ip} (id {id})", db.name());
+            assert_eq!(*id != MISS, direct.is_some(), "{}: {ip}", db.name());
         }
-        // The same address gets the same id; misses get none.
+        // The same address gets the same id; misses get MISS.
         assert_eq!(ids[0], ids[3]);
         assert_eq!(ids[6], ids[15]);
-        assert!(ids[2].is_none() && ids[4].is_none() && ids[11].is_none());
-        assert_eq!(ids.iter().flatten().count(), 10, "{}", db.name());
+        assert!(ids[2] == MISS && ids[4] == MISS && ids[11] == MISS);
+        assert_eq!(
+            ids.iter().filter(|id| **id != MISS).count(),
+            10,
+            "{}",
+            db.name()
+        );
         assert!(shared.len() > 4, "names were interned");
         assert_eq!(db.compact_record(u32::MAX, &mut shared), None);
     }

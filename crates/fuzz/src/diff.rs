@@ -111,20 +111,32 @@ fn sweep_entry(seed: u64, scale: Scale, diff_addrs: u64, root: u64) -> (u64, Vec
         Err(e) => return (0, vec![spec(&format!("in-memory build failed: {e}"))]),
     };
 
+    // The sweep. Boundary probes: first, last, and a random inner
+    // address of every prefix — exactly where trie walks and range maps
+    // disagree first.
+    let mut rng = FuzzRng::new(root ^ seed.rotate_left(13) ^ (scale.records() as u64));
+    let mut sweep: Vec<Ipv4Addr> = Vec::new();
+    for (prefix, _) in &entry.entries {
+        let span = u64::from(u32::from(prefix.last())) - u64::from(u32::from(prefix.first()));
+        let inner = u32::from(prefix.first()).wrapping_add(
+            u32::try_from(rng.below(span.saturating_add(1)) & 0xFFFF_FFFF).unwrap_or(0),
+        );
+        sweep.extend([prefix.first(), prefix.last(), Ipv4Addr::from(inner)]);
+    }
+    // Global sweep: uniform addresses, mostly landing in uncovered
+    // space — the `None == None == None` agreement matters too.
+    for _ in 0..diff_addrs {
+        let word = u32::try_from(rng.next_u64() & 0xFFFF_FFFF).unwrap_or(0);
+        sweep.push(Ipv4Addr::from(word));
+    }
+
     // One shared interner: identical strings get identical ids no
     // matter which backend interned them first.
     let mut interner = LocationInterner::new();
-    let mut addresses = 0u64;
-    let mut rng = FuzzRng::new(root ^ seed.rotate_left(13) ^ (scale.records() as u64));
-
-    let probe = |ip: Ipv4Addr,
-                 interner: &mut LocationInterner,
-                 mismatches: &mut Vec<String>,
-                 addresses: &mut u64| {
-        let h = heap.lookup_compact(ip, interner);
-        let f = file.lookup_compact(ip, interner);
-        let m = inmem.lookup_compact(ip, interner);
-        *addresses += 1;
+    for &ip in &sweep {
+        let h = heap.lookup_compact(ip, &mut interner);
+        let f = file.lookup_compact(ip, &mut interner);
+        let m = inmem.lookup_compact(ip, &mut interner);
         if h != f || h != m {
             mismatches.push(spec(&format!(
                 "addr={ip}: rgdb[{}] rgdb-file[{}] mem[{}]",
@@ -147,46 +159,39 @@ fn sweep_entry(seed: u64, scale: Scale, diff_addrs: u64, root: u64) -> (u64, Vec
                 "addr={ip}: match_len rgdb={dh:?} rgdb-file={df:?} prefix={want:?}"
             )));
         }
-    };
+    }
 
-    // Boundary probes: first, last, and a random inner address of every
-    // prefix — exactly where trie walks and range maps disagree first.
-    for (prefix, _) in &entry.entries {
-        probe(
-            prefix.first(),
-            &mut interner,
-            &mut mismatches,
-            &mut addresses,
-        );
-        probe(
-            prefix.last(),
-            &mut interner,
-            &mut mismatches,
-            &mut addresses,
-        );
-        let span = u64::from(u32::from(prefix.last())) - u64::from(u32::from(prefix.first()));
-        let inner = u32::from(prefix.first()).wrapping_add(
-            u32::try_from(rng.below(span.saturating_add(1)) & 0xFFFF_FFFF).unwrap_or(0),
-        );
-        probe(
-            Ipv4Addr::from(inner),
-            &mut interner,
-            &mut mismatches,
-            &mut addresses,
-        );
+    // The batch path: the sweep again, every third address repeated,
+    // shuffled, through each backend's `lookup_batch`. Its answers and
+    // its interner must equal that backend's per-address loop's.
+    let mut batch = sweep.clone();
+    batch.extend(sweep.iter().step_by(3));
+    for i in (1..batch.len()).rev() {
+        let j = usize::try_from(rng.below(i as u64 + 1)).unwrap_or(0);
+        batch.swap(i, j);
     }
-    // Global sweep: uniform addresses, mostly landing in uncovered
-    // space — the `None == None == None` agreement matters too.
-    for _ in 0..diff_addrs {
-        let word = u32::try_from(rng.next_u64() & 0xFFFF_FFFF).unwrap_or(0);
-        probe(
-            Ipv4Addr::from(word),
-            &mut interner,
-            &mut mismatches,
-            &mut addresses,
-        );
+    let backends: [(&str, &dyn GeoDatabase); 3] =
+        [("rgdb", &heap), ("rgdb-file", &file), ("mem", &inmem)];
+    for (label, db) in backends {
+        let mut seq_interner = LocationInterner::new();
+        let seq: Vec<_> = (batch.iter())
+            .map(|ip| db.lookup_compact(*ip, &mut seq_interner))
+            .collect();
+        let mut batch_interner = LocationInterner::new();
+        let got = db.lookup_batch(&batch, &mut batch_interner);
+        if got != seq || batch_interner != seq_interner {
+            let first = (seq.iter().zip(&got).position(|(a, b)| a != b))
+                .map(|p| (batch[p], render(got[p]), render(seq[p])));
+            mismatches.push(spec(&format!(
+                "{label} lookup_batch differs from its per-address loop: {} answers for {} \
+                 addresses, same interner {}, first difference (addr, batch, loop) {first:?}",
+                got.len(),
+                seq.len(),
+                batch_interner == seq_interner
+            )));
+        }
     }
-    (addresses, mismatches)
+    (sweep.len() as u64, mismatches)
 }
 
 /// Run the pillar over the tiny and tenth scales for every corpus seed.

@@ -12,16 +12,21 @@
 //! * [`PrefixTrie`] — a binary trie with longest-prefix-match lookup;
 //!   the natural shape of MaxMind-style binary databases and of the
 //!   address-allocation plan in `routergeo-world`.
+//! * [`SortedBatch`] — a batch of addresses sorted once, with repeats
+//!   removed, for the batched lookups of [`RangeMap`] and of the RGDB
+//!   reader in `routergeo-db`.
 //!
 //! All structures are plain in-memory containers; serialization formats
 //! live in `routergeo-db`.
 
 #![deny(clippy::cast_possible_truncation)]
 
+pub mod batch;
 pub mod prefix;
 pub mod rangemap;
 pub mod trie;
 
+pub use batch::SortedBatch;
 pub use prefix::{Prefix, PrefixError};
 pub use rangemap::{RangeMap, RangeMapBuilder, RangeOverlap};
 pub use trie::PrefixTrie;

@@ -9,6 +9,7 @@
 // A lookup path: width changes go through `From`/`TryFrom`.
 #![deny(clippy::as_conversions)]
 
+use crate::SortedBatch;
 use std::fmt;
 use std::net::Ipv4Addr;
 
@@ -154,80 +155,28 @@ impl<V> RangeMap<V> {
         (needle <= e.end).then_some(&e.value)
     }
 
-    /// Locate the entry index containing each needle of a batch.
+    /// Locate the entry index containing each address of `batch`, in
+    /// the batch's ascending order: `Some(i)` with `self.value_at(i)`
+    /// the matching value, or `None` on a miss.
     ///
     /// Equivalent to calling [`RangeMap::lookup`] per address but
-    /// cache-friendly: needles are visited in ascending address order
-    /// while a single monotone cursor advances over the sorted entries,
-    /// so a batch of `k` lookups costs `O(k + n)` sequential reads —
-    /// plus an `O(k log k)` position sort only when the input is not
-    /// already ascending (resolver pipelines feed sorted interface
-    /// sets, which skip it entirely). The returned vector is in the
-    /// *original* needle order; each element is `Some(i)` with
-    /// `self.value_at(i)` the matching value, or `None` on a miss.
-    pub fn locate_batch(&self, ips: &[Ipv4Addr]) -> Vec<Option<usize>> {
-        if ips.is_sorted() {
-            // Sorted fast path: sweep in place, no position indirection
-            // and no sort. `Ipv4Addr` orders like its big-endian u32.
-            // Duplicate adjacent needles collapse onto the previous
-            // answer — resolver batches repeat hot interfaces heavily,
-            // and a repeat can answer from the last (needle, hit) pair
-            // without touching the entry array at all.
-            let mut out = Vec::with_capacity(ips.len());
-            let mut cursor = 0usize;
-            let mut last: Option<(u32, Option<usize>)> = None;
-            for ip in ips {
-                let needle = u32::from(*ip);
-                let hit = match last {
-                    Some((prev, hit)) if prev == needle => hit,
-                    _ => self.sweep_to(needle, &mut cursor),
-                };
-                last = Some((needle, hit));
-                out.push(hit);
-            }
-            return out;
-        }
-        if u32::try_from(ips.len()).is_err() {
-            // Positions would not fit the packed 8-byte sort key; split
-            // the (pathologically large) batch and stitch the halves.
-            let mid = ips.len() / 2;
-            let mut out = self.locate_batch(&ips[..mid]);
-            out.extend(self.locate_batch(&ips[mid..]));
-            return out;
-        }
-        // 8-byte (address, position) keys: half the memory traffic of a
-        // (u32, usize) pair, which is where the sort spends its time.
-        let mut order: Vec<(u32, u32)> = ips
-            .iter()
-            .enumerate()
-            .map(|(pos, ip)| (u32::from(*ip), u32::try_from(pos).unwrap_or(u32::MAX)))
-            .collect();
-        order.sort_unstable();
-        let mut out = vec![None; ips.len()];
+    /// cache-friendly: one cursor advances monotonically over the
+    /// sorted entries, so a batch of `k` distinct addresses costs
+    /// `O(k + n)` sequential reads.
+    pub fn locate_batch<'a>(
+        &'a self,
+        batch: &'a SortedBatch,
+    ) -> impl Iterator<Item = Option<usize>> + 'a {
+        // The first entry starting after the previous address: the
+        // addresses ascend, so it never moves backward.
         let mut cursor = 0usize;
-        for (needle, pos) in order {
-            let pos = usize::try_from(pos).unwrap_or(usize::MAX);
-            let hit = self.sweep_to(needle, &mut cursor);
-            if let Some(slot) = out.get_mut(pos) {
-                *slot = hit;
+        batch.addrs().iter().map(move |&needle| {
+            while self.entries.get(cursor).is_some_and(|e| e.start <= needle) {
+                cursor += 1;
             }
-        }
-        out
-    }
-
-    /// One step of the monotone batch sweep: advance `cursor` past every
-    /// entry starting at or before `needle` (needles arrive ascending,
-    /// so the cursor never moves backward) and report the index of the
-    /// entry containing `needle`, if any.
-    fn sweep_to(&self, needle: u32, cursor: &mut usize) -> Option<usize> {
-        while self.entries.get(*cursor).is_some_and(|e| e.start <= needle) {
-            *cursor += 1;
-        }
-        let idx = cursor.checked_sub(1)?;
-        self.entries
-            .get(idx)
-            .is_some_and(|e| needle <= e.end)
-            .then_some(idx)
+            let idx = cursor.checked_sub(1)?;
+            (needle <= self.entries.get(idx)?.end).then_some(idx)
+        })
     }
 
     /// Value stored at entry index `idx` (as returned by
@@ -258,6 +207,19 @@ mod tests {
 
     fn ip(s: &str) -> Ipv4Addr {
         s.parse().unwrap()
+    }
+
+    /// [`RangeMap::locate_batch`] over the sorted batch of `needles`,
+    /// read back in input order through the batch's index.
+    fn locate_in_order<V>(m: &RangeMap<V>, needles: &[Ipv4Addr]) -> Vec<Option<usize>> {
+        let batch = SortedBatch::new(needles);
+        let located: Vec<Option<usize>> = m.locate_batch(&batch).collect();
+        assert_eq!(located.len(), batch.addrs().len());
+        batch
+            .index()
+            .iter()
+            .map(|at| located[usize::try_from(*at).unwrap()])
+            .collect()
     }
 
     #[test]
@@ -335,7 +297,7 @@ mod tests {
         .iter()
         .map(|s| ip(s))
         .collect();
-        let located = m.locate_batch(&needles);
+        let located = locate_in_order(&m, &needles);
         assert_eq!(located.len(), needles.len());
         for (got, needle) in located.iter().zip(&needles) {
             let via_batch = got.and_then(|i| m.value_at(i));
@@ -345,9 +307,9 @@ mod tests {
 
     #[test]
     fn sorted_batch_with_duplicates_matches_pointwise_lookup() {
-        // Regression: the sorted fast path memoizes the last needle, so
-        // runs of duplicates (hits AND misses, including leading and
-        // trailing runs) must still agree with pointwise `lookup`.
+        // Runs of duplicates (hits AND misses, including leading and
+        // trailing runs) collapse to one batch address each, and every
+        // input position must still agree with pointwise `lookup`.
         let mut b = RangeMapBuilder::new();
         b.push(ip("10.0.0.0"), ip("10.0.0.255"), "a");
         b.push(ip("10.0.2.0"), ip("10.0.2.255"), "b");
@@ -370,18 +332,18 @@ mod tests {
         .iter()
         .map(|s| ip(s))
         .collect();
-        assert!(needles.is_sorted(), "must exercise the sorted fast path");
-        let located = m.locate_batch(&needles);
+        assert!(needles.is_sorted(), "input already ascending");
+        let located = locate_in_order(&m, &needles);
         assert_eq!(located.len(), needles.len());
         for (got, needle) in located.iter().zip(&needles) {
             let via_batch = got.and_then(|i| m.value_at(i));
             assert_eq!(via_batch, m.lookup(*needle), "needle {needle}");
         }
-        // Same needles shuffled out of order take the sort path and must
-        // land on the identical answers once restored to input order.
+        // Same needles out of order must land on the identical answers
+        // once restored to input order.
         let mut shuffled = needles.clone();
         shuffled.reverse();
-        let mut relocated = m.locate_batch(&shuffled);
+        let mut relocated = locate_in_order(&m, &shuffled);
         relocated.reverse();
         assert_eq!(relocated, located);
     }
@@ -389,11 +351,11 @@ mod tests {
     #[test]
     fn locate_batch_on_empty_map_and_empty_batch() {
         let m: RangeMap<u8> = RangeMap::empty();
-        assert_eq!(m.locate_batch(&[ip("1.2.3.4")]), vec![None]);
+        assert_eq!(locate_in_order(&m, &[ip("1.2.3.4")]), vec![None]);
         let mut b = RangeMapBuilder::new();
         b.push(ip("10.0.0.0"), ip("10.0.0.255"), 1);
         let m = b.build().unwrap();
-        assert!(m.locate_batch(&[]).is_empty());
+        assert!(locate_in_order(&m, &[]).is_empty());
         assert_eq!(m.value_at(0), Some(&1));
         assert_eq!(m.value_at(1), None);
     }
