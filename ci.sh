@@ -113,6 +113,15 @@ step_budget lint 30 sh -c "cargo xtask lint --json > $ART_DIR/lint_ci.json"
 
 step deps cargo xtask deps
 
+# Pool gate: the worker pool's own tests under a hard timeout, before
+# any step that runs the pool (report-check, the determinism gate, the
+# workspace tests). A worker waits on the fold at the edge of its
+# window, so a lost wake-up would hang a step, and step_budget only
+# reads the clock once a step ends. The tests' own watchdogs fail a
+# wedged pool after 30 s; the timeout catches what they cannot.
+step pool-build cargo test -q -p routergeo-pool --no-run
+step pool-test timeout 120 cargo test -q -p routergeo-pool
+
 # Fault-matrix gate: the resilient bulk-whois path must stay wall-clock
 # deterministic. Backoff sleeps run on an injected clock, so the whole
 # matrix — retries, timeouts, circuit breaker — completes in seconds of
@@ -184,8 +193,10 @@ step_budget serve-loadgen 90 cargo xtask serve-check --budget-ms 8000
 # ratio-gated against BENCH_resolve.json, and the peak resident set may
 # not exceed 1.25x the baseline's (a fixed ceiling: memory does not
 # scale with machine speed). This is the §5 hot path at
-# the paper's real size; a blowout means the root-table reader or the
-# batched trie walk regressed to per-lookup parsing or allocation.
+# the paper's real size; a blowout means the trie flatten or the
+# range-map sweep over each sorted shard regressed to per-lookup
+# parsing or allocation, or the pool's fold window stopped bounding
+# the parked shard results.
 # The v2.1 engine landed the budget at 20 s (from v2's 45 s); the outer
 # budget adds slack for synthesis and image writing around the gated
 # stage.
@@ -193,4 +204,5 @@ step resolve-build cargo build --release -q -p routergeo-bench
 step_budget resolve-smoke 90 cargo xtask resolve-check --budget-ms 20000
 
 step test cargo test -q
+
 step test-workspace cargo test --workspace -q

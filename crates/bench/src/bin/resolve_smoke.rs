@@ -8,11 +8,14 @@
 //! zero-copy, and resolves a full interface address set through
 //! `ResolvedView::build_with` — the path the analyses use: each shard
 //! sorts its slice once into a `SortedBatch`, every reader locates the
-//! batch's record ids in one ascending pass that resumes each trie walk
-//! from the previous address's path, and the fold decodes each distinct
-//! record once per view. It prints one JSON report to stdout (CI
-//! redirects it into `target/ci-artifacts/`) and, when `--budget-ms` is given,
-//! exits non-zero if the resolve stage alone exceeded the budget. The
+//! batch's record ids with one sweep over a range map of record ids
+//! (flattened from its trie on the first batch, inside the timed
+//! resolve stage) and the shard reads them back to input order, and
+//! the fold decodes each distinct record once per view, with the maps
+//! at most sixteen shards ahead of it. It prints one JSON report to
+//! stdout (CI redirects it into `target/ci-artifacts/`) and, when
+//! `--budget-ms` is given, exits non-zero if the resolve stage alone
+//! exceeded the budget. The
 //! report carries `lookup_ns_per_addr` so `cargo xtask resolve-check`
 //! can ratio-gate per-lookup cost against the blessed baseline. It
 //! also carries `view_digest`, an FNV-1a over the whole view, which the

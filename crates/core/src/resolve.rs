@@ -13,20 +13,22 @@
 //! [`ResolvedView::column`]) without a single per-lookup allocation.
 //!
 //! Construction is sharded through `routergeo_pool`: each shard only
-//! locates its slice. It sorts the slice once into a [`SortedBatch`]
-//! and asks every database for the record ids of the batch's distinct
-//! addresses ([`GeoDatabase::locate_batch`]). The pool's ordered fold
-//! reads the ids back in input order through the batch's index and
-//! turns them into the view's handles as soon as every earlier shard
-//! is in, through one [`RecordTable`] per database: each distinct
-//! record is decoded and interned once per view, on first sight in
-//! (shard, database, address) order. That is the order a per-address
-//! loop would intern in, and shard boundaries depend only on the input
-//! length, so the view — interner ids included — is byte-identical at
-//! any thread count. A database without record ids is answered in the
+//! locates its slice. It sorts the slice once into a [`SortedBatch`],
+//! asks every database for the record ids of the batch's distinct
+//! addresses ([`GeoDatabase::locate_batch`]) and reads them back in
+//! input order through the batch's index, so a shard hands the fold
+//! one 4-byte id per cell. The pool's ordered fold turns the ids into
+//! the view's handles as soon as every earlier shard is in, through
+//! one [`RecordTable`] per database: each distinct record is decoded
+//! and interned once per view, on first sight in (shard, database,
+//! address) order. That is the order a per-address loop would intern
+//! in, and shard boundaries depend only on the input length, so the
+//! view — interner ids included — is byte-identical at any thread
+//! count. `build_with` asks each database once, with an empty batch,
+//! whether it has record ids at all. One without is answered in the
 //! fold by its [`GeoDatabase::lookup_batch`], into the view's own
 //! interner, which keeps that order too; each of its answers is
-//! appended to its table.
+//! appended to its table. When no database has ids, no shard is sorted.
 
 use routergeo_db::compact::MISS;
 use routergeo_db::{CompactRecord, GeoDatabase, LocationInterner, RecordTable, SortedBatch};
@@ -93,25 +95,36 @@ impl ResolvedView {
         let mut handles: Vec<Vec<u32>> = (0..n).map(|_| Vec::with_capacity(ips.len())).collect();
         let mut tables: Vec<RecordTable> = (0..n).map(|_| RecordTable::default()).collect();
         let mut hits = 0u64;
+        let empty = SortedBatch::new(&[]);
+        let has_ids: Vec<bool> = (dbs.iter())
+            .map(|db| db.locate_batch(&empty).is_some())
+            .collect();
+        let sort = has_ids.contains(&true);
         pool.fold_shards(
             0,
             ips,
             LOOKUP_SHARD_SIZE,
             |_, chunk| {
-                let batch = SortedBatch::new(chunk);
-                let located: Vec<_> = dbs.iter().map(|db| db.locate_batch(&batch)).collect();
-                (batch, located)
+                // Per database, its record ids in input order, or `None`.
+                let batch = sort.then(|| SortedBatch::new(chunk));
+                (dbs.iter().zip(&has_ids))
+                    .map(|(db, has)| {
+                        let batch = batch.as_ref().filter(|_| *has)?;
+                        let ids = db.locate_batch(batch)?;
+                        Some(batch.index().iter().map(|at| ids[*at as usize]).collect())
+                    })
+                    .collect::<Vec<Option<Vec<u32>>>>()
             },
-            |shard, (batch, located)| {
+            |shard, located| {
                 let parts = handles.iter_mut().zip(&mut tables).zip(dbs).zip(located);
                 for (((column, table), db), ids) in parts {
                     let start = column.len();
                     if let Some(ids) = ids {
-                        column.extend(batch.index().iter().map(|at| {
-                            table.handle(ids[*at as usize], |id| {
-                                db.compact_record(id, &mut interner)
-                            })
-                        }));
+                        column.extend(
+                            ids.into_iter().map(|id| {
+                                table.handle(id, |id| db.compact_record(id, &mut interner))
+                            }),
+                        );
                     } else {
                         let part = db.lookup_batch(&ips[shard.start..shard.end], &mut interner);
                         column.extend(part.into_iter().map(|rec| table.push(rec)));
@@ -263,6 +276,7 @@ mod tests {
     use routergeo_db::inmem::{InMemoryDb, InMemoryDbBuilder};
     use routergeo_db::{Granularity, LocationRecord};
     use routergeo_geo::Coordinate;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// A database whose city names vary per /24 so distinct symbols keep
     /// appearing across shard boundaries.
@@ -311,8 +325,9 @@ mod tests {
     }
 
     /// A database with no record ids: it answers batches through its
-    /// inner database, so the view takes the id-less fallback.
-    struct BatchOnly<'a>(&'a InMemoryDb);
+    /// inner database, so the view takes the id-less fallback. It
+    /// counts the batches it is asked to locate.
+    struct BatchOnly<'a>(&'a InMemoryDb, AtomicUsize);
 
     impl GeoDatabase for BatchOnly<'_> {
         fn name(&self) -> &str {
@@ -321,6 +336,11 @@ mod tests {
 
         fn lookup(&self, ip: Ipv4Addr) -> Option<LocationRecord> {
             self.0.lookup(ip)
+        }
+
+        fn locate_batch(&self, _batch: &SortedBatch) -> Option<Vec<u32>> {
+            self.1.fetch_add(1, Ordering::Relaxed);
+            None
         }
 
         fn lookup_batch(
@@ -370,12 +390,16 @@ mod tests {
     #[test]
     fn views_compare_answers_not_handles() {
         let dbs = [striped_db("a", 120, 1), striped_db("b", 120, 3)];
-        let wrapped = [BatchOnly(&dbs[0]), BatchOnly(&dbs[1])];
+        let wrapped = dbs.each_ref().map(|db| BatchOnly(db, AtomicUsize::new(0)));
         let ips = repeated_ips();
         for threads in [1, 2] {
             let pool = Pool::new(threads);
             let view = ResolvedView::build_with(&dbs, &ips, &pool);
             let fallback = ResolvedView::build_with(&wrapped, &ips, &pool);
+            // Asked once per build, so no shard is sorted for them.
+            for db in &wrapped {
+                assert_eq!(db.1.swap(0, Ordering::Relaxed), 1, "threads={threads}");
+            }
             // The fallback appends every answer, so its handles differ.
             assert_ne!(view.handles, fallback.handles, "threads={threads}");
             assert_eq!(view, fallback, "threads={threads}");
@@ -403,8 +427,8 @@ mod tests {
     #[test]
     fn v21_views_are_identical_across_threads_and_image_sources() {
         // The multi-threaded resolve default rests on this: a view
-        // built over v2.1 root-table readers — each shard's sorted
-        // batch and the resumed batch walk, not the per-address loop —
+        // built over v2.1 readers — each shard's sorted batch swept
+        // over the flattened range map, not the per-address loop —
         // must be byte-identical at 1, 2, and 8 threads, and a
         // file-backed image must answer exactly like the heap-backed
         // bytes it was written from.

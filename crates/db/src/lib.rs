@@ -12,8 +12,9 @@
 //!   revision v2.1): a checksummed header, a stride-16 root table,
 //!   level-order trie nodes, fixed-width records, and a deduplicated
 //!   string table. [`Rgdb2Reader`] validates an image fully at open, so
-//!   lookups are lock-free pointer arithmetic that borrows straight
-//!   from the image bytes.
+//!   point lookups are lock-free pointer arithmetic that borrows
+//!   straight from the image bytes; batches sweep a range map of
+//!   record ids that the first batch flattens from the trie.
 //! * [`image`] — [`FileImage`], the file-backed image loader: one
 //!   allocation, positioned reads, attributed I/O errors.
 //! * [`diff`] — snapshot drift measurement: classify how answers change
@@ -77,7 +78,11 @@ pub trait GeoDatabase {
     /// record answers, [`compact::MISS`] where none does.
     /// [`GeoDatabase::compact_record`] of that id equals
     /// [`GeoDatabase::lookup_compact`] of the address. `None` (the
-    /// default) means the backend has no record ids.
+    /// default) means the backend has no record ids, for this batch or
+    /// any other, so a caller may ask once with an empty batch and skip
+    /// sorting for a backend without. Both backends answer with one
+    /// monotone sweep over a range map (an RGDB reader flattens its
+    /// trie into one on its first batch).
     fn locate_batch(&self, _batch: &SortedBatch) -> Option<Vec<u32>> {
         None
     }

@@ -2,10 +2,15 @@
 //!
 //! An image is a flat, zero-copy layout: fixed-width trie nodes and
 //! records plus a deduplicated string table, fully validated once at
-//! [`Rgdb2Reader::open`], so a lookup is pure pointer arithmetic over
-//! `&[u8]`: **no parse after open, no decode cache, no locks**. Lookups
-//! borrow region/city bytes straight from the image into a
-//! [`CompactRecord`].
+//! [`Rgdb2Reader::open`], so a point lookup is pure pointer arithmetic
+//! over `&[u8]`: **no parse after open, no locks**. Lookups borrow
+//! region/city bytes straight from the image into a [`CompactRecord`].
+//! Batches are answered from the one structure a reader builds after
+//! open: on the first [`GeoDatabase::locate_batch`], one in-order walk
+//! flattens the trie into a [`RangeMap`] of record ids, and each batch
+//! is one monotone sweep over it, the sweep [`InMemoryDb`] runs.
+//!
+//! [`InMemoryDb`]: crate::InMemoryDb
 //!
 //! Layout (all integers little-endian):
 //!
@@ -45,15 +50,13 @@
 //! - **Level-order node placement.** The trie nodes are laid out
 //!   breadth-first: node 0 is the root and, scanning nodes in index
 //!   order, the non-`NONE` child links are exactly 1, 2, 3, … so each
-//!   trie level is one contiguous index range, ordered by address. The
-//!   batched lookup walks a batch's addresses in ascending order, each
-//!   walk resumed from the previous address's path where the two
-//!   diverge, so at every level it reads nodes in increasing index
-//!   order and skips the levels the two addresses share.
+//!   trie level is one contiguous index range, ordered by address, and
+//!   the validator proves in one forward pass that every node is
+//!   reachable exactly once.
 //!
 //! Both are **pure acceleration**: the full trie is retained, so a
 //! plain walk from the root (which [`Rgdb2Reader::match_len`] takes)
-//! answers identically.
+//! answers identically, and so does the flattened range map.
 //!
 //! The encoding is **canonical**: unknown flag bits, non-zeroed absent
 //! fields, out-of-range offsets, bad UTF-8, or out-of-range coordinates
@@ -76,17 +79,16 @@ use crate::record::{Granularity, LocationRecord};
 use crate::GeoDatabase;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use routergeo_geo::{Coordinate, CountryCode};
-use routergeo_net::{Prefix, PrefixTrie, SortedBatch};
+use routergeo_net::{Prefix, PrefixTrie, RangeMap, RangeMapBuilder, SortedBatch};
 use std::collections::HashMap;
 use std::fmt;
 use std::net::Ipv4Addr;
+use std::sync::OnceLock;
 
 const MAGIC: &[u8; 4] = b"RGDB";
 /// On-disk header version of the layout (the revision called v2.1).
 const VERSION: u16 = 3;
 const NONE: u32 = u32::MAX;
-// The batched walk returns an absent record as the record id of a miss.
-const _: () = assert!(NONE == MISS);
 pub(crate) const HEADER_LEN: usize = 28;
 /// Fixed byte width of one record in the record array.
 const RECORD_WIDTH: usize = 20;
@@ -370,8 +372,8 @@ fn set_node_link(nodes: &mut [[u32; 3]], node: usize, slot: usize, value: u32) {
 /// node 0 stays the root, its children come next, then the
 /// grandchildren, and so on. Scanning nodes in index order, the
 /// non-`NONE` child links are then exactly 1, 2, 3, … — the placement
-/// invariant the validator pins, and what lets the batched walk, over
-/// ascending addresses, read each trie level in forward index order.
+/// invariant the validator pins, which proves in one forward pass that
+/// every node is reachable exactly once.
 fn bfs_nodes(trie: &PrefixTrie<u32>) -> Vec<[u32; 3]> {
     let arena = flatten_trie(trie);
     // Visit order doubles as the new→old index table.
@@ -548,10 +550,14 @@ struct RawRecord {
 /// Zero-copy, lock-free reader over a validated RGDB image.
 ///
 /// [`Rgdb2Reader::open`] walks every node and record once; after that,
-/// lookups are pure pointer arithmetic over the image bytes — no decode
-/// cache, no mutex, no per-lookup allocation on the compact path.
-/// Region/city strings are borrowed from the image and interned at the
-/// call site, never copied into reader-owned state.
+/// a point lookup ([`Rgdb2Reader::try_lookup`], the daemon's path) is
+/// pure pointer arithmetic over the image bytes — no mutex, no
+/// per-lookup allocation on the compact path. The first
+/// [`GeoDatabase::locate_batch`] flattens the trie into a range map of
+/// record ids, 12 bytes per answered interval, which every later batch
+/// sweeps; `open` and the point lookups never build it. Region/city
+/// strings are borrowed from the image and interned at the call site,
+/// never copied into reader-owned state.
 pub struct Rgdb2Reader {
     image: Bytes,
     name: String,
@@ -563,6 +569,9 @@ pub struct Rgdb2Reader {
     record_count: u32,
     strings_start: usize,
     strings_len: usize,
+    /// The trie's longest-prefix answers as record-id intervals, built
+    /// by the first batch ([`Rgdb2Reader::ranges`]).
+    ranges: OnceLock<RangeMap<u32>>,
 }
 
 impl std::fmt::Debug for Rgdb2Reader {
@@ -635,6 +644,7 @@ impl Rgdb2Reader {
             record_count,
             strings_start,
             strings_len,
+            ranges: OnceLock::new(),
         };
         reader.validate()?;
         Ok(reader)
@@ -1026,6 +1036,64 @@ impl Rgdb2Reader {
             Some(idx) => self.record_owned(idx).map(Some),
         }
     }
+
+    /// The trie's longest-prefix answers: each maximal address interval
+    /// one record answers, with that record's index. Built on first use
+    /// by one in-order walk of the validated trie, so `open` and the
+    /// point lookups never pay for it.
+    fn ranges(&self) -> &RangeMap<u32> {
+        self.ranges.get_or_init(|| {
+            let mut spans = Vec::new();
+            self.flatten(0, 0, 0, NONE, &mut spans);
+            let mut map = RangeMapBuilder::new();
+            for (first, last, id) in spans {
+                map.push(Ipv4Addr::from(first), Ipv4Addr::from(last), id);
+            }
+            map.build()
+                .expect("an in-order trie walk yields ascending disjoint intervals")
+        })
+    }
+
+    /// Append the answers under `node` — at `depth`, covering the
+    /// addresses from `base`, below the deepest record `best` on its
+    /// path — to `spans`, in ascending order. A missing child is one
+    /// interval of the record carried to it.
+    fn flatten(&self, node: u32, depth: u32, base: u32, best: u32, spans: &mut Spans) {
+        // Unreachable on a validated image; an unreadable node answers
+        // nothing, as the point walk degrades it to a miss.
+        let Ok((left, right, record)) = self.node(node) else {
+            return;
+        };
+        let best = if record == NONE { best } else { record };
+        if depth == 32 {
+            return push_span(spans, base, base, best);
+        }
+        let half = 1u32 << (31 - depth);
+        for (child, first) in [(left, base), (right, base + half)] {
+            if child == NONE {
+                push_span(spans, first, first + (half - 1), best);
+            } else {
+                self.flatten(child, depth + 1, first, best, spans);
+            }
+        }
+    }
+}
+
+/// Answered address intervals, ascending: `(first, last, record)`.
+type Spans = Vec<(u32, u32, u32)>;
+
+/// Append `first..=last`, answered by record `id`: nothing for a miss,
+/// and an extension of the previous interval when it ends just before
+/// `first` with the same record — as a leaf's two missing children do,
+/// so a /24 row is one interval, not two.
+fn push_span(spans: &mut Spans, first: u32, last: u32, id: u32) {
+    if id == NONE {
+        return;
+    }
+    match spans.last_mut() {
+        Some(prev) if prev.2 == id && prev.1.checked_add(1) == Some(first) => prev.1 = last,
+        _ => spans.push((first, last, id)),
+    }
 }
 
 impl GeoDatabase for Rgdb2Reader {
@@ -1047,78 +1115,19 @@ impl GeoDatabase for Rgdb2Reader {
         self.compact_record(idx, interner)
     }
 
-    /// Batched record location — the hot path. One pass over the
-    /// batch's ascending addresses keeps the previous walk's node and
-    /// best-so-far record at each depth from 16 to 32. Two addresses
-    /// share their trie path down to their common prefix length, so a
-    /// walk resumes at the smaller of that length and the depth where
-    /// the previous walk stopped, and the root table is read only when
-    /// the top sixteen bits change. The record indices are the record
-    /// ids, [`MISS`] on a miss; nothing is decoded here.
+    /// Batched record location — the hot path, and the sweep
+    /// [`InMemoryDb`](crate::InMemoryDb) runs: one cursor advances over
+    /// the reader's range map of record ids, flattened from the trie on
+    /// the first call, as the batch's addresses ascend
+    /// ([`RangeMap::locate_batch`]). The ids are record indices,
+    /// [`MISS`] on a miss; nothing is decoded here.
     fn locate_batch(&self, batch: &SortedBatch) -> Option<Vec<u32>> {
-        // The node array and the root table as slices: their lengths
-        // are the bounds checks, so the walk below never consults
-        // node_count or re-derives section offsets.
-        let nodes: &[u8] = self
-            .image
-            .get(self.nodes_start..self.nodes_start + ix(self.node_count) * NODE_WIDTH)
-            .unwrap_or(&[]);
-        let root: &[u8] = self
-            .image
-            .get(self.root_start..self.root_start + ROOT_TABLE_BYTES)
-            .unwrap_or(&[]);
-        // `path[d]`: the previous walk's node at depth `16 + d` and the
-        // best record above that node.
-        let mut path = [(NONE, NONE); 17];
-        let mut prev: Option<u32> = None;
-        let mut stop = 16u32;
-        let mut ids = Vec::with_capacity(batch.addrs().len());
-        for &addr in batch.addrs() {
-            let shared = prev.map_or(0, |p| (p ^ addr).leading_zeros());
-            let mut depth = if shared >= 16 {
-                shared.min(stop)
-            } else {
-                // A new /16: seed the path from its root entry.
-                let at = ix(addr >> 16) * ROOT_ENTRY_WIDTH;
-                let (record, node) = root
-                    .get(at..at + ROOT_ENTRY_WIDTH)
-                    .map_or((NONE, NONE), |mut e| (e.get_u32_le(), e.get_u32_le()));
-                path[0] = (node, record);
-                16
-            };
-            let (mut node, mut best) = path.get(ix(depth - 16)).copied().unwrap_or((NONE, NONE));
-            while node != NONE {
-                let at = ix(node) * NODE_WIDTH;
-                let Some(mut b) = nodes.get(at..at + NODE_WIDTH) else {
-                    // Unreachable on a validated image; a latent read
-                    // failure degrades to a miss, matching the
-                    // per-address path.
-                    best = NONE;
-                    break;
-                };
-                let (left, right, record) = (b.get_u32_le(), b.get_u32_le(), b.get_u32_le());
-                if record != NONE {
-                    best = record;
-                }
-                if depth == 32 {
-                    break;
-                }
-                let bit = (addr << depth) & 0x8000_0000;
-                let next = if bit == 0 { left } else { right };
-                if next == NONE {
-                    break;
-                }
-                depth += 1;
-                node = next;
-                if let Some(slot) = path.get_mut(ix(depth - 16)) {
-                    *slot = (node, best);
-                }
-            }
-            stop = depth;
-            prev = Some(addr);
-            ids.push(best);
-        }
-        Some(ids)
+        let ranges = self.ranges();
+        let id = |hit: Option<usize>| {
+            hit.and_then(|ix| ranges.value_at(ix))
+                .map_or(MISS, |id| *id)
+        };
+        Some(ranges.locate_batch(batch).map(id).collect())
     }
 
     /// Decode record `id` trusting the open-time validation sweep, and
@@ -1297,7 +1306,7 @@ mod tests {
                 .map(|s| s.parse().unwrap())
                 .collect();
             // The provided `lookup_batch` answers through the record
-            // ids the resumed walk returns, one per batch address...
+            // ids the range-map sweep returns, one per batch address...
             let batch = SortedBatch::new(&ips);
             let ids = db.locate_batch(&batch).expect("RGDB has record ids");
             assert_eq!(ids.len(), batch.addrs().len());
@@ -1360,7 +1369,7 @@ mod tests {
     }
 
     #[test]
-    fn resumed_batch_walk_matches_the_point_walk_on_nested_prefixes() {
+    fn range_sweep_matches_the_point_walk_on_nested_prefixes() {
         use routergeo_pool::splitmix64;
         for seed in 0..120u64 {
             let recs = nested_prefixes(seed);
@@ -1395,6 +1404,43 @@ mod tests {
                 assert_eq!(batch.addrs()[ix(*at)], u32::from(*ip), "seed {seed}");
             }
         }
+    }
+
+    #[test]
+    fn only_a_batch_builds_the_range_map() {
+        let recs = stride_records();
+        let db = Rgdb2Reader::open(write_v21("lazy", recs.iter().map(|(p, r)| (*p, r)))).unwrap();
+        assert!(db.ranges.get().is_none(), "open built the range map");
+        for (ip, _) in STRIDE_PROBES {
+            db.try_lookup(ip.parse().unwrap()).unwrap();
+        }
+        assert!(db.ranges.get().is_none(), "try_lookup built the range map");
+        let ips = [Ipv4Addr::new(12, 34, 129, 7)];
+        let ids = db.locate_batch(&SortedBatch::new(&ips)).unwrap();
+        assert_eq!(ids, [db.locate(u32::from(ips[0])).unwrap().unwrap()]);
+        assert!(db.ranges.get().is_some(), "a batch flattens the trie");
+    }
+
+    #[test]
+    fn the_range_map_holds_one_interval_per_maximal_answer() {
+        // A /24 leaf is one interval, not one per missing child, and the
+        // /16 is one interval on each side of the /24 nested in it.
+        let db = build();
+        db.locate_batch(&SortedBatch::new(&[])).unwrap();
+        let spans: Vec<(String, String, u32)> = (db.ranges.get().unwrap().iter())
+            .map(|(first, last, id)| (first.to_string(), last.to_string(), *id))
+            .collect();
+        let want = [
+            ("6.0.0.0", "6.0.0.255", 0),
+            ("31.0.0.0", "31.0.0.255", 1),
+            ("31.0.1.0", "31.0.1.255", 2),
+            ("31.0.2.0", "31.0.255.255", 1),
+            ("77.1.0.0", "77.1.0.255", 3),
+        ];
+        let want: Vec<_> = (want.iter())
+            .map(|(first, last, id)| (first.to_string(), last.to_string(), *id))
+            .collect();
+        assert_eq!(spans, want);
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //! its own RNG seed, derived as [`splitmix64`]`(master_seed,
 //! shard_index)`, so any randomized per-shard work draws from a stream
 //! that is a pure function of the shard index. Workers take shard
-//! indexes in plan order and each result is folded into the caller's
+//! indexes in plan order, never more than a fixed window past the next
+//! shard to fold, and each result is folded into the caller's
 //! accumulator in shard order, as soon as every earlier shard has been
 //! folded ([`Pool::fold_shards`]). Together these three properties make
 //! the folded output **byte-identical across thread counts** —
@@ -21,12 +22,18 @@
 
 use std::any::Any;
 use std::panic::{catch_unwind, panic_any, AssertUnwindSafe};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
 
 /// Environment variable overriding the worker count picked by
 /// [`Pool::from_env`].
 pub const THREADS_ENV: &str = "ROUTERGEO_THREADS";
+
+/// How many shards, counting the next one to fold, may be mapped or
+/// mapping but not yet folded. A worker that would map past the window
+/// waits for the fold, so a fold slower than the maps holds at most
+/// this many results, not the rest of the plan.
+const WINDOW: usize = 16;
 
 /// The `index`-th output of a SplitMix64 stream seeded with `seed`.
 ///
@@ -148,11 +155,13 @@ impl Pool {
     /// folded.
     ///
     /// The fold runs on whichever worker completed that prefix, one
-    /// shard at a time, while the other workers keep mapping, so a
-    /// caller that accumulates into one structure never holds more
-    /// than the few results the fold has not yet reached. `fold` sees
-    /// the same sequence at every thread count. With one thread (or at
-    /// most one shard) everything runs inline on the caller.
+    /// shard at a time, while the other workers keep mapping. No worker
+    /// maps more than sixteen shards past the next one to fold: it
+    /// waits for the fold instead, so a caller that accumulates into
+    /// one structure never holds more than sixteen results the fold
+    /// has not yet reached. `fold` sees the same sequence at every
+    /// thread count. With one thread (or at most one shard) everything
+    /// runs inline on the caller.
     ///
     /// If `map` or `fold` panics, the first panic (by completion order)
     /// is re-raised here with its shard index prepended; workers stop
@@ -229,6 +238,9 @@ struct Job<R, M, F> {
     shards: Vec<Shard>,
     map: M,
     state: Mutex<FoldState<R, F>>,
+    /// Signalled when the fold moves on or a worker fails: what a
+    /// worker waiting at the window's edge waits for.
+    folded: Condvar,
     /// Caller's span at plan time: the parent of every shard span.
     parent: u64,
     /// Started at plan time; `queue_us` of a `pool.shard` span is when
@@ -276,6 +288,7 @@ where
             shards,
             map,
             state: Mutex::new(state),
+            folded: Condvar::new(),
             parent: routergeo_obs::current_span(),
             clock: routergeo_obs::stopwatch(),
             observe: routergeo_obs::enabled(),
@@ -290,11 +303,18 @@ where
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// The worker loop: take the next shard, map it, park the result,
-    /// then fold the completed prefix unless another worker already is.
+    /// The worker loop: wait until the next shard is inside the window,
+    /// take it, map it, park the result, then fold the completed prefix
+    /// unless another worker already is.
     fn work(&self) {
         let mut st = self.lock();
         loop {
+            // The shard at the window's edge is taken, so the next to
+            // fold is being mapped or folded: the fold will move on.
+            while st.failure.is_none() && st.next_map >= st.next_fold + WINDOW {
+                // xtask-allow: RG011 a Condvar wait releases the guard while it blocks and retakes it to return
+                st = (self.folded.wait(st)).unwrap_or_else(PoisonError::into_inner);
+            }
             if st.failure.is_some() {
                 return;
             }
@@ -309,6 +329,7 @@ where
                 Ok(r) => st.ready[shard.index] = Some((r, routergeo_obs::stopwatch())),
                 Err(payload) => {
                     st.fail(shard.index, &*payload);
+                    self.folded.notify_all();
                     return;
                 }
             }
@@ -327,9 +348,11 @@ where
                 st = self.lock();
                 if let Err(payload) = folded {
                     st.fail(ix, &*payload);
+                    self.folded.notify_all();
                     return;
                 }
                 st.next_fold += 1;
+                self.folded.notify_all();
             }
             st.fold = Some(fold);
         }
@@ -405,7 +428,9 @@ fn payload_message(payload: &(dyn Any + Send)) -> String {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::{mpsc, RwLock, RwLockReadGuard};
+    use std::sync::mpsc::{self, RecvTimeoutError};
+    use std::sync::{RwLock, RwLockReadGuard};
+    use std::time::Duration;
 
     // Reference SplitMix64 outputs for seed 0 (Steele et al. 2014, as
     // pinned by the JDK SplittableRandom and the xoshiro seeding code).
@@ -513,42 +538,115 @@ mod tests {
         }
     }
 
+    /// How long a test gives a pool call before calling the pool wedged.
+    const WATCHDOG: Duration = Duration::from_secs(30);
+
+    /// Run `body` on a thread of its own and return its result, failing
+    /// the test if it has not returned within [`WATCHDOG`]: a wedged
+    /// pool fails its test instead of hanging the run.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a wedged pool must not take the test thread with it"
+    )]
+    fn watchdog<T: Send + 'static>(body: impl FnOnce() -> T + Send + 'static) -> T {
+        let (tx, rx) = mpsc::channel();
+        let runner = thread::spawn(move || tx.send(body()));
+        match rx.recv_timeout(WATCHDOG) {
+            Err(RecvTimeoutError::Timeout) => panic!("the pool wedged: no result in {WATCHDOG:?}"),
+            // A result, or a panic in `body`: the runner has ended.
+            received => match runner.join() {
+                Err(payload) => std::panic::resume_unwind(payload),
+                Ok(_) => received.expect("the runner sends before it returns"),
+            },
+        }
+    }
+
     #[test]
     fn fold_keeps_shard_order_when_shards_finish_out_of_order() {
-        // Shard 0 returns only after every other shard's map has
-        // returned, so the later results are parked until it lands.
+        // Shard 0 returns only after every other shard inside the window
+        // has returned, so their results are parked until it lands; the
+        // shards past the window wait until it is folded.
         let _counters = shared();
-        let shards = 12;
+        let shards = 2 * WINDOW;
         for threads in [2, 3, 8] {
-            let (done_tx, done_rx) = mpsc::channel::<usize>();
-            let done_rx = Mutex::new(done_rx);
-            let finished = AtomicUsize::new(0);
-            let mut seen = Vec::new();
-            Pool::new(threads).fold_shards(
-                0,
-                &vec![(); shards],
-                1,
-                |s, _| {
-                    if s.index == 0 {
-                        let rx = done_rx.lock().expect("only shard 0 receives");
-                        for _ in 1..shards {
-                            rx.recv().expect("every other shard reports");
+            let seen = watchdog(move || {
+                let (done_tx, done_rx) = mpsc::channel::<usize>();
+                let done_rx = Mutex::new(done_rx);
+                let finished = AtomicUsize::new(0);
+                let mut seen = Vec::new();
+                Pool::new(threads).fold_shards(
+                    0,
+                    &vec![(); shards],
+                    1,
+                    |s, _| {
+                        if s.index == 0 {
+                            let rx = done_rx.lock().expect("only shard 0 receives");
+                            for _ in 1..WINDOW {
+                                rx.recv().expect("every other shard in the window reports");
+                            }
                         }
-                    }
-                    let position = finished.fetch_add(1, Ordering::SeqCst);
-                    if s.index != 0 {
-                        done_tx.send(s.index).expect("shard 0 is listening");
-                    }
-                    position
-                },
-                |s, position| seen.push((s.index, position)),
-            );
+                        let position = finished.fetch_add(1, Ordering::SeqCst);
+                        if (1..WINDOW).contains(&s.index) {
+                            done_tx.send(s.index).expect("shard 0 is listening");
+                        }
+                        position
+                    },
+                    |s, position| seen.push((s.index, position)),
+                );
+                seen
+            });
             let order: Vec<usize> = seen.iter().map(|&(ix, _)| ix).collect();
             assert_eq!(order, (0..shards).collect::<Vec<_>>(), "threads={threads}");
             assert_eq!(
                 seen[0].1,
-                shards - 1,
-                "threads={threads}: shard 0 finished last"
+                WINDOW - 1,
+                "threads={threads}: shard 0 finished last in the window"
+            );
+        }
+    }
+
+    #[test]
+    fn a_slow_fold_holds_no_more_than_the_window() {
+        // Each fold waits until the maps have started every shard the
+        // window lets in, so the maps always run ahead to its edge. A
+        // map is counted when it starts and a fold when it ends, so
+        // `started - folded` never exceeds what the pool itself has
+        // mapped but not folded.
+        let _counters = shared();
+        let shards = 4 * WINDOW;
+        for threads in [2, 3, 8] {
+            let widest = watchdog(move || {
+                let (started_tx, started_rx) = mpsc::channel::<()>();
+                let [started, folded, widest] = [0; 3].map(AtomicUsize::new);
+                // The fold owns the receiver and borrows the counter.
+                let (folded, mut reported) = (&folded, 0);
+                Pool::new(threads).fold_count(
+                    0,
+                    shards,
+                    1,
+                    |_| {
+                        let claimed = started.fetch_add(1, Ordering::SeqCst) + 1;
+                        let unfolded = claimed.saturating_sub(folded.load(Ordering::SeqCst));
+                        widest.fetch_max(unfolded, Ordering::SeqCst);
+                        started_tx.send(()).expect("the fold is listening");
+                    },
+                    move |shard, ()| {
+                        while reported < (shard.index + WINDOW).min(shards) {
+                            started_rx.recv().expect("every map reports");
+                            reported += 1;
+                        }
+                        folded.fetch_add(1, Ordering::SeqCst);
+                    },
+                );
+                widest.into_inner()
+            });
+            assert!(
+                widest <= WINDOW,
+                "threads={threads}: {widest} shards unfolded"
+            );
+            assert_eq!(
+                widest, WINDOW,
+                "threads={threads}: the maps filled the window"
             );
         }
     }
