@@ -121,7 +121,7 @@ fn read_chunk(file: &File, chunk: &mut [u8], offset: u64) -> std::io::Result<usi
 mod tests {
     use super::*;
     use crate::record::{Granularity, LocationRecord};
-    use crate::rgdb2::{fnv1a, write_v21, Rgdb2Reader, Section, HEADER_LEN};
+    use crate::rgdb2::{fnv1a, write_v21, Rgdb2Reader, Section, FNV_OFFSET, HEADER_LEN};
     use crate::GeoDatabase;
     use routergeo_net::Prefix;
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -214,7 +214,7 @@ mod tests {
         // Same flip with the checksum re-fixed: structural validation
         // fires with section/offset attribution (the flip above lands
         // in the root table of this small image).
-        let sum = fnv1a(&bytes[HEADER_LEN..]).to_le_bytes();
+        let sum = fnv1a(FNV_OFFSET, &bytes[HEADER_LEN..]).to_le_bytes();
         bytes[20..28].copy_from_slice(&sum);
         std::fs::write(&path, &bytes).unwrap();
         let err = Rgdb2Reader::open(FileImage::load(&path).unwrap().into_bytes()).unwrap_err();

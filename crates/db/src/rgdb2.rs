@@ -60,15 +60,19 @@
 //!
 //! The encoding is **canonical**: unknown flag bits, non-zeroed absent
 //! fields, out-of-range offsets, bad UTF-8, or out-of-range coordinates
-//! are all rejected at [`Rgdb2Reader::open`], which walks every node
-//! and record once. The same sweep checks the level-order placement
-//! invariant and re-derives the entire root table from the nodes,
-//! rejecting any entry that disagrees — a root table can never change
-//! an answer, only speed it up. Any header version other than 3 is
-//! rejected with [`RgdbError::BadVersion`]. After that single
-//! validation sweep the reader is immutable shared state:
-//! `&Rgdb2Reader` is freely usable from any number of threads with zero
-//! coordination.
+//! are all rejected at [`Rgdb2Reader::open`]. It reads the payload once,
+//! front to back, as fixed-width nodes and records, folding each into
+//! the checksum and checking it in the same iteration; the checksum is
+//! a serial multiply chain, so the checks cost little beyond it. Each
+//! distinct string offset is checked once. The same pass checks the
+//! level-order placement invariant, and the entire root table is then
+//! re-derived from the nodes, rejecting any entry that disagrees — a
+//! root table can never change an answer, only speed it up. A checksum
+//! mismatch outranks every structural error; the `open` docs give the
+//! full order of the verdicts. Any header version other than 3 is
+//! rejected with [`RgdbError::BadVersion`]. After that single pass the
+//! reader is immutable shared state: `&Rgdb2Reader` is freely usable
+//! from any number of threads with zero coordination.
 
 // A lookup path: width changes go through `From`/`TryFrom`, and corrupt
 // input surfaces as an error rather than an out-of-bounds panic.
@@ -219,8 +223,15 @@ impl fmt::Display for RgdbError {
 
 impl std::error::Error for RgdbError {}
 
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
+/// FNV-1a64's offset basis: the state before the first byte.
+pub(crate) const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
+
+/// Fold `bytes` into the FNV-1a64 state `h`, so `fnv1a(FNV_OFFSET, b)`
+/// is the checksum of `b`. The writer hashes its payload in one call;
+/// [`Rgdb2Reader::open`] carries the state through the payload one node
+/// or record at a time, checking each as it goes.
+#[inline]
+pub(crate) fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
     for b in bytes {
         h ^= u64::from(*b);
         h = h.wrapping_mul(0x0000_0100_0000_01B3);
@@ -417,55 +428,43 @@ fn bfs_nodes(trie: &PrefixTrie<u32>) -> Vec<[u32; 3]> {
         .collect()
 }
 
-/// Copy `count` consecutive `(record, node)` root entries starting at
-/// `/16` index `base`.
-fn fill_entries(table: &mut [u8], base: u32, count: u32, record: u32, node: u32) {
-    let rec = record.to_le_bytes();
-    let nod = node.to_le_bytes();
-    for hi in base..base.saturating_add(count) {
-        let at = ix(hi) * ROOT_ENTRY_WIDTH;
-        if let Some(slot) = table.get_mut(at..at + 4) {
-            slot.copy_from_slice(&rec);
-        }
-        if let Some(slot) = table.get_mut(at + 4..at + ROOT_ENTRY_WIDTH) {
-            slot.copy_from_slice(&nod);
-        }
-    }
-}
-
-/// Materialize the full canonical stride-16 root table from a node
-/// source: depth-first over the top sixteen trie levels, filling every
-/// `/16` span the trie does not reach with the deepest record seen on
-/// its path (and `NONE` for the subtrie). Shared by the writer and the
-/// open-time validator so "canonical root table" has exactly one
-/// definition in the codebase.
-fn build_root_table<F>(node_at: &mut F) -> Result<Vec<u8>, RgdbError>
-where
-    F: FnMut(u32) -> Result<(u32, u32, u32), RgdbError>,
-{
-    let mut table = vec![0u8; ROOT_TABLE_BYTES];
+/// The canonical stride-16 root table of a trie, as runs of equal
+/// entries: depth-first over the top sixteen levels, `emit(first,
+/// count, entry)` covers `/16` indices `first..first + count`, where
+/// `entry` is the deepest record seen on the path and the depth-16
+/// subtrie root (`NONE` for a span the trie does not reach). The
+/// writer stores the entries and [`Rgdb2Reader::open`] compares them
+/// with the stored table, so "canonical root table" has exactly one
+/// definition in the codebase. The walk stops at depth 16, so it ends
+/// on any node source.
+fn root_entries(
+    node_at: impl Fn(u32) -> (u32, u32, u32),
+    mut emit: impl FnMut(usize, usize, [u8; ROOT_ENTRY_WIDTH]),
+) {
+    let entry = |record: u32, node: u32| {
+        let ([r0, r1, r2, r3], [n0, n1, n2, n3]) = (record.to_le_bytes(), node.to_le_bytes());
+        [r0, r1, r2, r3, n0, n1, n2, n3]
+    };
     // (node, depth, first /16 index under this node, best record so far)
-    let mut stack: Vec<(u32, u32, u32, u32)> = vec![(0, 0, 0, NONE)];
+    let mut stack: Vec<(u32, u32, usize, u32)> = vec![(0, 0, 0, NONE)];
     while let Some((node, depth, base, mut best)) = stack.pop() {
-        let (left, right, record) = node_at(node)?;
+        let (left, right, record) = node_at(node);
         if record != NONE {
             best = record;
         }
         if depth == 16 {
-            fill_entries(&mut table, base, 1, best, node);
+            emit(base, 1, entry(best, node));
             continue;
         }
-        let half = 1u32 << (16 - depth - 1);
-        for (bit, child) in [(0u32, left), (1u32, right)] {
-            let child_base = base + bit * half;
+        let half = 1usize << (16 - depth - 1);
+        for (child, child_base) in [(left, base), (right, base + half)] {
             if child == NONE {
-                fill_entries(&mut table, child_base, half, best, NONE);
+                emit(child_base, half, entry(best, NONE));
             } else {
                 stack.push((child, depth + 1, child_base, best));
             }
         }
     }
-    Ok(table)
 }
 
 /// Serialize `(prefix, record)` entries into an RGDB image: records
@@ -498,21 +497,32 @@ where
     // and payload passes allocate, so they do not add to the peak.
     drop((seen_strings, seen_records));
     let nodes = bfs_nodes(&trie);
-    let root = build_root_table(&mut |idx: u32| {
-        let n = nodes
-            .get(ix(idx))
-            .expect("writer node links stay in bounds");
-        Ok((n[0], n[1], n[2]))
-    })
-    .expect("writer-side root-table derivation cannot fail");
+    let mut root = vec![[0u8; ROOT_ENTRY_WIDTH]; ROOT_TABLE_BYTES / ROOT_ENTRY_WIDTH];
+    root_entries(
+        |idx| {
+            let n = nodes
+                .get(ix(idx))
+                .expect("writer node links stay in bounds");
+            (n[0], n[1], n[2])
+        },
+        |first, count, entry| {
+            if let Some(run) = root.get_mut(first..first + count) {
+                run.fill(entry);
+            }
+        },
+    );
 
     // The checksum covers everything after the header.
     let name_bytes = name.as_bytes();
     let mut payload = BytesMut::with_capacity(
-        name_bytes.len() + root.len() + nodes.len() * NODE_WIDTH + records.len() + strings.len(),
+        name_bytes.len()
+            + ROOT_TABLE_BYTES
+            + nodes.len() * NODE_WIDTH
+            + records.len()
+            + strings.len(),
     );
     payload.put_slice(name_bytes);
-    payload.put_slice(&root);
+    payload.put_slice(root.as_flattened());
     for n in &nodes {
         payload.put_u32_le(n[0]);
         payload.put_u32_le(n[1]);
@@ -520,7 +530,7 @@ where
     }
     payload.put_slice(&records);
     payload.put_slice(&strings);
-    let checksum = fnv1a(&payload);
+    let checksum = fnv1a(FNV_OFFSET, &payload);
 
     let mut out = BytesMut::with_capacity(HEADER_LEN + payload.len());
     out.put_slice(MAGIC);
@@ -547,11 +557,114 @@ struct RawRecord {
     coord: Option<Coordinate>,
 }
 
+/// A node's `(left, right, record)` fields.
+#[inline]
+fn node_fields(node: &[u8; NODE_WIDTH]) -> (u32, u32, u32) {
+    let [l0, l1, l2, l3, r0, r1, r2, r3, c0, c1, c2, c3] = *node;
+    (
+        u32::from_le_bytes([l0, l1, l2, l3]),
+        u32::from_le_bytes([r0, r1, r2, r3]),
+        u32::from_le_bytes([c0, c1, c2, c3]),
+    )
+}
+
+/// Check one record's canonical fixed-width encoding and return its
+/// fields, strings still as table offsets. `at` is the record's
+/// absolute offset, which errors are attributed from. The fields are
+/// checked in layout order, so the first bad one is the one named.
+#[inline]
+fn check_record(rec: &[u8; RECORD_WIDTH], at: usize) -> Result<RawRecord, RgdbError> {
+    let [flags, gran, ca, cb, r0, r1, r2, r3, c0, c1, c2, c3, a0, a1, a2, a3, o0, o1, o2, o3] =
+        *rec;
+    let corrupt =
+        |field: usize, expected| RgdbError::corrupt(Section::Records, at + field, expected);
+    if flags & 0xF0 != 0 {
+        return Err(corrupt(0, "known record flag bits"));
+    }
+    let granularity =
+        Granularity::from_id(gran).ok_or_else(|| corrupt(1, "known granularity id"))?;
+    let country = if flags & 1 != 0 {
+        Some(CountryCode::new(ca, cb).ok_or_else(|| corrupt(2, "ASCII country code"))?)
+    } else if (ca, cb) != (0, 0) {
+        return Err(corrupt(2, "zeroed absent country field"));
+    } else {
+        None
+    };
+    // A string offset is present exactly when its flag bit is set, and
+    // NONE exactly when it is clear.
+    let offset = |bit: u8, off: u32, field: usize, [present, absent]: [&'static str; 2]| {
+        let flagged = flags & bit != 0;
+        match (flagged, off == NONE) {
+            (true, true) => Err(corrupt(field, present)),
+            (false, false) => Err(corrupt(field, absent)),
+            _ => Ok(flagged.then_some(off)),
+        }
+    };
+    let region_off = offset(
+        2,
+        u32::from_le_bytes([r0, r1, r2, r3]),
+        4,
+        ["present region offset", "NONE absent region offset"],
+    )?;
+    let city_off = offset(
+        4,
+        u32::from_le_bytes([c0, c1, c2, c3]),
+        8,
+        ["present city offset", "NONE absent city offset"],
+    )?;
+    let (lat, lon) = (
+        i32::from_le_bytes([a0, a1, a2, a3]),
+        i32::from_le_bytes([o0, o1, o2, o3]),
+    );
+    let coord = if flags & 8 != 0 {
+        Some(
+            Coordinate::new(f64::from(lat) / 1e6, f64::from(lon) / 1e6)
+                .map_err(|_| corrupt(12, "coordinate within ±90/±180"))?,
+        )
+    } else if (lat, lon) != (0, 0) {
+        return Err(corrupt(12, "zeroed absent coordinate field"));
+    } else {
+        None
+    };
+    Ok(RawRecord {
+        granularity,
+        country,
+        region_off,
+        city_off,
+        coord,
+    })
+}
+
+/// Fold `chunks` into the checksum state `h`, checking each one in the
+/// same iteration while `verdict` holds no error; after the first
+/// failure, which `verdict` keeps, the rest is only hashed. The hash
+/// is a serial multiply chain, so the checks, which do not depend on
+/// it, run in its shadow.
+#[inline]
+fn fold_checked<const N: usize>(
+    h: &mut u64,
+    verdict: &mut Result<(), RgdbError>,
+    chunks: &[[u8; N]],
+    mut check: impl FnMut(usize, &[u8; N]) -> Result<(), RgdbError>,
+) {
+    let mut rest = chunks.iter();
+    if verdict.is_ok() {
+        for (idx, chunk) in rest.by_ref().enumerate() {
+            *h = fnv1a(*h, chunk);
+            if let Err(e) = check(idx, chunk) {
+                *verdict = Err(e);
+                break;
+            }
+        }
+    }
+    *h = fnv1a(*h, rest.as_slice().as_flattened());
+}
+
 /// Zero-copy, lock-free reader over a validated RGDB image.
 ///
-/// [`Rgdb2Reader::open`] walks every node and record once; after that,
-/// a point lookup ([`Rgdb2Reader::try_lookup`], the daemon's path) is
-/// pure pointer arithmetic over the image bytes — no mutex, no
+/// [`Rgdb2Reader::open`] checks every byte in one forward pass; after
+/// that, a point lookup ([`Rgdb2Reader::try_lookup`], the daemon's
+/// path) is pure pointer arithmetic over the image bytes — no mutex, no
 /// per-lookup allocation on the compact path. The first
 /// [`GeoDatabase::locate_batch`] flattens the trie into a range map of
 /// record ids, 12 bytes per answered interval, which every later batch
@@ -591,6 +704,16 @@ impl Rgdb2Reader {
     /// here — node links, record indices, flag canonicality, string
     /// offsets/UTF-8, coordinate ranges, level-order placement, and
     /// root-table canonicality — so lookups never parse.
+    ///
+    /// The checks run in one forward pass that also computes the
+    /// checksum, and a checksum mismatch outranks every structural
+    /// error. The verdict is the first failure in this order: the
+    /// header (`Truncated`, `BadMagic`, `BadVersion`, the layout
+    /// length), the checksum, a zero node count, the name's UTF-8, the
+    /// nodes in index order, the level-order placement count, the
+    /// records in index order (each record's fields, then its region
+    /// and city strings), and the lowest root-table entry that differs
+    /// from the one the nodes derive.
     pub fn open(image: Bytes) -> Result<Rgdb2Reader, RgdbError> {
         let mut h = image.get(..HEADER_LEN).ok_or(RgdbError::Truncated)?;
         let mut magic = [0u8; 4];
@@ -616,8 +739,20 @@ impl Rgdb2Reader {
         if image.len() != expected_total {
             return Err(RgdbError::Truncated);
         }
-        let payload = image.get(HEADER_LEN..).ok_or(RgdbError::Truncated)?;
-        if fnv1a(payload) != checksum {
+        let mut reader = Rgdb2Reader {
+            image,
+            name: String::new(),
+            root_start,
+            nodes_start,
+            node_count,
+            records_start,
+            record_count,
+            strings_start,
+            strings_len,
+            ranges: OnceLock::new(),
+        };
+        let (sum, verdict) = reader.check_payload();
+        if sum != checksum {
             return Err(RgdbError::ChecksumMismatch);
         }
         if node_count == 0 {
@@ -628,106 +763,137 @@ impl Rgdb2Reader {
                 "nonzero node count (trie needs a root)",
             ));
         }
-        let name_bytes = image
-            .get(HEADER_LEN..root_start)
-            .ok_or(RgdbError::Truncated)?;
-        let name = std::str::from_utf8(name_bytes)
+        reader.name = std::str::from_utf8(reader.span(HEADER_LEN, root_start))
             .map_err(|_| RgdbError::corrupt(Section::Name, HEADER_LEN, "UTF-8 database name"))?
             .to_string();
-        let reader = Rgdb2Reader {
-            image,
-            name,
-            root_start,
-            nodes_start,
-            node_count,
-            records_start,
-            record_count,
-            strings_start,
-            strings_len,
-            ranges: OnceLock::new(),
-        };
-        reader.validate()?;
+        verdict?;
         Ok(reader)
     }
 
-    /// The open-time validation sweep: every node link and every record
-    /// field is checked once so the lookup path never can fail
-    /// structurally on a reader that opened. The level-order placement
-    /// invariant and the root table's canonicality are proven here too,
-    /// so the fast paths below can trust both.
-    fn validate(&self) -> Result<(), RgdbError> {
-        // Running child counter for the level-order invariant:
-        // scanning nodes in index order, the non-NONE child links must
-        // be exactly 1, 2, 3, … (the BFS numbering). One O(n) pass also
-        // proves every node is reachable exactly once from the root —
-        // acyclicity included.
+    /// The open-time pass: one walk over the payload, in image order,
+    /// that folds every byte into the checksum and checks every node
+    /// and record in the same iteration — the structural half of the
+    /// verdict [`Rgdb2Reader::open`] documents, kept until the
+    /// checksum is known. Each distinct string offset is checked once:
+    /// a bitset over the string table's byte offsets remembers the
+    /// ones that passed, so an offset into the middle of an entry is
+    /// judged exactly as a lookup would read it. The root table, which
+    /// the nodes derive, is compared last, once every node has passed.
+    fn check_payload(&self) -> (u64, Result<(), RgdbError>) {
+        let mut verdict = Ok(());
+        // The name and the root table.
+        let mut h = fnv1a(FNV_OFFSET, self.span(HEADER_LEN, self.nodes_start));
         let mut next_child = 1u32;
-        for idx in 0..self.node_count {
-            let (left, right, record) = self.node(idx)?;
-            let at = self.nodes_start + ix(idx) * NODE_WIDTH;
-            for link in [left, right] {
-                if link != NONE {
-                    if link >= self.node_count {
-                        return Err(RgdbError::corrupt(
-                            Section::Nodes,
-                            at,
-                            "node link within node_count",
-                        ));
-                    }
-                    if link != next_child {
-                        return Err(RgdbError::corrupt(
-                            Section::Nodes,
-                            at,
-                            "level-order child placement",
-                        ));
-                    }
-                    next_child = next_child.wrapping_add(1);
-                }
-            }
-            if record != NONE && record >= self.record_count {
-                return Err(RgdbError::corrupt(
-                    Section::Nodes,
-                    at,
-                    "record index within record_count",
-                ));
-            }
-        }
-        if next_child != self.node_count {
-            return Err(RgdbError::corrupt(
+        fold_checked(&mut h, &mut verdict, self.nodes(), |idx, node| {
+            self.check_node(idx, node, &mut next_child)
+        });
+        // Scanning nodes in index order, the non-NONE child links were
+        // exactly 1, 2, 3, … (the BFS numbering), which proves every
+        // node reachable exactly once from the root, acyclicity
+        // included, once the count comes out right.
+        if verdict.is_ok() && next_child != self.node_count {
+            verdict = Err(RgdbError::corrupt(
                 Section::Nodes,
                 self.nodes_start,
                 "every node placed in level order",
             ));
         }
-        for idx in 0..self.record_count {
-            let raw = self.raw_record(idx)?;
-            // Resolve both string offsets so lookup-time borrows are
-            // known in-bounds, valid UTF-8.
+        let (records, _) = self
+            .span(self.records_start, self.strings_start)
+            .as_chunks::<RECORD_WIDTH>();
+        let mut seen = vec![0u64; self.strings_len.div_ceil(64)];
+        fold_checked(&mut h, &mut verdict, records, |idx, rec| {
+            let raw = check_record(rec, self.records_start + idx * RECORD_WIDTH)?;
             for off in [raw.region_off, raw.city_off].into_iter().flatten() {
-                self.str_at(off)?;
+                let bit = 1u64 << (off % 64);
+                match seen.get_mut(ix(off) / 64) {
+                    Some(word) if *word & bit != 0 => {}
+                    word => {
+                        self.str_at(off)?;
+                        // An offset that resolved lies inside the table.
+                        if let Some(word) = word {
+                            *word |= bit;
+                        }
+                    }
+                }
+            }
+            Ok(())
+        });
+        let h = fnv1a(h, self.span(self.strings_start, self.image.len()));
+        if verdict.is_ok() {
+            verdict = self.check_root_table();
+        }
+        (h, verdict)
+    }
+
+    /// Check node `idx`: its links in range and in level order (the
+    /// next non-NONE link must be `next_child`, which advances past
+    /// it), and its record index in range.
+    #[inline]
+    fn check_node(
+        &self,
+        idx: usize,
+        node: &[u8; NODE_WIDTH],
+        next_child: &mut u32,
+    ) -> Result<(), RgdbError> {
+        let (left, right, record) = node_fields(node);
+        let at = self.nodes_start + idx * NODE_WIDTH;
+        for link in [left, right] {
+            if link != NONE {
+                if link >= self.node_count {
+                    return Err(RgdbError::corrupt(
+                        Section::Nodes,
+                        at,
+                        "node link within node_count",
+                    ));
+                }
+                if link != *next_child {
+                    return Err(RgdbError::corrupt(
+                        Section::Nodes,
+                        at,
+                        "level-order child placement",
+                    ));
+                }
+                *next_child = next_child.wrapping_add(1);
             }
         }
-        // Re-derive the whole table from the (now validated) node array
-        // and require byte equality: the root table is pure acceleration
-        // and must never be able to change an answer.
-        let expected = build_root_table(&mut |idx| self.node(idx))?;
-        let stored = self
-            .image
-            .get(self.root_start..self.root_start + ROOT_TABLE_BYTES)
-            .ok_or(RgdbError::Truncated)?;
-        if stored != expected.as_slice() {
-            let byte = stored
-                .iter()
-                .zip(&expected)
-                .position(|(a, b)| a != b)
-                .unwrap_or(0);
+        if record != NONE && record >= self.record_count {
             return Err(RgdbError::corrupt(
-                Section::RootTable,
-                self.root_start + (byte / ROOT_ENTRY_WIDTH) * ROOT_ENTRY_WIDTH,
-                "canonical stride-16 root entry",
+                Section::Nodes,
+                at,
+                "record index within record_count",
             ));
         }
         Ok(())
+    }
+
+    /// Require the stored root table to equal the one the (checked)
+    /// nodes derive, naming the lowest entry that differs: the root
+    /// table is pure acceleration and must never be able to change an
+    /// answer.
+    fn check_root_table(&self) -> Result<(), RgdbError> {
+        let (stored, _) = self
+            .span(self.root_start, self.nodes_start)
+            .as_chunks::<ROOT_ENTRY_WIDTH>();
+        let nodes = self.nodes();
+        let mut lowest = usize::MAX;
+        root_entries(
+            |idx| nodes.get(ix(idx)).map_or((NONE, NONE, NONE), node_fields),
+            |first, count, entry| {
+                let run = stored.get(first..first + count).unwrap_or_default();
+                if let Some(at) = run.iter().position(|stored| *stored != entry) {
+                    lowest = lowest.min(first + at);
+                }
+            },
+        );
+        if lowest == usize::MAX {
+            return Ok(());
+        }
+        Err(RgdbError::corrupt(
+            Section::RootTable,
+            self.root_start + lowest * ROOT_ENTRY_WIDTH,
+            "canonical stride-16 root entry",
+        ))
     }
 
     /// Database display name.
@@ -740,6 +906,21 @@ impl Rgdb2Reader {
         self.record_count
     }
 
+    /// Image bytes `from..to`: a section, whose bounds `open` checked
+    /// against the image length.
+    #[inline]
+    fn span(&self, from: usize, to: usize) -> &[u8] {
+        self.image.get(from..to).unwrap_or_default()
+    }
+
+    /// The node section as fixed-width nodes.
+    #[inline]
+    fn nodes(&self) -> &[[u8; NODE_WIDTH]] {
+        self.span(self.nodes_start, self.records_start)
+            .as_chunks()
+            .0
+    }
+
     #[inline]
     fn node(&self, idx: u32) -> Result<(u32, u32, u32), RgdbError> {
         let at = self.nodes_start + ix(idx) * NODE_WIDTH;
@@ -750,14 +931,14 @@ impl Rgdb2Reader {
                 "node link within node_count",
             ));
         }
-        let mut b = self
-            .image
-            .get(at..at + NODE_WIDTH)
+        let node = (self.image.get(at..))
+            .and_then(<[u8]>::first_chunk)
             .ok_or_else(|| RgdbError::corrupt(Section::Nodes, at, "12-byte node in bounds"))?;
-        Ok((b.get_u32_le(), b.get_u32_le(), b.get_u32_le()))
+        Ok(node_fields(node))
     }
 
-    /// Read and canonically validate the fixed-width record at `idx`.
+    /// Read and canonically validate the fixed-width record at `idx`:
+    /// the check `open` ran on every record ([`check_record`]).
     #[inline]
     fn raw_record(&self, idx: u32) -> Result<RawRecord, RgdbError> {
         let at = self.records_start + ix(idx) * RECORD_WIDTH;
@@ -768,101 +949,10 @@ impl Rgdb2Reader {
                 "record index within record_count",
             ));
         }
-        let mut b = self
-            .image
-            .get(at..at + RECORD_WIDTH)
+        let rec = (self.image.get(at..))
+            .and_then(<[u8]>::first_chunk)
             .ok_or_else(|| RgdbError::corrupt(Section::Records, at, "20-byte record in bounds"))?;
-        let flags = b.get_u8();
-        if flags & 0xF0 != 0 {
-            return Err(RgdbError::corrupt(
-                Section::Records,
-                at,
-                "known record flag bits",
-            ));
-        }
-        let gran = Granularity::from_id(b.get_u8())
-            .ok_or_else(|| RgdbError::corrupt(Section::Records, at + 1, "known granularity id"))?;
-        let ca = b.get_u8();
-        let cb = b.get_u8();
-        let country = if flags & 1 != 0 {
-            Some(CountryCode::new(ca, cb).ok_or_else(|| {
-                RgdbError::corrupt(Section::Records, at + 2, "ASCII country code")
-            })?)
-        } else {
-            if (ca, cb) != (0, 0) {
-                return Err(RgdbError::corrupt(
-                    Section::Records,
-                    at + 2,
-                    "zeroed absent country field",
-                ));
-            }
-            None
-        };
-        let region_off = b.get_u32_le();
-        let region_off = if flags & 2 != 0 {
-            if region_off == NONE {
-                return Err(RgdbError::corrupt(
-                    Section::Records,
-                    at + 4,
-                    "present region offset",
-                ));
-            }
-            Some(region_off)
-        } else {
-            if region_off != NONE {
-                return Err(RgdbError::corrupt(
-                    Section::Records,
-                    at + 4,
-                    "NONE absent region offset",
-                ));
-            }
-            None
-        };
-        let city_off = b.get_u32_le();
-        let city_off = if flags & 4 != 0 {
-            if city_off == NONE {
-                return Err(RgdbError::corrupt(
-                    Section::Records,
-                    at + 8,
-                    "present city offset",
-                ));
-            }
-            Some(city_off)
-        } else {
-            if city_off != NONE {
-                return Err(RgdbError::corrupt(
-                    Section::Records,
-                    at + 8,
-                    "NONE absent city offset",
-                ));
-            }
-            None
-        };
-        let lat = b.get_i32_le();
-        let lon = b.get_i32_le();
-        let coord = if flags & 8 != 0 {
-            Some(
-                Coordinate::new(f64::from(lat) / 1e6, f64::from(lon) / 1e6).map_err(|_| {
-                    RgdbError::corrupt(Section::Records, at + 12, "coordinate within ±90/±180")
-                })?,
-            )
-        } else {
-            if (lat, lon) != (0, 0) {
-                return Err(RgdbError::corrupt(
-                    Section::Records,
-                    at + 12,
-                    "zeroed absent coordinate field",
-                ));
-            }
-            None
-        };
-        Ok(RawRecord {
-            granularity: gran,
-            country,
-            region_off,
-            city_off,
-            coord,
-        })
+        check_record(rec, at)
     }
 
     /// Borrow the string at table offset `off` straight from the image.
@@ -899,10 +989,15 @@ impl Rgdb2Reader {
     #[inline]
     fn root_entry(&self, hi: u32) -> Result<(u32, u32), RgdbError> {
         let at = self.root_start + ix(hi) * ROOT_ENTRY_WIDTH;
-        let mut b = self.image.get(at..at + ROOT_ENTRY_WIDTH).ok_or_else(|| {
-            RgdbError::corrupt(Section::RootTable, at, "8-byte root entry in bounds")
-        })?;
-        Ok((b.get_u32_le(), b.get_u32_le()))
+        let [r0, r1, r2, r3, n0, n1, n2, n3] = *(self.image.get(at..))
+            .and_then(<[u8]>::first_chunk)
+            .ok_or_else(|| {
+                RgdbError::corrupt(Section::RootTable, at, "8-byte root entry in bounds")
+            })?;
+        Ok((
+            u32::from_le_bytes([r0, r1, r2, r3]),
+            u32::from_le_bytes([n0, n1, n2, n3]),
+        ))
     }
 
     /// Resolve `addr` to its longest-prefix record index. The stride-16
@@ -967,46 +1062,6 @@ impl Rgdb2Reader {
         Ok(self.deepest_match(ip)?.map(|(_, len)| len))
     }
 
-    /// Decode the record at `idx` trusting the open-time validation
-    /// sweep: canonicality violations cannot occur on an image that
-    /// opened, so this path drops their checks — staying memory-safe
-    /// through checked slicing — and returns `None` only on latent
-    /// corruption, which the callers degrade to a miss exactly like
-    /// the validating path does.
-    #[inline]
-    fn raw_record_lean(&self, idx: u32) -> Option<RawRecord> {
-        if idx >= self.record_count {
-            return None;
-        }
-        let at = self.records_start + ix(idx) * RECORD_WIDTH;
-        let mut b = self.image.get(at..at + RECORD_WIDTH)?;
-        let flags = b.get_u8();
-        let gran = Granularity::from_id(b.get_u8())?;
-        let ca = b.get_u8();
-        let cb = b.get_u8();
-        let country = if flags & 1 != 0 {
-            Some(CountryCode::new(ca, cb)?)
-        } else {
-            None
-        };
-        let region_off = b.get_u32_le();
-        let city_off = b.get_u32_le();
-        let lat = b.get_i32_le();
-        let lon = b.get_i32_le();
-        let coord = if flags & 8 != 0 {
-            Some(Coordinate::new(f64::from(lat) / 1e6, f64::from(lon) / 1e6).ok()?)
-        } else {
-            None
-        };
-        Some(RawRecord {
-            granularity: gran,
-            country,
-            region_off: (flags & 2 != 0).then_some(region_off),
-            city_off: (flags & 4 != 0).then_some(city_off),
-            coord,
-        })
-    }
-
     /// Build the owning answer for record `idx`.
     fn record_owned(&self, idx: u32) -> Result<LocationRecord, RgdbError> {
         let raw = self.raw_record(idx)?;
@@ -1029,7 +1084,7 @@ impl Rgdb2Reader {
 
     /// Longest-prefix-match lookup returning a structural error on
     /// latent corruption (unreachable on an image that opened — the
-    /// validation sweep covered every node and record).
+    /// open-time pass checked every node and record).
     pub fn try_lookup(&self, ip: Ipv4Addr) -> Result<Option<LocationRecord>, RgdbError> {
         match self.locate(u32::from(ip))? {
             None => Ok(None),
@@ -1130,11 +1185,11 @@ impl GeoDatabase for Rgdb2Reader {
         Some(ranges.locate_batch(batch).map(id).collect())
     }
 
-    /// Decode record `id` trusting the open-time validation sweep, and
-    /// intern its region and city, borrowed from the image. Latent
-    /// corruption degrades to `None` before anything is interned.
+    /// Decode record `id` with the record check `open` ran, and intern
+    /// its region and city, borrowed from the image. Latent corruption
+    /// degrades to `None` before anything is interned.
     fn compact_record(&self, id: u32, interner: &mut LocationInterner) -> Option<CompactRecord> {
-        let raw = self.raw_record_lean(id)?;
+        let raw = self.raw_record(id).ok()?;
         let region = raw
             .region_off
             .map(|off| self.str_at(off))
@@ -1569,14 +1624,243 @@ mod tests {
         }
     }
 
+    /// Re-fix the checksum of `bytes` and open them, so the structural
+    /// checks are what judge the image.
+    fn open_refixed(mut bytes: Vec<u8>) -> Result<Rgdb2Reader, RgdbError> {
+        let sum = fnv1a(FNV_OFFSET, &bytes[HEADER_LEN..]).to_le_bytes();
+        bytes[20..28].copy_from_slice(&sum);
+        Rgdb2Reader::open(Bytes::from(bytes))
+    }
+
     /// Corrupt one payload byte and re-fix the checksum so the
-    /// structural validation sweep is what fires.
+    /// structural checks are what fire.
     fn corrupt_at(image: &Bytes, at: usize, value: u8) -> Result<Rgdb2Reader, RgdbError> {
         let mut bytes = image.to_vec();
         bytes[at] = value;
-        let sum = fnv1a(&bytes[HEADER_LEN..]).to_le_bytes();
-        bytes[20..28].copy_from_slice(&sum);
-        Rgdb2Reader::open(Bytes::from(bytes))
+        open_refixed(bytes)
+    }
+
+    /// A structural error as `(section, offset, expected)`.
+    type Verdict = (Section, usize, &'static str);
+
+    /// The structural error `open` gives once every edit is applied and
+    /// the checksum re-fixed.
+    fn verdict(image: &Bytes, edits: &[(usize, u8)]) -> Verdict {
+        let mut bytes = image.to_vec();
+        for (at, value) in edits {
+            bytes[*at] = *value;
+        }
+        let err = open_refixed(bytes).unwrap_err();
+        let ctx = err
+            .context()
+            .unwrap_or_else(|| panic!("unattributed: {err}"));
+        (ctx.section, ctx.offset, ctx.expected)
+    }
+
+    #[test]
+    fn a_stale_checksum_outranks_every_section_error() {
+        let recs = sample_records();
+        let image = write_v21("stale", recs.iter().map(|(p, r)| (*p, r)));
+        let db = Rgdb2Reader::open(image.clone()).unwrap();
+        // One byte per section, each a structural error once the
+        // checksum is re-fixed: an empty /16's root entry pointed at
+        // record 0, the root node's record index out of range, an
+        // unknown record flag bit, and bad UTF-8 in the first string.
+        for (at, value, section) in [
+            (db.root_start, 0x00, Section::RootTable),
+            (db.nodes_start + 8, 0x77, Section::Nodes),
+            (db.records_start, 0xFF, Section::Records),
+            (db.strings_start + 1, 0xFF, Section::Strings),
+        ] {
+            assert_eq!(verdict(&image, &[(at, value)]).0, section, "byte {at}");
+            let mut bytes = image.to_vec();
+            bytes[at] = value;
+            assert_eq!(
+                Rgdb2Reader::open(Bytes::from(bytes)).unwrap_err(),
+                RgdbError::ChecksumMismatch,
+                "{} byte {at} without a re-fixed checksum",
+                section.label()
+            );
+        }
+    }
+
+    #[test]
+    fn structural_errors_keep_their_precedence() {
+        // Record 0 has every field and strings "USA Region 1" (table
+        // offset 0) and "Springfield" (13); records 1-3 follow it.
+        let recs = sample_records();
+        let image = write_v21("order", recs.iter().map(|(p, r)| (*p, r)));
+        let db = Rgdb2Reader::open(image.clone()).unwrap();
+        let rec = |i: usize| db.records_start + i * RECORD_WIDTH;
+        let string = |off: usize| db.strings_start + off;
+        let root_node_record = db.nodes_start + 8;
+        let cases: [(&[(usize, u8)], Verdict); 8] = [
+            // The name before any node.
+            (
+                &[(HEADER_LEN, 0xFF), (root_node_record, 0x77)],
+                (Section::Name, HEADER_LEN, "UTF-8 database name"),
+            ),
+            // Nodes before records.
+            (
+                &[(rec(0), 0xFF), (root_node_record, 0x77)],
+                (
+                    Section::Nodes,
+                    db.nodes_start,
+                    "record index within record_count",
+                ),
+            ),
+            // Records in index order, whatever the fields.
+            (
+                &[(rec(2) + 1, 9), (rec(1), 0xF0)],
+                (Section::Records, rec(1), "known record flag bits"),
+            ),
+            // A record's fields before its strings: a latitude far out
+            // of range, and bad UTF-8 in its region.
+            (
+                &[(string(1), 0xFF), (rec(0) + 15, 0x7F)],
+                (Section::Records, rec(0) + 12, "coordinate within ±90/±180"),
+            ),
+            // A record's region before its city, and both before the
+            // next record.
+            (
+                &[(rec(1), 0xFF), (string(14), 0xFF), (string(1), 0xFF)],
+                (Section::Strings, string(1), "UTF-8 string bytes"),
+            ),
+            (
+                &[(rec(1), 0xFF), (string(14), 0xFF)],
+                (Section::Strings, string(14), "UTF-8 string bytes"),
+            ),
+            // Records before the root table.
+            (
+                &[(db.root_start, 0x00), (rec(3), 0xFF)],
+                (Section::Records, rec(3), "known record flag bits"),
+            ),
+            // The lowest differing root entry: 2, not 5.
+            (
+                &[
+                    (db.root_start + 5 * ROOT_ENTRY_WIDTH, 0x00),
+                    (db.root_start + 2 * ROOT_ENTRY_WIDTH + 7, 0x00),
+                ],
+                (
+                    Section::RootTable,
+                    db.root_start + 2 * ROOT_ENTRY_WIDTH,
+                    "canonical stride-16 root entry",
+                ),
+            ),
+        ];
+        for (edits, want) in cases {
+            assert_eq!(verdict(&image, edits), want, "edits {edits:?}");
+        }
+
+        // The placement count before any record: cut the link to the
+        // last node, a leaf, so one node goes unplaced.
+        let last = db.node_count - 1;
+        let parent = (0..db.node_count)
+            .find(|idx| [db.node(*idx).unwrap().0, db.node(*idx).unwrap().1].contains(&last))
+            .unwrap();
+        let side = usize::from(db.node(parent).unwrap().1 == last);
+        let link = db.nodes_start + ix(parent) * NODE_WIDTH + side * 4;
+        let cut: Vec<(usize, u8)> = (link..link + 4).map(|at| (at, 0xFF)).collect();
+        let want = (
+            Section::Nodes,
+            db.nodes_start,
+            "every node placed in level order",
+        );
+        assert_eq!(
+            verdict(&image, &[cut.as_slice(), &[(rec(0), 0xFF)]].concat()),
+            want
+        );
+
+        // A zero node count before the name: the same image without
+        // its node section, so the layout length still adds up.
+        let mut bytes = image[..db.nodes_start].to_vec();
+        bytes.extend_from_slice(&image[db.records_start..]);
+        bytes[8..12].copy_from_slice(&0u32.to_le_bytes());
+        bytes[HEADER_LEN] = 0xFF;
+        assert_eq!(
+            open_refixed(bytes).unwrap_err(),
+            RgdbError::corrupt(Section::Header, 8, "nonzero node count (trie needs a root)")
+        );
+    }
+
+    #[test]
+    fn a_bad_string_shared_by_two_records_is_named_at_its_offset() {
+        let mk = |cc: &str| LocationRecord {
+            country: Some(cc.parse().unwrap()),
+            region: None,
+            city: Some("Shared".into()),
+            coord: None,
+            granularity: Granularity::Block24,
+        };
+        let recs = [
+            ("10.0.0.0/24".parse::<Prefix>().unwrap(), mk("US")),
+            ("10.0.1.0/24".parse::<Prefix>().unwrap(), mk("CA")),
+        ];
+        let image = write_v21("shared", recs.iter().map(|(p, r)| (*p, r)));
+        let db = Rgdb2Reader::open(image.clone()).unwrap();
+        assert_eq!(
+            (db.record_count(), db.strings_len),
+            (2, 7),
+            "one shared entry"
+        );
+        let city_off = |i: usize| {
+            let at = db.records_start + i * RECORD_WIDTH + 8;
+            u32::from_le_bytes(image[at..at + 4].try_into().unwrap())
+        };
+        assert_eq!(city_off(0), city_off(1));
+        // Bad UTF-8 in the shared entry's last byte: the error names the
+        // entry's bytes, at their absolute offset, whichever record
+        // reaches them first.
+        let bytes = db.strings_start + ix(city_off(0)) + 1;
+        assert_eq!(
+            verdict(&image, &[(bytes + 5, 0xFF)]),
+            (Section::Strings, bytes, "UTF-8 string bytes")
+        );
+    }
+
+    #[test]
+    fn an_offset_into_the_middle_of_a_string_is_read_from_there() {
+        // Record 1's city is "\u{5}hello": its entry is the length 6,
+        // then 0x05 and "hello". Point record 0's city one byte into
+        // that entry and it reads a well-formed five-byte "hello", so
+        // the image opens and answers it; two bytes in, the length is
+        // 'h' (104), past the end of the table.
+        let mk = |city: &str| LocationRecord {
+            country: Some("US".parse().unwrap()),
+            region: None,
+            city: Some(city.into()),
+            coord: None,
+            granularity: Granularity::Block24,
+        };
+        let recs = [
+            ("10.0.0.0/24".parse::<Prefix>().unwrap(), mk("x")),
+            ("10.0.1.0/24".parse::<Prefix>().unwrap(), mk("\u{5}hello")),
+        ];
+        let image = write_v21("inner", recs.iter().map(|(p, r)| (*p, r)));
+        let db = Rgdb2Reader::open(image.clone()).unwrap();
+        let city_at = |i: usize| db.records_start + i * RECORD_WIDTH + 8;
+        let entry = u32::from_le_bytes(image[city_at(1)..city_at(1) + 4].try_into().unwrap());
+        let point_into = |skip: u32| {
+            let mut bytes = image.to_vec();
+            bytes[city_at(0)..city_at(0) + 4].copy_from_slice(&(entry + skip).to_le_bytes());
+            open_refixed(bytes)
+        };
+        let inner = point_into(1).unwrap();
+        let answer = inner
+            .try_lookup("10.0.0.9".parse().unwrap())
+            .unwrap()
+            .unwrap();
+        assert_eq!(answer.city.as_deref(), Some("hello"));
+        let answer = inner
+            .try_lookup("10.0.1.9".parse().unwrap())
+            .unwrap()
+            .unwrap();
+        assert_eq!(answer.city.as_deref(), Some("\u{5}hello"));
+        let past = db.strings_start + ix(entry) + 3;
+        assert_eq!(
+            point_into(2).unwrap_err(),
+            RgdbError::corrupt(Section::Strings, past, "string bytes within string table")
+        );
     }
 
     #[test]

@@ -312,7 +312,6 @@ where
             // The shard at the window's edge is taken, so the next to
             // fold is being mapped or folded: the fold will move on.
             while st.failure.is_none() && st.next_map >= st.next_fold + WINDOW {
-                // xtask-allow: RG011 a Condvar wait releases the guard while it blocks and retakes it to return
                 st = (self.folded.wait(st)).unwrap_or_else(PoisonError::into_inner);
             }
             if st.failure.is_some() {

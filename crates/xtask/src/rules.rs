@@ -288,12 +288,12 @@ fn check_rg009(toks: &[Tok], i: usize, out: &mut Vec<Finding>) {
 
 /// Calls considered blocking while a lock guard is live: prefix
 /// families (`lookup*` queries, `decode_*`/`parse_*` of untrusted
-/// input) plus exact socket/pool/channel operations. Bare `read` /
-/// `write` / `join` are deliberately absent — `Path::join` and
-/// `fmt::Write::write_str` would swamp the rule with false positives,
-/// and the guard-acquisition forms of `read`/`write` are already what
-/// RG011 is protecting.
-const RG011_BLOCKING: [&str; 18] = [
+/// input) plus exact socket/pool/channel operations and the `Condvar`
+/// waits. Bare `read` / `write` / `join` are deliberately absent —
+/// `Path::join` and `fmt::Write::write_str` would swamp the rule with
+/// false positives, and the guard-acquisition forms of `read`/`write`
+/// are already what RG011 is protecting.
+const RG011_BLOCKING: [&str; 21] = [
     "try_lookup",
     "connect",
     "connect_timeout",
@@ -309,6 +309,9 @@ const RG011_BLOCKING: [&str; 18] = [
     "send_to",
     "sleep",
     "wait",
+    "wait_while",
+    "wait_timeout",
+    "wait_timeout_while",
     "fold_shards",
     "fold_count",
     "map_reduce",
@@ -326,7 +329,10 @@ fn is_blocking_call(name: &str) -> bool {
 /// close, the guarded block, or an explicit `drop`); any call to a
 /// blocking-family function inside that range serializes every other
 /// holder of the lock for the call's duration — the `Mutex<HashMap>`
-/// decode-cache hazard.
+/// decode-cache hazard. A call whose first argument is the guard
+/// itself takes it over, as `cv.wait(guard)` does to release the lock
+/// while it blocks, so it is not a finding for that guard; a second
+/// guard live across the same wait still is.
 fn check_rg011(toks: &[Tok], ctx: &Context, out: &mut Vec<Finding>) {
     for g in &ctx.facts.guards {
         if ctx
@@ -348,6 +354,12 @@ fn check_rg011(toks: &[Tok], ctx: &Context, out: &mut Vec<Finding>) {
             }
             if k > 0 && tok_is(toks, k - 1, TokKind::Ident, "fn") {
                 continue; // a declaration, not a call
+            }
+            if tok_is(toks, k + 2, TokKind::Ident, &g.name)
+                && (tok_is(toks, k + 3, TokKind::Punct, ")")
+                    || tok_is(toks, k + 3, TokKind::Punct, ","))
+            {
+                continue; // the guard is handed over, not held
             }
             out.push(Finding {
                 rule: "RG011",

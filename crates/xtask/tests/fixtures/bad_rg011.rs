@@ -1,8 +1,8 @@
 //! RG011 fixture: a lock guard held across a blocking call.
-//! Dropping or scoping the guard before the call passes.
+//! Dropping, scoping or handing the guard to a `Condvar` wait passes.
 
 use std::collections::HashMap;
-use std::sync::{Mutex, RwLock};
+use std::sync::{Condvar, Mutex, RwLock};
 
 /// Decodes through a cache, wrongly parsing while the lock is held.
 pub fn cached_decode(cache: &Mutex<HashMap<u32, String>>, off: u32) -> String {
@@ -65,4 +65,42 @@ pub fn drop_then_decode(cache: &Mutex<HashMap<u32, String>>, off: u32) -> String
 
 fn decode_record(off: u32) -> String {
     off.to_string()
+}
+
+/// Waits on a condvar in all three shapes: each wait takes the guard
+/// and releases the lock while it blocks, so none is flagged.
+pub fn wait_for_ready(ready: &Mutex<bool>, cv: &Condvar) -> bool {
+    let mut guard = match ready.lock() {
+        Ok(g) => g,
+        Err(poisoned) => poisoned.into_inner(),
+    };
+    guard = match cv.wait(guard) {
+        Ok(g) => g,
+        Err(poisoned) => poisoned.into_inner(),
+    };
+    guard = match cv.wait_timeout(guard, std::time::Duration::from_millis(1)) {
+        Ok((g, _)) => g,
+        Err(poisoned) => poisoned.into_inner().0,
+    };
+    guard = match cv.wait_while(guard, |ready| !*ready) {
+        Ok(g) => g,
+        Err(poisoned) => poisoned.into_inner(),
+    };
+    *guard
+}
+
+/// Waits while holding a second lock: the wait releases only the guard
+/// it is handed, so `log` stays locked while it blocks.
+pub fn wait_holding_another(log: &Mutex<Vec<u32>>, ready: &Mutex<bool>, cv: &Condvar) -> usize {
+    let entries = match log.lock() {
+        Ok(g) => g,
+        Err(poisoned) => poisoned.into_inner(),
+    };
+    let guard = match ready.lock() {
+        Ok(g) => g,
+        Err(poisoned) => poisoned.into_inner(),
+    };
+    let waited = cv.wait_timeout_while(guard, std::time::Duration::from_millis(1), |r| !*r);
+    drop(waited);
+    entries.len()
 }

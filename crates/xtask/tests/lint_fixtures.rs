@@ -175,17 +175,24 @@ fn rg011_fixture_flags_guards_held_across_blocking_calls() {
     assert_eq!(
         got,
         vec![
-            ("RG011", 16, 15), // decode_record under `guard`
-            ("RG011", 27, 18), // thread::sleep under read guard
+            ("RG011", 16, 15),  // decode_record under `guard`
+            ("RG011", 27, 18),  // thread::sleep under read guard
+            ("RG011", 103, 21), // a wait handed `guard` while `entries` is held
         ],
         "full diagnostics: {:#?}",
         out.violations
     );
-    // Scoped probe, decode-after-drop, and re-lock-to-publish pass.
+    // Scoped probe, decode-after-drop, re-lock-to-publish, and the
+    // three `Condvar` waits handed their guard pass.
     let msg = &out.violations[0].message;
     assert!(
         msg.contains("`decode_record`") && msg.contains("`guard`") && msg.contains("line 9"),
         "message names the call, the guard, and the acquisition line: {msg}"
+    );
+    let msg = &out.violations[2].message;
+    assert!(
+        msg.contains("`wait_timeout_while`") && msg.contains("`entries`"),
+        "the finding names the held guard, not the one handed over: {msg}"
     );
 }
 
