@@ -16,7 +16,7 @@ use routergeo_db::rgdb2::{self, Rgdb2Reader};
 use routergeo_db::synth::{build_vendor, SignalWorld, VendorId, VendorProfile};
 use routergeo_db::{GeoDatabase, InMemoryDb};
 use routergeo_geo::{haversine_km, Coordinate};
-use routergeo_net::{Prefix, PrefixTrie};
+use routergeo_net::Prefix;
 use routergeo_trace::Topology;
 use routergeo_world::{Scale, World, WorldConfig};
 use std::net::Ipv4Addr;
@@ -68,12 +68,6 @@ fn bench_lookup_structures(c: &mut Criterion) {
         reader.record_count()
     );
 
-    // And as a raw prefix trie.
-    let mut trie = PrefixTrie::new();
-    for (p, rec) in &entries {
-        trie.insert(*p, rec.clone());
-    }
-
     let mut group = c.benchmark_group("lookup");
     group.throughput(Throughput::Elements(ips.len() as u64));
     group.bench_function("inmem_rangemap", |b| {
@@ -92,17 +86,6 @@ fn bench_lookup_structures(c: &mut Criterion) {
             let mut hits = 0usize;
             for ip in &ips {
                 if reader.lookup(black_box(*ip)).is_some() {
-                    hits += 1;
-                }
-            }
-            hits
-        })
-    });
-    group.bench_function("prefix_trie", |b| {
-        b.iter(|| {
-            let mut hits = 0usize;
-            for ip in &ips {
-                if trie.lookup(black_box(*ip)).is_some() {
                     hits += 1;
                 }
             }

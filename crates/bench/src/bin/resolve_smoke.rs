@@ -1,18 +1,17 @@
-//! Paper-scale resolve smoke gate: batched v2.1 lookups under a wall
+//! Paper-scale resolve smoke gate: batched RGDB lookups under a wall
 //! budget.
 //!
 //! The paper's core workload is millions of IP→location lookups across
 //! four vendor databases (§5). This binary reproduces that shape in
-//! isolation: it synthesizes four vendor-style databases as RGDB v2.1
-//! images (stride-16 root table + level-order nodes), opens them
+//! isolation: it synthesizes four vendor-style databases as RGDB images
+//! (ascending answer intervals over fixed-width records), opens them
 //! zero-copy, and resolves a full interface address set through
 //! `ResolvedView::build_with` — the path the analyses use: each shard
 //! sorts its slice once into a `SortedBatch`, every reader locates the
-//! batch's record ids with one sweep over a range map of record ids
-//! (flattened from its trie on the first batch, inside the timed
-//! resolve stage) and the shard reads them back to input order, and
-//! the fold decodes each distinct record once per view, with the maps
-//! at most sixteen shards ahead of it. It prints one JSON report to
+//! batch's record ids with one cursor sweep over its image's interval
+//! section and the shard reads them back to input order, and the fold
+//! decodes each distinct record once per view, with the maps at most
+//! sixteen shards ahead of it. It prints one JSON report to
 //! stdout (CI redirects it into `target/ci-artifacts/`) and, when
 //! `--budget-ms` is given, exits non-zero if the resolve stage alone
 //! exceeded the budget. The
@@ -230,7 +229,7 @@ fn main() {
     let rows: usize = vendor_sets.iter().map(Vec::len).sum();
     clock.finish(&mut stages, rows + ips.len());
 
-    let clock = StageClock::start("write_v21");
+    let clock = StageClock::start("write");
     let images: Vec<bytes::Bytes> = vendor_sets
         .iter()
         .zip(VENDORS)
@@ -243,7 +242,7 @@ fn main() {
     // and the view.
     drop(vendor_sets);
 
-    let clock = StageClock::start("open_v21");
+    let clock = StageClock::start("open");
     let readers: Vec<Rgdb2Reader> = images
         .into_iter()
         .map(|img| Rgdb2Reader::open(img).expect("the writer's own image validates"))

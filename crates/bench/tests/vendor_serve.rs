@@ -1,5 +1,5 @@
 //! Vendor-image loadgen: the serve daemon swept across **real** lab
-//! vendor databases encoded as file-backed RGDB v2.1 images.
+//! vendor databases encoded as file-backed RGDB images.
 //!
 //! The corpus-driven loadgen (`cargo xtask serve-check`) exercises the
 //! daemon over synthetic generations; this suite closes the remaining
@@ -49,13 +49,13 @@ fn scratch_path(tag: &str, ix: usize) -> PathBuf {
 }
 
 /// Sweep one lab through the daemon: vendor 0 boots the daemon from a
-/// file-backed v2.1 image, vendors 1.. hot-swap in from disk, and every
+/// file-backed RGDB image, vendors 1.. hot-swap in from disk, and every
 /// generation is differentially checked against its in-memory twin on
 /// the probe set (coverage and country must agree exactly).
 #[expect(clippy::panic, reason = "a test helper fails its test by panicking")]
 fn sweep(lab: &Lab, tag: &str, cap: usize) {
     let images = lab.vendor_images();
-    assert_eq!(images.len(), lab.dbs.len(), "one v2.1 image per vendor");
+    assert_eq!(images.len(), lab.dbs.len(), "one RGDB image per vendor");
     let paths: Vec<PathBuf> = images
         .iter()
         .enumerate()

@@ -427,8 +427,8 @@ mod tests {
     #[test]
     fn v21_views_are_identical_across_threads_and_image_sources() {
         // The multi-threaded resolve default rests on this: a view
-        // built over v2.1 readers — each shard's sorted batch swept
-        // over the flattened range map, not the per-address loop —
+        // built over RGDB readers — each shard's sorted batch swept
+        // over the image's interval section, not the per-address loop —
         // must be byte-identical at 1, 2, and 8 threads, and a
         // file-backed image must answer exactly like the heap-backed
         // bytes it was written from.
@@ -482,13 +482,13 @@ mod tests {
             let parallel = ResolvedView::build_with(&heap, &ips, &Pool::new(threads));
             assert_eq!(
                 serial, parallel,
-                "v2.1 view differs between 1 and {threads} threads"
+                "RGDB view differs between 1 and {threads} threads"
             );
         }
         let from_disk = ResolvedView::build_with(&file_backed, &ips, &Pool::new(2));
         assert_eq!(
             serial, from_disk,
-            "file-backed v2.1 images must answer exactly like the heap bytes"
+            "file-backed RGDB images must answer exactly like the heap bytes"
         );
         // And the batched path must agree with the in-memory source dbs.
         for (d, db) in sources.iter().enumerate() {

@@ -202,9 +202,11 @@ mod tests {
         let path = scratch_path("corrupt");
 
         // Flipped payload byte without checksum repair: checksum fires.
+        // The byte is the low byte of the first interval's record, a
+        // NONE, which the flip turns into an index past record_count.
         let mut bytes = image.to_vec();
-        let mid = HEADER_LEN + (bytes.len() - HEADER_LEN) / 2;
-        bytes[mid] ^= 0xFF;
+        let first_record = HEADER_LEN + "file-db".len() + 4;
+        bytes[first_record] ^= 0xFF;
         std::fs::write(&path, &bytes).unwrap();
         assert!(matches!(
             Rgdb2Reader::open(FileImage::load(&path).unwrap().into_bytes()),
@@ -212,14 +214,16 @@ mod tests {
         ));
 
         // Same flip with the checksum re-fixed: structural validation
-        // fires with section/offset attribution (the flip above lands
-        // in the root table of this small image).
+        // fires with section/offset attribution.
         let sum = fnv1a(FNV_OFFSET, &bytes[HEADER_LEN..]).to_le_bytes();
         bytes[20..28].copy_from_slice(&sum);
         std::fs::write(&path, &bytes).unwrap();
         let err = Rgdb2Reader::open(FileImage::load(&path).unwrap().into_bytes()).unwrap_err();
         let ctx = err.context().expect("attributed structural error");
-        assert_eq!(ctx.section, Section::RootTable);
+        assert_eq!(
+            (ctx.section, ctx.offset),
+            (Section::Intervals, first_record)
+        );
         std::fs::remove_file(&path).ok();
     }
 

@@ -8,13 +8,12 @@
 //!   location" analysis (§5.2.3).
 //! * [`GeoDatabase`] — the lookup trait every backend implements.
 //! * [`inmem`] — an in-memory range database (the working representation).
-//! * [`rgdb2`] — **RGDB**, the MaxMind-style binary format (layout
-//!   revision v2.1): a checksummed header, a stride-16 root table,
-//!   level-order trie nodes, fixed-width records, and a deduplicated
-//!   string table. [`Rgdb2Reader`] validates an image fully at open, so
-//!   point lookups are lock-free pointer arithmetic that borrows
-//!   straight from the image bytes; batches sweep a range map of
-//!   record ids that the first batch flattens from the trie.
+//! * [`rgdb2`] — **RGDB**, the binary format (header version 4): a
+//!   checksummed header, ascending longest-prefix answer intervals,
+//!   fixed-width records, and a deduplicated string table.
+//!   [`Rgdb2Reader`] validates an image fully at open, so a point
+//!   lookup is a lock-free binary search that borrows straight from
+//!   the image bytes, and a batch one sweep over the same intervals.
 //! * [`image`] — [`FileImage`], the file-backed image loader: one
 //!   allocation, positioned reads, attributed I/O errors.
 //! * [`diff`] — snapshot drift measurement: classify how answers change
@@ -81,8 +80,8 @@ pub trait GeoDatabase {
     /// default) means the backend has no record ids, for this batch or
     /// any other, so a caller may ask once with an empty batch and skip
     /// sorting for a backend without. Both backends answer with one
-    /// monotone sweep over a range map (an RGDB reader flattens its
-    /// trie into one on its first batch).
+    /// monotone sweep over sorted ranges: [`InMemoryDb`]'s range map,
+    /// or an RGDB image's interval section.
     fn locate_batch(&self, _batch: &SortedBatch) -> Option<Vec<u32>> {
         None
     }

@@ -1,34 +1,31 @@
-//! RGDB — the MaxMind-style binary geolocation database format.
+//! RGDB — the binary geolocation database format.
 //!
-//! An image is a flat, zero-copy layout: fixed-width trie nodes and
-//! records plus a deduplicated string table, fully validated once at
-//! [`Rgdb2Reader::open`], so a point lookup is pure pointer arithmetic
-//! over `&[u8]`: **no parse after open, no locks**. Lookups borrow
-//! region/city bytes straight from the image into a [`CompactRecord`].
-//! Batches are answered from the one structure a reader builds after
-//! open: on the first [`GeoDatabase::locate_batch`], one in-order walk
-//! flattens the trie into a [`RangeMap`] of record ids, and each batch
-//! is one monotone sweep over it, the sweep [`InMemoryDb`] runs.
-//!
-//! [`InMemoryDb`]: crate::InMemoryDb
+//! An image is a flat, zero-copy layout: one ascending section of
+//! answer intervals, fixed-width records and a deduplicated string
+//! table, fully validated once at [`Rgdb2Reader::open`], so a lookup
+//! is a binary search or a cursor sweep over `&[u8]`: **no parse after
+//! open, no locks, no structure built beside the image**. Lookups
+//! borrow region/city bytes straight from the image into a
+//! [`CompactRecord`]. The interval section is the shape IP2Location
+//! ships its databases in: ascending range starts, each row ending
+//! where the next begins.
 //!
 //! Layout (all integers little-endian):
 //!
 //! ```text
 //! header (28 bytes):
-//!   0   magic        b"RGDB"
-//!   4   version      u16      (3: the layout revision called v2.1)
-//!   6   name_len     u16      database display name length
-//!   8   node_count   u32      number of trie nodes
-//!   12  record_count u32      number of deduplicated records
-//!   16  strings_len  u32      byte length of the string table
-//!   20  checksum     u64      FNV-1a64 over name + root + nodes + records + strings
-//! name:    name_len bytes of UTF-8
-//! root:    65 536 × 8 bytes: record u32, node u32 (stride-16 root table)
-//! nodes:   node_count × 12 bytes: left u32, right u32, record u32
-//!          (0xFFFF_FFFF = none; `record` is an *index* into the record
-//!          array, not a byte offset)
-//! records: record_count × 20 bytes, fixed-width:
+//!   0   magic          b"RGDB"
+//!   4   version        u16      (4)
+//!   6   name_len       u16      database display name length
+//!   8   interval_count u32      number of intervals (at least 1)
+//!   12  record_count   u32      number of deduplicated records
+//!   16  strings_len    u32      byte length of the string table
+//!   20  checksum       u64      FNV-1a64 over name + intervals + records + strings
+//! name:      name_len bytes of UTF-8
+//! intervals: interval_count × 8 bytes: start u32, record u32
+//!            (`record` is an *index* into the record array, or
+//!            0xFFFF_FFFF = none: no prefix holds the interval)
+//! records:   record_count × 20 bytes, fixed-width:
 //!   0   flags       u8   (bit0 country, bit1 region, bit2 city, bit3 coord)
 //!   1   granularity u8
 //!   2   country     2 ASCII bytes        (zeroed when absent)
@@ -36,40 +33,27 @@
 //!   8   city_off    u32 into strings     (0xFFFF_FFFF when absent)
 //!   12  lat         i32 micro-degrees    (zero when absent)
 //!   16  lon         i32 micro-degrees    (zero when absent)
-//! strings: deduplicated `len u8 + bytes` entries, strings_len total
+//! strings:   deduplicated `len u8 + bytes` entries, strings_len total
 //! ```
 //!
-//! Two layout guarantees aim at memory latency on the lookup path:
+//! The intervals partition the address space: the first starts at 0,
+//! the starts ascend strictly, and each interval ends where the next
+//! begins (the last at 255.255.255.255). An interval's record answers
+//! every address in it. [`write_v21`] derives them from
+//! `(prefix, record)` rows as longest-prefix answers, so an address
+//! gets the record of the longest prefix that holds it.
 //!
-//! - **Stride-16 root table.** A fixed 65 536 × 8-byte section between
-//!   the name and the nodes, indexed by an address's top sixteen bits.
-//!   Each entry is `record u32 | node u32`: the deepest record on the
-//!   trie walk through depth 16, and the depth-16 subtrie root when the
-//!   walk reaches one (`0xFFFF_FFFF` = none on either side). The common
-//!   case replaces up to 16 dependent node hops with one indexed load.
-//! - **Level-order node placement.** The trie nodes are laid out
-//!   breadth-first: node 0 is the root and, scanning nodes in index
-//!   order, the non-`NONE` child links are exactly 1, 2, 3, … so each
-//!   trie level is one contiguous index range, ordered by address, and
-//!   the validator proves in one forward pass that every node is
-//!   reachable exactly once.
-//!
-//! Both are **pure acceleration**: the full trie is retained, so a
-//! plain walk from the root (which [`Rgdb2Reader::match_len`] takes)
-//! answers identically, and so does the flattened range map.
-//!
-//! The encoding is **canonical**: unknown flag bits, non-zeroed absent
-//! fields, out-of-range offsets, bad UTF-8, or out-of-range coordinates
-//! are all rejected at [`Rgdb2Reader::open`]. It reads the payload once,
-//! front to back, as fixed-width nodes and records, folding each into
-//! the checksum and checking it in the same iteration; the checksum is
-//! a serial multiply chain, so the checks cost little beyond it. Each
-//! distinct string offset is checked once. The same pass checks the
-//! level-order placement invariant, and the entire root table is then
-//! re-derived from the nodes, rejecting any entry that disagrees — a
-//! root table can never change an answer, only speed it up. A checksum
+//! The encoding is **canonical**: no two neighbouring intervals carry
+//! the same record, so an image holds one interval per maximal run of
+//! equal answers; and unknown flag bits, non-zeroed absent fields,
+//! out-of-range offsets, bad UTF-8, or out-of-range coordinates are
+//! all rejected at [`Rgdb2Reader::open`]. It reads the payload once,
+//! front to back, as fixed-width intervals and records, folding each
+//! into the checksum and checking it in the same iteration; the
+//! checksum is a serial multiply chain, so the checks cost little
+//! beyond it. Each distinct string offset is checked once. A checksum
 //! mismatch outranks every structural error; the `open` docs give the
-//! full order of the verdicts. Any header version other than 3 is
+//! full order of the verdicts. Any header version other than 4 is
 //! rejected with [`RgdbError::BadVersion`]. After that single pass the
 //! reader is immutable shared state: `&Rgdb2Reader` is freely usable
 //! from any number of threads with zero coordination.
@@ -83,25 +67,23 @@ use crate::record::{Granularity, LocationRecord};
 use crate::GeoDatabase;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use routergeo_geo::{Coordinate, CountryCode};
-use routergeo_net::{Prefix, PrefixTrie, RangeMap, RangeMapBuilder, SortedBatch};
+use routergeo_net::{Prefix, SortedBatch};
 use std::collections::HashMap;
 use std::fmt;
 use std::net::Ipv4Addr;
-use std::sync::OnceLock;
 
 const MAGIC: &[u8; 4] = b"RGDB";
-/// On-disk header version of the layout (the revision called v2.1).
-const VERSION: u16 = 3;
-const NONE: u32 = u32::MAX;
+/// On-disk header version of the layout.
+const VERSION: u16 = 4;
+/// A stored "none": an absent string offset, or the record of an
+/// interval no prefix holds. It is also the batch contract's [`MISS`],
+/// so a swept interval's record is its batch answer as stored.
+const NONE: u32 = MISS;
 pub(crate) const HEADER_LEN: usize = 28;
 /// Fixed byte width of one record in the record array.
 const RECORD_WIDTH: usize = 20;
-/// Byte width of one trie node.
-const NODE_WIDTH: usize = 12;
-/// Byte width of one stride-16 root-table entry: `record u32 | node u32`.
-const ROOT_ENTRY_WIDTH: usize = 8;
-/// Total byte length of the root table: one entry per /16.
-const ROOT_TABLE_BYTES: usize = (1 << 16) * ROOT_ENTRY_WIDTH;
+/// Byte width of one interval: `start u32 | record u32`.
+const INTERVAL_WIDTH: usize = 8;
 
 /// Image region a structural error is attributed to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -110,14 +92,12 @@ pub enum Section {
     Header,
     /// The display-name bytes following the header.
     Name,
-    /// The trie node array.
-    Nodes,
+    /// The ascending interval section.
+    Intervals,
     /// The fixed-width record array.
     Records,
     /// The interned string table.
     Strings,
-    /// The stride-16 root table.
-    RootTable,
 }
 
 impl Section {
@@ -126,10 +106,9 @@ impl Section {
         match self {
             Section::Header => "header",
             Section::Name => "name",
-            Section::Nodes => "nodes",
+            Section::Intervals => "intervals",
             Section::Records => "records",
             Section::Strings => "strings",
-            Section::RootTable => "root-table",
         }
     }
 }
@@ -224,14 +203,16 @@ impl fmt::Display for RgdbError {
 impl std::error::Error for RgdbError {}
 
 /// FNV-1a64's offset basis: the state before the first byte.
-pub(crate) const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
+pub const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
 
 /// Fold `bytes` into the FNV-1a64 state `h`, so `fnv1a(FNV_OFFSET, b)`
-/// is the checksum of `b`. The writer hashes its payload in one call;
-/// [`Rgdb2Reader::open`] carries the state through the payload one node
-/// or record at a time, checking each as it goes.
+/// is the checksum of `b`. The image checksum (header bytes 20..28) is
+/// `fnv1a(FNV_OFFSET, payload)`, the payload being every byte after
+/// the header. The writer hashes its payload in one call;
+/// [`Rgdb2Reader::open`] carries the state through the payload one
+/// interval or record at a time, checking each as it goes.
 #[inline]
-pub(crate) fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+pub fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
     for b in bytes {
         h ^= u64::from(*b);
         h = h.wrapping_mul(0x0000_0100_0000_01B3);
@@ -239,7 +220,7 @@ pub(crate) fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
     h
 }
 
-/// A stored `u32` link or offset as a slice index. `u32` always fits in
+/// A stored `u32` index or offset as a slice index. `u32` always fits in
 /// `usize` on the 32/64-bit targets this crate supports; the check makes
 /// the conversion explicit rather than silently lossy.
 #[inline]
@@ -331,146 +312,67 @@ fn encode_record(
     bytes
 }
 
-/// Flatten a prefix trie into the serialized node-arena layout:
-/// `[left, right, record]` triples with [`NONE`] for absent links,
-/// root at index 0. The arena in [`PrefixTrie`] is not directly
-/// accessible, so rebuild: walk prefixes and re-insert into a local
-/// arena with identical semantics.
-fn flatten_trie(trie: &PrefixTrie<u32>) -> Vec<[u32; 3]> {
-    let mut nodes: Vec<[u32; 3]> = vec![[NONE, NONE, NONE]];
-    trie.walk(|prefix, payload| {
-        let mut node = 0usize;
-        let addr = prefix.network_u32();
-        for depth in 0..prefix.len() {
-            let bit = usize::from((addr >> (31 - u32::from(depth))) & 1 == 1);
-            let next = node_link(&nodes, node, bit);
-            let next = if next == NONE {
-                let idx =
-                    u32::try_from(nodes.len()).expect("RGDB node section exceeds u32 link space");
-                nodes.push([NONE, NONE, NONE]);
-                set_node_link(&mut nodes, node, bit, idx);
-                idx
-            } else {
-                next
-            };
-            node = ix(next);
+/// The longest-prefix answers of `rows` as canonical intervals:
+/// `(start, record)` pairs ascending from 0, each ending where the next
+/// begins, [`NONE`] where no prefix holds the address, and no two
+/// neighbours alike. Of two equal prefixes the later row wins.
+fn intervals(mut rows: Vec<(Prefix, u32)>) -> Vec<(u32, u32)> {
+    // By network, an enclosing prefix before the ones inside it; the
+    // sort is stable, so equal prefixes stay in row order and the
+    // dedup hands each run's last record to the one it keeps.
+    rows.sort_by_key(|&(prefix, _)| prefix);
+    rows.dedup_by(|later, kept| {
+        let same = later.0 == kept.0;
+        if same {
+            kept.1 = later.1;
         }
-        set_node_link(&mut nodes, node, 2, *payload);
+        same
     });
-    nodes
-}
-
-/// Read one writer-arena link. Every `node`/`slot` pair here comes from
-/// an index the arena itself handed out, so a miss is a builder bug.
-#[inline]
-fn node_link(nodes: &[[u32; 3]], node: usize, slot: usize) -> u32 {
-    *nodes
-        .get(node)
-        .and_then(|n| n.get(slot))
-        .expect("arena link in bounds by construction")
-}
-
-/// Write one writer-arena link; same invariant as [`node_link`].
-#[inline]
-fn set_node_link(nodes: &mut [[u32; 3]], node: usize, slot: usize, value: u32) {
-    *nodes
-        .get_mut(node)
-        .and_then(|n| n.get_mut(slot))
-        .expect("arena link in bounds by construction") = value;
-}
-
-/// Renumber the flattened trie into level order (BFS from the root):
-/// node 0 stays the root, its children come next, then the
-/// grandchildren, and so on. Scanning nodes in index order, the
-/// non-`NONE` child links are then exactly 1, 2, 3, … — the placement
-/// invariant the validator pins, which proves in one forward pass that
-/// every node is reachable exactly once.
-fn bfs_nodes(trie: &PrefixTrie<u32>) -> Vec<[u32; 3]> {
-    let arena = flatten_trie(trie);
-    // Visit order doubles as the new→old index table.
-    let mut order: Vec<usize> = Vec::with_capacity(arena.len());
-    let mut new_of: Vec<u32> = vec![NONE; arena.len()];
-    order.push(0);
-    if let Some(slot) = new_of.get_mut(0) {
-        *slot = 0;
+    let mut out = Vec::new();
+    // The first address no interval answers yet (2^32 once all are).
+    let mut next = 0u64;
+    // The prefixes holding the current one, innermost last, as
+    // (last address, record).
+    let mut open: Vec<(u64, u32)> = Vec::new();
+    for (prefix, record) in rows {
+        let (first, last) = prefix.range_u32();
+        let first = u64::from(first);
+        while let Some(&(end, outer)) = open.last().filter(|(end, _)| *end < first) {
+            answer(&mut out, &mut next, end, outer);
+            open.pop();
+        }
+        let outer = open.last().map_or(NONE, |&(_, outer)| outer);
+        if let Some(before) = first.checked_sub(1) {
+            answer(&mut out, &mut next, before, outer);
+        }
+        open.push((u64::from(last), record));
     }
-    let mut head = 0usize;
-    while head < order.len() {
-        let old = *order.get(head).expect("head < order.len()");
-        head += 1;
-        let node = *arena.get(old).expect("flattened links stay in bounds");
-        for link in [node[0], node[1]] {
-            if link != NONE {
-                let renumbered = u32::try_from(order.len()).expect("node count exceeds u32");
-                if let Some(slot) = new_of.get_mut(ix(link)) {
-                    *slot = renumbered;
-                }
-                order.push(ix(link));
-            }
-        }
+    while let Some((end, record)) = open.pop() {
+        answer(&mut out, &mut next, end, record);
     }
-    debug_assert_eq!(order.len(), arena.len(), "trie arena fully reachable");
-    order
-        .iter()
-        .map(|&old| {
-            let n = *arena.get(old).expect("visited nodes are in bounds");
-            let remap = |link: u32| {
-                if link == NONE {
-                    NONE
-                } else {
-                    *new_of
-                        .get(ix(link))
-                        .expect("flattened links stay in bounds")
-                }
-            };
-            [remap(n[0]), remap(n[1]), n[2]]
-        })
-        .collect()
+    answer(&mut out, &mut next, u64::from(u32::MAX), NONE);
+    out
 }
 
-/// The canonical stride-16 root table of a trie, as runs of equal
-/// entries: depth-first over the top sixteen levels, `emit(first,
-/// count, entry)` covers `/16` indices `first..first + count`, where
-/// `entry` is the deepest record seen on the path and the depth-16
-/// subtrie root (`NONE` for a span the trie does not reach). The
-/// writer stores the entries and [`Rgdb2Reader::open`] compares them
-/// with the stored table, so "canonical root table" has exactly one
-/// definition in the codebase. The walk stops at depth 16, so it ends
-/// on any node source.
-fn root_entries(
-    node_at: impl Fn(u32) -> (u32, u32, u32),
-    mut emit: impl FnMut(usize, usize, [u8; ROOT_ENTRY_WIDTH]),
-) {
-    let entry = |record: u32, node: u32| {
-        let ([r0, r1, r2, r3], [n0, n1, n2, n3]) = (record.to_le_bytes(), node.to_le_bytes());
-        [r0, r1, r2, r3, n0, n1, n2, n3]
-    };
-    // (node, depth, first /16 index under this node, best record so far)
-    let mut stack: Vec<(u32, u32, usize, u32)> = vec![(0, 0, 0, NONE)];
-    while let Some((node, depth, base, mut best)) = stack.pop() {
-        let (left, right, record) = node_at(node);
-        if record != NONE {
-            best = record;
-        }
-        if depth == 16 {
-            emit(base, 1, entry(best, node));
-            continue;
-        }
-        let half = 1usize << (16 - depth - 1);
-        for (child, child_base) in [(left, base), (right, base + half)] {
-            if child == NONE {
-                emit(child_base, half, entry(best, NONE));
-            } else {
-                stack.push((child, depth + 1, child_base, best));
-            }
-        }
+/// Answer the addresses `*next..=last` with `record`, nothing when the
+/// span is empty, joining them to the last interval when it carries
+/// the same record.
+fn answer(out: &mut Vec<(u32, u32)>, next: &mut u64, last: u64, record: u32) {
+    if *next > last {
+        return;
     }
+    if out.last().is_none_or(|&(_, left)| left != record) {
+        let start = u32::try_from(*next).expect("an unanswered address is below 2^32");
+        out.push((start, record));
+    }
+    *next = last + 1;
 }
 
-/// Serialize `(prefix, record)` entries into an RGDB image: records
+/// Serialize `(prefix, record)` rows into an RGDB image: records
 /// deduplicated by their fixed-width encoding and strings by content,
-/// plus the stride-16 root table and level-order node placement
-/// described in the module docs.
+/// and the prefixes turned into canonical longest-prefix intervals (the
+/// module docs give the layout). Of two equal prefixes the later row
+/// wins.
 pub fn write_v21<'a, I>(name: &str, entries: I) -> Bytes
 where
     I: IntoIterator<Item = (Prefix, &'a LocationRecord)>,
@@ -479,7 +381,7 @@ where
     let mut seen_strings: HashMap<Vec<u8>, u32> = HashMap::new();
     let mut records = BytesMut::new();
     let mut seen_records: HashMap<[u8; RECORD_WIDTH], u32> = HashMap::new();
-    let mut trie: PrefixTrie<u32> = PrefixTrie::new();
+    let mut rows: Vec<(Prefix, u32)> = Vec::new();
     let mut record_count = 0u32;
     for (prefix, rec) in entries {
         let encoded = encode_record(rec, &mut strings, &mut seen_strings);
@@ -491,42 +393,22 @@ where
             records.put_slice(&encoded);
             idx
         });
-        trie.insert(prefix, index);
+        rows.push((prefix, index));
     }
-    // The dedup maps are done: free them before the node, root-table
-    // and payload passes allocate, so they do not add to the peak.
+    // The dedup maps are done: free them before the interval and
+    // payload passes allocate, so they do not add to the peak.
     drop((seen_strings, seen_records));
-    let nodes = bfs_nodes(&trie);
-    let mut root = vec![[0u8; ROOT_ENTRY_WIDTH]; ROOT_TABLE_BYTES / ROOT_ENTRY_WIDTH];
-    root_entries(
-        |idx| {
-            let n = nodes
-                .get(ix(idx))
-                .expect("writer node links stay in bounds");
-            (n[0], n[1], n[2])
-        },
-        |first, count, entry| {
-            if let Some(run) = root.get_mut(first..first + count) {
-                run.fill(entry);
-            }
-        },
-    );
+    let intervals = intervals(rows);
 
     // The checksum covers everything after the header.
     let name_bytes = name.as_bytes();
     let mut payload = BytesMut::with_capacity(
-        name_bytes.len()
-            + ROOT_TABLE_BYTES
-            + nodes.len() * NODE_WIDTH
-            + records.len()
-            + strings.len(),
+        name_bytes.len() + intervals.len() * INTERVAL_WIDTH + records.len() + strings.len(),
     );
     payload.put_slice(name_bytes);
-    payload.put_slice(root.as_flattened());
-    for n in &nodes {
-        payload.put_u32_le(n[0]);
-        payload.put_u32_le(n[1]);
-        payload.put_u32_le(n[2]);
+    for (start, record) in &intervals {
+        payload.put_u32_le(*start);
+        payload.put_u32_le(*record);
     }
     payload.put_slice(&records);
     payload.put_slice(&strings);
@@ -536,7 +418,7 @@ where
     out.put_slice(MAGIC);
     out.put_u16_le(VERSION);
     out.put_u16_le(u16::try_from(name_bytes.len()).expect("database name exceeds u16 length"));
-    out.put_u32_le(u32::try_from(nodes.len()).expect("node count exceeds u32"));
+    out.put_u32_le(u32::try_from(intervals.len()).expect("interval count exceeds u32"));
     out.put_u32_le(record_count);
     out.put_u32_le(u32::try_from(strings.len()).expect("string table length exceeds u32"));
     out.put_u64_le(checksum);
@@ -557,14 +439,13 @@ struct RawRecord {
     coord: Option<Coordinate>,
 }
 
-/// A node's `(left, right, record)` fields.
+/// An interval's `(start, record)` fields.
 #[inline]
-fn node_fields(node: &[u8; NODE_WIDTH]) -> (u32, u32, u32) {
-    let [l0, l1, l2, l3, r0, r1, r2, r3, c0, c1, c2, c3] = *node;
+fn interval_fields(interval: &[u8; INTERVAL_WIDTH]) -> (u32, u32) {
+    let [s0, s1, s2, s3, r0, r1, r2, r3] = *interval;
     (
-        u32::from_le_bytes([l0, l1, l2, l3]),
+        u32::from_le_bytes([s0, s1, s2, s3]),
         u32::from_le_bytes([r0, r1, r2, r3]),
-        u32::from_le_bytes([c0, c1, c2, c3]),
     )
 }
 
@@ -664,34 +545,28 @@ fn fold_checked<const N: usize>(
 ///
 /// [`Rgdb2Reader::open`] checks every byte in one forward pass; after
 /// that, a point lookup ([`Rgdb2Reader::try_lookup`], the daemon's
-/// path) is pure pointer arithmetic over the image bytes — no mutex, no
-/// per-lookup allocation on the compact path. The first
-/// [`GeoDatabase::locate_batch`] flattens the trie into a range map of
-/// record ids, 12 bytes per answered interval, which every later batch
-/// sweeps; `open` and the point lookups never build it. Region/city
-/// strings are borrowed from the image and interned at the call site,
-/// never copied into reader-owned state.
+/// path) is a binary search over the image's interval starts, and a
+/// batch ([`GeoDatabase::locate_batch`]) one cursor sweep over them:
+/// no mutex, no structure built beside the image, no per-lookup
+/// allocation on the compact path. Region/city strings are borrowed
+/// from the image and interned at the call site, never copied into
+/// reader-owned state.
 pub struct Rgdb2Reader {
     image: Bytes,
     name: String,
-    /// Absolute start of the root table.
-    root_start: usize,
-    nodes_start: usize,
-    node_count: u32,
+    intervals_start: usize,
+    interval_count: u32,
     records_start: usize,
     record_count: u32,
     strings_start: usize,
     strings_len: usize,
-    /// The trie's longest-prefix answers as record-id intervals, built
-    /// by the first batch ([`Rgdb2Reader::ranges`]).
-    ranges: OnceLock<RangeMap<u32>>,
 }
 
 impl std::fmt::Debug for Rgdb2Reader {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Rgdb2Reader")
             .field("name", &self.name)
-            .field("node_count", &self.node_count)
+            .field("interval_count", &self.interval_count)
             .field("record_count", &self.record_count)
             .field("strings_len", &self.strings_len)
             .field("image_len", &self.image.len())
@@ -701,19 +576,18 @@ impl std::fmt::Debug for Rgdb2Reader {
 
 impl Rgdb2Reader {
     /// Validate and open an image. All structural validation happens
-    /// here — node links, record indices, flag canonicality, string
-    /// offsets/UTF-8, coordinate ranges, level-order placement, and
-    /// root-table canonicality — so lookups never parse.
+    /// here — interval order and record indices, canonical joins, flag
+    /// canonicality, string offsets/UTF-8 and coordinate ranges — so
+    /// lookups never parse.
     ///
     /// The checks run in one forward pass that also computes the
     /// checksum, and a checksum mismatch outranks every structural
     /// error. The verdict is the first failure in this order: the
     /// header (`Truncated`, `BadMagic`, `BadVersion`, the layout
-    /// length), the checksum, a zero node count, the name's UTF-8, the
-    /// nodes in index order, the level-order placement count, the
-    /// records in index order (each record's fields, then its region
-    /// and city strings), and the lowest root-table entry that differs
-    /// from the one the nodes derive.
+    /// length), the checksum, a zero interval count, the name's UTF-8,
+    /// the intervals in index order (each one's start, then its
+    /// record), and the records in index order (each record's fields,
+    /// then its region and city strings).
     pub fn open(image: Bytes) -> Result<Rgdb2Reader, RgdbError> {
         let mut h = image.get(..HEADER_LEN).ok_or(RgdbError::Truncated)?;
         let mut magic = [0u8; 4];
@@ -726,14 +600,13 @@ impl Rgdb2Reader {
             return Err(RgdbError::BadVersion(version));
         }
         let name_len = usize::from(h.get_u16_le());
-        let node_count = h.get_u32_le();
+        let interval_count = h.get_u32_le();
         let record_count = h.get_u32_le();
         let strings_len = ix(h.get_u32_le());
         let checksum = h.get_u64_le();
 
-        let root_start = HEADER_LEN + name_len;
-        let nodes_start = root_start + ROOT_TABLE_BYTES;
-        let records_start = nodes_start + ix(node_count) * NODE_WIDTH;
+        let intervals_start = HEADER_LEN + name_len;
+        let records_start = intervals_start + ix(interval_count) * INTERVAL_WIDTH;
         let strings_start = records_start + ix(record_count) * RECORD_WIDTH;
         let expected_total = strings_start + strings_len;
         if image.len() != expected_total {
@@ -742,28 +615,26 @@ impl Rgdb2Reader {
         let mut reader = Rgdb2Reader {
             image,
             name: String::new(),
-            root_start,
-            nodes_start,
-            node_count,
+            intervals_start,
+            interval_count,
             records_start,
             record_count,
             strings_start,
             strings_len,
-            ranges: OnceLock::new(),
         };
         let (sum, verdict) = reader.check_payload();
         if sum != checksum {
             return Err(RgdbError::ChecksumMismatch);
         }
-        if node_count == 0 {
-            // Byte 8 is the node_count field in the fixed header.
+        if interval_count == 0 {
+            // Byte 8 is the interval_count field in the fixed header.
             return Err(RgdbError::corrupt(
                 Section::Header,
                 8,
-                "nonzero node count (trie needs a root)",
+                "nonzero interval count (the intervals cover every address)",
             ));
         }
-        reader.name = std::str::from_utf8(reader.span(HEADER_LEN, root_start))
+        reader.name = std::str::from_utf8(reader.span(HEADER_LEN, intervals_start))
             .map_err(|_| RgdbError::corrupt(Section::Name, HEADER_LEN, "UTF-8 database name"))?
             .to_string();
         verdict?;
@@ -771,33 +642,40 @@ impl Rgdb2Reader {
     }
 
     /// The open-time pass: one walk over the payload, in image order,
-    /// that folds every byte into the checksum and checks every node
-    /// and record in the same iteration — the structural half of the
-    /// verdict [`Rgdb2Reader::open`] documents, kept until the
+    /// that folds every byte into the checksum and checks every
+    /// interval and record in the same iteration — the structural half
+    /// of the verdict [`Rgdb2Reader::open`] documents, kept until the
     /// checksum is known. Each distinct string offset is checked once:
     /// a bitset over the string table's byte offsets remembers the
     /// ones that passed, so an offset into the middle of an entry is
-    /// judged exactly as a lookup would read it. The root table, which
-    /// the nodes derive, is compared last, once every node has passed.
+    /// judged exactly as a lookup would read it.
     fn check_payload(&self) -> (u64, Result<(), RgdbError>) {
         let mut verdict = Ok(());
-        // The name and the root table.
-        let mut h = fnv1a(FNV_OFFSET, self.span(HEADER_LEN, self.nodes_start));
-        let mut next_child = 1u32;
-        fold_checked(&mut h, &mut verdict, self.nodes(), |idx, node| {
-            self.check_node(idx, node, &mut next_child)
+        let mut h = fnv1a(FNV_OFFSET, self.span(HEADER_LEN, self.intervals_start));
+        // The left neighbour's (start, record); the first interval has none.
+        let mut left: Option<(u32, u32)> = None;
+        fold_checked(&mut h, &mut verdict, self.intervals(), |idx, interval| {
+            let (start, record) = interval_fields(interval);
+            let at = self.intervals_start + idx * INTERVAL_WIDTH;
+            let corrupt = |field: usize, expected| {
+                RgdbError::corrupt(Section::Intervals, at + field, expected)
+            };
+            match left {
+                None if start != 0 => return Err(corrupt(0, "first interval start 0")),
+                Some((prev, _)) if start <= prev => {
+                    return Err(corrupt(0, "interval starts strictly ascending"))
+                }
+                _ => {}
+            }
+            if record != NONE && record >= self.record_count {
+                return Err(corrupt(4, "record index within record_count"));
+            }
+            if left.is_some_and(|(_, prev)| prev == record) {
+                return Err(corrupt(4, "record unlike the left neighbour's"));
+            }
+            left = Some((start, record));
+            Ok(())
         });
-        // Scanning nodes in index order, the non-NONE child links were
-        // exactly 1, 2, 3, … (the BFS numbering), which proves every
-        // node reachable exactly once from the root, acyclicity
-        // included, once the count comes out right.
-        if verdict.is_ok() && next_child != self.node_count {
-            verdict = Err(RgdbError::corrupt(
-                Section::Nodes,
-                self.nodes_start,
-                "every node placed in level order",
-            ));
-        }
         let (records, _) = self
             .span(self.records_start, self.strings_start)
             .as_chunks::<RECORD_WIDTH>();
@@ -820,80 +698,7 @@ impl Rgdb2Reader {
             Ok(())
         });
         let h = fnv1a(h, self.span(self.strings_start, self.image.len()));
-        if verdict.is_ok() {
-            verdict = self.check_root_table();
-        }
         (h, verdict)
-    }
-
-    /// Check node `idx`: its links in range and in level order (the
-    /// next non-NONE link must be `next_child`, which advances past
-    /// it), and its record index in range.
-    #[inline]
-    fn check_node(
-        &self,
-        idx: usize,
-        node: &[u8; NODE_WIDTH],
-        next_child: &mut u32,
-    ) -> Result<(), RgdbError> {
-        let (left, right, record) = node_fields(node);
-        let at = self.nodes_start + idx * NODE_WIDTH;
-        for link in [left, right] {
-            if link != NONE {
-                if link >= self.node_count {
-                    return Err(RgdbError::corrupt(
-                        Section::Nodes,
-                        at,
-                        "node link within node_count",
-                    ));
-                }
-                if link != *next_child {
-                    return Err(RgdbError::corrupt(
-                        Section::Nodes,
-                        at,
-                        "level-order child placement",
-                    ));
-                }
-                *next_child = next_child.wrapping_add(1);
-            }
-        }
-        if record != NONE && record >= self.record_count {
-            return Err(RgdbError::corrupt(
-                Section::Nodes,
-                at,
-                "record index within record_count",
-            ));
-        }
-        Ok(())
-    }
-
-    /// Require the stored root table to equal the one the (checked)
-    /// nodes derive, naming the lowest entry that differs: the root
-    /// table is pure acceleration and must never be able to change an
-    /// answer.
-    fn check_root_table(&self) -> Result<(), RgdbError> {
-        let (stored, _) = self
-            .span(self.root_start, self.nodes_start)
-            .as_chunks::<ROOT_ENTRY_WIDTH>();
-        let nodes = self.nodes();
-        let mut lowest = usize::MAX;
-        root_entries(
-            |idx| nodes.get(ix(idx)).map_or((NONE, NONE, NONE), node_fields),
-            |first, count, entry| {
-                let run = stored.get(first..first + count).unwrap_or_default();
-                if let Some(at) = run.iter().position(|stored| *stored != entry) {
-                    lowest = lowest.min(first + at);
-                }
-            },
-        );
-        if lowest == usize::MAX {
-            return Ok(());
-        }
-        Err(RgdbError::corrupt(
-            Section::RootTable,
-            self.root_start + lowest * ROOT_ENTRY_WIDTH,
-            "canonical stride-16 root entry",
-        ))
     }
 
     /// Database display name.
@@ -913,28 +718,12 @@ impl Rgdb2Reader {
         self.image.get(from..to).unwrap_or_default()
     }
 
-    /// The node section as fixed-width nodes.
+    /// The interval section as fixed-width intervals.
     #[inline]
-    fn nodes(&self) -> &[[u8; NODE_WIDTH]] {
-        self.span(self.nodes_start, self.records_start)
+    fn intervals(&self) -> &[[u8; INTERVAL_WIDTH]] {
+        self.span(self.intervals_start, self.records_start)
             .as_chunks()
             .0
-    }
-
-    #[inline]
-    fn node(&self, idx: u32) -> Result<(u32, u32, u32), RgdbError> {
-        let at = self.nodes_start + ix(idx) * NODE_WIDTH;
-        if idx >= self.node_count {
-            return Err(RgdbError::corrupt(
-                Section::Nodes,
-                at,
-                "node link within node_count",
-            ));
-        }
-        let node = (self.image.get(at..))
-            .and_then(<[u8]>::first_chunk)
-            .ok_or_else(|| RgdbError::corrupt(Section::Nodes, at, "12-byte node in bounds"))?;
-        Ok(node_fields(node))
     }
 
     /// Read and canonically validate the fixed-width record at `idx`:
@@ -984,82 +773,14 @@ impl Rgdb2Reader {
             .map_err(|_| RgdbError::corrupt(Section::Strings, abs + 1, "UTF-8 string bytes"))
     }
 
-    /// Read root-table entry `hi` (an address's top sixteen bits):
-    /// `(record, node)`, either side possibly `NONE`.
+    /// The record index answering `addr`, from the last interval that
+    /// starts at or below it; `None` when that interval is a miss.
     #[inline]
-    fn root_entry(&self, hi: u32) -> Result<(u32, u32), RgdbError> {
-        let at = self.root_start + ix(hi) * ROOT_ENTRY_WIDTH;
-        let [r0, r1, r2, r3, n0, n1, n2, n3] = *(self.image.get(at..))
-            .and_then(<[u8]>::first_chunk)
-            .ok_or_else(|| {
-                RgdbError::corrupt(Section::RootTable, at, "8-byte root entry in bounds")
-            })?;
-        Ok((
-            u32::from_le_bytes([r0, r1, r2, r3]),
-            u32::from_le_bytes([n0, n1, n2, n3]),
-        ))
-    }
-
-    /// Resolve `addr` to its longest-prefix record index. The stride-16
-    /// root table replaces the first sixteen dependent node hops with
-    /// one indexed load; the remaining walk (if any) starts at the
-    /// depth-16 subtrie root.
-    #[inline]
-    fn locate(&self, addr: u32) -> Result<Option<u32>, RgdbError> {
-        let (mut best, mut node) = self.root_entry(addr >> 16)?;
-        if node != NONE {
-            for depth in 16..=32u32 {
-                let (left, right, record) = self.node(node)?;
-                if record != NONE {
-                    best = record;
-                }
-                if depth == 32 {
-                    break;
-                }
-                let bit = (addr >> (31 - depth)) & 1;
-                let next = if bit == 0 { left } else { right };
-                if next == NONE {
-                    break;
-                }
-                node = next;
-            }
-        }
-        Ok((best != NONE).then_some(best))
-    }
-
-    /// Walk the trie MSB-first and return the deepest record index on
-    /// the path together with its depth — the longest-prefix match. The
-    /// root-table fast path in [`Rgdb2Reader::locate`] is preferred when
-    /// the match depth is not needed.
-    fn deepest_match(&self, ip: Ipv4Addr) -> Result<Option<(u32, u8)>, RgdbError> {
-        let addr = u32::from(ip);
-        let mut node = 0u32;
-        let mut best: Option<(u32, u8)> = None;
-        for depth in 0..=32u32 {
-            let (left, right, record) = self.node(node)?;
-            if record != NONE {
-                best = Some((record, u8::try_from(depth).expect("trie depth <= 32")));
-            }
-            if depth == 32 {
-                break;
-            }
-            let bit = (addr >> (31 - depth)) & 1;
-            let next = if bit == 0 { left } else { right };
-            if next == NONE {
-                break;
-            }
-            node = next;
-        }
-        Ok(best)
-    }
-
-    /// Prefix length of the longest match for `ip`, without decoding the
-    /// record. `None` when no prefix on the walk carries a record. The
-    /// fuzz differential's LPM-depth check, the fuzz round-trip battery
-    /// and the RGDB unit tests compare it with the length of the prefix
-    /// that holds `ip`.
-    pub fn match_len(&self, ip: Ipv4Addr) -> Result<Option<u8>, RgdbError> {
-        Ok(self.deepest_match(ip)?.map(|(_, len)| len))
+    fn locate(&self, addr: u32) -> Option<u32> {
+        let intervals = self.intervals();
+        let after = intervals.partition_point(|iv| interval_fields(iv).0 <= addr);
+        let (_, record) = interval_fields(intervals.get(after.checked_sub(1)?)?);
+        (record != NONE).then_some(record)
     }
 
     /// Build the owning answer for record `idx`.
@@ -1084,70 +805,11 @@ impl Rgdb2Reader {
 
     /// Longest-prefix-match lookup returning a structural error on
     /// latent corruption (unreachable on an image that opened — the
-    /// open-time pass checked every node and record).
+    /// open-time pass checked every interval and record).
     pub fn try_lookup(&self, ip: Ipv4Addr) -> Result<Option<LocationRecord>, RgdbError> {
-        match self.locate(u32::from(ip))? {
-            None => Ok(None),
-            Some(idx) => self.record_owned(idx).map(Some),
-        }
-    }
-
-    /// The trie's longest-prefix answers: each maximal address interval
-    /// one record answers, with that record's index. Built on first use
-    /// by one in-order walk of the validated trie, so `open` and the
-    /// point lookups never pay for it.
-    fn ranges(&self) -> &RangeMap<u32> {
-        self.ranges.get_or_init(|| {
-            let mut spans = Vec::new();
-            self.flatten(0, 0, 0, NONE, &mut spans);
-            let mut map = RangeMapBuilder::new();
-            for (first, last, id) in spans {
-                map.push(Ipv4Addr::from(first), Ipv4Addr::from(last), id);
-            }
-            map.build()
-                .expect("an in-order trie walk yields ascending disjoint intervals")
-        })
-    }
-
-    /// Append the answers under `node` — at `depth`, covering the
-    /// addresses from `base`, below the deepest record `best` on its
-    /// path — to `spans`, in ascending order. A missing child is one
-    /// interval of the record carried to it.
-    fn flatten(&self, node: u32, depth: u32, base: u32, best: u32, spans: &mut Spans) {
-        // Unreachable on a validated image; an unreadable node answers
-        // nothing, as the point walk degrades it to a miss.
-        let Ok((left, right, record)) = self.node(node) else {
-            return;
-        };
-        let best = if record == NONE { best } else { record };
-        if depth == 32 {
-            return push_span(spans, base, base, best);
-        }
-        let half = 1u32 << (31 - depth);
-        for (child, first) in [(left, base), (right, base + half)] {
-            if child == NONE {
-                push_span(spans, first, first + (half - 1), best);
-            } else {
-                self.flatten(child, depth + 1, first, best, spans);
-            }
-        }
-    }
-}
-
-/// Answered address intervals, ascending: `(first, last, record)`.
-type Spans = Vec<(u32, u32, u32)>;
-
-/// Append `first..=last`, answered by record `id`: nothing for a miss,
-/// and an extension of the previous interval when it ends just before
-/// `first` with the same record — as a leaf's two missing children do,
-/// so a /24 row is one interval, not two.
-fn push_span(spans: &mut Spans, first: u32, last: u32, id: u32) {
-    if id == NONE {
-        return;
-    }
-    match spans.last_mut() {
-        Some(prev) if prev.2 == id && prev.1.checked_add(1) == Some(first) => prev.1 = last,
-        _ => spans.push((first, last, id)),
+        (self.locate(u32::from(ip)))
+            .map(|idx| self.record_owned(idx))
+            .transpose()
     }
 }
 
@@ -1166,23 +828,27 @@ impl GeoDatabase for Rgdb2Reader {
         ip: Ipv4Addr,
         interner: &mut LocationInterner,
     ) -> Option<CompactRecord> {
-        let idx = self.locate(u32::from(ip)).ok().flatten()?;
-        self.compact_record(idx, interner)
+        self.compact_record(self.locate(u32::from(ip))?, interner)
     }
 
-    /// Batched record location — the hot path, and the sweep
-    /// [`InMemoryDb`](crate::InMemoryDb) runs: one cursor advances over
-    /// the reader's range map of record ids, flattened from the trie on
-    /// the first call, as the batch's addresses ascend
-    /// ([`RangeMap::locate_batch`]). The ids are record indices,
-    /// [`MISS`] on a miss; nothing is decoded here.
+    /// Batched record location — the hot path: one cursor advances
+    /// over the image's interval section as the batch's addresses
+    /// ascend, the sweep [`InMemoryDb`](crate::InMemoryDb) runs over
+    /// its range map. The ids are the swept intervals' record indices,
+    /// a miss's stored `NONE` being [`MISS`]; nothing is decoded here.
     fn locate_batch(&self, batch: &SortedBatch) -> Option<Vec<u32>> {
-        let ranges = self.ranges();
-        let id = |hit: Option<usize>| {
-            hit.and_then(|ix| ranges.value_at(ix))
-                .map_or(MISS, |id| *id)
-        };
-        Some(ranges.locate_batch(batch).map(id).collect())
+        let intervals = self.intervals();
+        // The first interval starting after the previous address: the
+        // addresses ascend, so it never moves backward.
+        let mut next = 0usize;
+        let ids = batch.addrs().iter().map(|&addr| {
+            while (intervals.get(next)).is_some_and(|iv| interval_fields(iv).0 <= addr) {
+                next += 1;
+            }
+            let holder = next.checked_sub(1).and_then(|at| intervals.get(at));
+            holder.map_or(MISS, |iv| interval_fields(iv).1)
+        });
+        Some(ids.collect())
     }
 
     /// Decode record `id` with the record check `open` ran, and intern
@@ -1247,10 +913,9 @@ mod tests {
         Rgdb2Reader::open(image).unwrap()
     }
 
-    /// Prefixes shallower than, at, and deeper than the /16 root-table
-    /// stride, so every entry shape (terminal record, subtrie handoff,
-    /// empty) and every seeding path is exercised.
-    fn stride_records() -> Vec<(Prefix, LocationRecord)> {
+    /// Prefixes from /6 to /32, nested up to four deep across the /16
+    /// boundary, so most answers are carried from an enclosing prefix.
+    fn layered_records() -> Vec<(Prefix, LocationRecord)> {
         let mk = |cc: &str, city: &str| LocationRecord {
             country: Some(cc.parse().unwrap()),
             region: None,
@@ -1268,9 +933,9 @@ mod tests {
         ]
     }
 
-    /// Probes into [`stride_records`] with the length of the prefix
+    /// Probes into [`layered_records`] with the length of the prefix
     /// that holds each one (`None`: no prefix does).
-    const STRIDE_PROBES: [(&str, Option<u8>); 14] = [
+    const LAYERED_PROBES: [(&str, Option<u8>); 14] = [
         ("8.0.0.1", Some(6)),
         ("11.255.255.255", Some(6)),
         ("12.32.0.5", Some(11)),
@@ -1286,6 +951,26 @@ mod tests {
         ("1.2.3.4", None),
         ("255.255.255.255", None),
     ];
+
+    /// The longest-prefix answer to `addr` over `recs`, as the row
+    /// index of the longest prefix that holds it (the later of equal
+    /// ones), [`NONE`] when none does: the record id, when the rows'
+    /// records are pairwise distinct.
+    fn reference(recs: &[(Prefix, LocationRecord)], addr: u32) -> u32 {
+        (recs.iter().zip(0u32..))
+            .filter(|((p, _), _)| p.contains(Ipv4Addr::from(addr)))
+            .max_by_key(|((p, _), k)| (p.len(), *k))
+            .map_or(NONE, |(_, k)| k)
+    }
+
+    /// The image's intervals as `(start, record)`.
+    fn stored(db: &Rgdb2Reader) -> Vec<(u32, u32)> {
+        db.intervals().iter().map(interval_fields).collect()
+    }
+
+    fn write(recs: &[(Prefix, LocationRecord)]) -> Bytes {
+        write_v21("t", recs.iter().map(|(p, r)| (*p, r)))
+    }
 
     #[test]
     fn roundtrip_lookups() {
@@ -1306,48 +991,41 @@ mod tests {
         let r = db.lookup("77.1.0.9".parse().unwrap()).unwrap();
         assert_eq!(r.region.as_deref(), Some(""));
         assert_eq!(r.city.as_deref(), Some(""));
-        // Match depth: the /24 city record, the /24 centroid nested in
-        // the /16 country record, the /16 alone, and no match at all.
-        for (ip, depth) in [
-            ("6.0.0.200", Some(24)),
-            ("31.0.1.7", Some(24)),
-            ("31.0.99.1", Some(16)),
-            ("99.0.0.1", None),
-        ] {
-            assert_eq!(db.match_len(ip.parse().unwrap()).unwrap(), depth, "{ip}");
-        }
     }
 
     #[test]
-    fn root_table_answers_like_the_full_trie_walk() {
-        // The root table is a pure accelerator: the record `locate`
-        // reaches through it must be the one a walk from the trie root
-        // finds, at the depth of the prefix that holds the probe.
-        let recs = stride_records();
-        let db = Rgdb2Reader::open(write_v21("walk", recs.iter().map(|(p, r)| (*p, r)))).unwrap();
-        for (ip, depth) in STRIDE_PROBES {
+    fn point_lookups_answer_the_longest_prefix() {
+        // The interval a binary search finds carries the record of the
+        // prefix of the probe's listed length, the longest that holds
+        // it, and a probe no prefix holds misses.
+        let recs = layered_records();
+        let db = Rgdb2Reader::open(write(&recs)).unwrap();
+        for (ip, depth) in LAYERED_PROBES {
             let ip: Ipv4Addr = ip.parse().unwrap();
-            let walked = db.deepest_match(ip).unwrap();
-            assert_eq!(walked.map(|(_, len)| len), depth, "{ip}");
-            assert_eq!(
-                db.locate(u32::from(ip)).unwrap(),
-                walked.map(|(idx, _)| idx),
-                "{ip}"
-            );
+            let holder = depth.map(|len| {
+                let k = recs
+                    .iter()
+                    .position(|(p, _)| p.len() == len && p.contains(ip));
+                u32::try_from(k.unwrap()).unwrap()
+            });
+            assert_eq!(db.locate(u32::from(ip)), holder, "{ip}");
+            assert_eq!(holder.unwrap_or(NONE), reference(&recs, u32::from(ip)));
+            let want = holder.map(|k| recs[ix(k)].1.clone());
+            assert_eq!(db.try_lookup(ip).unwrap(), want, "{ip}");
         }
     }
 
     #[test]
-    fn v21_batched_lookups_match_sequential() {
-        for recs in [sample_records(), stride_records()] {
-            let db = Rgdb2Reader::open(write_v21("b", recs.iter().map(|(p, r)| (*p, r)))).unwrap();
+    fn batched_lookups_match_sequential() {
+        for recs in [sample_records(), layered_records()] {
+            let db = Rgdb2Reader::open(write(&recs)).unwrap();
             // Duplicates included, unsorted order. The second chain hits
             // every `sample_records` prefix: a /24 inside a /16, the /16
             // alone, and the record whose region and city are both
             // `Some("")` at one string offset.
-            let ips: Vec<Ipv4Addr> = STRIDE_PROBES
+            let ips: Vec<Ipv4Addr> = LAYERED_PROBES
                 .iter()
-                .chain(STRIDE_PROBES.iter().rev())
+                .chain(LAYERED_PROBES.iter().rev())
                 .map(|(ip, _)| *ip)
                 .chain(["6.0.0.200", "12.34.129.7", "12.34.129.7"])
                 .chain([
@@ -1361,7 +1039,7 @@ mod tests {
                 .map(|s| s.parse().unwrap())
                 .collect();
             // The provided `lookup_batch` answers through the record
-            // ids the range-map sweep returns, one per batch address...
+            // ids the interval sweep returns, one per batch address...
             let batch = SortedBatch::new(&ips);
             let ids = db.locate_batch(&batch).expect("RGDB has record ids");
             assert_eq!(ids.len(), batch.addrs().len());
@@ -1383,8 +1061,8 @@ mod tests {
 
     /// A random nested prefix set for seed `seed`: lengths 0 to 32,
     /// most of them at or below three /16s, and the default route and
-    /// a host route in every other image, so most walks pass records
-    /// carried down from shallower prefixes.
+    /// a host route in every other image, so most answers are records
+    /// carried from enclosing prefixes.
     fn nested_prefixes(seed: u64) -> Vec<(Prefix, LocationRecord)> {
         use routergeo_pool::splitmix64;
         let word = |k: u64| u32::try_from(splitmix64(seed, k) & 0xFFFF_FFFF).unwrap();
@@ -1424,12 +1102,11 @@ mod tests {
     }
 
     #[test]
-    fn range_sweep_matches_the_point_walk_on_nested_prefixes() {
+    fn batch_sweep_matches_point_lookups_on_nested_prefixes() {
         use routergeo_pool::splitmix64;
         for seed in 0..120u64 {
             let recs = nested_prefixes(seed);
-            let db =
-                Rgdb2Reader::open(write_v21("nest", recs.iter().map(|(p, r)| (*p, r)))).unwrap();
+            let db = Rgdb2Reader::open(write(&recs)).unwrap();
             // Every prefix's first and last address, each +-1, the two
             // ends of the space, then every third probe again, shuffled.
             let mut probes: Vec<u32> = vec![0, u32::MAX];
@@ -1452,8 +1129,9 @@ mod tests {
             let ids = db.locate_batch(&batch).unwrap();
             assert_eq!(ids.len(), batch.addrs().len(), "seed {seed}");
             for (addr, id) in batch.addrs().iter().zip(&ids) {
-                let want = db.locate(*addr).unwrap().unwrap_or(MISS);
+                let want = reference(&recs, *addr);
                 assert_eq!(*id, want, "seed {seed}: {}", Ipv4Addr::from(*addr));
+                assert_eq!(db.locate(*addr).unwrap_or(MISS), want, "seed {seed}");
             }
             for (ip, at) in ips.iter().zip(batch.index()) {
                 assert_eq!(batch.addrs()[ix(*at)], u32::from(*ip), "seed {seed}");
@@ -1462,40 +1140,75 @@ mod tests {
     }
 
     #[test]
-    fn only_a_batch_builds_the_range_map() {
-        let recs = stride_records();
-        let db = Rgdb2Reader::open(write_v21("lazy", recs.iter().map(|(p, r)| (*p, r)))).unwrap();
-        assert!(db.ranges.get().is_none(), "open built the range map");
-        for (ip, _) in STRIDE_PROBES {
-            db.try_lookup(ip.parse().unwrap()).unwrap();
-        }
-        assert!(db.ranges.get().is_none(), "try_lookup built the range map");
-        let ips = [Ipv4Addr::new(12, 34, 129, 7)];
-        let ids = db.locate_batch(&SortedBatch::new(&ips)).unwrap();
-        assert_eq!(ids, [db.locate(u32::from(ips[0])).unwrap().unwrap()]);
-        assert!(db.ranges.get().is_some(), "a batch flattens the trie");
+    fn the_interval_section_holds_one_interval_per_maximal_answer() {
+        // A /24 is one interval, the /16 one on each side of the /24
+        // nested in it, and every gap one interval of NONE.
+        let db = build();
+        let want = [
+            ("0.0.0.0", NONE),
+            ("6.0.0.0", 0),
+            ("6.0.1.0", NONE),
+            ("31.0.0.0", 1),
+            ("31.0.1.0", 2),
+            ("31.0.2.0", 1),
+            ("31.1.0.0", NONE),
+            ("77.1.0.0", 3),
+            ("77.1.1.0", NONE),
+        ];
+        let want: Vec<(u32, u32)> = (want.iter())
+            .map(|(start, id)| (u32::from(start.parse::<Ipv4Addr>().unwrap()), *id))
+            .collect();
+        assert_eq!(stored(&db), want);
     }
 
     #[test]
-    fn the_range_map_holds_one_interval_per_maximal_answer() {
-        // A /24 leaf is one interval, not one per missing child, and the
-        // /16 is one interval on each side of the /24 nested in it.
-        let db = build();
-        db.locate_batch(&SortedBatch::new(&[])).unwrap();
-        let spans: Vec<(String, String, u32)> = (db.ranges.get().unwrap().iter())
-            .map(|(first, last, id)| (first.to_string(), last.to_string(), *id))
-            .collect();
-        let want = [
-            ("6.0.0.0", "6.0.0.255", 0),
-            ("31.0.0.0", "31.0.0.255", 1),
-            ("31.0.1.0", "31.0.1.255", 2),
-            ("31.0.2.0", "31.0.255.255", 1),
-            ("77.1.0.0", "77.1.0.255", 3),
-        ];
-        let want: Vec<_> = (want.iter())
-            .map(|(first, last, id)| (first.to_string(), last.to_string(), *id))
-            .collect();
-        assert_eq!(spans, want);
+    fn written_images_are_canonical() {
+        // The interval starts are exactly the addresses where the
+        // longest-prefix answer changes: every stored start is one, and
+        // every prefix edge where the answer changes is stored.
+        let sets = [sample_records(), layered_records()];
+        for recs in sets.into_iter().chain((0..120).map(nested_prefixes)) {
+            let db = Rgdb2Reader::open(write(&recs)).unwrap();
+            let intervals = stored(&db);
+            assert_eq!(intervals[0].0, 0);
+            for (start, record) in &intervals {
+                assert_eq!(*record, reference(&recs, *start));
+                if *start > 0 {
+                    assert_ne!(reference(&recs, start - 1), *record, "split at {start}");
+                }
+            }
+            let starts: Vec<u32> = intervals.iter().map(|(start, _)| *start).collect();
+            for (p, _) in &recs {
+                let (first, last) = p.range_u32();
+                for edge in [Some(first), last.checked_add(1)].into_iter().flatten() {
+                    if edge > 0 && reference(&recs, edge - 1) != reference(&recs, edge) {
+                        assert!(starts.binary_search(&edge).is_ok(), "joined at {edge}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_later_of_two_equal_prefixes_wins() {
+        let mk = |city: &str| LocationRecord {
+            country: Some("US".parse().unwrap()),
+            region: None,
+            city: Some(city.into()),
+            coord: None,
+            granularity: Granularity::Block24,
+        };
+        let p: Prefix = "10.0.0.0/24".parse().unwrap();
+        let recs = [(p, mk("first")), (p, mk("second"))];
+        let db = Rgdb2Reader::open(write(&recs)).unwrap();
+        // Both records are stored; only the later answers.
+        assert_eq!(db.record_count(), 2);
+        let answer = db.try_lookup("10.0.0.1".parse().unwrap()).unwrap();
+        assert_eq!(answer.unwrap().city.as_deref(), Some("second"));
+        assert_eq!(
+            stored(&db),
+            [(0, NONE), (0x0A00_0000, 1), (0x0A00_0100, NONE)]
+        );
     }
 
     #[test]
@@ -1521,49 +1234,58 @@ mod tests {
     }
 
     #[test]
-    fn v21_rejects_root_table_and_placement_corruption() {
-        let recs = stride_records();
-        let image = write_v21("x", recs.iter().map(|(p, r)| (*p, r)));
+    fn open_rejects_each_interval_fault() {
+        let recs = layered_records();
+        let image = write(&recs);
         let db = Rgdb2Reader::open(image.clone()).unwrap();
-
-        // A flipped root-table entry fails the canonical re-derivation
-        // and is attributed to the root-table section.
-        let err = corrupt_at(&image, db.root_start, 0x00).unwrap_err();
-        assert_eq!(err.context().unwrap().section, Section::RootTable);
-        assert_eq!(
-            err.context().unwrap().expected,
-            "canonical stride-16 root entry"
-        );
-
-        // An in-range but misplaced child link breaks the level-order
-        // placement invariant.
-        let err = corrupt_at(&image, db.nodes_start, 2).unwrap_err();
-        assert_eq!(err.context().unwrap().section, Section::Nodes);
-
-        // Truncating inside the root table is caught by the layout
-        // length check.
-        assert!(matches!(
-            Rgdb2Reader::open(image.slice(..db.root_start + 100)),
-            Err(RgdbError::Truncated)
-        ));
-    }
-
-    #[test]
-    fn v21_level_order_placement_holds_in_written_images() {
-        for recs in [sample_records(), stride_records()] {
-            let db = Rgdb2Reader::open(write_v21("lo", recs.iter().map(|(p, r)| (*p, r)))).unwrap();
-            let mut next = 1u32;
-            for idx in 0..db.node_count {
-                let (left, right, _) = db.node(idx).unwrap();
-                for link in [left, right] {
-                    if link != NONE {
-                        assert_eq!(link, next, "child of node {idx} out of level order");
-                        next += 1;
-                    }
-                }
-            }
-            assert_eq!(next, db.node_count, "every node placed");
+        let iv = |i: usize| db.intervals_start + i * INTERVAL_WIDTH;
+        let set = |i: usize, field: usize, value: u32| -> Vec<(usize, u8)> {
+            (0..4)
+                .map(|b| (iv(i) + field + b, value.to_le_bytes()[b]))
+                .collect()
+        };
+        let [(_, first), (second_start, _), ..] = stored(&db)[..] else {
+            panic!("at least two intervals");
+        };
+        let cases = [
+            // A first start other than 0.
+            (set(0, 0, 1), (iv(0), "first interval start 0")),
+            // A start at, or below, its left neighbour's.
+            (
+                set(2, 0, second_start),
+                (iv(2), "interval starts strictly ascending"),
+            ),
+            (
+                set(2, 0, second_start - 1),
+                (iv(2), "interval starts strictly ascending"),
+            ),
+            // Record ids at record_count and next to NONE.
+            (
+                set(1, 4, db.record_count()),
+                (iv(1) + 4, "record index within record_count"),
+            ),
+            (
+                set(1, 4, NONE - 1),
+                (iv(1) + 4, "record index within record_count"),
+            ),
+            // A split join: the left neighbour's record copied on.
+            (
+                set(1, 4, first),
+                (iv(1) + 4, "record unlike the left neighbour's"),
+            ),
+        ];
+        for (edits, (at, expected)) in cases {
+            assert_eq!(
+                verdict(&image, &edits),
+                (Section::Intervals, at, expected),
+                "edits {edits:?}"
+            );
         }
+        // A cut inside the interval section falls short of the layout.
+        assert_eq!(
+            Rgdb2Reader::open(image.slice(..iv(1) + 3)).unwrap_err(),
+            RgdbError::Truncated
+        );
     }
 
     #[test]
@@ -1592,7 +1314,7 @@ mod tests {
     #[test]
     fn detects_truncation_and_header_corruption() {
         let recs = sample_records();
-        let image = write_v21("t", recs.iter().map(|(p, r)| (*p, r)));
+        let image = write(&recs);
         for cut in [0, 3, HEADER_LEN - 1, image.len() - 1] {
             assert!(
                 Rgdb2Reader::open(image.slice(..cut)).is_err(),
@@ -1612,9 +1334,9 @@ mod tests {
             Rgdb2Reader::open(Bytes::from(bytes)),
             Err(RgdbError::BadMagic)
         ));
-        // Header version 3 is the only one that opens: the retired v1
-        // and v2 layouts (versions 1 and 2) and unknown ones are refused.
-        for version in [1u8, 2, 7] {
+        // Header version 4 is the only one that opens: the retired
+        // trie layouts (versions 1 to 3) and unknown ones are refused.
+        for version in [1u8, 2, 3, 7] {
             let mut bytes = image.to_vec();
             bytes[4] = version;
             assert_eq!(
@@ -1660,15 +1382,14 @@ mod tests {
     #[test]
     fn a_stale_checksum_outranks_every_section_error() {
         let recs = sample_records();
-        let image = write_v21("stale", recs.iter().map(|(p, r)| (*p, r)));
+        let image = write(&recs);
         let db = Rgdb2Reader::open(image.clone()).unwrap();
         // One byte per section, each a structural error once the
-        // checksum is re-fixed: an empty /16's root entry pointed at
-        // record 0, the root node's record index out of range, an
-        // unknown record flag bit, and bad UTF-8 in the first string.
+        // checksum is re-fixed: the first interval's NONE record made
+        // an out-of-range index, an unknown record flag bit, and bad
+        // UTF-8 in the first string.
         for (at, value, section) in [
-            (db.root_start, 0x00, Section::RootTable),
-            (db.nodes_start + 8, 0x77, Section::Nodes),
+            (db.intervals_start + 4, 0x77, Section::Intervals),
             (db.records_start, 0xFF, Section::Records),
             (db.strings_start + 1, 0xFF, Section::Strings),
         ] {
@@ -1687,26 +1408,66 @@ mod tests {
     #[test]
     fn structural_errors_keep_their_precedence() {
         // Record 0 has every field and strings "USA Region 1" (table
-        // offset 0) and "Springfield" (13); records 1-3 follow it.
+        // offset 0) and "Springfield" (13); records 1-3 follow it. The
+        // intervals are those of
+        // `the_interval_section_holds_one_interval_per_maximal_answer`.
         let recs = sample_records();
-        let image = write_v21("order", recs.iter().map(|(p, r)| (*p, r)));
+        let image = write(&recs);
         let db = Rgdb2Reader::open(image.clone()).unwrap();
         let rec = |i: usize| db.records_start + i * RECORD_WIDTH;
         let string = |off: usize| db.strings_start + off;
-        let root_node_record = db.nodes_start + 8;
-        let cases: [(&[(usize, u8)], Verdict); 8] = [
-            // The name before any node.
+        let iv = |i: usize| db.intervals_start + i * INTERVAL_WIDTH;
+        // Interval 1's record (0) out of range; interval 2's start
+        // (6.0.1.0) dropped below interval 1's; interval 4's record (2)
+        // made interval 3's (1).
+        let (bad_record, low_start, join) = ((iv(1) + 4, 0x77), (iv(2) + 3, 0x00), (iv(4) + 4, 1));
+        let cases: [(&[(usize, u8)], Verdict); 10] = [
+            // The name before any interval.
             (
-                &[(HEADER_LEN, 0xFF), (root_node_record, 0x77)],
+                &[(HEADER_LEN, 0xFF), bad_record],
                 (Section::Name, HEADER_LEN, "UTF-8 database name"),
             ),
-            // Nodes before records.
+            // Intervals before records.
             (
-                &[(rec(0), 0xFF), (root_node_record, 0x77)],
+                &[(rec(0), 0xFF), bad_record],
                 (
-                    Section::Nodes,
-                    db.nodes_start,
+                    Section::Intervals,
+                    iv(1) + 4,
                     "record index within record_count",
+                ),
+            ),
+            // Intervals in index order, whatever the fault.
+            (
+                &[join, low_start],
+                (
+                    Section::Intervals,
+                    iv(2),
+                    "interval starts strictly ascending",
+                ),
+            ),
+            (
+                &[join, bad_record],
+                (
+                    Section::Intervals,
+                    iv(1) + 4,
+                    "record index within record_count",
+                ),
+            ),
+            // An interval's start before its record.
+            (
+                &[(iv(2) + 4, 0x77), low_start],
+                (
+                    Section::Intervals,
+                    iv(2),
+                    "interval starts strictly ascending",
+                ),
+            ),
+            (
+                &[join],
+                (
+                    Section::Intervals,
+                    iv(4) + 4,
+                    "record unlike the left neighbour's",
                 ),
             ),
             // Records in index order, whatever the fields.
@@ -1730,56 +1491,24 @@ mod tests {
                 &[(rec(1), 0xFF), (string(14), 0xFF)],
                 (Section::Strings, string(14), "UTF-8 string bytes"),
             ),
-            // Records before the root table.
-            (
-                &[(db.root_start, 0x00), (rec(3), 0xFF)],
-                (Section::Records, rec(3), "known record flag bits"),
-            ),
-            // The lowest differing root entry: 2, not 5.
-            (
-                &[
-                    (db.root_start + 5 * ROOT_ENTRY_WIDTH, 0x00),
-                    (db.root_start + 2 * ROOT_ENTRY_WIDTH + 7, 0x00),
-                ],
-                (
-                    Section::RootTable,
-                    db.root_start + 2 * ROOT_ENTRY_WIDTH,
-                    "canonical stride-16 root entry",
-                ),
-            ),
         ];
         for (edits, want) in cases {
             assert_eq!(verdict(&image, edits), want, "edits {edits:?}");
         }
 
-        // The placement count before any record: cut the link to the
-        // last node, a leaf, so one node goes unplaced.
-        let last = db.node_count - 1;
-        let parent = (0..db.node_count)
-            .find(|idx| [db.node(*idx).unwrap().0, db.node(*idx).unwrap().1].contains(&last))
-            .unwrap();
-        let side = usize::from(db.node(parent).unwrap().1 == last);
-        let link = db.nodes_start + ix(parent) * NODE_WIDTH + side * 4;
-        let cut: Vec<(usize, u8)> = (link..link + 4).map(|at| (at, 0xFF)).collect();
-        let want = (
-            Section::Nodes,
-            db.nodes_start,
-            "every node placed in level order",
-        );
-        assert_eq!(
-            verdict(&image, &[cut.as_slice(), &[(rec(0), 0xFF)]].concat()),
-            want
-        );
-
-        // A zero node count before the name: the same image without
-        // its node section, so the layout length still adds up.
-        let mut bytes = image[..db.nodes_start].to_vec();
+        // A zero interval count before the name: the same image without
+        // its interval section, so the layout length still adds up.
+        let mut bytes = image[..db.intervals_start].to_vec();
         bytes.extend_from_slice(&image[db.records_start..]);
         bytes[8..12].copy_from_slice(&0u32.to_le_bytes());
         bytes[HEADER_LEN] = 0xFF;
         assert_eq!(
             open_refixed(bytes).unwrap_err(),
-            RgdbError::corrupt(Section::Header, 8, "nonzero node count (trie needs a root)")
+            RgdbError::corrupt(
+                Section::Header,
+                8,
+                "nonzero interval count (the intervals cover every address)"
+            )
         );
     }
 
@@ -1888,9 +1617,9 @@ mod tests {
         // region offset past the string table.
         let err = corrupt_at(&image, rec0 + 4, 0xEE).unwrap_err();
         assert_eq!(err.context().unwrap().section, Section::Strings);
-        // Bad node link: root's record index field.
-        let node0 = db.nodes_start;
-        let err = corrupt_at(&image, node0 + 8, 0x77).unwrap_err();
-        assert_eq!(err.context().unwrap().section, Section::Nodes);
+        // An interval's record index past record_count: the first
+        // answered interval's.
+        let err = corrupt_at(&image, db.intervals_start + INTERVAL_WIDTH + 4, 0x77).unwrap_err();
+        assert_eq!(err.context().unwrap().section, Section::Intervals);
     }
 }

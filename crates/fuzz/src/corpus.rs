@@ -2,7 +2,7 @@
 //!
 //! Every corpus entry is a pure function of `(seed, scale)`. Two
 //! properties are deliberate, because the differential pillar compares
-//! the RGDB trie against [`routergeo_db::InMemoryDb`]:
+//! an RGDB image against [`routergeo_db::InMemoryDb`]:
 //!
 //! * **Prefixes are pairwise disjoint.** Each record owns a distinct
 //!   /16 block and its prefix is carved inside it, so there is no

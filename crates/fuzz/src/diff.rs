@@ -5,10 +5,8 @@
 //! from disk through [`routergeo_db::FileImage`], and a flat
 //! [`routergeo_db::InMemoryDb`] range map (the oracle) — and all three
 //! must answer [`GeoDatabase::lookup_compact`] identically over a
-//! seeded address sweep. Both RGDB readers must also report, through
-//! `match_len`, the length of the corpus prefix that holds the probe
-//! (corpus prefixes are disjoint, so there is at most one), and `None`
-//! where no prefix does. One [`LocationInterner`] is shared by
+//! seeded address sweep, and each backend's batch path must answer as
+//! its per-address loop does. One [`LocationInterner`] is shared by
 //! the backends so equal strings intern to equal ids and
 //! [`CompactRecord`]s compare directly.
 //!
@@ -112,8 +110,8 @@ fn sweep_entry(seed: u64, scale: Scale, diff_addrs: u64, root: u64) -> (u64, Vec
     };
 
     // The sweep. Boundary probes: first, last, and a random inner
-    // address of every prefix — exactly where trie walks and range maps
-    // disagree first.
+    // address of every prefix — exactly where interval searches and
+    // range maps disagree first.
     let mut rng = FuzzRng::new(root ^ seed.rotate_left(13) ^ (scale.records() as u64));
     let mut sweep: Vec<Ipv4Addr> = Vec::new();
     for (prefix, _) in &entry.entries {
@@ -143,20 +141,6 @@ fn sweep_entry(seed: u64, scale: Scale, diff_addrs: u64, root: u64) -> (u64, Vec
                 render(h),
                 render(f),
                 render(m)
-            )));
-        }
-        // The LPM semantics, not just the final answer: the match must
-        // be as deep as the corpus prefix that holds the probe.
-        let want = entry
-            .entries
-            .iter()
-            .find(|(prefix, _)| prefix.contains(ip))
-            .map(|(prefix, _)| prefix.len());
-        let dh = heap.match_len(ip);
-        let df = file.match_len(ip);
-        if dh != Ok(want) || df != Ok(want) {
-            mismatches.push(spec(&format!(
-                "addr={ip}: match_len rgdb={dh:?} rgdb-file={df:?} prefix={want:?}"
             )));
         }
     }

@@ -10,8 +10,7 @@
 //!    error attribution must survive and workers must shed, not wedge.
 //! 3. **Differential lookups** ([`diff`]) — an RGDB image read from
 //!    the heap **and** from disk, and `InMemoryDb` built from the same
-//!    records must agree exactly, and the RGDB match depth must be the
-//!    length of the corpus prefix that holds the probe.
+//!    records must agree exactly, point lookups and batches alike.
 //!
 //! There is no coverage feedback and no OS-level fuzzer here — just
 //! seeded replayable trials, which is what a dependency-free CI gate

@@ -5,40 +5,46 @@
 //! every mutation would be rejected at the same shallow check and the
 //! deep decode paths would never run. These mutators know the format —
 //! they target specific sections and then **re-fix the checksum** so
-//! the structural validation is what gets exercised. The `Truncate`
-//! class deliberately skips the re-fix: length/checksum rejection is a
+//! the structural validation is what gets exercised. The two cut
+//! classes deliberately skip the re-fix: length/checksum rejection is a
 //! path worth fuzzing too.
 //!
 //! Layout facts used here mirror `crates/db/src/rgdb2.rs`: the 28-byte
-//! header (`magic u32 | version u16 | name_len u16 | node_count u32 |
-//! record_count u32 | strings_len u32 | checksum u64`), the name, a
-//! 512 KiB stride-16 root table (65 536 × 8-byte `record u32 | node
-//! u32` entries), `node_count × 12` bytes of nodes, `record_count × 20`
-//! fixed-width records, and the string table. `geometry` reads the
-//! section bounds the header claims, so every mutator targets the
-//! real payload region and the three root-table classes target the
-//! root table specifically.
+//! header (`magic u32 | version u16 | name_len u16 | interval_count u32
+//! | record_count u32 | strings_len u32 | checksum u64`), the name,
+//! `interval_count × 8` bytes of `start u32 | record u32` intervals,
+//! `record_count × 20` fixed-width records, and the string table.
+//! `geometry` reads the section bounds the header claims, so every
+//! mutator targets the real payload region, and the four interval
+//! classes each aim at one check the reader runs on the interval
+//! section.
 
 use crate::rng::FuzzRng;
+use routergeo_db::rgdb2::{fnv1a, FNV_OFFSET};
 
 /// Fixed header length (see the format doc in `rgdb2.rs`).
 const HEADER_LEN: usize = 28;
+
+/// Byte width of one interval, `start u32 | record u32`.
+const INTERVAL_WIDTH: usize = 8;
+
+/// The record id the format stores for "no record".
+const NONE: u32 = u32::MAX;
 
 /// The typed mutation classes. Each is a distinct grammar production,
 /// not a distinct byte pattern — `cargo xtask fuzz` reports coverage
 /// per class.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MutationClass {
-    /// Overwrite one header field (version, name_len, node_count,
+    /// Overwrite one header field (version, name_len, interval_count,
     /// record_count, strings_len) with an adversarial value.
     HeaderFieldFlip,
     /// Copy one payload range over another (length-preserving splice),
     /// tearing section boundaries without changing the total size.
     SectionSplice,
-    /// Overwrite trie node links/record indices with out-of-range
-    /// values, self-loops, or the byte length of the records and
-    /// strings.
-    NodeLinkCorrupt,
+    /// Move one interval's start at or below its left neighbour's, or
+    /// the first interval's off 0.
+    IntervalStartDisorder,
     /// Flip individual bits in the record and string sections.
     RecordBitFlip,
     /// Saturate record and string bytes to 0xFF so string offsets and
@@ -47,17 +53,16 @@ pub enum MutationClass {
     /// Cut the image at an arbitrary point (checksum left stale on
     /// purpose: rejection-by-length/checksum is also a fuzzed path).
     Truncate,
-    /// Copy one root-table range over another (length-preserving
-    /// splice confined to the root table), breaking entries away from
-    /// what the trie derives.
-    RootTableSplice,
-    /// Overwrite root entries (`record u32 | node u32`) with
-    /// out-of-range indices, NONE-vs-valid flips, and random words.
-    RootEntryOutOfRange,
-    /// Cut the image *inside* the root table (checksum left stale
-    /// like [`MutationClass::Truncate`]) so the 512 KiB stride section
-    /// itself is what falls short.
-    StrideTruncate,
+    /// Overwrite interval records with ids at or past `record_count`:
+    /// the first out-of-range id, the id just below `NONE`, and random
+    /// ones between.
+    IntervalRecordOutOfRange,
+    /// Copy one interval's record onto its neighbour, splitting one
+    /// answer across two intervals.
+    IntervalSplitJoin,
+    /// Cut the image *inside* the interval section (checksum left
+    /// stale like [`MutationClass::Truncate`]).
+    IntervalTruncate,
 }
 
 impl MutationClass {
@@ -65,13 +70,13 @@ impl MutationClass {
     pub const ALL: [MutationClass; 9] = [
         MutationClass::HeaderFieldFlip,
         MutationClass::SectionSplice,
-        MutationClass::NodeLinkCorrupt,
+        MutationClass::IntervalStartDisorder,
         MutationClass::RecordBitFlip,
         MutationClass::StringLenOversize,
         MutationClass::Truncate,
-        MutationClass::RootTableSplice,
-        MutationClass::RootEntryOutOfRange,
-        MutationClass::StrideTruncate,
+        MutationClass::IntervalRecordOutOfRange,
+        MutationClass::IntervalSplitJoin,
+        MutationClass::IntervalTruncate,
     ];
 
     /// Stable kebab-case label (used in replay specs and JSON).
@@ -79,13 +84,13 @@ impl MutationClass {
         match self {
             MutationClass::HeaderFieldFlip => "header-field-flip",
             MutationClass::SectionSplice => "section-splice",
-            MutationClass::NodeLinkCorrupt => "node-link-corrupt",
+            MutationClass::IntervalStartDisorder => "interval-start-disorder",
             MutationClass::RecordBitFlip => "record-bit-flip",
             MutationClass::StringLenOversize => "string-len-oversize",
             MutationClass::Truncate => "truncate",
-            MutationClass::RootTableSplice => "root-table-splice",
-            MutationClass::RootEntryOutOfRange => "root-entry-out-of-range",
-            MutationClass::StrideTruncate => "stride-truncate",
+            MutationClass::IntervalRecordOutOfRange => "interval-record-out-of-range",
+            MutationClass::IntervalSplitJoin => "interval-split-join",
+            MutationClass::IntervalTruncate => "interval-truncate",
         }
     }
 
@@ -119,16 +124,6 @@ fn put_u32(bytes: &mut [u8], at: usize, value: u32) {
     }
 }
 
-/// FNV-1a64 — must match the reader's checksum exactly.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for b in bytes {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
 /// Recompute the payload checksum and patch header bytes 20..28, so a
 /// structurally-mutated image passes the checksum gate and reaches the
 /// deep validation paths.
@@ -137,7 +132,7 @@ pub fn refix_checksum(bytes: &mut [u8]) {
         return;
     }
     let sum = match bytes.get(HEADER_LEN..) {
-        Some(payload) => fnv1a(payload),
+        Some(payload) => fnv1a(FNV_OFFSET, payload),
         None => return,
     };
     if let Some(slot) = bytes.get_mut(20..28) {
@@ -145,37 +140,39 @@ pub fn refix_checksum(bytes: &mut [u8]) {
     }
 }
 
-/// Size of the stride-16 root table (65 536 × 8-byte entries).
-const ROOT_TABLE_BYTES: usize = (1 << 16) * 8;
-
 /// Section geometry as *claimed by the header* (which mutation may have
 /// already falsified — all uses stay bounds-checked).
 struct Geometry {
-    root_start: usize,
-    nodes_start: usize,
-    nodes_len: usize,
+    intervals_start: usize,
+    /// Number of intervals.
+    intervals: usize,
     data_start: usize,
     data_len: usize,
 }
 
 fn geometry(bytes: &[u8]) -> Geometry {
     let name_len = usize::from(u16_at(bytes, 6));
-    let node_count = usize::try_from(u32_at(bytes, 8)).unwrap_or(0);
+    let intervals = usize::try_from(u32_at(bytes, 8)).unwrap_or(0);
     // Fixed-width records then the string table; the header's length
     // field at 16 covers only the strings.
     let records = usize::try_from(u32_at(bytes, 12))
         .unwrap_or(0)
         .saturating_mul(20);
     let strings = usize::try_from(u32_at(bytes, 16)).unwrap_or(0);
-    let root_start = HEADER_LEN + name_len;
-    let nodes_start = root_start + ROOT_TABLE_BYTES;
-    let nodes_len = node_count.saturating_mul(12);
+    let intervals_start = HEADER_LEN + name_len;
     Geometry {
-        root_start,
-        nodes_start,
-        nodes_len,
-        data_start: nodes_start + nodes_len,
+        intervals_start,
+        intervals,
+        data_start: intervals_start + intervals.saturating_mul(INTERVAL_WIDTH),
         data_len: records.saturating_add(strings),
+    }
+}
+
+impl Geometry {
+    /// Absolute offset of interval `i`'s start field (its record field
+    /// follows at `+ 4`).
+    fn interval(&self, i: usize) -> usize {
+        self.intervals_start + i * INTERVAL_WIDTH
     }
 }
 
@@ -236,25 +233,28 @@ pub fn apply(class: MutationClass, image: &[u8], rng: &mut FuzzRng) -> Vec<u8> {
             }
             refix_checksum(&mut out);
         }
-        MutationClass::NodeLinkCorrupt => {
+        MutationClass::IntervalStartDisorder => {
             let g = geometry(&out);
-            let node_count = (g.nodes_len / 12) as u64;
-            if node_count > 0 {
-                let hits = rng.range(1, 4);
-                for _ in 0..hits {
-                    let node = usize::try_from(rng.below(node_count)).unwrap_or(0);
-                    let slot = usize::try_from(rng.below(3)).unwrap_or(0);
-                    let at = g.nodes_start + node * 12 + slot * 4;
-                    let value = match rng.below(6) {
-                        0 => u32::MAX - 1,                           // huge link
-                        1 => u32::try_from(node_count).unwrap_or(0), // first out-of-range node
-                        2 => u32::try_from(node).unwrap_or(0),       // self-loop
-                        3 => 0,                                      // loop back to the root
-                        4 => u32::try_from(g.data_len).unwrap_or(0), // records + strings length
+            if g.intervals > 0 {
+                let i = usize::try_from(rng.below(g.intervals as u64)).unwrap_or(0);
+                let value = match i.checked_sub(1) {
+                    // The first start anywhere but 0.
+                    None => match rng.below(3) {
+                        0 => 1,
+                        1 => u32::MAX,
                         _ => u32::try_from(rng.next_u64() & 0xFFFF_FFFF).unwrap_or(1) | 1,
-                    };
-                    put_u32(&mut out, at, value);
-                }
+                    },
+                    // At or below the left neighbour's start.
+                    Some(left) => {
+                        let left = u32_at(&out, g.interval(left));
+                        match rng.below(3) {
+                            0 => left,
+                            1 => left.saturating_sub(1),
+                            _ => u32::try_from(rng.below(u64::from(left) + 1)).unwrap_or(0),
+                        }
+                    }
+                };
+                put_u32(&mut out, g.interval(i), value);
             }
             refix_checksum(&mut out);
         }
@@ -294,62 +294,45 @@ pub fn apply(class: MutationClass, image: &[u8], rng: &mut FuzzRng) -> Vec<u8> {
             out.truncate(cut);
             // No checksum re-fix: stale-checksum rejection is the point.
         }
-        MutationClass::RootTableSplice => {
+        MutationClass::IntervalRecordOutOfRange => {
             let g = geometry(&out);
-            let end = out.len().min(g.root_start + ROOT_TABLE_BYTES);
-            let span_total = end.saturating_sub(g.root_start);
-            if span_total >= 16 {
-                // Entry-aligned splice so whole (record, node) pairs
-                // move — the canonical-table check must catch it.
-                let entries = (span_total / 8) as u64;
-                let count = rng.range(1, (entries / 2).max(2));
-                let src =
-                    g.root_start + usize::try_from(rng.below(entries - count + 1)).unwrap_or(0) * 8;
-                let dst =
-                    g.root_start + usize::try_from(rng.below(entries - count + 1)).unwrap_or(0) * 8;
-                let len = usize::try_from(count).unwrap_or(1) * 8;
-                if src != dst {
-                    let chunk: Vec<u8> = out
-                        .get(src..src + len)
-                        .map(<[u8]>::to_vec)
-                        .unwrap_or_default();
-                    if let Some(slot) = out.get_mut(dst..dst + chunk.len()) {
-                        slot.copy_from_slice(&chunk);
-                    }
-                }
-            }
-            refix_checksum(&mut out);
-        }
-        MutationClass::RootEntryOutOfRange => {
-            let g = geometry(&out);
-            let end = out.len().min(g.root_start + ROOT_TABLE_BYTES);
-            let entries = (end.saturating_sub(g.root_start) / 8) as u64;
-            if entries > 0 {
-                let node_count = (g.nodes_len / 12) as u64;
+            if g.intervals > 0 {
+                let record_count = u32_at(&out, 12);
                 let hits = rng.range(1, 4);
                 for _ in 0..hits {
-                    let entry = usize::try_from(rng.below(entries)).unwrap_or(0);
-                    let half = usize::try_from(rng.below(2)).unwrap_or(0); // record | node
-                    let at = g.root_start + entry * 8 + half * 4;
-                    let value = match rng.below(6) {
-                        0 => u32::MAX - 1,                           // huge index
-                        1 => u32::try_from(node_count).unwrap_or(0), // first out-of-range node
-                        2 => 0,                                      // point everything at the root
-                        3 => u32::MAX, // NONE where the trie has a value
-                        4 => u32::try_from(entry).unwrap_or(0), // entry index as payload
-                        _ => u32::try_from(rng.next_u64() & 0xFFFF_FFFF).unwrap_or(1),
+                    let i = usize::try_from(rng.below(g.intervals as u64)).unwrap_or(0);
+                    let value = match rng.below(3) {
+                        0 => record_count,
+                        1 => NONE - 1,
+                        _ => {
+                            let span = u64::from((NONE - 1).saturating_sub(record_count));
+                            record_count.saturating_add(u32::try_from(rng.below(span)).unwrap_or(0))
+                        }
                     };
-                    put_u32(&mut out, at, value);
+                    put_u32(&mut out, g.interval(i) + 4, value);
                 }
             }
             refix_checksum(&mut out);
         }
-        MutationClass::StrideTruncate => {
+        MutationClass::IntervalSplitJoin => {
             let g = geometry(&out);
-            // Cut inside the root table itself: the 512 KiB stride
-            // section is what falls short of the claimed layout.
-            let cut =
-                g.root_start + usize::try_from(rng.below(ROOT_TABLE_BYTES as u64 + 1)).unwrap_or(0);
+            if g.intervals >= 2 {
+                let i = usize::try_from(rng.below(g.intervals as u64 - 1)).unwrap_or(0);
+                // Interval i's record onto i + 1, or i + 1's onto i.
+                let (from, to) = if rng.chance(50) {
+                    (i, i + 1)
+                } else {
+                    (i + 1, i)
+                };
+                let record = u32_at(&out, g.interval(from) + 4);
+                put_u32(&mut out, g.interval(to) + 4, record);
+            }
+            refix_checksum(&mut out);
+        }
+        MutationClass::IntervalTruncate => {
+            let g = geometry(&out);
+            let len = g.intervals.saturating_mul(INTERVAL_WIDTH);
+            let cut = g.intervals_start + usize::try_from(rng.below(len as u64)).unwrap_or(0);
             out.truncate(cut.min(out.len()));
             // No checksum re-fix: stale-checksum rejection is the point.
         }
@@ -373,23 +356,35 @@ mod tests {
     }
 
     #[test]
-    fn checksum_refix_reaches_structural_validation() {
-        // A node-link mutation with the checksum re-fixed must get past
-        // ChecksumMismatch: open either succeeds or fails structurally.
+    fn interval_mutants_fail_the_check_they_aim_at() {
+        // The three re-fixed interval classes get past the checksum and
+        // are rejected in the interval section, every trial; the cut
+        // keeps its stale checksum and falls short of the layout.
+        use routergeo_db::rgdb2::{RgdbError, Section};
         let image = build_entry(5, Scale::Small).image();
-        let mut deep = 0;
-        for t in 0..50u64 {
-            let mut rng = FuzzRng::new(t);
-            let mutated = apply(MutationClass::NodeLinkCorrupt, &image, &mut rng);
-            match routergeo_db::Rgdb2Reader::open(bytes::Bytes::from(mutated)) {
-                Err(routergeo_db::rgdb2::RgdbError::ChecksumMismatch) => {
-                    panic!("mutation died at the checksum gate")
+        for class in [
+            MutationClass::IntervalStartDisorder,
+            MutationClass::IntervalRecordOutOfRange,
+            MutationClass::IntervalSplitJoin,
+            MutationClass::IntervalTruncate,
+        ] {
+            for t in 0..50u64 {
+                let mutated = apply(class, &image, &mut FuzzRng::new(t));
+                let err = routergeo_db::Rgdb2Reader::open(bytes::Bytes::from(mutated))
+                    .expect_err("an interval mutant never opens");
+                if class == MutationClass::IntervalTruncate {
+                    assert_eq!(err, RgdbError::Truncated, "trial {t}");
+                } else {
+                    let section = err.context().map(|ctx| ctx.section);
+                    assert_eq!(
+                        section,
+                        Some(Section::Intervals),
+                        "{} trial {t}: {err}",
+                        class.label()
+                    );
                 }
-                Err(_) => deep += 1,
-                Ok(_) => deep += 1,
             }
         }
-        assert!(deep > 0);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! A spec line names the coordinates of a mutation trial:
 //!
 //! ```text
-//! seed=1 scale=tiny class=node-link-corrupt trial=7
+//! seed=1 scale=tiny class=interval-split-join trial=7
 //! ```
 //!
 //! Because a trial is a pure function of those coordinates (see
@@ -159,7 +159,7 @@ mod tests {
                     seed=1 scale=tiny class=truncate trial=0\n\
                     \n\
                     seed=2 scale=small class=record-bit-flip trial=1\n\
-                    seed=2 scale=tenth class=root-table-splice trial=4\n";
+                    seed=2 scale=tenth class=interval-record-out-of-range trial=4\n";
         assert_eq!(replay_corpus_text(text), Ok(3));
     }
 }

@@ -5,8 +5,8 @@
 //! [`Rgdb2Reader::open`] plus an address sweep. The reader is held to
 //! three promises: it never panics, every structural rejection is
 //! attributed (a [`RgdbError::Corrupt`] carries its section and
-//! offset), and it never loops (the trie walk is depth-bounded in the
-//! reader itself, so a wedge would surface as a harness timeout).
+//! offset), and it never loops (a lookup is a bounded binary search,
+//! so a wedge would surface as a harness timeout).
 //!
 //! A trial is a pure function of `(corpus_seed, scale, class, trial)`
 //! — see [`trial_seed`] — which is what lets a violation collapse to
@@ -17,7 +17,7 @@ use crate::mutate::{self, MutationClass};
 use crate::rng::FuzzRng;
 use crate::FuzzConfig;
 use bytes::Bytes;
-use routergeo_db::rgdb2::{Rgdb2Reader, RgdbError};
+use routergeo_db::rgdb2::{fnv1a, Rgdb2Reader, RgdbError, FNV_OFFSET};
 use std::net::Ipv4Addr;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -29,20 +29,12 @@ pub const CORPUS_SEEDS: [u64; 2] = [1, 2];
 
 /// Derive the deterministic seed for one mutation trial. Pure in all
 /// four coordinates so `crates/fuzz/corpus/` spec lines can re-create
-/// the exact mutant bytes. The hash still chains the `v21` label it
-/// carried when three image formats were fuzzed, so every root-table
-/// pin regenerates its historical mutant.
+/// the exact mutant bytes. The image checksum's FNV-1a hashes the scale
+/// and class labels, then the `v21` label it chained when three image
+/// formats were fuzzed, so every coordinate keeps its historical seed.
 pub fn trial_seed(corpus_seed: u64, scale: Scale, class: MutationClass, trial: u64) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for b in scale
-        .label()
-        .bytes()
-        .chain(class.label().bytes())
-        .chain(b"v21".iter().copied())
-    {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
+    let labels: [&[u8]; 3] = [scale.label().as_bytes(), class.label().as_bytes(), b"v21"];
+    let h = labels.into_iter().fold(FNV_OFFSET, fnv1a);
     h ^ corpus_seed.rotate_left(17) ^ trial.wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
@@ -78,7 +70,7 @@ fn attributed(e: &RgdbError) -> bool {
 /// Run one trial: open the mutant and, if it opens, sweep seeded
 /// addresses through `try_lookup` — alternating between addresses
 /// inside the corpus blocks (so mutated records actually decode) and
-/// uniform global addresses (so empty trie regions walk too). All
+/// uniform global addresses (so miss intervals are searched too). All
 /// reader work happens under `catch_unwind` so a panic becomes a
 /// reportable outcome instead of tearing down the harness.
 pub fn execute_trial(mutated: Vec<u8>, scale: Scale, sweep_seed: u64) -> TrialOutcome {
@@ -232,18 +224,18 @@ mod tests {
         let b = trial_seed(1, Scale::Tiny, MutationClass::Truncate, 1);
         let c = trial_seed(1, Scale::Small, MutationClass::Truncate, 0);
         let d = trial_seed(2, Scale::Tiny, MutationClass::Truncate, 0);
-        let e = trial_seed(1, Scale::Tiny, MutationClass::StrideTruncate, 0);
+        let e = trial_seed(1, Scale::Tiny, MutationClass::IntervalTruncate, 0);
         assert!(a != b && a != c && a != d && a != e);
     }
 
     #[test]
-    fn trial_seed_regenerates_the_pinned_root_table_mutants() {
-        // The value this coordinate hashed to when the image format was
-        // a fifth coordinate and the pin said `format=v21`: the
-        // root-table pins in `corpus/` replay the same mutant bytes.
+    fn trial_seed_keeps_its_historical_values() {
+        // The value this coordinate hashed to when `trial_seed` ran its
+        // own FNV-1a loop: the shared image checksum must give the same
+        // seed, so every pin in `corpus/` keeps its mutant.
         assert_eq!(
-            trial_seed(2, Scale::Tenth, MutationClass::RootEntryOutOfRange, 11),
-            0x6B53_7B21_CDD1_119E
+            trial_seed(1, Scale::Tiny, MutationClass::Truncate, 0),
+            0xFFF6_0D18_71F9_C214
         );
     }
 

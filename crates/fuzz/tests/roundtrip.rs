@@ -2,9 +2,7 @@
 //! fuzz harness): at every corpus scale and several seeds, a record
 //! set serialized by `rgdb2::write_v21` must come back verbatim through
 //! the reader — same record at every prefix boundary, `None` between
-//! prefixes — the compact path must agree with the allocating one, and
-//! the match depth must be the length of the prefix that holds the
-//! address.
+//! prefixes — and the compact path must agree with the allocating one.
 
 use routergeo_db::inmem::InMemoryDbBuilder;
 use routergeo_db::record::{Granularity, LocationRecord};
@@ -42,11 +40,11 @@ fn every_scale_round_trips_every_record() {
 }
 
 #[test]
-fn answers_and_match_depth_come_from_the_containing_prefix() {
+fn answers_come_from_the_containing_prefix() {
     // The corpus prefixes are disjoint, so at most one holds a probe:
-    // its record is the answer and its length the match depth, and a
-    // probe no prefix holds misses with no depth — at prefix edges, one
-    // address beyond each edge, and over a random sweep.
+    // its record is the answer, and a probe no prefix holds misses —
+    // at prefix edges, one address beyond each edge, and over a random
+    // sweep.
     for scale in Scale::ALL {
         for seed in SEEDS {
             let entry = build_entry(seed, scale);
@@ -73,12 +71,6 @@ fn answers_and_match_depth_come_from_the_containing_prefix() {
                 assert_eq!(
                     reader.lookup_compact(ip, &mut interner),
                     want,
-                    "seed={seed} scale={} ip={ip}",
-                    scale.label()
-                );
-                assert_eq!(
-                    reader.match_len(ip).expect("valid image"),
-                    holder.map(|(prefix, _)| prefix.len()),
                     "seed={seed} scale={} ip={ip}",
                     scale.label()
                 );

@@ -2,16 +2,13 @@
 //!
 //! Geolocation databases are, structurally, maps from IPv4 ranges or
 //! prefixes to location records. This crate supplies the address types and
-//! the two lookup structures the rest of the workspace builds on:
+//! the lookup structure the rest of the workspace builds on:
 //!
 //! * [`Prefix`] — a validated CIDR prefix (`10.0.0.0/8`), with the `/24`
 //!   block arithmetic the paper leans on ("block-level — /24 block or
 //!   larger — locations", §5.2.3).
 //! * [`RangeMap`] — sorted, non-overlapping inclusive ranges → value;
 //!   the natural shape of IP2Location-style CSV databases.
-//! * [`PrefixTrie`] — a binary trie with longest-prefix-match lookup;
-//!   the natural shape of MaxMind-style binary databases and of the
-//!   address-allocation plan in `routergeo-world`.
 //! * [`SortedBatch`] — a batch of addresses sorted once, with repeats
 //!   removed, for the batched lookups of [`RangeMap`] and of the RGDB
 //!   reader in `routergeo-db`.
@@ -24,12 +21,10 @@
 pub mod batch;
 pub mod prefix;
 pub mod rangemap;
-pub mod trie;
 
 pub use batch::SortedBatch;
 pub use prefix::{Prefix, PrefixError};
 pub use rangemap::{RangeMap, RangeMapBuilder, RangeOverlap};
-pub use trie::PrefixTrie;
 
 use std::net::Ipv4Addr;
 

@@ -1,17 +1,9 @@
-//! Property tests: the trie and range map must agree with a brute-force
-//! reference implementation on random prefix sets.
+//! Property tests: the range map, prefixes and range covers must agree
+//! with brute-force references on random inputs.
 
 use proptest::prelude::*;
-use routergeo_net::{Prefix, PrefixTrie, RangeMapBuilder};
+use routergeo_net::{Prefix, RangeMapBuilder};
 use std::net::Ipv4Addr;
-
-/// Brute-force longest-prefix match over a list.
-fn reference_lpm(prefixes: &[(Prefix, usize)], ip: Ipv4Addr) -> Option<&(Prefix, usize)> {
-    prefixes
-        .iter()
-        .filter(|(p, _)| p.contains(ip))
-        .max_by_key(|(p, _)| p.len())
-}
 
 fn arb_prefix() -> impl Strategy<Value = Prefix> {
     (any::<u32>(), 0u8..=32).prop_map(|(addr, len)| {
@@ -20,41 +12,6 @@ fn arb_prefix() -> impl Strategy<Value = Prefix> {
 }
 
 proptest! {
-    #[test]
-    fn trie_matches_reference(
-        prefixes in proptest::collection::vec(arb_prefix(), 1..64),
-        probes in proptest::collection::vec(any::<u32>(), 1..64),
-    ) {
-        // Dedup by prefix, keeping the last value like the trie does.
-        let mut unique: std::collections::HashMap<Prefix, usize> = Default::default();
-        for (i, p) in prefixes.iter().enumerate() {
-            unique.insert(*p, i);
-        }
-        let list: Vec<(Prefix, usize)> = unique.into_iter().collect();
-
-        let mut trie = PrefixTrie::new();
-        for (p, v) in &list {
-            trie.insert(*p, *v);
-        }
-        prop_assert_eq!(trie.len(), list.len());
-
-        for probe in probes {
-            let ip = Ipv4Addr::from(probe);
-            let expected = reference_lpm(&list, ip);
-            let got = trie.lookup(ip);
-            match (expected, got) {
-                (None, None) => {}
-                (Some((ep, ev)), Some((gp, gv))) => {
-                    prop_assert_eq!(ep.len(), gp.len(), "match specificity differs for {}", ip);
-                    // Same length + both contain ip => same prefix.
-                    prop_assert_eq!(ep, gp);
-                    prop_assert_eq!(ev, gv);
-                }
-                (e, g) => prop_assert!(false, "mismatch for {}: ref={:?} trie={:?}", ip, e, g),
-            }
-        }
-    }
-
     #[test]
     fn rangemap_matches_reference(
         // Disjoint-by-construction: carve /16s of distinct top bytes.

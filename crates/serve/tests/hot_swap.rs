@@ -163,7 +163,7 @@ fn retired_format_images_are_rejected_at_swap_and_never_served() {
 #[test]
 fn heap_generation_hot_swaps_to_a_file_backed_v21_image() {
     // Generations are source-agnostic: a daemon booted from a heap
-    // image must accept a v2.1 image loaded from disk via FileImage,
+    // image must accept an RGDB image loaded from disk via FileImage,
     // and a bad path must leave the live generation untouched.
     let corpus = Corpus::new(64);
     let daemon = ServeDaemon::spawn(corpus.image_v21(1)).expect("daemon spawns on a heap image");
@@ -191,7 +191,7 @@ fn heap_generation_hot_swaps_to_a_file_backed_v21_image() {
         std::process::id()
     ));
     std::fs::write(&path, corpus.image_v21(2)).expect("image written to disk");
-    let report = daemon.hot_swap_file(&path).expect("file-backed v2.1 swap");
+    let report = daemon.hot_swap_file(&path).expect("file-backed RGDB swap");
     assert_eq!(report.old_generation, 1);
     assert_eq!(report.new_generation, 2);
     assert!(report.drained);

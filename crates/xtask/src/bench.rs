@@ -3,7 +3,7 @@
 //! `repro --timings` emits `BENCH_pipeline.json`: one stage object per
 //! line, with wall-clock milliseconds per pipeline stage. This module
 //! parses that deliberately line-oriented format without a JSON library,
-//! compares a fresh run against the committed baseline, and fails on a
+//! compares fresh runs against the committed baseline, and fails on a
 //! per-stage wall-clock regression beyond the threshold.
 //!
 //! Two defences keep the gate honest across machines and CI noise:
@@ -16,9 +16,9 @@
 //!   between the baseline host and the current host. A uniform 3×-slower
 //!   machine passes; one stage regressing 3× relative to its peers fails.
 //!
-//! A bless writes the median of [`BLESS_RUNS`] runs ([`median_of_runs`]),
-//! so one run taken while the host was busy cannot skew every later
-//! ratio.
+//! A check compares, and a bless writes, the median of [`BLESS_RUNS`]
+//! runs ([`median_of_runs`]), so one run taken while the host was busy
+//! can neither fail a check nor skew every later ratio.
 
 use std::fmt;
 
@@ -29,7 +29,7 @@ pub const THRESHOLD: f64 = 2.0;
 /// sub-ms stages.
 pub const SMOOTHING_MS: f64 = 25.0;
 
-/// Runs a `--bless` takes the median of.
+/// Runs a check or a `--bless` takes the median of.
 pub const BLESS_RUNS: usize = 5;
 
 /// The measured fields of a timing report, wall clock and peak

@@ -17,10 +17,10 @@ commands:\n  \
                         run the custom RG rules over workspace sources; non-zero exit on\n  \
                         violations (--json prints machine-readable findings on stdout)\n  \
   deps                  check manifests against the workspace dependency policy\n  \
-  bench-check [--bless] run repro --timings at tiny scale, at the baseline's thread\n  \
-                        count, and gate per-stage wall clock against\n  \
-                        BENCH_pipeline.json (--bless refreshes the baseline from the\n  \
-                        per-stage medians of five runs)\n  \
+  bench-check [--bless] run repro --timings at tiny scale five times, at the\n  \
+                        baseline's thread count, and gate the per-stage medians of\n  \
+                        wall clock against BENCH_pipeline.json (--bless refreshes the\n  \
+                        baseline from those medians)\n  \
   report-check [--bless]\n  \
                         run the release `repro all --csv` at tenth scale, seed 20170301,\n  \
                         check that its CSVs hold the README's at-a-glance orderings,\n  \
@@ -40,19 +40,20 @@ commands:\n  \
                         abuse, wall-clock ratio gates) and write the deterministic\n  \
                         report to target/ci-artifacts/serve_ci.json (default budget\n  \
                         8000 ms); --vendor-images additionally sweeps the daemon over\n  \
-                        real tenth-scale vendor v2.1 images served from disk\n  \
+                        real tenth-scale vendor RGDB images served from disk\n  \
   resolve-check [--budget-ms N] [--bless]\n  \
                         run the paper-scale resolve smoke (four synthetic vendor RGDB\n  \
-                        v2.1 images, 1.5 M batched lookups through ResolvedView) at\n  \
-                        the baseline's thread count and write the report to\n  \
-                        target/ci-artifacts/resolve_ci.json;\n  \
-                        non-zero exit when the resolve stage exceeds the budget\n  \
-                        (default 20000 ms), when hits, interned or view_digest differ\n  \
-                        from BENCH_resolve.json's, when a stage regresses beyond 2x\n  \
+                        images, 1.5 M batched lookups through ResolvedView) five\n  \
+                        times at the baseline's thread count, writing each report to\n  \
+                        target/ci-artifacts/resolve_ci.json, and gate their medians;\n  \
+                        non-zero exit when a run's resolve stage exceeds the budget\n  \
+                        (default 20000 ms), when the runs disagree outside their\n  \
+                        timings, when hits, interned or view_digest differ from\n  \
+                        BENCH_resolve.json's, when a stage regresses beyond 2x\n  \
                         against it, when lookup_ns_per_addr regresses beyond 2x\n  \
                         (both median-normalised), or when peak_rss_mb exceeds 1.25x\n  \
                         the baseline's (a fixed ceiling); --bless refreshes the\n  \
-                        baseline from the medians of five runs\n";
+                        baseline from those medians\n";
 
 fn main() -> ExitCode {
     let args: Vec<String> = env::args().skip(1).collect();
@@ -257,7 +258,7 @@ fn run_bench_check(root: &Path, bless: bool) -> ExitCode {
     let baseline_path = root.join("BENCH_pipeline.json");
     let fresh_path = root.join("target").join("BENCH_pipeline.fresh.json");
     eprintln!("xtask bench-check: timing repro at tiny scale (release)…");
-    let texts = timed_runs("bench-check", root, bless, &fresh_path, |cmd| {
+    let merged = timed_runs("bench-check", root, &fresh_path, |cmd| {
         cmd.envs(baseline_threads(&baseline_path).map(|t| (THREADS_ENV, t)))
             .args(["repro", "--"])
             .args(BENCH_EXPERIMENTS)
@@ -268,16 +269,16 @@ fn run_bench_check(root: &Path, bless: bool) -> ExitCode {
             .stdout(std::process::Stdio::null());
         Ok(())
     });
-    let texts = match texts {
-        Ok(t) if bless => return bless_median("bench-check", &t, &baseline_path),
-        Ok(t) => t,
+    let merged = match merged {
+        Ok(m) if bless => return bless_median("bench-check", &m, &baseline_path),
+        Ok(m) => m,
         Err(e) => {
             eprintln!("xtask bench-check: {e}");
             return ExitCode::FAILURE;
         }
     };
     let cmp = match read_baseline("bench-check", &baseline_path)
-        .and_then(|(base, _)| Ok((base, bench::parse_report(&texts[0])?)))
+        .and_then(|(base, _)| Ok((base, bench::parse_report(&merged)?)))
         .and_then(|(base, fresh)| bench::compare(&base, &fresh, bench::THRESHOLD))
     {
         Ok(c) => c,
@@ -288,11 +289,12 @@ fn run_bench_check(root: &Path, bless: bool) -> ExitCode {
     };
     let failed = print_comparisons(&cmp);
     eprintln!(
-        "xtask bench-check: {} stage(s), {} regression(s) beyond {:.1}x (smoothing {:.0} ms, median-normalised)",
+        "xtask bench-check: {} stage(s), {} regression(s) beyond {:.1}x (smoothing {:.0} ms, median-normalised, median of {} runs)",
         cmp.len(),
         failed,
         bench::THRESHOLD,
-        bench::SMOOTHING_MS
+        bench::SMOOTHING_MS,
+        bench::BLESS_RUNS
     );
     if failed == 0 {
         ExitCode::SUCCESS
@@ -301,19 +303,19 @@ fn run_bench_check(root: &Path, bless: bool) -> ExitCode {
     }
 }
 
-/// Run a `routergeo-bench` binary in release once, or
-/// [`bench::BLESS_RUNS`] times for a bless, and return the report text
-/// each run leaves at `report`. `setup` adds the binary name, its
-/// arguments and environment to a `cargo run --release -q -p
-/// routergeo-bench --bin` command.
+/// Run a `routergeo-bench` binary in release [`bench::BLESS_RUNS`]
+/// times, for a check and a bless alike, and return the median of the
+/// reports each run leaves at `report` ([`bench::median_of_runs`],
+/// which fails when the runs differ outside their timings). `setup`
+/// adds the binary name, its arguments and environment to a `cargo run
+/// --release -q -p routergeo-bench --bin` command.
 fn timed_runs(
     cmd: &str,
     root: &Path,
-    bless: bool,
     report: &Path,
     setup: impl Fn(&mut std::process::Command) -> std::io::Result<()>,
-) -> Result<Vec<String>, String> {
-    let runs = if bless { bench::BLESS_RUNS } else { 1 };
+) -> Result<String, String> {
+    let runs = bench::BLESS_RUNS;
     if let Some(dir) = report.parent() {
         std::fs::create_dir_all(dir)
             .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
@@ -341,11 +343,21 @@ fn timed_runs(
             }
             Err(e) => return Err(format!("cannot run cargo: {e}")),
         }
-        texts.push(
-            std::fs::read_to_string(report).map_err(|e| format!("{}: {e}", report.display()))?,
-        );
+        let text =
+            std::fs::read_to_string(report).map_err(|e| format!("{}: {e}", report.display()))?;
+        let totals: Vec<String> = [
+            "total_wall_ms",
+            "resolve_wall_ms",
+            "lookup_ns_per_addr",
+            "peak_rss_mb",
+        ]
+        .iter()
+        .filter_map(|key| raw_field(&text, key).map(|v| format!("{key} {v}")))
+        .collect();
+        eprintln!("xtask {cmd}: run {run}: {}", totals.join(", "));
+        texts.push(text);
     }
-    Ok(texts)
+    bench::median_of_runs(&texts).map_err(|e| format!("cannot take the median of the runs: {e}"))
 }
 
 /// The committed baseline at `path`, parsed, with its text.
@@ -371,34 +383,14 @@ fn print_comparisons(cmp: &[bench::Comparison]) -> usize {
     cmp.iter().filter(|c| c.failed).count()
 }
 
-/// Write the median of the timing reports `runs` to `baseline`
-/// ([`bench::median_of_runs`]).
-fn bless_median(cmd: &str, runs: &[String], baseline: &Path) -> ExitCode {
-    for (n, text) in runs.iter().enumerate() {
-        let totals: Vec<String> = [
-            "total_wall_ms",
-            "resolve_wall_ms",
-            "lookup_ns_per_addr",
-            "peak_rss_mb",
-        ]
-        .iter()
-        .filter_map(|key| raw_field(text, key).map(|v| format!("{key} {v}")))
-        .collect();
-        eprintln!("xtask {cmd}: run {}: {}", n + 1, totals.join(", "));
-    }
-    let merged = match bench::median_of_runs(runs) {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("xtask {cmd}: cannot take the median of the runs: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+/// Write `merged`, the median of the timing runs, to `baseline`.
+fn bless_median(cmd: &str, merged: &str, baseline: &Path) -> ExitCode {
     match std::fs::write(baseline, merged) {
         Ok(()) => {
             eprintln!(
                 "xtask {cmd}: blessed {} from the median of {} runs",
                 baseline.display(),
-                runs.len()
+                bench::BLESS_RUNS
             );
             ExitCode::SUCCESS
         }
@@ -651,9 +643,9 @@ fn run_serve_check(root: &PathBuf, budget_ms: u64, vendor_images: bool) -> ExitC
     }
 
     // Opt-in: sweep the daemon over real tenth-scale lab vendors encoded
-    // as file-backed v2.1 images (the `#[ignore]`d half of the
+    // as file-backed RGDB images (the `#[ignore]`d half of the
     // vendor_serve suite). Not part of the budgeted CI gate.
-    eprintln!("xtask serve-check: tenth-scale vendor v2.1 image sweep (release)…");
+    eprintln!("xtask serve-check: tenth-scale vendor RGDB image sweep (release)…");
     let status = std::process::Command::new("cargo")
         .current_dir(root)
         .args([
@@ -685,16 +677,17 @@ fn run_serve_check(root: &PathBuf, budget_ms: u64, vendor_images: bool) -> ExitC
 }
 
 /// The resolve smoke gate: the paper-scale batched-lookup workload
-/// (four synthetic vendor databases as RGDB v2.1 images, 1.5 M
+/// (four synthetic vendor databases as RGDB images, 1.5 M
 /// interface addresses through `ResolvedView`) under a wall budget on
-/// the resolve stage alone, plus a regression gate against the blessed
-/// `BENCH_resolve.json`: per-stage wall clock AND per-lookup
-/// `lookup_ns_per_addr`, both smoothed and median-normalised exactly
-/// like bench-check so a uniformly slower machine passes, and the peak
-/// resident set under [`RSS_CEILING`] times the baseline's. Synthesis
-/// and probes are a pure function of the pinned seed, so everything in
-/// the artifact except the measured fields is byte-stable, and
-/// [`RESOLVE_EXACT_KEYS`] must equal the baseline's.
+/// the resolve stage alone, plus a regression gate of the median of
+/// five runs against the blessed `BENCH_resolve.json`: per-stage wall
+/// clock AND per-lookup `lookup_ns_per_addr`, both smoothed and
+/// median-normalised exactly like bench-check so a uniformly slower
+/// machine passes, and the peak resident set under [`RSS_CEILING`]
+/// times the baseline's. Synthesis and probes are a pure function of
+/// the pinned seed, so everything in the artifact except the measured
+/// fields is byte-stable across the runs, and [`RESOLVE_EXACT_KEYS`]
+/// must equal the baseline's.
 fn run_resolve_check(root: &Path, budget_ms: u64, bless: bool) -> ExitCode {
     let artifact = root
         .join("target")
@@ -702,7 +695,7 @@ fn run_resolve_check(root: &Path, budget_ms: u64, bless: bool) -> ExitCode {
         .join("resolve_ci.json");
     let baseline_path = root.join("BENCH_resolve.json");
     eprintln!("xtask resolve-check: paper-scale resolve smoke (budget {budget_ms} ms, release)…");
-    let texts = timed_runs("resolve-check", root, bless, &artifact, |cmd| {
+    let merged = timed_runs("resolve-check", root, &artifact, |cmd| {
         cmd.envs(baseline_threads(&baseline_path).map(|t| (THREADS_ENV, t)))
             .env("ROUTERGEO_SCALE", "paper")
             .env("ROUTERGEO_SEED", CI_SEED)
@@ -710,9 +703,9 @@ fn run_resolve_check(root: &Path, budget_ms: u64, bless: bool) -> ExitCode {
             .stdout(std::fs::File::create(&artifact)?);
         Ok(())
     });
-    let texts = match texts {
-        Ok(t) if bless => return bless_median("resolve-check", &t, &baseline_path),
-        Ok(t) => t,
+    let merged = match merged {
+        Ok(m) if bless => return bless_median("resolve-check", &m, &baseline_path),
+        Ok(m) => m,
         Err(e) => {
             eprintln!("xtask resolve-check: {e}");
             return ExitCode::FAILURE;
@@ -724,8 +717,8 @@ fn run_resolve_check(root: &Path, budget_ms: u64, bless: bool) -> ExitCode {
             .ok_or_else(|| format!("a report has no `{key}` value"))
     };
     let read = read_baseline("resolve-check", &baseline_path).and_then(|(base, base_text)| {
-        let fresh = bench::parse_report(&texts[0])?;
-        let pair = |key| Ok::<_, String>((number(&base_text, key)?, number(&texts[0], key)?));
+        let fresh = bench::parse_report(&merged)?;
+        let pair = |key| Ok::<_, String>((number(&base_text, key)?, number(&merged, key)?));
         let (ns, rss) = (pair("lookup_ns_per_addr")?, pair("peak_rss_mb")?);
         Ok((base, base_text, fresh, ns, rss))
     });
@@ -741,7 +734,7 @@ fn run_resolve_check(root: &Path, budget_ms: u64, bless: bool) -> ExitCode {
     let drift: Vec<String> = RESOLVE_EXACT_KEYS
         .iter()
         .filter_map(|key| {
-            let (b, f) = (raw_field(&base_text, key), raw_field(&texts[0], key));
+            let (b, f) = (raw_field(&base_text, key), raw_field(&merged, key));
             (b != f).then(|| format!("{key}: baseline {b:?}, fresh {f:?}"))
         })
         .collect();

@@ -18,8 +18,8 @@ fn main() {
     let db = build_vendor(&signals, &VendorProfile::preset(VendorId::NetAcuity));
     println!("in-memory database: {} range entries", db.len());
 
-    // RGDB: MaxMind-style binary trie with deduplicated records and
-    // strings.
+    // RGDB: ascending longest-prefix intervals over deduplicated
+    // records and strings.
     let entries: Vec<(Prefix, routergeo::db::LocationRecord)> = db
         .iter()
         .flat_map(|(start, end, rec)| {
